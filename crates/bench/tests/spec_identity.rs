@@ -3,12 +3,18 @@
 //! behind Fig. 3) are pinned to the exact SHA-256 values produced before
 //! the refactor. If any of these change, every cache on every machine
 //! silently invalidates and fig2/fig3 outputs shift — bump
-//! `SCHEMA_VERSION` instead of editing the constants.
+//! `SCHEMA_VERSION` instead of editing the constants. The noisy Counts
+//! those records hold are pinned the same way (`noisy_counts_digest`).
 
-use supermarq::registry::BenchmarkRegistry;
+use std::fmt::Write;
+
+use supermarq::registry::{BenchmarkEntry, BenchmarkRegistry, ParamKind};
+use supermarq::{Benchmark, CircuitFamily};
 use supermarq_bench::{figure2_points, shots_for};
 use supermarq_device::Device;
+use supermarq_sim::Executor;
 use supermarq_store::RunSpec;
+use supermarq_transpile::Transpiler;
 
 /// Combined SHA-256 over the canonical strings of every Fig. 2 cell
 /// spec, captured on the pre-refactor tree (hard-coded factory match).
@@ -81,6 +87,76 @@ fn fig2_specs_still_build_through_the_registry() {
             .build(&s.benchmark, &s.params)
             .unwrap_or_else(|e| panic!("{}: {e}", s.benchmark));
     }
+}
+
+/// SHA-256 over the noisy trajectory Counts of every registry base entry
+/// on every Table II device (see [`noisy_counts_listing`]), captured
+/// before the noise model was lowered to a flat program. Every Fig. 2/3
+/// score, JSONL line and store record is a function of these Counts, so
+/// the trajectory sampler must reproduce them bit for bit.
+const NOISY_COUNTS_DIGEST: &str =
+    "61bfe8556ebff2ab7a97bdfc4533baa17983f98df7a1607ff19b49ed4f48fa0e";
+
+/// The smallest instance of `entry` with at least three qubits, every
+/// non-size parameter at its registry default.
+fn small_instance(entry: &BenchmarkEntry) -> Box<dyn Benchmark> {
+    let registry = BenchmarkRegistry::builtin();
+    (1..=4)
+        .filter_map(|size: usize| {
+            let params: Vec<(String, String)> = entry
+                .schema()
+                .iter()
+                .map(|p| {
+                    let value = match (p.kind, p.default) {
+                        (ParamKind::Size { .. }, _) => size.to_string(),
+                        (_, Some(default)) => default(size, 1),
+                        (_, None) => unreachable!("non-size parameters declare defaults"),
+                    };
+                    (p.key.to_string(), value)
+                })
+                .collect();
+            registry.build(entry.id(), &params).ok()
+        })
+        .find(|b| b.num_qubits() >= 3)
+        .unwrap_or_else(|| panic!("{} has no instance of 3+ qubits", entry.id()))
+}
+
+/// One line per (entry, device, circuit): the sorted `(bits, count)`
+/// pairs of 200 noisy shots of the transpiled, compacted circuit.
+fn noisy_counts_listing() -> String {
+    let mut all = String::new();
+    for entry in BenchmarkRegistry::builtin().entries() {
+        let benchmark = small_instance(entry);
+        for device in Device::all_paper_devices() {
+            let transpiler = Transpiler::for_device(&device);
+            let exec = Executor::new(device.noise_model());
+            for (i, c) in benchmark.circuits().iter().enumerate() {
+                write!(all, "{} {} {i}:", benchmark.name(), device.name()).unwrap();
+                match transpiler.run(c) {
+                    Ok(t) => {
+                        let (compact, _) = t.circuit.compacted();
+                        for (bits, count) in exec.run(&compact, 200, 1000 + i as u64).iter() {
+                            write!(all, " {bits}={count}").unwrap();
+                        }
+                    }
+                    Err(e) => write!(all, " {e}").unwrap(),
+                }
+                all.push('\n');
+            }
+        }
+    }
+    all
+}
+
+/// Noisy trajectory Counts are pinned, not just their statistics.
+#[test]
+fn noisy_counts_digest() {
+    let listing = noisy_counts_listing();
+    assert_eq!(
+        supermarq_store::hash::sha256_hex(listing.as_bytes()),
+        NOISY_COUNTS_DIGEST,
+        "noisy trajectory Counts drifted:\n{listing}"
+    );
 }
 
 #[test]

@@ -7,25 +7,25 @@
 //! trajectory with *Pauli-twirled* noise, polynomial in the qubit count
 //! where the statevector executor is exponential.
 //!
-//! Every channel of [`NoiseModel`] maps onto the tableau:
-//!
-//! * depolarizing noise — already Pauli, applied verbatim;
-//! * readout and reset errors — classical flips / X gates, verbatim;
-//! * thermal relaxation — amplitude damping is not Clifford, so its
-//!   standard Pauli twirl is used: `p_x = p_y = gamma/4`,
-//!   `p_z = gamma/4 + p_phi` where `gamma = 1 - exp(-t/T1)` and `p_phi` is
-//!   the pure-dephasing flip probability. The twirl preserves the channel's
-//!   process-matrix diagonal, so population decay statistics match the
-//!   exact channel while coherences are randomized — the usual
-//!   approximation in scalable error analysis.
+//! The executor interprets the circuit's [`NoisyProgram::twirled`]
+//! program, so it reads the same lowered noise as the statevector and
+//! density-matrix backends. Depolarizing noise is already Pauli;
+//! readout and reset errors are classical flips and X gates; idle
+//! relaxation (amplitude damping is not Clifford) arrives as the Pauli
+//! channel with the exact channel's Pauli-transfer diagonal, so
+//! populations and coherences decay at the exact rates. Gates are mapped
+//! to tableau primitives once per call through [`clifford_ops`], the
+//! recognizer `Mirror::is_clifford` also uses, and shot `i` draws from
+//! [`shot_rng`]`(seed, i)` like the statevector executor's.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-use supermarq_circuit::{Circuit, CircuitLayers, Gate, GateKind};
-use supermarq_sim::{Counts, NoiseModel};
+use supermarq_circuit::Circuit;
+use supermarq_sim::noise::coin;
+use supermarq_sim::{shot_rng, Counts, NoiseModel, NoisyOp, NoisyProgram};
 
 use crate::chp::StabilizerSimulator;
+use crate::ops::{clifford_ops, CliffordOp};
 
 /// Executes Clifford circuits for many shots under a Pauli-twirled noise
 /// model, with cost polynomial in qubit count.
@@ -70,20 +70,11 @@ impl StabilizerExecutor {
             circuit.num_qubits() <= 64,
             "histogram keys are limited to 64 qubits"
         );
-        let mut rng = StdRng::seed_from_u64(seed);
         let mut counts = Counts::new(circuit.num_qubits());
-        let mut classical = vec![false; circuit.num_qubits()];
-        for _ in 0..shots {
-            classical.fill(false);
-            self.run_trajectory(circuit, &mut rng, &mut classical);
-            let mut bits = 0u64;
-            for (q, &b) in classical.iter().enumerate() {
-                if b {
-                    bits |= 1 << q;
-                }
-            }
-            counts.record(bits);
-        }
+        self.for_each_shot(circuit, shots, seed, |classical| {
+            let bits = classical.iter().enumerate();
+            counts.record(bits.fold(0, |acc, (q, &b)| acc | u64::from(b) << q));
+        });
         counts
     }
 
@@ -112,174 +103,77 @@ impl StabilizerExecutor {
             "expected bitstring length mismatch"
         );
         assert!(shots > 0, "need at least one shot");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut classical = vec![false; circuit.num_qubits()];
         let mut hits = 0usize;
-        for _ in 0..shots {
-            classical.fill(false);
-            self.run_trajectory(circuit, &mut rng, &mut classical);
-            if classical == expected {
-                hits += 1;
-            }
-        }
+        self.for_each_shot(circuit, shots, seed, |classical| {
+            hits += usize::from(classical == expected);
+        });
         hits as f64 / shots as f64
     }
 
-    /// One noisy tableau trajectory, writing measured bits into
-    /// `classical` (indexed by program qubit).
-    fn run_trajectory(&self, circuit: &Circuit, rng: &mut StdRng, classical: &mut [bool]) {
-        let n = circuit.num_qubits();
-        let mut sim = StabilizerSimulator::new(n);
-        let layers = CircuitLayers::of(circuit);
-        let instrs = circuit.instructions();
-        let track_relaxation = self.noise.t1.is_finite() || self.noise.t2.is_finite();
-        for layer in layers.layers() {
-            let mut two_q_gates = 0usize;
-            let mut layer_duration = 0.0f64;
-            for &i in layer {
-                if instrs[i].is_two_qubit() {
-                    two_q_gates += 1;
+    /// Lowers `circuit` once, then hands each shot's classical register
+    /// (indexed by program qubit) to `record`.
+    fn for_each_shot(
+        &self,
+        circuit: &Circuit,
+        shots: usize,
+        seed: u64,
+        mut record: impl FnMut(&[bool]),
+    ) {
+        let gates: Vec<Vec<CliffordOp>> = circuit
+            .iter()
+            .map(|instr| match clifford_ops(instr) {
+                Some(ops) => ops,
+                None if instr.gate.is_unitary() => {
+                    panic!("{:?} is not a Clifford gate", instr.gate)
                 }
-                layer_duration = layer_duration.max(self.noise.duration_of(&instrs[i].gate));
-            }
-            let mut busy = vec![0.0f64; n];
-            for &i in layer {
-                let instr = &instrs[i];
-                for &q in &instr.qubits {
-                    busy[q] = busy[q].max(self.noise.duration_of(&instr.gate));
-                }
-                match instr.gate {
-                    Gate::H => sim.h(instr.qubits[0]),
-                    Gate::S => sim.s(instr.qubits[0]),
-                    Gate::Sdg => sim.sdg(instr.qubits[0]),
-                    Gate::X => sim.x_gate(instr.qubits[0]),
-                    Gate::Y => {
-                        sim.z_gate(instr.qubits[0]);
-                        sim.x_gate(instr.qubits[0]);
-                    }
-                    Gate::Z => sim.z_gate(instr.qubits[0]),
-                    Gate::I => {}
-                    Gate::Cx => sim.cx(instr.qubits[0], instr.qubits[1]),
-                    Gate::Cz => sim.cz(instr.qubits[0], instr.qubits[1]),
-                    Gate::Swap => sim.swap(instr.qubits[0], instr.qubits[1]),
-                    Gate::Measure => {
-                        let q = instr.qubits[0];
-                        let bit = sim.measure(q, rng);
-                        let p = self.noise.readout_error_for(q);
-                        let recorded = if p > 0.0 && rng.gen::<f64>() < p {
-                            !bit
-                        } else {
-                            bit
-                        };
-                        classical[q] = recorded;
-                    }
-                    Gate::Reset => {
-                        let q = instr.qubits[0];
-                        sim.reset(q, rng);
-                        if self.noise.reset_error > 0.0 && rng.gen::<f64>() < self.noise.reset_error
-                        {
-                            sim.x_gate(q);
-                        }
-                    }
-                    Gate::Barrier => {}
-                    ref g => panic!("{g:?} is not a Clifford gate"),
-                }
-                // Post-gate depolarizing noise.
-                match instr.gate.kind() {
-                    GateKind::OneQubitUnitary => {
-                        self.random_pauli(
-                            &mut sim,
-                            &[instr.qubits[0]],
-                            self.noise.depolarizing_1q,
-                            rng,
-                        );
-                    }
-                    GateKind::TwoQubitUnitary => {
-                        let extra = self.noise.crosstalk * two_q_gates.saturating_sub(1) as f64;
-                        let base = self
-                            .noise
-                            .depolarizing_2q_for(instr.qubits[0], instr.qubits[1]);
-                        let p = (base * (1.0 + extra)).min(1.0);
-                        self.random_pauli(&mut sim, &[instr.qubits[0], instr.qubits[1]], p, rng);
-                    }
-                    _ => {}
-                }
-            }
-            // Idle relaxation, Pauli-twirled.
-            if track_relaxation && layer_duration > 0.0 {
-                for (q, &b) in busy.iter().enumerate() {
-                    let idle = layer_duration - b;
-                    if idle > 0.0 {
-                        self.twirled_relaxation(&mut sim, q, idle, rng);
-                    }
-                }
-            }
+                None => Vec::new(),
+            })
+            .collect();
+        let program = NoisyProgram::lower(circuit, &self.noise).twirled();
+        let mut classical = vec![false; circuit.num_qubits()];
+        for shot in 0..shots {
+            classical.fill(false);
+            run_shot(
+                &program,
+                &gates,
+                &mut shot_rng(seed, shot as u64),
+                &mut classical,
+            );
+            record(&classical);
         }
     }
+}
 
-    /// With probability `p`, applies a uniformly random non-identity Pauli
-    /// over `qubits`.
-    fn random_pauli(
-        &self,
-        sim: &mut StabilizerSimulator,
-        qubits: &[usize],
-        p: f64,
-        rng: &mut StdRng,
-    ) {
-        if p <= 0.0 || rng.gen::<f64>() >= p {
-            return;
-        }
-        let options = 4usize.pow(qubits.len() as u32) - 1;
-        let mut choice = rng.gen_range(1..=options);
-        for &q in qubits {
-            match choice % 4 {
-                1 => sim.x_gate(q),
-                2 => {
-                    sim.z_gate(q);
+/// One tableau trajectory of a twirled program, writing measured bits
+/// into `classical`.
+fn run_shot(
+    program: &NoisyProgram,
+    gates: &[Vec<CliffordOp>],
+    rng: &mut StdRng,
+    classical: &mut [bool],
+) {
+    let mut sim = StabilizerSimulator::new(classical.len());
+    for op in &program.ops {
+        match *op {
+            NoisyOp::Gate(i) => gates[i].iter().for_each(|g| g.apply(&mut sim)),
+            NoisyOp::Measure { q, flip } => classical[q] = sim.measure(q, rng) ^ coin(flip, rng),
+            NoisyOp::Reset { q, flip } => {
+                sim.reset(q, rng);
+                if coin(flip, rng) {
                     sim.x_gate(q);
                 }
-                3 => sim.z_gate(q),
-                _ => {}
             }
-            choice /= 4;
-        }
-    }
-
-    /// Pauli-twirled thermal relaxation for `duration` microseconds.
-    fn twirled_relaxation(
-        &self,
-        sim: &mut StabilizerSimulator,
-        q: usize,
-        duration: f64,
-        rng: &mut StdRng,
-    ) {
-        let gamma = if self.noise.t1.is_finite() && self.noise.t1 > 0.0 {
-            1.0 - (-duration / self.noise.t1).exp()
-        } else {
-            0.0
-        };
-        let p_phi = if self.noise.t2.is_finite() && self.noise.t2 > 0.0 {
-            let rate_t1 = if self.noise.t1.is_finite() {
-                1.0 / (2.0 * self.noise.t1)
-            } else {
-                0.0
-            };
-            let rate_phi = (1.0 / self.noise.t2 - rate_t1).max(0.0);
-            0.5 * (1.0 - (-duration * rate_phi).exp())
-        } else {
-            0.0
-        };
-        let px = gamma / 4.0;
-        let py = gamma / 4.0;
-        let pz = gamma / 4.0 + p_phi * (1.0 - gamma);
-        let r: f64 = rng.gen();
-        if r < px {
-            sim.x_gate(q);
-        } else if r < px + py {
-            sim.z_gate(q);
-            sim.x_gate(q);
-        } else if r < px + py + pz {
-            sim.z_gate(q);
+            NoisyOp::Depolarize { .. } | NoisyOp::Pauli { .. } => op.sample_pauli(rng, |q, p| {
+                // Y = iXZ: conjugation ignores the phase.
+                let (x, z) = p.xz_bits();
+                if z {
+                    sim.z_gate(q);
+                }
+                if x {
+                    sim.x_gate(q);
+                }
+            }),
+            NoisyOp::Idle { .. } => unreachable!("twirled programs carry no Idle ops"),
         }
     }
 }
@@ -368,6 +262,73 @@ mod tests {
             "survival={survival} expected={}",
             1.0 - twirl_flip
         );
+    }
+
+    /// Two-sided Hoeffding half-width for a frequency over `shots`
+    /// independent shots, at failure probability `1e-6`.
+    fn hoeffding(shots: usize) -> f64 {
+        ((2.0f64 / 1e-6).ln() / (2.0 * shots as f64)).sqrt()
+    }
+
+    #[test]
+    fn twirled_relaxation_keeps_the_exact_coherence() {
+        // |+> idles one T1 during qubit 1's readout, then H maps its
+        // coherence onto P(0) = (1 + e^{-1/2}) / 2 ~ 0.8033 — the exact
+        // channel's value, which the twirl must reproduce.
+        let mut c = Circuit::new(2);
+        c.h(0).measure(1).barrier_all().h(0).measure(0);
+        let mut noise = NoiseModel::ideal();
+        noise.t1 = 5.0;
+        noise.durations.measurement = 5.0;
+        noise.durations.one_qubit = 0.0;
+        let shots = 40_000;
+        let counts = StabilizerExecutor::new(noise).run(&c, shots, 5);
+        let p0 = counts.marginal(&[0]).probability(0);
+        let exact = (1.0 + (-0.5f64).exp()) / 2.0;
+        assert!(
+            (p0 - exact).abs() < hoeffding(shots),
+            "P(q0 = 0) = {p0}, exact {exact}"
+        );
+    }
+
+    #[test]
+    fn every_recognized_clifford_gate_runs_on_the_tableau() {
+        use std::f64::consts::{FRAC_PI_2, PI};
+        use supermarq_circuit::Gate;
+        let one_qubit = [
+            Gate::Sx,
+            Gate::Sxdg,
+            Gate::Rz(FRAC_PI_2),
+            Gate::Rx(FRAC_PI_2),
+            Gate::Ry(-FRAC_PI_2),
+            Gate::P(FRAC_PI_2),
+            Gate::U(FRAC_PI_2, 0.0, PI),
+        ];
+        let two_qubit = [
+            Gate::Rzz(FRAC_PI_2),
+            Gate::Rxx(FRAC_PI_2),
+            Gate::Ryy(FRAC_PI_2),
+            Gate::Cp(PI),
+        ];
+        let gates = one_qubit.iter().map(|g| (*g, vec![1]));
+        for (gate, qubits) in gates.chain(two_qubit.iter().map(|g| (*g, vec![0, 1]))) {
+            // Entangle and rotate first so the gate acts on a generic
+            // stabilizer state, then read out in a rotated basis.
+            let mut c = Circuit::new(2);
+            c.h(0).cx(0, 1).s(1).h(1);
+            c.append(gate, &qubits);
+            c.h(0).h(1).measure_all();
+            let shots = 4000;
+            let counts = StabilizerExecutor::new(NoiseModel::ideal()).run(&c, shots, 9);
+            let exact = Executor::final_state(&c).expect("unitary").probabilities();
+            for (bits, &p) in exact.iter().enumerate() {
+                let f = counts.probability(bits as u64);
+                assert!(
+                    (f - p).abs() < hoeffding(shots),
+                    "{gate:?}: P({bits:02b}) tableau {f} vs statevector {p}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,11 +2,15 @@
 //!
 //! The trajectory executor ([`crate::Executor`]) samples noise
 //! stochastically; this module evolves the full density matrix
-//! `rho -> sum_k K_k rho K_k^dagger` exactly, with no sampling error. It
-//! serves two purposes:
+//! `rho -> sum_k K_k rho K_k^dagger` exactly, with no sampling error.
+//! [`DensityMatrix::run_program`] interprets the same lowered
+//! [`NoisyProgram`] the trajectory and stabilizer executors sample, with
+//! every channel of the noise model (crosstalk, per-edge and per-qubit
+//! rates, relaxation, readout and reset errors). It serves two purposes:
 //!
-//! * **validation** — trajectory averages must converge to the exact
-//!   channel (tested here and in the integration suite);
+//! * **validation** — the exact oracle the trajectory executor, and the
+//!   stabilizer executor on the [`NoisyProgram::twirled`] program, must
+//!   match within a shot-count-derived bound (`tests/properties.rs`);
 //! * **small-instance scoring** — exact noisy output distributions for
 //!   benchmarks of ≤ ~10 qubits, useful when shot noise would obscure an
 //!   ablation.
@@ -14,9 +18,9 @@
 //! Memory is `4^n` amplitudes, so the register limit is half the
 //! statevector simulator's.
 
-use supermarq_circuit::{Circuit, Gate, GateKind, C64};
+use supermarq_circuit::{Circuit, Gate, C64};
 
-use crate::noise::NoiseModel;
+use crate::noise::{NoisyOp, NoisyProgram};
 
 /// Maximum density-matrix register size (`4^13` complex entries = 1 GiB).
 pub const MAX_DENSITY_QUBITS: usize = 13;
@@ -221,23 +225,30 @@ impl DensityMatrix {
         );
     }
 
+    /// The Pauli channel applying X, Y, Z with probabilities
+    /// `[p_x, p_y, p_z]`.
+    fn pauli_channel(&mut self, qubit: usize, probs: [f64; 3]) {
+        let weights = [
+            1.0 - probs.iter().sum::<f64>(),
+            probs[0],
+            probs[1],
+            probs[2],
+        ];
+        let kraus: Vec<[[C64; 2]; 2]> = [Gate::I, Gate::X, Gate::Y, Gate::Z]
+            .iter()
+            .zip(weights)
+            .map(|(g, w)| {
+                g.matrix1()
+                    .expect("Pauli matrix")
+                    .map(|row| row.map(|e| e.scale(w.sqrt())))
+            })
+            .collect();
+        self.apply_kraus1(&kraus, qubit);
+    }
+
     /// The single-qubit depolarizing channel with probability `p`.
     pub fn depolarize(&mut self, qubit: usize, p: f64) {
-        let s = (1.0 - p).sqrt();
-        let q = (p / 3.0).sqrt();
-        let scale = |m: [[C64; 2]; 2], f: f64| {
-            [
-                [m[0][0].scale(f), m[0][1].scale(f)],
-                [m[1][0].scale(f), m[1][1].scale(f)],
-            ]
-        };
-        let kraus = [
-            scale(Gate::I.matrix1().expect("matrix"), s),
-            scale(Gate::X.matrix1().expect("matrix"), q),
-            scale(Gate::Y.matrix1().expect("matrix"), q),
-            scale(Gate::Z.matrix1().expect("matrix"), q),
-        ];
-        self.apply_kraus1(&kraus, qubit);
+        self.pauli_channel(qubit, [p / 3.0; 3]);
     }
 
     /// The amplitude-damping channel with decay probability `gamma`.
@@ -253,65 +264,62 @@ impl DensityMatrix {
     /// The phase-damping (dephasing) channel: phase flip with probability
     /// `p`.
     pub fn dephase(&mut self, qubit: usize, p: f64) {
-        let s = (1.0 - p).sqrt();
-        let q = p.sqrt();
-        let i = Gate::I.matrix1().expect("matrix");
-        let z = Gate::Z.matrix1().expect("matrix");
-        let scale = |m: [[C64; 2]; 2], f: f64| {
-            [
-                [m[0][0].scale(f), m[0][1].scale(f)],
-                [m[1][0].scale(f), m[1][1].scale(f)],
-            ]
-        };
-        self.apply_kraus1(&[scale(i, s), scale(z, q)], qubit);
+        self.pauli_channel(qubit, [0.0, 0.0, p]);
     }
 
     /// The symmetric readout-error channel applied as a classical bit-flip
     /// channel on the diagonal (used when extracting final distributions).
     pub fn classical_bitflip(&mut self, qubit: usize, p: f64) {
-        let s = (1.0 - p).sqrt();
-        let q = p.sqrt();
-        let i = Gate::I.matrix1().expect("matrix");
-        let x = Gate::X.matrix1().expect("matrix");
-        let scale = |m: [[C64; 2]; 2], f: f64| {
-            [
-                [m[0][0].scale(f), m[0][1].scale(f)],
-                [m[1][0].scale(f), m[1][1].scale(f)],
-            ]
-        };
-        self.apply_kraus1(&[scale(i, s), scale(x, q)], qubit);
+        self.pauli_channel(qubit, [p, 0.0, 0.0]);
     }
 
-    /// Runs a measurement-free circuit under a noise model, applying
-    /// depolarizing noise after each gate exactly (the density-matrix
-    /// analogue of one trajectory family). Relaxation/readout channels are
-    /// not modeled here; see [`crate::Executor`] for the full model.
+    /// Applies a lowered noisy program exactly. Afterwards the diagonal is
+    /// the distribution of the classical register that
+    /// [`crate::Executor::run`] samples from the same program, provided
+    /// every qubit is measured and no gate or reset touches a qubit after
+    /// its last measurement.
     ///
-    /// # Panics
-    ///
-    /// Panics if the circuit contains measurement or reset.
-    pub fn run_unitary_circuit(&mut self, circuit: &Circuit, noise: &NoiseModel) {
-        for instr in circuit.iter() {
-            match instr.gate.kind() {
-                GateKind::OneQubitUnitary => {
+    /// A measurement is the full-dephasing channel. A qubit's last record
+    /// is final, so its readout flip is applied to the qubit, which is
+    /// then frozen: later idle noise on it is skipped. Earlier records are
+    /// overwritten, so their flips are moot. A reset is amplitude damping
+    /// with `gamma = 1` followed by its flip.
+    pub fn run_program(&mut self, circuit: &Circuit, program: &NoisyProgram) {
+        let mut last_measure = vec![usize::MAX; self.num_qubits];
+        for (k, op) in program.ops.iter().enumerate() {
+            if let NoisyOp::Measure { q, .. } = *op {
+                last_measure[q] = k;
+            }
+        }
+        // `usize::MAX` (never measured) keeps a qubit live throughout.
+        let live = |q: usize, k: usize| k < last_measure[q];
+        for (k, op) in program.ops.iter().enumerate() {
+            match *op {
+                NoisyOp::Gate(i) => {
+                    let instr = &circuit.instructions()[i];
                     self.apply_gate(&instr.gate, &instr.qubits);
-                    if noise.depolarizing_1q > 0.0 {
-                        self.depolarize(instr.qubits[0], noise.depolarizing_1q);
+                }
+                NoisyOp::Depolarize { ref qubits, p } => match qubits[..] {
+                    [q] => self.depolarize(q, p),
+                    [a, b] => self.depolarize2(a, b, p),
+                    _ => unreachable!("depolarizing acts on one or two qubits"),
+                },
+                NoisyOp::Measure { q, flip } => {
+                    self.dephase(q, 0.5);
+                    if k == last_measure[q] {
+                        self.classical_bitflip(q, flip);
                     }
                 }
-                GateKind::TwoQubitUnitary => {
-                    self.apply_gate(&instr.gate, &instr.qubits);
-                    if noise.depolarizing_2q > 0.0 {
-                        // Two-qubit depolarizing approximated as independent
-                        // single-qubit depolarizing of matched strength on
-                        // both operands would change the channel; apply the
-                        // exact 2q depolarizing instead: with prob p replace
-                        // by the maximally mixed state on the pair.
-                        self.depolarize2(instr.qubits[0], instr.qubits[1], noise.depolarizing_2q);
-                    }
+                NoisyOp::Reset { q, flip } => {
+                    self.amplitude_damp(q, 1.0);
+                    self.classical_bitflip(q, flip);
                 }
-                GateKind::Barrier => {}
-                other => panic!("run_unitary_circuit cannot handle {other:?}"),
+                NoisyOp::Idle { q, gamma, p_phi } if live(q, k) => {
+                    self.amplitude_damp(q, gamma);
+                    self.dephase(q, p_phi);
+                }
+                NoisyOp::Pauli { q, probs } if live(q, k) => self.pauli_channel(q, probs),
+                NoisyOp::Idle { .. } | NoisyOp::Pauli { .. } => {}
             }
         }
     }
@@ -355,6 +363,7 @@ impl DensityMatrix {
 mod tests {
     use super::*;
     use crate::executor::Executor;
+    use crate::noise::NoiseModel;
     use crate::state::StateVector;
 
     #[test]
@@ -363,7 +372,7 @@ mod tests {
         c.h(0).cx(0, 1).ry(0.7, 2).cz(1, 2).rzz(0.4, 0, 2);
         let psi: StateVector = Executor::final_state(&c).expect("unitary circuit");
         let mut rho = DensityMatrix::zero_state(3);
-        rho.run_unitary_circuit(&c, &NoiseModel::ideal());
+        rho.run_program(&c, &NoisyProgram::lower(&c, &NoiseModel::ideal()));
         for (i, p) in psi.probabilities().iter().enumerate() {
             assert!(
                 (rho.probability_of_basis(i as u64) - p).abs() < 1e-10,
@@ -418,30 +427,28 @@ mod tests {
     }
 
     #[test]
-    fn trajectory_average_converges_to_exact_channel() {
-        // GHZ circuit with 2q depolarizing: average trajectory populations
-        // must converge to the density-matrix diagonal.
-        let n = 3;
-        let mut c = Circuit::new(n);
-        c.h(0).cx(0, 1).cx(1, 2);
-        let p = 0.1;
+    fn program_applies_reset_readout_and_freezes_measured_qubits() {
+        // q0: X, reset (error 0.2), measure (readout error 0.1), then idles
+        // through q1's long readout. Its record is already final, so the
+        // idle decay must not reach the distribution.
+        let mut c = Circuit::new(2);
+        c.x(0).reset(0).measure(0).barrier_all().x(1).measure(1);
         let noise = NoiseModel {
-            depolarizing_1q: p,
-            depolarizing_2q: p,
+            reset_error: 0.2,
+            readout_error: 0.1,
+            t1: 1.0,
             ..NoiseModel::ideal()
         };
-        // Exact.
-        let mut rho = DensityMatrix::zero_state(n);
-        rho.run_unitary_circuit(&c, &noise);
-        let exact = rho.probabilities();
-        // Trajectories.
-        let mut measured = c.clone();
-        measured.measure_all();
-        let counts = Executor::new(noise).run(&measured, 60000, 5);
-        for (i, &pi) in exact.iter().enumerate() {
-            let f = counts.probability(i as u64);
-            assert!((f - pi).abs() < 0.01, "i={i}: exact={pi} traj={f}");
-        }
+        let mut rho = DensityMatrix::zero_state(2);
+        rho.run_program(&c, &NoisyProgram::lower(&c, &noise));
+        // q0 reads 1 if the reset failed xor the readout flipped; q1 is
+        // excited only after q0's readout and reads 1 unless flipped.
+        let q0_one = 0.2 * 0.9 + 0.8 * 0.1;
+        let q0 = rho.probability_of_basis(0b01) + rho.probability_of_basis(0b11);
+        assert!((q0 - q0_one).abs() < 1e-12, "q0: {q0}");
+        let q1 = rho.probability_of_basis(0b10) + rho.probability_of_basis(0b11);
+        assert!((q1 - 0.9).abs() < 1e-12, "q1: {q1}");
+        assert!((rho.trace().re - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -471,14 +478,5 @@ mod tests {
     #[should_panic(expected = "register too large")]
     fn rejects_oversized_register() {
         DensityMatrix::zero_state(MAX_DENSITY_QUBITS + 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot handle")]
-    fn rejects_measurement_in_unitary_run() {
-        let mut c = Circuit::new(1);
-        c.measure(0);
-        let mut rho = DensityMatrix::zero_state(1);
-        rho.run_unitary_circuit(&c, &NoiseModel::ideal());
     }
 }

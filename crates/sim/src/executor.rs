@@ -1,5 +1,9 @@
 //! Shot-based circuit execution.
 //!
+//! A noisy (or mid-circuit-collapsing) circuit is lowered once per run to
+//! a [`NoisyProgram`], and every shot samples that program as one quantum
+//! trajectory.
+//!
 //! Shots are embarrassingly parallel: each one draws from its own RNG
 //! stream derived deterministically from `(seed, shot_index)` with a
 //! SplitMix-style mix, so per-shot results do not depend on which worker
@@ -15,16 +19,17 @@
 //! or off.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use std::fmt;
 use supermarq_obs::{counter, Span};
 
 use crate::counts::Counts;
 use crate::fusion::{fuse_1q_runs, fuse_permutation_runs, FusedOp};
-use crate::noise::NoiseModel;
+use crate::noise::{coin, NoiseModel, NoisyOp, NoisyProgram};
 use crate::state::{CumulativeSampler, StateVector};
-use supermarq_circuit::{Circuit, CircuitLayers, Gate, GateKind};
+use supermarq_circuit::{Circuit, Gate, GateKind, C64};
+use supermarq_pauli::Pauli;
 
 /// Typed failure of the executor's unitary-only evaluation paths.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,7 +63,8 @@ impl std::error::Error for ExecError {}
 /// When the model is ideal and the circuit contains no mid-circuit
 /// measurement or reset, the final state is computed once and sampled
 /// `shots` times through a precomputed cumulative-probability table;
-/// otherwise each shot is an independent quantum trajectory.
+/// otherwise each shot is an independent quantum trajectory of the
+/// circuit's [`NoisyProgram`].
 ///
 /// # Example
 ///
@@ -81,7 +87,11 @@ pub struct Executor {
 /// Derives the independent RNG stream for one shot: a SplitMix64-style
 /// finalizer over `(seed, shot_index)` feeding the generator's own seed
 /// expansion, so neighboring shot indices land in uncorrelated streams.
-fn shot_rng(seed: u64, shot: u64) -> StdRng {
+///
+/// This is the workspace's per-shot stream contract: every shot-based
+/// executor draws shot `i` of a run seeded `seed` from
+/// `shot_rng(seed, i)`, so results do not depend on batching or threads.
+pub fn shot_rng(seed: u64, shot: u64) -> StdRng {
     let mut z = seed ^ shot.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -124,12 +134,6 @@ impl Executor {
             .with("qubits", n)
             .with("trajectories", needs_trajectories);
         counter!("sim.shots").add(shots as u64);
-        // Batch spans close on pool worker threads, which have no
-        // thread-current span; parent them to sim.run explicitly and
-        // hand over the active trace, if any.
-        let parent = run_span.id();
-        let trace = supermarq_obs::current_trace();
-        let batches = batch_ranges(shots);
         if !needs_trajectories {
             // Single pass: apply unitaries once (with 1q runs fused), then
             // sample measured qubits from the final state by binary search
@@ -137,20 +141,9 @@ impl Executor {
             match Self::fast_path_state(circuit) {
                 Ok((state, measured_mask)) => {
                     let sampler = CumulativeSampler::new(&state);
-                    let partials: Vec<Counts> = batches
-                        .into_par_iter()
-                        .map(|batch| {
-                            let _span = Span::open_with_link("sim.batch", parent, trace)
-                                .with("shots", batch.len());
-                            let mut acc = Counts::new(n);
-                            for shot in batch {
-                                let mut rng = shot_rng(seed, shot as u64);
-                                acc.record(sampler.sample(&mut rng) & measured_mask);
-                            }
-                            acc
-                        })
-                        .collect();
-                    return merge_counts(n, partials);
+                    return sample_shots(n, shots, seed, &run_span, false, |rng| {
+                        sampler.sample(rng) & measured_mask
+                    });
                 }
                 Err(_) => {
                     // Unreachable today (`has_nonfinal_collapse` routes every
@@ -162,22 +155,10 @@ impl Executor {
             }
         }
         counter!("sim.trajectories").add(shots as u64);
-        let layers = CircuitLayers::of(circuit);
-        let partials: Vec<Counts> = batches
-            .into_par_iter()
-            .map(|batch| {
-                let _span = Span::open_with_link("sim.batch", parent, trace)
-                    .with("shots", batch.len())
-                    .with("trajectories", true);
-                let mut acc = Counts::new(n);
-                for shot in batch {
-                    let mut rng = shot_rng(seed, shot as u64);
-                    acc.record(self.run_trajectory(circuit, &layers, &mut rng));
-                }
-                acc
-            })
-            .collect();
-        merge_counts(n, partials)
+        let program = NoisyProgram::lower(circuit, &self.noise);
+        sample_shots(n, shots, seed, &run_span, true, |rng| {
+            run_trajectory(circuit, &program, rng)
+        })
     }
 
     /// Applies the unitary part of `circuit` (with adjacent one-qubit
@@ -223,82 +204,6 @@ impl Executor {
         Ok((state, measured_mask))
     }
 
-    /// Runs a single noisy trajectory over a precomputed layering and
-    /// returns the classical register.
-    fn run_trajectory(&self, circuit: &Circuit, layers: &CircuitLayers, rng: &mut StdRng) -> u64 {
-        let n = circuit.num_qubits();
-        let mut state = StateVector::zero_state(n);
-        let mut classical = 0u64;
-        let instrs = circuit.instructions();
-        let track_relaxation = self.noise.t1.is_finite() || self.noise.t2.is_finite();
-        for layer in layers.layers() {
-            // Count simultaneous 2q gates for the crosstalk penalty and find
-            // the layer duration.
-            let mut two_q_gates = 0usize;
-            let mut layer_duration = 0.0f64;
-            for &i in layer {
-                let instr = &instrs[i];
-                if instr.is_two_qubit() {
-                    two_q_gates += 1;
-                }
-                layer_duration = layer_duration.max(self.noise.duration_of(&instr.gate));
-            }
-            let mut busy_time = vec![0.0f64; n];
-            for &i in layer {
-                let instr = &instrs[i];
-                let duration = self.noise.duration_of(&instr.gate);
-                for &q in &instr.qubits {
-                    busy_time[q] = busy_time[q].max(duration);
-                }
-                match instr.gate.kind() {
-                    GateKind::OneQubitUnitary => {
-                        state.apply_instruction(instr);
-                        self.noise
-                            .apply_depolarizing_1q(&mut state, instr.qubits[0], rng);
-                    }
-                    GateKind::TwoQubitUnitary => {
-                        state.apply_instruction(instr);
-                        self.noise.apply_depolarizing_2q(
-                            &mut state,
-                            [instr.qubits[0], instr.qubits[1]],
-                            two_q_gates,
-                            rng,
-                        );
-                    }
-                    GateKind::Measurement => {
-                        let q = instr.qubits[0];
-                        let bit = state.measure_qubit(q, rng);
-                        let recorded = self.noise.flip_readout(q, bit, rng);
-                        if recorded {
-                            classical |= 1 << q;
-                        } else {
-                            classical &= !(1 << q);
-                        }
-                    }
-                    GateKind::Reset => {
-                        let q = instr.qubits[0];
-                        state.reset_qubit(q, rng);
-                        self.noise.apply_reset_error(&mut state, q, rng);
-                    }
-                    GateKind::Barrier => {
-                        unreachable!("CircuitLayers never schedules barrier pseudo-gates")
-                    }
-                }
-            }
-            // Idle decoherence: every qubit decays for the part of the layer
-            // it spent waiting.
-            if track_relaxation && layer_duration > 0.0 {
-                for (q, &busy) in busy_time.iter().enumerate() {
-                    let idle = layer_duration - busy;
-                    if idle > 0.0 {
-                        self.noise.apply_relaxation(&mut state, q, idle, rng);
-                    }
-                }
-            }
-        }
-        classical
-    }
-
     /// Computes the exact final state of the unitary part of `circuit`
     /// (ignoring measurements), for noiseless reference values. Runs of
     /// adjacent one-qubit gates are fused into single matrix applications
@@ -330,13 +235,93 @@ fn batch_ranges(shots: usize) -> Vec<std::ops::Range<usize>> {
         .collect()
 }
 
-/// Merges per-batch partial histograms in batch order.
-fn merge_counts(num_qubits: usize, partials: Vec<Counts>) -> Counts {
+/// Runs `shot` once per shot index on that shot's own stream
+/// ([`shot_rng`]), one `sim.batch` span (parented to `run_span`, marked
+/// with whether shots are trajectories) per batch, and merges the
+/// per-batch histograms in batch order.
+fn sample_shots(
+    num_qubits: usize,
+    shots: usize,
+    seed: u64,
+    run_span: &Span,
+    trajectories: bool,
+    shot: impl Fn(&mut StdRng) -> u64 + Sync,
+) -> Counts {
+    // Batch spans close on pool worker threads, which have no
+    // thread-current span; parent them to sim.run explicitly and hand
+    // over the active trace, if any.
+    let (parent, trace) = (run_span.id(), supermarq_obs::current_trace());
+    let partials: Vec<Counts> = batch_ranges(shots)
+        .into_par_iter()
+        .map(|batch| {
+            let _span = Span::open_with_link("sim.batch", parent, trace)
+                .with("shots", batch.len())
+                .with("trajectories", trajectories);
+            let mut acc = Counts::new(num_qubits);
+            for i in batch {
+                acc.record(shot(&mut shot_rng(seed, i as u64)));
+            }
+            acc
+        })
+        .collect();
     let mut total = Counts::new(num_qubits);
     for partial in &partials {
         total.merge(partial);
     }
     total
+}
+
+/// Samples one trajectory of `program` (lowered from `circuit`) and
+/// returns the classical register. Amplitude damping is unravelled into
+/// jump / no-jump Kraus branches and always draws, even when the qubit's
+/// excited population is 0; every other channel draws exactly when its
+/// probability is positive.
+fn run_trajectory(circuit: &Circuit, program: &NoisyProgram, rng: &mut StdRng) -> u64 {
+    let mut state = StateVector::zero_state(circuit.num_qubits());
+    let mut classical = 0u64;
+    let pauli = |state: &mut StateVector, q: usize, p: Pauli| {
+        let gate = [Gate::I, Gate::X, Gate::Y, Gate::Z][p as usize];
+        state.apply_matrix1(&gate.matrix1().expect("Pauli matrix"), q);
+    };
+    for op in &program.ops {
+        match *op {
+            NoisyOp::Gate(i) => state.apply_instruction(&circuit.instructions()[i]),
+            NoisyOp::Measure { q, flip } => {
+                let bit = state.measure_qubit(q, rng) ^ coin(flip, rng);
+                classical = classical & !(1 << q) | (bit as u64) << q;
+            }
+            NoisyOp::Reset { q, flip } => {
+                state.reset_qubit(q, rng);
+                if coin(flip, rng) {
+                    pauli(&mut state, q, Pauli::X);
+                }
+            }
+            NoisyOp::Idle { q, gamma, p_phi } => {
+                if gamma > 0.0 {
+                    if rng.gen::<f64>() < gamma * state.probability_of_one(q) {
+                        // Jump: project onto |1> then flip to |0>.
+                        state.project_qubit(q, true);
+                        pauli(&mut state, q, Pauli::X);
+                    } else {
+                        // No jump: K0 = diag(1, sqrt(1 - gamma)), renormalized.
+                        let k0 = [
+                            [C64::ONE, C64::ZERO],
+                            [C64::ZERO, C64::real((1.0 - gamma).sqrt())],
+                        ];
+                        state.apply_matrix1(&k0, q);
+                        state.renormalize();
+                    }
+                }
+                if coin(p_phi, rng) {
+                    pauli(&mut state, q, Pauli::Z);
+                }
+            }
+            NoisyOp::Depolarize { .. } | NoisyOp::Pauli { .. } => {
+                op.sample_pauli(rng, |q, p| pauli(&mut state, q, p))
+            }
+        }
+    }
+    classical
 }
 
 /// `true` if a measurement or reset is followed by later non-measurement
@@ -606,19 +591,9 @@ mod tests {
     }
 
     #[test]
-    fn circuit_layers_never_schedule_barriers() {
-        // The trajectory loop's Barrier arm is unreachable because the
-        // layering drops barriers; pin that contract here.
+    fn barrier_bearing_noisy_circuits_run() {
         let mut c = Circuit::new(2);
         c.h(0).barrier_all().x(1).barrier_all().measure_all();
-        let layers = CircuitLayers::of(&c);
-        let instrs = c.instructions();
-        for layer in layers.layers() {
-            for &i in layer {
-                assert_ne!(instrs[i].gate.kind(), GateKind::Barrier);
-            }
-        }
-        // And the executor handles barrier-bearing noisy circuits fine.
         let counts = Executor::new(NoiseModel::uniform_depolarizing(0.01)).run(&c, 50, 3);
         assert_eq!(counts.total(), 50);
     }

@@ -8,17 +8,22 @@
 //!   projective measurement, reset, sampling and Pauli expectations. Gate
 //!   kernels are SIMD-lane inner loops chunked across the thread pool for
 //!   large states (amplitudes stay bit-identical at any thread count);
-//! * [`NoiseModel`] — stochastic (quantum-trajectory) error channels:
-//!   depolarizing noise after each gate, thermal relaxation (amplitude
-//!   damping + dephasing) on idle qubits derived from `T1`/`T2` and gate
-//!   durations, readout error, reset error, and a crosstalk penalty for
-//!   simultaneous two-qubit gates;
+//! * [`NoiseModel`] — the device's error channels: depolarizing noise
+//!   after each gate, thermal relaxation (amplitude damping + dephasing)
+//!   on idle qubits derived from `T1`/`T2` and gate durations, readout
+//!   error, reset error, and a crosstalk penalty for simultaneous
+//!   two-qubit gates;
+//! * [`NoisyProgram`] — a circuit lowered against a noise model into a
+//!   flat list of gates and resolved noise events ([`NoisyOp`]). It is the
+//!   one statement of what the model means; every backend interprets it;
 //! * [`Executor`] — runs a circuit for a number of shots and returns
-//!   [`Counts`], re-simulating per shot when noise or mid-circuit
-//!   measurement makes trajectories differ. Shots run in parallel on a
-//!   rayon pool with a deterministic per-shot RNG stream derived from
-//!   `(seed, shot_index)`, so results are bit-identical regardless of
-//!   thread count (`RAYON_NUM_THREADS` tunes the pool);
+//!   [`Counts`], sampling the lowered program per shot when noise or
+//!   mid-circuit measurement makes trajectories differ. Shots run in
+//!   parallel on a rayon pool, shot `i` drawing from [`shot_rng`]`(seed,
+//!   i)`, so results are bit-identical regardless of thread count
+//!   (`RAYON_NUM_THREADS` tunes the pool);
+//! * [`DensityMatrix`] — exact Kraus evolution; `run_program` applies a
+//!   lowered program exactly and is the trajectory sampler's oracle;
 //! * [`krylov`] — Lanczos/Krylov `exp(-iHt)|psi>` reference evolution used
 //!   to score the Hamiltonian-simulation benchmark against exact dynamics.
 //!
@@ -49,6 +54,6 @@ pub mod state;
 
 pub use counts::Counts;
 pub use density::DensityMatrix;
-pub use executor::{ExecError, Executor};
-pub use noise::NoiseModel;
+pub use executor::{shot_rng, ExecError, Executor};
+pub use noise::{NoiseModel, NoisyOp, NoisyProgram};
 pub use state::{CumulativeSampler, StateVector, MAX_QUBITS, MIN_NORM_SQR};

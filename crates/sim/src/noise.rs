@@ -1,4 +1,4 @@
-//! Stochastic (quantum-trajectory) noise channels.
+//! The noise model and its single lowering.
 //!
 //! The noise model mirrors what the paper's Table II calibration data
 //! describes: per-gate depolarizing error, readout error, and thermal
@@ -9,13 +9,21 @@
 //! long relative to `T1`/`T2`, so the data qubits of the bit/phase-code
 //! benchmarks decay while ancillas are read out, while trapped-ion qubits
 //! idle essentially for free.
+//!
+//! What those numbers mean for a circuit is stated once, in
+//! [`NoisyProgram::lower`]: the crosstalk factor, per-edge and per-qubit
+//! rates, idle windows and the `T1`/`T2` conversion all resolve into a
+//! flat list of [`NoisyOp`]s. Every backend interprets that list — the
+//! statevector executor samples it as quantum trajectories, the density
+//! matrix applies it exactly, and the stabilizer executor samples its
+//! [`NoisyProgram::twirled`] form — so the three cannot drift apart.
 
 use std::collections::BTreeMap;
 
 use rand::Rng;
 
-use crate::state::StateVector;
-use supermarq_circuit::{Gate, C64};
+use supermarq_circuit::{Circuit, CircuitLayers, Gate, GateKind};
+use supermarq_pauli::Pauli;
 
 /// Durations (in microseconds) of the primitive operations, used to compute
 /// how long idle qubits decohere each layer.
@@ -43,7 +51,8 @@ impl Default for GateDurations {
     }
 }
 
-/// A trajectory noise model applied during circuit execution.
+/// A device noise model; [`NoisyProgram::lower`] turns it into the
+/// channels a circuit incurs.
 ///
 /// All probabilities are per-application; set any field to zero to disable
 /// that channel. `t1`/`t2` of `f64::INFINITY` disable relaxation.
@@ -149,17 +158,6 @@ impl NoiseModel {
         }
     }
 
-    /// Applies one-qubit depolarizing noise: with probability `p`, a
-    /// uniformly random Pauli from {X, Y, Z}.
-    pub fn apply_depolarizing_1q<R: Rng + ?Sized>(
-        &self,
-        state: &mut StateVector,
-        qubit: usize,
-        rng: &mut R,
-    ) {
-        apply_random_pauli(state, &[qubit], self.depolarizing_1q, rng);
-    }
-
     /// The base two-qubit error rate for a specific coupler, honoring
     /// per-edge calibration data when present.
     pub fn depolarizing_2q_for(&self, a: usize, b: usize) -> f64 {
@@ -179,307 +177,193 @@ impl NoiseModel {
             .unwrap_or(self.readout_error)
     }
 
-    /// Applies two-qubit depolarizing noise with a cross-talk multiplier for
-    /// `simultaneous_2q` total two-qubit gates in the current layer.
-    pub fn apply_depolarizing_2q<R: Rng + ?Sized>(
-        &self,
-        state: &mut StateVector,
-        qubits: [usize; 2],
-        simultaneous_2q: usize,
-        rng: &mut R,
-    ) {
-        let extra = self.crosstalk * simultaneous_2q.saturating_sub(1) as f64;
-        let base = self.depolarizing_2q_for(qubits[0], qubits[1]);
-        let p = (base * (1.0 + extra)).min(1.0);
-        apply_random_pauli(state, &qubits, p, rng);
+    /// Amplitude-damping and phase-flip probabilities of idling for `t`
+    /// microseconds: `gamma = 1 - exp(-t/T1)` and
+    /// `p_phi = (1 - exp(-t/T_phi))/2` with the pure-dephasing rate
+    /// `1/T_phi = 1/T2 - 1/(2 T1)`, clamped at 0.
+    fn relaxation(&self, t: f64) -> (f64, f64) {
+        let usable = |time: f64| time.is_finite() && time > 0.0;
+        let gamma = if usable(self.t1) {
+            1.0 - (-t / self.t1).exp()
+        } else {
+            0.0
+        };
+        let rate_t1 = if self.t1.is_finite() {
+            1.0 / (2.0 * self.t1)
+        } else {
+            0.0
+        };
+        let rate_phi = if usable(self.t2) {
+            (1.0 / self.t2 - rate_t1).max(0.0)
+        } else {
+            0.0
+        };
+        (gamma, 0.5 * (1.0 - (-t * rate_phi).exp()))
     }
+}
 
-    /// Applies thermal relaxation to `qubit` for `duration` microseconds:
-    /// amplitude damping with `gamma = 1 - exp(-t/T1)` followed by a phase
-    /// flip with the pure-dephasing probability derived from `T2`.
-    pub fn apply_relaxation<R: Rng + ?Sized>(
-        &self,
-        state: &mut StateVector,
-        qubit: usize,
-        duration: f64,
-        rng: &mut R,
-    ) {
-        if duration <= 0.0 {
-            return;
+/// One step of a [`NoisyProgram`]: a circuit instruction, or a noise
+/// channel whose probabilities are fully resolved.
+#[derive(Debug, Clone, PartialEq)]
+pub enum NoisyOp {
+    /// Apply the circuit's unitary instruction at this index.
+    Gate(usize),
+    /// With probability `p`, a uniformly random non-identity Pauli on
+    /// `qubits`, the one or two operands of the gate it follows; `p`
+    /// already includes the per-edge rate and the crosstalk factor.
+    Depolarize { qubits: Vec<usize>, p: f64 },
+    /// Measure `q` into classical bit `q`, recording the flipped bit with
+    /// probability `flip` (readout error).
+    Measure { q: usize, flip: f64 },
+    /// Reset `q` to `|0>`, then apply X with probability `flip` (reset
+    /// error).
+    Reset { q: usize, flip: f64 },
+    /// One idle window of `q`: amplitude damping with decay probability
+    /// `gamma`, then a phase flip with probability `p_phi`.
+    Idle { q: usize, gamma: f64, p_phi: f64 },
+    /// The Pauli channel applying X, Y or Z to `q` with probabilities
+    /// `probs = [p_x, p_y, p_z]`; only [`NoisyProgram::twirled`] emits it.
+    Pauli { q: usize, probs: [f64; 3] },
+}
+
+impl NoisyOp {
+    /// Samples the Pauli error of a `Depolarize` or `Pauli` op for one
+    /// shot, calling `apply` on each non-identity factor; other ops draw
+    /// nothing. The one Pauli sampler every trajectory backend shares.
+    pub fn sample_pauli<R: Rng + ?Sized>(&self, rng: &mut R, mut apply: impl FnMut(usize, Pauli)) {
+        match self {
+            NoisyOp::Depolarize { qubits, p } => {
+                if !coin(*p, rng) {
+                    return;
+                }
+                // One base-4 digit (I, X, Y, Z) per qubit, never all I.
+                let mut choice = rng.gen_range(1..=4usize.pow(qubits.len() as u32) - 1);
+                for &q in qubits {
+                    let pauli = Pauli::ALL[choice % 4];
+                    choice /= 4;
+                    if pauli != Pauli::I {
+                        apply(q, pauli);
+                    }
+                }
+            }
+            NoisyOp::Pauli { q, probs } => {
+                let r: f64 = rng.gen();
+                let mut below = 0.0;
+                for (p, pauli) in probs.iter().zip([Pauli::X, Pauli::Y, Pauli::Z]) {
+                    below += p;
+                    if r < below {
+                        return apply(*q, pauli);
+                    }
+                }
+            }
+            _ => {}
         }
-        if self.t1.is_finite() && self.t1 > 0.0 {
-            let gamma = 1.0 - (-duration / self.t1).exp();
-            apply_amplitude_damping(state, qubit, gamma, rng);
-        }
-        // Pure dephasing rate: 1/Tphi = 1/T2 - 1/(2 T1).
-        if self.t2.is_finite() && self.t2 > 0.0 {
-            let rate_t1 = if self.t1.is_finite() {
-                1.0 / (2.0 * self.t1)
-            } else {
-                0.0
-            };
-            let rate_phi = (1.0 / self.t2 - rate_t1).max(0.0);
-            if rate_phi > 0.0 {
-                let p_z = 0.5 * (1.0 - (-duration * rate_phi).exp());
-                if rng.gen::<f64>() < p_z {
-                    let m = Gate::Z.matrix1().expect("Z matrix");
-                    state.apply_matrix1(&m, qubit);
+    }
+}
+
+/// Draws one uniform number iff `p > 0` and reports whether it fell
+/// below `p`: how every trajectory backend decides a readout, reset or
+/// dephasing flip.
+pub fn coin<R: Rng + ?Sized>(p: f64, rng: &mut R) -> bool {
+    p > 0.0 && rng.gen::<f64>() < p
+}
+
+/// A circuit lowered against a [`NoiseModel`]: its instructions in ASAP
+/// layer order, interleaved with the noise each one incurs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NoisyProgram {
+    /// The steps, in execution order.
+    pub ops: Vec<NoisyOp>,
+}
+
+impl NoisyProgram {
+    /// Lowers `circuit` under `noise`, layer by layer: each instruction
+    /// in layer order, each unitary followed by its `Depolarize` (the
+    /// two-qubit rate is the coupler's, times `1 + crosstalk * (k - 1)`
+    /// for `k` two-qubit gates in the layer, clamped to 1), then one
+    /// `Idle` per qubit for the part of the layer it spent waiting (layer
+    /// duration minus its own busy time). Channels of probability 0 emit
+    /// no op.
+    pub fn lower(circuit: &Circuit, noise: &NoiseModel) -> Self {
+        let instrs = circuit.instructions();
+        let mut ops = Vec::new();
+        for layer in CircuitLayers::of(circuit).layers() {
+            let two_qubit = layer.iter().filter(|&&i| instrs[i].is_two_qubit()).count();
+            let crosstalk = 1.0 + noise.crosstalk * two_qubit.saturating_sub(1) as f64;
+            let mut busy = vec![0.0f64; circuit.num_qubits()];
+            for &i in layer {
+                let (gate, qubits) = (&instrs[i].gate, &instrs[i].qubits);
+                for &q in qubits {
+                    busy[q] = busy[q].max(noise.duration_of(gate));
+                }
+                let q = qubits[0];
+                let (op, p) = match gate.kind() {
+                    GateKind::OneQubitUnitary => (NoisyOp::Gate(i), noise.depolarizing_1q),
+                    GateKind::TwoQubitUnitary => {
+                        let base = noise.depolarizing_2q_for(q, qubits[1]);
+                        (NoisyOp::Gate(i), (base * crosstalk).min(1.0))
+                    }
+                    GateKind::Measurement => {
+                        let flip = noise.readout_error_for(q);
+                        (NoisyOp::Measure { q, flip }, 0.0)
+                    }
+                    GateKind::Reset => {
+                        let flip = noise.reset_error;
+                        (NoisyOp::Reset { q, flip }, 0.0)
+                    }
+                    GateKind::Barrier => unreachable!("CircuitLayers never schedules barriers"),
+                };
+                ops.push(op);
+                if p > 0.0 {
+                    let qubits = qubits.clone();
+                    ops.push(NoisyOp::Depolarize { qubits, p });
+                }
+            }
+            let duration = busy.iter().copied().fold(0.0, f64::max);
+            for (q, &b) in busy.iter().enumerate().filter(|(_, &b)| b < duration) {
+                let (gamma, p_phi) = noise.relaxation(duration - b);
+                if gamma > 0.0 || p_phi > 0.0 {
+                    ops.push(NoisyOp::Idle { q, gamma, p_phi });
                 }
             }
         }
+        NoisyProgram { ops }
     }
 
-    /// Possibly flips a recorded measurement bit (readout error), honoring
-    /// per-qubit rates when present.
-    pub fn flip_readout<R: Rng + ?Sized>(&self, qubit: usize, bit: bool, rng: &mut R) -> bool {
-        let p = self.readout_error_for(qubit);
-        if p > 0.0 && rng.gen::<f64>() < p {
-            !bit
-        } else {
-            bit
-        }
-    }
-
-    /// Applies reset error: with probability `reset_error` the qubit is left
-    /// in `|1>` after a reset.
-    pub fn apply_reset_error<R: Rng + ?Sized>(
-        &self,
-        state: &mut StateVector,
-        qubit: usize,
-        rng: &mut R,
-    ) {
-        if self.reset_error > 0.0 && rng.gen::<f64>() < self.reset_error {
-            let m = Gate::X.matrix1().expect("X matrix");
-            state.apply_matrix1(&m, qubit);
-        }
-    }
-}
-
-/// With probability `p`, applies a uniformly random non-identity Pauli over
-/// `qubits` (3 choices for one qubit, 15 for two).
-fn apply_random_pauli<R: Rng + ?Sized>(
-    state: &mut StateVector,
-    qubits: &[usize],
-    p: f64,
-    rng: &mut R,
-) {
-    if p <= 0.0 || rng.gen::<f64>() >= p {
-        return;
-    }
-    let options = 4usize.pow(qubits.len() as u32) - 1;
-    let mut choice = rng.gen_range(1..=options);
-    for &q in qubits {
-        let pauli = choice % 4;
-        choice /= 4;
-        let gate = match pauli {
-            0 => continue,
-            1 => Gate::X,
-            2 => Gate::Y,
-            _ => Gate::Z,
+    /// The program for Pauli-only (stabilizer) backends: each `Idle`
+    /// becomes the Pauli channel with the same Pauli-transfer diagonal,
+    /// `p_x = p_y = gamma/4` and
+    /// `p_z = (1 - sqrt(1 - gamma) (1 - 2 p_phi))/2 - gamma/4`, so
+    /// populations relax and coherences decay at the exact channel's
+    /// rates. Every other op is kept.
+    pub fn twirled(&self) -> NoisyProgram {
+        let twirl = |op: &NoisyOp| match *op {
+            NoisyOp::Idle { q, gamma, p_phi } => {
+                let coherence = (1.0 - gamma).sqrt() * (1.0 - 2.0 * p_phi);
+                let p_z = ((1.0 - coherence) / 2.0 - gamma / 4.0).max(0.0);
+                NoisyOp::Pauli {
+                    q,
+                    probs: [gamma / 4.0, gamma / 4.0, p_z],
+                }
+            }
+            _ => op.clone(),
         };
-        let m = gate.matrix1().expect("pauli matrix");
-        state.apply_matrix1(&m, q);
-    }
-}
-
-/// Trajectory sampling of the amplitude-damping channel with Kraus operators
-/// `K0 = diag(1, sqrt(1-gamma))`, `K1 = sqrt(gamma) |0><1|`.
-fn apply_amplitude_damping<R: Rng + ?Sized>(
-    state: &mut StateVector,
-    qubit: usize,
-    gamma: f64,
-    rng: &mut R,
-) {
-    if gamma <= 0.0 {
-        return;
-    }
-    let p1 = state.probability_of_one(qubit);
-    let p_jump = gamma * p1;
-    if rng.gen::<f64>() < p_jump {
-        // Jump: project onto |1> then flip to |0>.
-        state.project_qubit(qubit, true);
-        let m = Gate::X.matrix1().expect("X matrix");
-        state.apply_matrix1(&m, qubit);
-    } else {
-        // No-jump evolution: scale the |1> amplitudes and renormalize.
-        let k0 = [
-            [C64::ONE, C64::ZERO],
-            [C64::ZERO, C64::real((1.0 - gamma).sqrt())],
-        ];
-        state.apply_matrix1(&k0, qubit);
-        state.renormalize();
+        NoisyProgram {
+            ops: self.ops.iter().map(twirl).collect(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn rng(seed: u64) -> StdRng {
-        StdRng::seed_from_u64(seed)
-    }
+    use crate::DensityMatrix;
+    use NoisyOp::{Depolarize, Idle, Measure, Reset};
 
     #[test]
     fn ideal_model_is_ideal() {
         assert!(NoiseModel::ideal().is_ideal());
         assert!(!NoiseModel::uniform_depolarizing(0.1).is_ideal());
-    }
-
-    #[test]
-    fn zero_probability_depolarizing_is_identity() {
-        let model = NoiseModel::ideal();
-        let mut psi = StateVector::zero_state(1);
-        psi.apply_gate(&Gate::H, &[0]);
-        let before = psi.clone();
-        let mut r = rng(1);
-        for _ in 0..100 {
-            model.apply_depolarizing_1q(&mut psi, 0, &mut r);
-        }
-        assert!(psi.fidelity(&before) > 1.0 - 1e-12);
-    }
-
-    #[test]
-    fn full_depolarizing_randomizes_z_expectation() {
-        // p = 1 applies a random Pauli every time; averaged over many
-        // trajectories <Z> of |0> becomes approximately (1/3)(-1 -1 +1) = -1/3.
-        let model = NoiseModel::uniform_depolarizing(1.0);
-        let mut r = rng(2);
-        let trials = 6000;
-        let mut total = 0.0;
-        for _ in 0..trials {
-            let mut psi = StateVector::zero_state(1);
-            model.apply_depolarizing_1q(&mut psi, 0, &mut r);
-            total += psi.expectation_pauli(&"Z".parse().unwrap());
-        }
-        let avg = total / trials as f64;
-        assert!((avg + 1.0 / 3.0).abs() < 0.05, "avg={avg}");
-    }
-
-    #[test]
-    fn amplitude_damping_decays_excited_state() {
-        // gamma = 1 - exp(-t/T1); for t = T1, survival of |1> should be
-        // exp(-1) ~ 0.368 averaged over trajectories.
-        let model = NoiseModel {
-            t1: 100.0,
-            t2: f64::INFINITY,
-            ..NoiseModel::ideal()
-        };
-        let mut r = rng(3);
-        let trials = 4000;
-        let mut ones = 0usize;
-        for _ in 0..trials {
-            let mut psi = StateVector::zero_state(1);
-            psi.apply_gate(&Gate::X, &[0]);
-            model.apply_relaxation(&mut psi, 0, 100.0, &mut r);
-            if psi.probability_of_one(0) > 0.5 {
-                ones += 1;
-            }
-        }
-        let survival = ones as f64 / trials as f64;
-        assert!(
-            (survival - (-1.0f64).exp()).abs() < 0.03,
-            "survival={survival}"
-        );
-    }
-
-    #[test]
-    fn dephasing_destroys_plus_state_coherence() {
-        // Long pure dephasing turns |+> into a Z-mixed state: averaged <X> ~ 0.
-        let model = NoiseModel {
-            t1: f64::INFINITY,
-            t2: 10.0,
-            ..NoiseModel::ideal()
-        };
-        let mut r = rng(4);
-        let trials = 4000;
-        let mut total_x = 0.0;
-        for _ in 0..trials {
-            let mut psi = StateVector::zero_state(1);
-            psi.apply_gate(&Gate::H, &[0]);
-            model.apply_relaxation(&mut psi, 0, 1000.0, &mut r);
-            total_x += psi.expectation_pauli(&"X".parse().unwrap());
-        }
-        let avg = total_x / trials as f64;
-        assert!(avg.abs() < 0.05, "avg={avg}");
-    }
-
-    #[test]
-    fn relaxation_preserves_ground_state() {
-        let model = NoiseModel {
-            t1: 1.0,
-            t2: 1.0,
-            ..NoiseModel::ideal()
-        };
-        let mut psi = StateVector::zero_state(1);
-        let mut r = rng(5);
-        model.apply_relaxation(&mut psi, 0, 1000.0, &mut r);
-        assert!((psi.probability(0) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn readout_flip_statistics() {
-        let model = NoiseModel {
-            readout_error: 0.25,
-            ..NoiseModel::ideal()
-        };
-        let mut r = rng(6);
-        let trials = 20000;
-        let flips = (0..trials)
-            .filter(|_| model.flip_readout(0, false, &mut r))
-            .count();
-        let rate = flips as f64 / trials as f64;
-        assert!((rate - 0.25).abs() < 0.02, "rate={rate}");
-    }
-
-    #[test]
-    fn reset_error_excites_with_given_probability() {
-        let model = NoiseModel {
-            reset_error: 0.3,
-            ..NoiseModel::ideal()
-        };
-        let mut r = rng(7);
-        let trials = 5000;
-        let mut excited = 0;
-        for _ in 0..trials {
-            let mut psi = StateVector::zero_state(1);
-            model.apply_reset_error(&mut psi, 0, &mut r);
-            if psi.probability_of_one(0) > 0.5 {
-                excited += 1;
-            }
-        }
-        let rate = excited as f64 / trials as f64;
-        assert!((rate - 0.3).abs() < 0.03, "rate={rate}");
-    }
-
-    #[test]
-    fn crosstalk_scales_two_qubit_error() {
-        // With crosstalk = 1 and 3 simultaneous gates, effective p = 3 * base.
-        // Verify indirectly: base p = 0.2, k = 3 -> error rate ~ 0.6.
-        let model = NoiseModel {
-            depolarizing_2q: 0.2,
-            crosstalk: 1.0,
-            ..NoiseModel::ideal()
-        };
-        let mut r = rng(8);
-        let trials = 5000;
-        let mut errored = 0;
-        for _ in 0..trials {
-            let mut psi = StateVector::zero_state(2);
-            model.apply_depolarizing_2q(&mut psi, [0, 1], 3, &mut r);
-            // Any applied Pauli perturbs the all-zero state unless it was ZZ-type.
-            let z0 = psi.expectation_pauli(&"ZI".parse().unwrap());
-            let z1 = psi.expectation_pauli(&"IZ".parse().unwrap());
-            // X/Y components flip a qubit; Z-only errors are invisible on |00>.
-            if z0 < 0.5 || z1 < 0.5 {
-                errored += 1;
-            }
-        }
-        // 12 of the 15 non-identity 2q Paulis contain an X or Y on at least
-        // one site -> visible error rate = 0.6 * 12/15 = 0.48.
-        let rate = errored as f64 / trials as f64;
-        assert!((rate - 0.48).abs() < 0.04, "rate={rate}");
     }
 
     #[test]
@@ -503,14 +387,6 @@ mod tests {
         assert!((model.readout_error_for(1) - 0.3).abs() < 1e-12);
         // Out-of-range falls back to the average.
         assert!((model.readout_error_for(5) - 0.02).abs() < 1e-12);
-        let mut r = rng(20);
-        let trials = 10000;
-        let flips = (0..trials)
-            .filter(|_| model.flip_readout(1, false, &mut r))
-            .count();
-        let rate = flips as f64 / trials as f64;
-        assert!((rate - 0.3).abs() < 0.02, "rate={rate}");
-        assert!((0..trials).all(|_| !model.flip_readout(0, false, &mut r)));
     }
 
     #[test]
@@ -524,5 +400,212 @@ mod tests {
         );
         assert_eq!(model.duration_of(&Gate::Reset), model.durations.reset);
         assert_eq!(model.duration_of(&Gate::Barrier), 0.0);
+    }
+
+    #[test]
+    fn simultaneous_two_qubit_gates_pay_crosstalk() {
+        let mut c = Circuit::new(4);
+        c.cx(0, 1).cx(2, 3).h(0).cx(1, 2);
+        let noise = NoiseModel {
+            depolarizing_1q: 0.001,
+            depolarizing_2q: 0.01,
+            crosstalk: 0.5,
+            ..NoiseModel::ideal()
+        };
+        // Layer 0 holds both CXs (k = 2); layer 1 holds h(0) and cx(1, 2)
+        // (k = 1, no penalty).
+        assert_eq!(
+            NoisyProgram::lower(&c, &noise).ops,
+            vec![
+                NoisyOp::Gate(0),
+                Depolarize {
+                    qubits: vec![0, 1],
+                    p: 0.01 * 1.5
+                },
+                NoisyOp::Gate(1),
+                Depolarize {
+                    qubits: vec![2, 3],
+                    p: 0.01 * 1.5
+                },
+                NoisyOp::Gate(2),
+                Depolarize {
+                    qubits: vec![0],
+                    p: 0.001
+                },
+                NoisyOp::Gate(3),
+                Depolarize {
+                    qubits: vec![1, 2],
+                    p: 0.01
+                },
+            ]
+        );
+        // The product clamps to a probability.
+        let saturated = NoiseModel {
+            depolarizing_2q: 0.8,
+            crosstalk: 1.0,
+            ..NoiseModel::ideal()
+        };
+        let ops = NoisyProgram::lower(&c, &saturated).ops;
+        assert_eq!(
+            ops[1],
+            Depolarize {
+                qubits: vec![0, 1],
+                p: 1.0
+            }
+        );
+    }
+
+    #[test]
+    fn per_edge_and_per_qubit_rates_resolve_in_the_lowering() {
+        let mut c = Circuit::new(3);
+        c.cx(1, 0).barrier_all().cx(1, 2).measure(0).measure(1);
+        let noise = NoiseModel {
+            depolarizing_2q: 0.01,
+            readout_error: 0.02,
+            edge_depolarizing: Some(BTreeMap::from([((0, 1), 0.2)])),
+            qubit_readout: Some(vec![0.0, 0.3]),
+            ..NoiseModel::ideal()
+        };
+        assert_eq!(
+            NoisyProgram::lower(&c, &noise).ops,
+            vec![
+                NoisyOp::Gate(0),
+                Depolarize {
+                    qubits: vec![1, 0],
+                    p: 0.2
+                },
+                NoisyOp::Gate(2),
+                Depolarize {
+                    qubits: vec![1, 2],
+                    p: 0.01
+                },
+                Measure { q: 0, flip: 0.0 },
+                Measure { q: 1, flip: 0.3 },
+            ]
+        );
+    }
+
+    #[test]
+    fn idle_window_is_layer_duration_minus_busy_time() {
+        let mut c = Circuit::new(3);
+        c.h(0).measure(1);
+        let noise = NoiseModel {
+            t1: 100.0,
+            t2: 80.0,
+            ..NoiseModel::ideal()
+        };
+        let d = noise.durations;
+        let wait = |q, t: f64| Idle {
+            q,
+            gamma: 1.0 - (-t / 100.0).exp(),
+            p_phi: 0.5 * (1.0 - (-t * (1.0 / 80.0 - 1.0 / 200.0)).exp()),
+        };
+        // One layer as long as the readout: h(0) finishes early, qubit 1
+        // is busy throughout, qubit 2 waits the whole layer.
+        assert_eq!(
+            NoisyProgram::lower(&c, &noise).ops,
+            vec![
+                NoisyOp::Gate(0),
+                Measure { q: 1, flip: 0.0 },
+                wait(0, d.measurement - d.one_qubit),
+                wait(2, d.measurement),
+            ]
+        );
+    }
+
+    #[test]
+    fn zero_probability_channels_emit_no_op() {
+        let mut c = Circuit::new(2);
+        c.h(0).cx(0, 1).reset(1).barrier_all().x(0).measure_all();
+        let plain = vec![
+            NoisyOp::Gate(0),
+            NoisyOp::Gate(1),
+            Reset { q: 1, flip: 0.0 },
+            NoisyOp::Gate(4),
+            Measure { q: 1, flip: 0.0 },
+            Measure { q: 0, flip: 0.0 },
+        ];
+        assert_eq!(NoisyProgram::lower(&c, &NoiseModel::ideal()).ops, plain);
+        // Equal durations leave no qubit idle: no Idle op at all.
+        let flat = GateDurations {
+            one_qubit: 1.0,
+            two_qubit: 1.0,
+            measurement: 1.0,
+            reset: 1.0,
+        };
+        let relaxing = NoiseModel {
+            t1: 10.0,
+            t2: 20.0,
+            durations: flat,
+            ..NoiseModel::ideal()
+        };
+        let mut both = Circuit::new(2);
+        both.h(0).h(1).cx(0, 1).measure_all();
+        assert!(NoisyProgram::lower(&both, &relaxing)
+            .ops
+            .iter()
+            .all(|op| matches!(op, NoisyOp::Gate(_) | Measure { .. })));
+        // T2 = 2 T1 leaves no pure dephasing on top of T1.
+        let t1_limited = NoiseModel {
+            durations: GateDurations::default(),
+            ..relaxing
+        };
+        let ops = NoisyProgram::lower(&c, &t1_limited).ops;
+        let idles: Vec<(f64, f64)> = ops
+            .iter()
+            .filter_map(|op| match *op {
+                Idle { gamma, p_phi, .. } => Some((gamma, p_phi)),
+                _ => None,
+            })
+            .collect();
+        assert!(!idles.is_empty());
+        assert!(idles
+            .iter()
+            .all(|&(gamma, p_phi)| gamma > 0.0 && p_phi == 0.0));
+    }
+
+    /// The diagonal of the Pauli transfer matrix, `(R_XX, R_YY, R_ZZ)`, of
+    /// a one-qubit program, read off the exact density matrix: `R_PP` is
+    /// half the difference of `<P>` after the channel acts on the `+1` and
+    /// `-1` eigenstates of `P`.
+    fn ptm_diagonal(program: &NoisyProgram) -> [f64; 3] {
+        let circuit = Circuit::new(1);
+        let prep: [&[Gate]; 3] = [&[Gate::H], &[Gate::H, Gate::S], &[]];
+        let unprep: [&[Gate]; 3] = [&[Gate::H], &[Gate::Sdg, Gate::H], &[]];
+        let expectation = |flip: bool, basis: usize| {
+            let mut rho = DensityMatrix::zero_state(1);
+            let gates = flip
+                .then_some(Gate::X)
+                .into_iter()
+                .chain(prep[basis].iter().copied());
+            gates.for_each(|g| rho.apply_gate(&g, &[0]));
+            rho.run_program(&circuit, program);
+            unprep[basis].iter().for_each(|g| rho.apply_gate(g, &[0]));
+            rho.probability_of_basis(0) - rho.probability_of_basis(1)
+        };
+        [0, 1, 2].map(|b| (expectation(false, b) - expectation(true, b)) / 2.0)
+    }
+
+    #[test]
+    fn twirl_preserves_the_pauli_transfer_diagonal() {
+        for gamma in [0.0, 0.01, 0.3, 0.632, 0.9, 1.0] {
+            for p_phi in [0.0, 0.02, 0.2, 0.5] {
+                let exact = NoisyProgram {
+                    ops: vec![Idle { q: 0, gamma, p_phi }],
+                };
+                let twirled = exact.twirled();
+                let [NoisyOp::Pauli { probs, .. }] = twirled.ops[..] else {
+                    panic!("Idle must twirl to one Pauli channel: {twirled:?}");
+                };
+                assert!(probs.iter().all(|&p| p >= 0.0) && probs.iter().sum::<f64>() <= 1.0);
+                let (want, got) = (ptm_diagonal(&exact), ptm_diagonal(&twirled));
+                for (w, g) in want.iter().zip(got) {
+                    assert!(
+                        (w - g).abs() < 1e-12,
+                        "gamma={gamma} p_phi={p_phi}: {want:?} vs {got:?}"
+                    );
+                }
+            }
+        }
     }
 }

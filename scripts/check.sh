@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> e2ebench build (the gated benchmark package is its own workspace)"
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "==> cargo bench (smoke mode: each routine runs once, untimed)"
 cargo bench -q -p supermarq-bench --bench substrate -- --test
 

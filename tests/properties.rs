@@ -1,13 +1,18 @@
 //! Property-based tests (proptest) over the workspace's core invariants.
 
+use std::f64::consts::FRAC_PI_2;
+
 use proptest::prelude::*;
 
-use supermarq_repro::circuit::Circuit;
+use supermarq_repro::circuit::{Circuit, Gate};
 use supermarq_repro::classical::stats::{hellinger_fidelity_dense, linear_regression};
 use supermarq_repro::core::FeatureVector;
 use supermarq_repro::geometry::{hull_volume, in_convex_hull, ConvexHull};
 use supermarq_repro::pauli::{Pauli, PauliString};
-use supermarq_repro::sim::{Counts, Executor, StateVector};
+use supermarq_repro::sim::noise::GateDurations;
+use supermarq_repro::sim::{
+    Counts, DensityMatrix, Executor, NoiseModel, NoisyProgram, StateVector,
+};
 
 // ---------------------------------------------------------------------------
 // Generators
@@ -431,6 +436,204 @@ proptest! {
                 device.name(),
                 report.render()
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Exact oracle for the full noise model
+// ---------------------------------------------------------------------------
+
+/// `arb_circuit` folded onto 2 to 5 qubits, with up to three mid-circuit
+/// measurements or resets spliced in and a final `measure_all`, so every
+/// qubit's last instruction is its final readout. With `clifford`,
+/// rotation angles snap to quarter turns.
+fn arb_collapsing_circuit(clifford: bool) -> impl Strategy<Value = Circuit> {
+    let collapses = prop::collection::vec((0usize..16, 0usize..5, ..), 0..4);
+    (2usize..=5, arb_circuit(5, 16), collapses).prop_map(move |(n, raw, collapses)| {
+        let snap = |t: f64| {
+            if clifford {
+                (t / FRAC_PI_2).round() * FRAC_PI_2
+            } else {
+                t
+            }
+        };
+        let mut c = Circuit::new(n);
+        for (k, instr) in raw.instructions().iter().enumerate() {
+            for &(at, q, reset) in &collapses {
+                if at == k && reset {
+                    c.reset(q % n);
+                } else if at == k {
+                    c.measure(q % n);
+                }
+            }
+            let gate = match instr.gate {
+                Gate::Rz(t) => Gate::Rz(snap(t)),
+                Gate::Ry(t) => Gate::Ry(snap(t)),
+                Gate::Rzz(t) => Gate::Rzz(snap(t)),
+                g => g,
+            };
+            let a = instr.qubits[0] % n;
+            match instr.qubits.get(1).map(|b| b % n) {
+                None => c.append(gate, &[a]),
+                Some(b) if b == a => c.append(gate, &[a, (a + 1) % n]),
+                Some(b) => c.append(gate, &[a, b]),
+            };
+        }
+        c.measure_all();
+        c
+    })
+}
+
+/// A noise model with every channel on: depolarizing noise with
+/// crosstalk and per-edge overrides, per-qubit readout overrides (qubit
+/// 4, when present, keeps the global rate), reset error, and finite T1/T2 with
+/// random durations. T2 reaches past 2 T1, where the pure-dephasing rate
+/// clamps to 0.
+fn arb_noise_model() -> impl Strategy<Value = NoiseModel> {
+    let rates = (
+        0.0..0.05f64,
+        0.0..0.15f64,
+        0.0..0.15f64,
+        0.0..0.2f64,
+        0.0..1.0f64,
+    );
+    let relaxation = (2.0..40.0f64, 0.1..2.2f64);
+    let durations = (0.0..0.5f64, 0.0..2.0f64, 0.0..5.0f64, 0.0..5.0f64);
+    let edges = prop::collection::vec((.., 0.0..0.2f64), 10);
+    let readout = prop::collection::vec(0.0..0.15f64, 4);
+    (rates, relaxation, durations, edges, readout).prop_map(
+        |(
+            (dep1, dep2, meas, reset, crosstalk),
+            (t1, t2_over_t1),
+            (d1, d2, dm, dr),
+            edges,
+            readout,
+        )| {
+            let pairs = (0..5usize).flat_map(|a| (a + 1..5).map(move |b| (a, b)));
+            let listed = pairs.zip(edges).filter(|(_, (on, _))| *on);
+            NoiseModel {
+                depolarizing_1q: dep1,
+                depolarizing_2q: dep2,
+                readout_error: meas,
+                reset_error: reset,
+                t1,
+                t2: t1 * t2_over_t1,
+                durations: GateDurations {
+                    one_qubit: d1,
+                    two_qubit: d2,
+                    measurement: dm,
+                    reset: dr,
+                },
+                crosstalk,
+                edge_depolarizing: Some(listed.map(|(edge, (_, p))| (edge, p)).collect()),
+                qubit_readout: Some(readout),
+            }
+        },
+    )
+}
+
+/// Shots per oracle comparison.
+const ORACLE_SHOTS: usize = 6000;
+
+/// Runs `f` on a one-thread pool. Counts are identical at every thread
+/// count; one thread keeps the statevector kernels' thread-count lookup
+/// a thread-local read, which makes thousands of small trajectories
+/// cheap.
+fn on_one_thread<R>(f: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("one-thread pool")
+        .install(f)
+}
+
+/// The exact distribution of the classical register under `program`.
+fn exact_distribution(c: &Circuit, program: &NoisyProgram) -> Vec<f64> {
+    let mut rho = DensityMatrix::zero_state(c.num_qubits());
+    rho.run_program(c, program);
+    rho.probabilities()
+        .iter()
+        .map(|p| p.clamp(0.0, 1.0))
+        .collect()
+}
+
+/// Asserts the empirical distribution of `counts` lies within the
+/// total-variation distance `N` shots allow from `exact` with probability
+/// `1 - 1e-6`: Jensen's bound on the expected distance,
+/// `1/2 sum_i sqrt(p_i (1 - p_i) / N)`, plus McDiarmid's deviation bound
+/// `sqrt(ln(1e6) / (2N))` (one shot moves the distance by at most `1/N`).
+fn assert_within_shot_noise(counts: &Counts, exact: &[f64], what: &str) {
+    let n = counts.total() as f64;
+    let expected: f64 = exact
+        .iter()
+        .map(|p| (p * (1.0 - p) / n).sqrt())
+        .sum::<f64>()
+        / 2.0;
+    let bound = expected + ((1.0f64 / 1e-6).ln() / (2.0 * n)).sqrt();
+    let tv = exact
+        .iter()
+        .enumerate()
+        .map(|(k, p)| (p - counts.probability(k as u64)).abs())
+        .sum::<f64>()
+        / 2.0;
+    assert!(tv <= bound, "{what}: TV {tv:.4} > bound {bound:.4}");
+}
+
+/// Trajectory Counts of `c` under `noise` against the density matrix of
+/// the same lowered program.
+fn check_trajectories(c: &Circuit, noise: &NoiseModel, what: &str) {
+    let exact = exact_distribution(c, &NoisyProgram::lower(c, noise));
+    let counts = on_one_thread(|| Executor::new(noise.clone()).run(c, ORACLE_SHOTS, 17));
+    assert_within_shot_noise(&counts, &exact, what);
+}
+
+/// Tableau Counts of the Clifford circuit `c` under `noise` against the
+/// density matrix of the twirled program.
+fn check_tableau(c: &Circuit, noise: &NoiseModel, what: &str) {
+    use supermarq_repro::clifford::StabilizerExecutor;
+    let exact = exact_distribution(c, &NoisyProgram::lower(c, noise).twirled());
+    let counts = StabilizerExecutor::new(noise.clone()).run(c, ORACLE_SHOTS, 23);
+    assert_within_shot_noise(&counts, &exact, what);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Noisy trajectories sample the exact distribution of the lowered
+    /// program, with every channel of the noise model on.
+    #[test]
+    fn trajectories_match_the_exact_density_matrix(
+        c in arb_collapsing_circuit(false),
+        noise in arb_noise_model(),
+    ) {
+        check_trajectories(&c, &noise, &format!("{noise:?}"));
+    }
+
+    /// On Clifford circuits the tableau samples the exact distribution of
+    /// the twirled program.
+    #[test]
+    fn tableau_matches_the_exact_twirled_density_matrix(
+        c in arb_collapsing_circuit(true),
+        noise in arb_noise_model(),
+    ) {
+        check_tableau(&c, &noise, &format!("{noise:?}"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The same two oracles under every Table II device's noise model.
+    #[test]
+    fn backends_match_the_exact_density_matrix_on_table_ii_devices(
+        c in arb_collapsing_circuit(false),
+        clifford in arb_collapsing_circuit(true),
+    ) {
+        use supermarq_repro::device::Device;
+        for device in Device::all_paper_devices() {
+            check_trajectories(&c, &device.noise_model(), device.name());
+            check_tableau(&clifford, &device.noise_model(), device.name());
         }
     }
 }
