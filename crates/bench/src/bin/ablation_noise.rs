@@ -11,7 +11,7 @@ use supermarq::Benchmark;
 use supermarq_bench::render_table;
 use supermarq_device::Device;
 use supermarq_sim::{Executor, NoiseModel};
-use supermarq_transpile::Transpiler;
+use supermarq_transpile::{relabel_counts, Transpiler};
 
 /// Runs a benchmark under an explicit noise model through the device
 /// pipeline.
@@ -20,26 +20,11 @@ fn score_with(bench: &dyn Benchmark, device: &Device, noise: NoiseModel) -> f64 
     let executor = Executor::new(noise);
     let mut counts = Vec::new();
     for (i, c) in bench.circuits().iter().enumerate() {
-        let t = transpiler.run(c).expect("fits");
-        let (compact, mapping) = t.circuit.compacted();
-        let raw = executor.run(&compact, 2000, 31 + i as u64);
-        let mut relabeled = supermarq_sim::Counts::new(bench.num_qubits());
-        for (bits, count) in raw.iter() {
-            let mut out = 0u64;
-            for (prog, &phys) in t.measured_on.iter().enumerate() {
-                if let Some(p) = phys {
-                    if let Some(d) = mapping[p] {
-                        if bits >> d & 1 == 1 {
-                            out |= 1 << prog;
-                        }
-                    }
-                }
-            }
-            for _ in 0..count {
-                relabeled.record(out);
-            }
-        }
-        counts.push(relabeled);
+        let (compact, readout) = transpiler.run(c).expect("fits").compacted();
+        counts.push(relabel_counts(
+            &executor.run(&compact, 2000, 31 + i as u64),
+            &readout,
+        ));
     }
     bench.score(&counts).expect("scorable counts")
 }

@@ -254,12 +254,13 @@ mod tests {
     #[test]
     fn verifier_accepts_every_benchmark_on_every_device() {
         use supermarq_device::Device;
-        use supermarq_transpile::{TranspileError, Transpiler, VerifyLevel};
+        use supermarq_transpile::{PipelineId, TranspileError, Transpiler};
         use supermarq_verify::verify_on_device;
         for (label, instances, _) in figure2_grid() {
             let bench = &instances[0];
             for device in Device::all_paper_devices() {
-                let transpiler = Transpiler::for_device(&device).with_verify(VerifyLevel::Stages);
+                let transpiler =
+                    Transpiler::for_device(&device).with_pipeline(PipelineId::ClosedStages);
                 for circuit in bench.circuits() {
                     match transpiler.run(&circuit) {
                         Ok(result) => {

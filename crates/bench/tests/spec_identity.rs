@@ -4,16 +4,19 @@
 //! the refactor. If any of these change, every cache on every machine
 //! silently invalidates and fig2/fig3 outputs shift — bump
 //! `SCHEMA_VERSION` instead of editing the constants. The noisy Counts
-//! those records hold are pinned the same way (`noisy_counts_digest`).
+//! those records hold are pinned the same way (`noisy_counts_digest`), and
+//! so are the records themselves — seeds, relabeling, mitigation and
+//! scoring of both divisions (`run_records_digest`).
 
 use std::fmt::Write;
 
 use supermarq::registry::{BenchmarkEntry, BenchmarkRegistry, ParamKind};
+use supermarq::spec::execute_spec;
 use supermarq::{Benchmark, CircuitFamily};
 use supermarq_bench::{figure2_points, shots_for};
 use supermarq_device::Device;
 use supermarq_sim::Executor;
-use supermarq_store::RunSpec;
+use supermarq_store::{RunRecord, RunSpec};
 use supermarq_transpile::Transpiler;
 
 /// Combined SHA-256 over the canonical strings of every Fig. 2 cell
@@ -156,6 +159,67 @@ fn noisy_counts_digest() {
         supermarq_store::hash::sha256_hex(listing.as_bytes()),
         NOISY_COUNTS_DIGEST,
         "noisy trajectory Counts drifted:\n{listing}"
+    );
+}
+
+/// SHA-256 over the store record lines of [`run_record_specs`], captured
+/// before the Closed, Open and noiseless runs shared one runner body.
+const RUN_RECORDS_DIGEST: &str = "8f7ff30bc6172e9bf4ca56f5bf066778ced11ddf361de05ecee5c6dd7914aa1b";
+
+/// Two slices of Fig. 2, each in the closed and the open division: the
+/// 25-cell IonQ column at paper settings (35 shots, 3 repetitions), and
+/// the smallest instance of every panel on IBM-Guadalupe at 200 shots x
+/// 2 repetitions, where placement and routing move qubits so readout
+/// relabeling is exercised.
+fn run_record_specs() -> Vec<RunSpec> {
+    let ionq = Device::ionq();
+    let mut cells = Vec::new();
+    for (_, points, _) in figure2_points() {
+        for (id, params) in &points {
+            cells.push(RunSpec::new(
+                id.clone(),
+                params.clone(),
+                ionq.name(),
+                shots_for(&ionq),
+                3,
+                7,
+            ));
+        }
+        let (id, params) = &points[0];
+        cells.push(RunSpec::new(
+            id.clone(),
+            params.clone(),
+            "IBM-Guadalupe",
+            200,
+            2,
+            7,
+        ));
+    }
+    let mut specs = Vec::new();
+    for division in ["closed", "open"] {
+        for cell in &cells {
+            let mut spec = cell.clone();
+            spec.division = division.into();
+            specs.push(spec);
+        }
+    }
+    specs
+}
+
+/// Store records — scores, swap and gate counts — are pinned bit for bit
+/// in both divisions, not just range-checked.
+#[test]
+fn run_records_digest() {
+    let mut listing = String::new();
+    for spec in run_record_specs() {
+        let outcome = execute_spec(&spec).unwrap_or_else(|e| panic!("{}: {e}", spec.benchmark));
+        listing.push_str(&RunRecord { spec, outcome }.to_line());
+        listing.push('\n');
+    }
+    assert_eq!(
+        supermarq_store::hash::sha256_hex(listing.as_bytes()),
+        RUN_RECORDS_DIGEST,
+        "run records drifted:\n{listing}"
     );
 }
 

@@ -14,7 +14,7 @@ use supermarq_device::Device;
 use supermarq_serve::{signal, Client, Executor, ServeConfig, Server};
 use supermarq_store::{Json, RunRecord, RunSpec, Store, SweepEngine, SweepGrid, TranspileSpec};
 use supermarq_transpile::{
-    differential_pipelines, PassRegistry, PassSpec, PipelineId, TranspileError, Transpiler,
+    differential_pipelines, PassSpec, PipelineId, TranspileError, Transpiler,
 };
 use supermarq_verify::{
     clifford_corpus, verify_circuit, verify_on_device, CheckId, Report, Severity,
@@ -156,16 +156,22 @@ fn build_benchmark(args: &Args) -> Result<Box<dyn Benchmark>, CliError> {
 /// sizes clamp into the entry's declared range, counts clamp up to their
 /// minimum, and bitmask parameters truncate to the instance width.
 fn build_named_benchmark(name: &str, args: &Args) -> Result<Box<dyn Benchmark>, CliError> {
-    let registry = BenchmarkRegistry::builtin();
-    let resolved = registry
-        .resolve(name)
-        .ok_or_else(|| CliError::usage(format!("unknown benchmark '{name}'")))?;
+    let entry = resolve_entry(name)?;
     let instance_seed: u64 = args.option_parse("seed", 1).map_err(CliError::Usage)?;
-    let size = clamped_size(resolved.entry, args)?;
-    let params = registry_params(resolved.entry, size, instance_seed, args)?;
-    registry
+    let size = clamped_size(entry, args)?;
+    let params = registry_params(entry, size, instance_seed, args)?;
+    BenchmarkRegistry::builtin()
         .build(name, &params)
         .map_err(|e| CliError::usage(e.to_string()))
+}
+
+/// The registry entry `kind` names (a `-mirror` id resolves to its
+/// base); `Err` is a usage error naming the unknown benchmark.
+fn resolve_entry(kind: &str) -> Result<&'static BenchmarkEntry, CliError> {
+    BenchmarkRegistry::builtin()
+        .resolve(kind)
+        .map(|resolved| resolved.entry)
+        .ok_or_else(|| CliError::usage(format!("unknown benchmark '{kind}'")))
 }
 
 /// The `--size` argument clamped into the entry's declared range.
@@ -363,34 +369,18 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// Canonical spec parameters for a benchmark kind, filling unspecified
-/// values with the same defaults `supermarq run` uses — resolved through
-/// the registry schema, so every registered benchmark (and its `-mirror`
-/// variant) sweeps and caches identically.
-fn bench_params(
-    kind: &str,
-    size: usize,
-    instance_seed: u64,
-    args: &Args,
-) -> Result<Vec<(String, String)>, CliError> {
-    let registry = BenchmarkRegistry::builtin();
-    let resolved = registry
-        .resolve(kind)
-        .ok_or_else(|| CliError::usage(format!("unknown benchmark '{kind}'")))?;
-    registry_params(resolved.entry, size, instance_seed, args)
-}
-
 /// Builds the content-addressed spec for a single `run` invocation.
-/// Matches the legacy `run` behavior: `--seed` feeds both the QAOA
-/// instance and the run seed.
+/// Matches the text `run` behavior: `--size` clamps into the entry's
+/// range, and `--seed` feeds both the QAOA instance and the run seed.
 fn build_run_spec(
     kind: &str,
     device: &Device,
     config: &RunConfig,
     args: &Args,
 ) -> Result<RunSpec, CliError> {
-    let size: usize = args.option_parse("size", 4).map_err(CliError::Usage)?;
-    let params = bench_params(kind, size, config.seed, args)?;
+    let entry = resolve_entry(kind)?;
+    let size = clamped_size(entry, args)?;
+    let params = registry_params(entry, size, config.seed, args)?;
     let mut spec = RunSpec::new(
         kind,
         params,
@@ -406,7 +396,7 @@ fn build_run_spec(
     Ok(spec)
 }
 
-/// Resolves `--pipeline` against the registered pipeline names, falling
+/// Resolves `--pipeline` against the built-in pipeline names, falling
 /// back to the default pipeline when the flag is absent.
 fn pipeline_from_args(args: &Args) -> Result<PipelineId, CliError> {
     match args.option("pipeline") {
@@ -419,16 +409,15 @@ fn pipeline_from_args(args: &Args) -> Result<PipelineId, CliError> {
     }
 }
 
-/// `supermarq transpile passes`: list the registered pipelines and the
+/// `supermarq transpile passes`: list the built-in pipelines and the
 /// passes they are built from. `supermarq transpile diff` differentially
 /// certifies two pipelines against each other on a Clifford corpus.
 fn cmd_transpile(args: &Args) -> Result<String, CliError> {
     match args.positional(1) {
         Some("passes") => {
-            let registry = PassRegistry::builtin();
             let mut out = String::from("pipelines:\n");
-            for pipeline in registry.iter() {
-                out.push_str(&format!("  {}\n", pipeline.render()));
+            for pipeline in PipelineId::ALL {
+                out.push_str(&format!("  {}\n", pipeline.spec().render()));
             }
             out.push_str("\npasses:\n");
             for pass in PassSpec::ALL {
@@ -543,7 +532,7 @@ fn build_grid(args: &Args) -> Result<SweepGrid, CliError> {
     for kind in kinds_raw.split(',') {
         let kind = kind.trim();
         for &size in &sizes {
-            let params = bench_params(kind, size, instance_seed, args)?;
+            let params = registry_params(resolve_entry(kind)?, size, instance_seed, args)?;
             // Fail fast on grids that could never execute (bad sizes,
             // malformed init strings) rather than per-cell at run time.
             supermarq::spec::benchmark_from_params(kind, &params)
@@ -1607,6 +1596,32 @@ mod tests {
         assert_eq!(record.spec.shots, 100);
         assert_eq!(record.spec.seed, 5);
         assert_eq!(record.outcome.scores.len(), 2);
+    }
+
+    #[test]
+    fn run_json_clamps_size_like_run() {
+        let store = temp_dir("run-json-clamp");
+        let json = |size: &str| {
+            run(&[
+                "run",
+                "ghz",
+                "--size",
+                size,
+                "--device",
+                "ionq",
+                "--shots",
+                "50",
+                "--reps",
+                "1",
+                "--json",
+                "--store",
+                store.to_str().unwrap(),
+            ])
+        };
+        let clamped = json("1").unwrap();
+        assert!(clamped.contains(r#""size":"2""#), "{clamped}");
+        // Same record as asking for the clamped size directly.
+        assert_eq!(clamped, json("2").unwrap());
     }
 
     #[test]

@@ -42,6 +42,13 @@ pub type Executor = Arc<dyn Fn(&RunSpec) -> Result<RunOutcome, String> + Send + 
 /// long shutdown can lag behind the stop signal.
 const POLL: Duration = Duration::from_millis(100);
 
+/// `retry_after_ms` hint attached to `busy` rejections.
+const RETRY_AFTER_MS: u64 = 200;
+
+/// Completed span records retained for the `trace` op (ring buffer,
+/// oldest overwritten first).
+const TRACE_BUFFER: usize = 512;
+
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -56,11 +63,6 @@ pub struct ServeConfig {
     pub use_cache: bool,
     /// Close a connection after this long with no complete request.
     pub idle_timeout: Duration,
-    /// `retry_after_ms` hint attached to `busy` rejections.
-    pub retry_after_ms: u64,
-    /// Completed span records retained for the `trace` op (ring buffer,
-    /// oldest overwritten first).
-    pub trace_buffer: usize,
 }
 
 impl Default for ServeConfig {
@@ -71,8 +73,6 @@ impl Default for ServeConfig {
             queue_capacity: 256,
             use_cache: true,
             idle_timeout: Duration::from_secs(30),
-            retry_after_ms: 200,
-            trace_buffer: 512,
         }
     }
 }
@@ -195,14 +195,13 @@ impl Server {
             config.workers
         };
         let queue_capacity = config.queue_capacity;
-        let trace_buffer = config.trace_buffer;
         let shared = Arc::new(Shared {
             config,
             store,
             exec,
             queue: JobQueue::new(queue_capacity),
             metrics: ServeMetrics::default(),
-            ring: SpanRing::new(trace_buffer),
+            ring: SpanRing::new(TRACE_BUFFER),
             started: Instant::now(),
             stop: AtomicBool::new(false),
             active: Mutex::new(0),
@@ -253,11 +252,6 @@ impl RunningServer {
     /// Whether a stop was requested (client `shutdown` or signal path).
     pub fn stop_requested(&self) -> bool {
         self.shared.stop.load(Ordering::SeqCst)
-    }
-
-    /// Requests a stop without blocking (idempotent).
-    pub fn request_stop(&self) {
-        self.shared.begin_shutdown();
     }
 
     /// Graceful shutdown: drain accepted jobs, join workers and the
@@ -730,11 +724,7 @@ fn handle_run(
             outcome.ok = false;
             return write_line(
                 out,
-                &protocol::error_line(
-                    ErrorKind::Busy,
-                    "job queue full",
-                    Some(shared.config.retry_after_ms),
-                ),
+                &protocol::error_line(ErrorKind::Busy, "job queue full", Some(RETRY_AFTER_MS)),
             );
         }
         Submit::Closed => {
@@ -798,11 +788,7 @@ fn handle_batch(
             );
             return write_line(
                 out,
-                &protocol::error_line(
-                    ErrorKind::Busy,
-                    &message,
-                    Some(shared.config.retry_after_ms),
-                ),
+                &protocol::error_line(ErrorKind::Busy, &message, Some(RETRY_AFTER_MS)),
             );
         }
         Err(_) => {

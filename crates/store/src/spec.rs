@@ -32,7 +32,7 @@ pub const SCHEMA_VERSION: u64 = 2;
 pub struct TranspileSpec {
     /// Placement strategy id: `trivial`, `greedy`, or `noise-aware`.
     pub placement: String,
-    /// Pipeline name from the transpiler's pass registry:
+    /// Name of one of the transpiler's built-in pipelines:
     /// `closed-default`, `closed-stages`, `no-optimize`, ...
     pub pipeline: String,
 }

@@ -4,7 +4,7 @@ use supermarq::benchmarks::{
     BitCodeBenchmark, GhzBenchmark, HamiltonianSimBenchmark, MerminBellBenchmark,
     PhaseCodeBenchmark, QaoaSwapBenchmark, QaoaVanillaBenchmark, VqeBenchmark,
 };
-use supermarq::{Benchmark, CircuitFamily};
+use supermarq::CircuitFamily;
 use supermarq_circuit::Circuit;
 
 use crate::circuits::{
@@ -78,12 +78,6 @@ pub fn supermarq_suite() -> Vec<Circuit> {
         );
     }
     all
-}
-
-/// The standard SupermarQ suite as trait objects (for harnesses that need
-/// scoring, not just circuits).
-pub fn supermarq_benchmarks_small() -> Vec<Box<dyn Benchmark>> {
-    supermarq::benchmarks::standard_suite()
 }
 
 /// A QASMBench-like corpus: low-level algorithm circuits "from two to a

@@ -1,6 +1,6 @@
 //! The data-driven benchmark registry.
 //!
-//! Mirrors the transpiler's pass registry: every benchmark the harness can
+//! Mirrors the transpiler's named pipelines: every benchmark the harness can
 //! run is a [`BenchmarkEntry`] — a stable kebab-case id, a one-line
 //! summary, a declared parameter schema, and a build function — instead
 //! of an arm in a hard-coded match. `benchmark_from_params` (and through

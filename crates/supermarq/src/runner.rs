@@ -12,9 +12,12 @@ use supermarq_classical::stats::{mean, std_dev};
 use supermarq_device::Device;
 use supermarq_obs::Span;
 use supermarq_sim::{Counts, Executor};
-use supermarq_transpile::{PipelineId, PlacementStrategy, TranspileError, Transpiler};
+use supermarq_transpile::{
+    relabel_counts, PipelineId, PlacementStrategy, TranspileError, Transpiler,
+};
 
 use crate::benchmark::{Benchmark, ScoreError};
+use crate::mitigation::ReadoutMitigator;
 
 /// Why a harness run failed: either the circuit could not be compiled
 /// for the device, or the measurement data could not be scored.
@@ -56,7 +59,8 @@ pub struct RunConfig {
     /// Shots per circuit per repetition (the paper used 2000 on IBM, 1024
     /// on AQT, 35 on IonQ).
     pub shots: usize,
-    /// Base RNG seed; repetition `r` uses `seed + r`.
+    /// Base RNG seed; circuit `i` of repetition `r` runs with
+    /// `seed + r + 0x9e37_79b9_7f4a_7c15 * (i + 1)` (wrapping).
     pub seed: u64,
     /// Number of independent repetitions (for the Fig. 2 error bars).
     pub repetitions: usize,
@@ -119,66 +123,14 @@ pub fn run_on_device(
     device: &Device,
     config: &RunConfig,
 ) -> Result<BenchmarkResult, RunError> {
-    let mut run_span = Span::open("run.benchmark")
-        .with("division", "closed")
-        .with("shots", config.shots)
-        .with("repetitions", config.repetitions);
-    run_span.record_with("benchmark", || benchmark.name());
-    run_span.record_with("device", || device.name().to_string());
-    let transpiler = Transpiler::for_device(device)
-        .with_placement(config.placement)
-        .with_pipeline(config.pipeline);
-    let circuits = benchmark.circuits();
-    let mut transpiled = Vec::with_capacity(circuits.len());
-    for c in &circuits {
-        transpiled.push(transpiler.run(c)?);
-    }
-    let executor = Executor::new(device.noise_model());
-    // Simulate only the physical qubits each circuit touches: a small
-    // benchmark placed on a 27-qubit lattice occupies a handful of qubits.
-    let prepared: Vec<_> = transpiled
-        .iter()
-        .map(|t| {
-            let (compact, phys_to_dense) = t.circuit.compacted();
-            let measured_dense: Vec<Option<usize>> = t
-                .measured_on
-                .iter()
-                .map(|m| m.map(|p| phys_to_dense[p].expect("measured qubit is used")))
-                .collect();
-            (compact, measured_dense)
-        })
-        .collect();
-    // Fan the (repetition × circuit) grid out over the rayon pool; every
-    // job derives its seed from (config.seed, rep, circuit index) alone,
-    // so the scores are deterministic regardless of thread count.
-    let per_rep: Vec<Result<f64, ScoreError>> = (0..config.repetitions)
-        .into_par_iter()
-        .map(|rep| {
-            let counts: Vec<Counts> = prepared
-                .iter()
-                .enumerate()
-                .map(|(i, (compact, measured_dense))| {
-                    let seed = config
-                        .seed
-                        .wrapping_add(rep as u64)
-                        .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1));
-                    let raw = executor.run(compact, config.shots, seed);
-                    relabel(&raw, measured_dense)
-                })
-                .collect();
-            benchmark.score(&counts)
-        })
-        .collect();
-    let scores = per_rep
-        .into_iter()
-        .collect::<Result<Vec<f64>, ScoreError>>()?;
-    Ok(BenchmarkResult {
-        benchmark: benchmark.name(),
-        device: device.name().to_string(),
-        scores,
-        swap_count: transpiled.iter().map(|t| t.swap_count).sum(),
-        two_qubit_gates: transpiled.iter().map(|t| t.two_qubit_gates).sum(),
-    })
+    let _span = run_span("closed", benchmark, device, config);
+    run(
+        benchmark,
+        device,
+        config,
+        &Executor::new(device.noise_model()),
+        None,
+    )
 }
 
 /// Runs `benchmark` on `device` in the *Open Division*: identical pipeline
@@ -197,87 +149,20 @@ pub fn run_on_device_open(
     device: &Device,
     config: &RunConfig,
 ) -> Result<BenchmarkResult, RunError> {
-    use crate::mitigation::ReadoutMitigator;
-    let mut run_span = Span::open("run.benchmark")
-        .with("division", "open")
-        .with("shots", config.shots)
-        .with("repetitions", config.repetitions);
-    run_span.record_with("benchmark", || benchmark.name());
-    run_span.record_with("device", || device.name().to_string());
-    let transpiler = Transpiler::for_device(device)
-        .with_placement(config.placement)
-        .with_pipeline(config.pipeline);
-    let circuits = benchmark.circuits();
-    let mut prepared = Vec::with_capacity(circuits.len());
-    let mut swap_count = 0;
-    let mut two_qubit_gates = 0;
-    for c in &circuits {
-        let t = transpiler.run(c)?;
-        swap_count += t.swap_count;
-        two_qubit_gates += t.two_qubit_gates;
-        let (compact, phys_to_dense) = t.circuit.compacted();
-        let measured_dense: Vec<Option<usize>> = t
-            .measured_on
-            .iter()
-            .map(|m| m.map(|p| phys_to_dense[p].expect("measured qubit is used")))
-            .collect();
-        prepared.push((compact, measured_dense));
-    }
-    let executor = Executor::new(device.noise_model());
+    let _span = run_span("open", benchmark, device, config);
     let mitigator =
         ReadoutMitigator::uniform(benchmark.num_qubits(), device.calibration().err_meas);
-    let per_rep: Vec<Result<f64, ScoreError>> = (0..config.repetitions)
-        .into_par_iter()
-        .map(|rep| {
-            let counts: Vec<Counts> = prepared
-                .iter()
-                .enumerate()
-                .map(|(i, (compact, measured_dense))| {
-                    let seed = config
-                        .seed
-                        .wrapping_add(rep as u64)
-                        .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1));
-                    let raw = executor.run(compact, config.shots, seed);
-                    mitigator.mitigate(&relabel(&raw, measured_dense))
-                })
-                .collect();
-            benchmark.score(&counts)
-        })
-        .collect();
-    let scores = per_rep
-        .into_iter()
-        .collect::<Result<Vec<f64>, ScoreError>>()?;
-    Ok(BenchmarkResult {
-        benchmark: benchmark.name(),
-        device: device.name().to_string(),
-        scores,
-        swap_count,
-        two_qubit_gates,
-    })
-}
-
-/// Relabels a dense-register histogram into program-qubit order using the
-/// per-program-qubit measurement locations.
-fn relabel(raw: &Counts, measured_dense: &[Option<usize>]) -> Counts {
-    let mut out = Counts::new(measured_dense.len());
-    for (bits, count) in raw.iter() {
-        let mut relabeled = 0u64;
-        for (prog, &dense) in measured_dense.iter().enumerate() {
-            if let Some(d) = dense {
-                if bits >> d & 1 == 1 {
-                    relabeled |= 1 << prog;
-                }
-            }
-        }
-        // One histogram update per outcome, not one per shot: relabeling
-        // was O(shots) per outcome before `record_n` existed.
-        out.record_n(relabeled, count);
-    }
-    out
+    run(
+        benchmark,
+        device,
+        config,
+        &Executor::new(device.noise_model()),
+        Some(&mitigator),
+    )
 }
 
 /// Runs `benchmark` noiselessly end-to-end through the same transpilation
-/// pipeline — the sanity reference: scores should be ~1.
+/// pipeline, one repetition — the sanity reference: scores should be ~1.
 ///
 /// # Errors
 ///
@@ -289,21 +174,86 @@ pub fn run_noiseless(
     shots: usize,
     seed: u64,
 ) -> Result<f64, RunError> {
-    let transpiler = Transpiler::for_device(device);
-    let executor = Executor::noiseless();
-    let mut counts = Vec::new();
-    for (i, c) in benchmark.circuits().iter().enumerate() {
-        let t = transpiler.run(c)?;
-        let (compact, phys_to_dense) = t.circuit.compacted();
-        let measured_dense: Vec<Option<usize>> = t
-            .measured_on
-            .iter()
-            .map(|m| m.map(|p| phys_to_dense[p].expect("measured qubit is used")))
-            .collect();
-        let raw = executor.run(&compact, shots, seed + i as u64 * 7919);
-        counts.push(relabel(&raw, &measured_dense));
-    }
-    Ok(benchmark.score(&counts)?)
+    let config = RunConfig {
+        shots,
+        seed,
+        repetitions: 1,
+        ..RunConfig::default()
+    };
+    let result = run(benchmark, device, &config, &Executor::noiseless(), None)?;
+    Ok(result.scores[0])
+}
+
+/// The `run.benchmark` span wrapping one division's run.
+fn run_span(
+    division: &'static str,
+    benchmark: &dyn Benchmark,
+    device: &Device,
+    config: &RunConfig,
+) -> Span {
+    let mut span = Span::open("run.benchmark")
+        .with("division", division)
+        .with("shots", config.shots)
+        .with("repetitions", config.repetitions);
+    span.record_with("benchmark", || benchmark.name());
+    span.record_with("device", || device.name().to_string());
+    span
+}
+
+/// The one harness body: transpile and compact every circuit, execute
+/// each (repetition x circuit) job, relabel to program order, optionally
+/// mitigate readout, and score each repetition.
+fn run(
+    benchmark: &dyn Benchmark,
+    device: &Device,
+    config: &RunConfig,
+    executor: &Executor,
+    mitigator: Option<&ReadoutMitigator>,
+) -> Result<BenchmarkResult, RunError> {
+    let transpiler = Transpiler::for_device(device)
+        .with_placement(config.placement)
+        .with_pipeline(config.pipeline);
+    let transpiled = benchmark
+        .circuits()
+        .iter()
+        .map(|c| transpiler.run(c))
+        .collect::<Result<Vec<_>, _>>()?;
+    // Simulate only the physical qubits each circuit touches: a small
+    // benchmark placed on a 27-qubit lattice occupies a handful of qubits.
+    let prepared: Vec<_> = transpiled.iter().map(|t| t.compacted()).collect();
+    // Fan the repetitions out over the rayon pool; every job derives its
+    // seed from (config.seed, rep, circuit index) alone, so the scores
+    // are deterministic regardless of thread count.
+    let per_rep: Vec<Result<f64, ScoreError>> = (0..config.repetitions)
+        .into_par_iter()
+        .map(|rep| {
+            let counts: Vec<Counts> = prepared
+                .iter()
+                .enumerate()
+                .map(|(i, (circuit, readout))| {
+                    let seed = config
+                        .seed
+                        .wrapping_add(rep as u64)
+                        .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1));
+                    let counts =
+                        relabel_counts(&executor.run(circuit, config.shots, seed), readout);
+                    match mitigator {
+                        Some(m) => m.mitigate(&counts),
+                        None => counts,
+                    }
+                })
+                .collect();
+            benchmark.score(&counts)
+        })
+        .collect();
+    let scores = per_rep.into_iter().collect::<Result<Vec<f64>, _>>()?;
+    Ok(BenchmarkResult {
+        benchmark: benchmark.name(),
+        device: device.name().to_string(),
+        scores,
+        swap_count: transpiled.iter().map(|t| t.swap_count).sum(),
+        two_qubit_gates: transpiled.iter().map(|t| t.two_qubit_gates).sum(),
+    })
 }
 
 #[cfg(test)]

@@ -55,8 +55,10 @@ pub mod transpiler;
 
 pub use diff::differential_pipelines;
 pub use pass::{run_pass, FixedPoint, Layout, Pass, PassContext, PassOutcome};
-pub use pipeline::{PassRegistry, PassSpec, PipelineId, PipelineSpec};
+pub use pipeline::{PassSpec, PipelineId, PipelineSpec};
 pub use placement::PlacementStrategy;
 pub use provenance::{Provenance, INPUT_TAG};
 pub use routing::RouteError;
-pub use transpiler::{RoutingStrategy, TranspileError, TranspileResult, Transpiler, VerifyLevel};
+pub use transpiler::{
+    relabel_counts, RoutingStrategy, TranspileError, TranspileResult, Transpiler,
+};

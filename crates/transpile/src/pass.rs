@@ -90,46 +90,6 @@ impl Layout {
         }
         measured_on
     }
-
-    /// Relabels a physical-qubit outcome mask into program-qubit order
-    /// using the recorded measurement locations.
-    pub fn relabel_bits(&self, physical_bits: u64) -> u64 {
-        relabel_bits(&self.measured_on, physical_bits)
-    }
-
-    /// Relabels a whole histogram of physical outcomes into program-qubit
-    /// order.
-    pub fn relabel_counts(&self, counts: &supermarq_sim::Counts) -> supermarq_sim::Counts {
-        relabel_counts(&self.measured_on, counts)
-    }
-}
-
-/// Shared relabeling primitive: maps a physical outcome mask into
-/// program-qubit order given per-program-qubit measurement locations.
-pub(crate) fn relabel_bits(measured_on: &[Option<usize>], physical_bits: u64) -> u64 {
-    let mut out = 0u64;
-    for (prog, &phys) in measured_on.iter().enumerate() {
-        if let Some(p) = phys {
-            if physical_bits >> p & 1 == 1 {
-                out |= 1 << prog;
-            }
-        }
-    }
-    out
-}
-
-/// Histogram counterpart of [`relabel_bits`].
-pub(crate) fn relabel_counts(
-    measured_on: &[Option<usize>],
-    counts: &supermarq_sim::Counts,
-) -> supermarq_sim::Counts {
-    let mut out = supermarq_sim::Counts::new(measured_on.len());
-    for (bits, count) in counts.iter() {
-        for _ in 0..count {
-            out.record(relabel_bits(measured_on, bits));
-        }
-    }
-    out
 }
 
 /// The shared state a pipeline of passes operates on.
@@ -425,19 +385,6 @@ mod tests {
         c.h(0).cx(0, 1).measure(0).measure(1);
         let m = Layout::derive_measured_on(&c, &[4, 2, 0]);
         assert_eq!(m, vec![Some(4), Some(2), None]);
-    }
-
-    #[test]
-    fn layout_relabels_physical_bits_to_program_order() {
-        let layout = Layout {
-            initial: vec![2, 0],
-            current: vec![2, 0],
-            measured_on: vec![Some(2), Some(0)],
-        };
-        // Physical bit 2 -> program bit 0; physical bit 0 -> program bit 1.
-        assert_eq!(layout.relabel_bits(0b100), 0b01);
-        assert_eq!(layout.relabel_bits(0b001), 0b10);
-        assert_eq!(layout.relabel_bits(0b101), 0b11);
     }
 
     struct AppendH;

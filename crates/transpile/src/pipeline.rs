@@ -1,10 +1,10 @@
-//! Named, serializable pipelines: [`PassSpec`], [`PipelineSpec`],
-//! [`PipelineId`] and the [`PassRegistry`].
+//! Named, serializable pipelines: [`PassSpec`], [`PipelineSpec`] and
+//! [`PipelineId`].
 //!
 //! A pipeline is *data*: an ordered list of [`PassSpec`]s under a stable
 //! name. The name is what downstream layers hash — the content-addressed
 //! run store folds it into cache keys, the CLI accepts it via
-//! `--pipeline`, and `transpile passes` lists every registered pipeline —
+//! `--pipeline`, and `transpile passes` lists every built-in pipeline —
 //! so two runs differing only in pipeline never collide in the store.
 
 use crate::pass::Pass;
@@ -13,7 +13,7 @@ use crate::passes::{
     VerifyFinalPass, VerifyLogicalPass, VerifyNativePass, VerifyRoutedPass,
 };
 use crate::placement::PlacementStrategy;
-use crate::transpiler::{RoutingStrategy, VerifyLevel};
+use crate::transpiler::RoutingStrategy;
 
 /// One pass slot in a pipeline, as pure data.
 ///
@@ -120,8 +120,8 @@ impl PassSpec {
     }
 }
 
-/// A named, ordered list of passes — the serializable unit the registry
-/// stores and cache keys reference.
+/// A named, ordered list of passes — the serializable unit cache keys
+/// reference.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineSpec {
     name: String,
@@ -137,7 +137,7 @@ impl PipelineSpec {
         }
     }
 
-    /// The registry / cache-key name.
+    /// The cache-key name.
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -176,9 +176,10 @@ impl PipelineSpec {
     }
 }
 
-/// The built-in pipelines, one per historical `(optimize, verify)`
-/// configuration. `closed-default` reproduces the pre-pass-manager
-/// pipeline bit-identically.
+/// The built-in pipelines: optimization on or off, crossed with no
+/// verification, final-output verification or verification after every
+/// stage. `closed-default` reproduces the pre-pass-manager pipeline
+/// bit-identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PipelineId {
     /// Optimizations on, final-output verification — the default.
@@ -223,19 +224,6 @@ impl PipelineId {
     /// Parses a pipeline name.
     pub fn parse(s: &str) -> Option<PipelineId> {
         PipelineId::ALL.into_iter().find(|p| p.as_str() == s)
-    }
-
-    /// The pipeline matching the historical `(optimize, verify)` transpiler
-    /// flags.
-    pub fn from_flags(optimize: bool, verify: VerifyLevel) -> PipelineId {
-        match (optimize, verify) {
-            (true, VerifyLevel::Final) => PipelineId::ClosedDefault,
-            (true, VerifyLevel::Stages) => PipelineId::ClosedStages,
-            (true, VerifyLevel::Off) => PipelineId::ClosedUnverified,
-            (false, VerifyLevel::Final) => PipelineId::NoOptimize,
-            (false, VerifyLevel::Stages) => PipelineId::NoOptimizeStages,
-            (false, VerifyLevel::Off) => PipelineId::NoOptimizeUnverified,
-        }
     }
 
     /// The pass list this id names. `*-stages` variants are the base
@@ -296,46 +284,6 @@ impl std::fmt::Display for PipelineId {
     }
 }
 
-/// Registry of named pipelines. Seeds with the six built-ins; custom
-/// pipelines can be registered on top (same name replaces).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PassRegistry {
-    pipelines: Vec<PipelineSpec>,
-}
-
-impl PassRegistry {
-    /// The registry holding every [`PipelineId`] built-in.
-    pub fn builtin() -> PassRegistry {
-        PassRegistry {
-            pipelines: PipelineId::ALL.iter().map(|id| id.spec()).collect(),
-        }
-    }
-
-    /// Looks a pipeline up by name.
-    pub fn get(&self, name: &str) -> Option<&PipelineSpec> {
-        self.pipelines.iter().find(|p| p.name() == name)
-    }
-
-    /// Registered pipeline names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.pipelines.iter().map(|p| p.name()).collect()
-    }
-
-    /// Registered pipelines, in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = &PipelineSpec> {
-        self.pipelines.iter()
-    }
-
-    /// Adds (or replaces, by name) a pipeline.
-    pub fn register(&mut self, spec: PipelineSpec) {
-        if let Some(existing) = self.pipelines.iter_mut().find(|p| p.name() == spec.name()) {
-            *existing = spec;
-        } else {
-            self.pipelines.push(spec);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,32 +303,6 @@ mod tests {
             assert_eq!(id.to_string(), id.as_str());
         }
         assert_eq!(PipelineId::parse("open-default"), None);
-    }
-
-    #[test]
-    fn from_flags_covers_every_configuration() {
-        use crate::transpiler::VerifyLevel::*;
-        assert_eq!(
-            PipelineId::from_flags(true, Final),
-            PipelineId::ClosedDefault
-        );
-        assert_eq!(
-            PipelineId::from_flags(true, Stages),
-            PipelineId::ClosedStages
-        );
-        assert_eq!(
-            PipelineId::from_flags(true, Off),
-            PipelineId::ClosedUnverified
-        );
-        assert_eq!(PipelineId::from_flags(false, Final), PipelineId::NoOptimize);
-        assert_eq!(
-            PipelineId::from_flags(false, Stages),
-            PipelineId::NoOptimizeStages
-        );
-        assert_eq!(
-            PipelineId::from_flags(false, Off),
-            PipelineId::NoOptimizeUnverified
-        );
     }
 
     #[test]
@@ -425,20 +347,6 @@ mod tests {
                 "{id}"
             );
         }
-    }
-
-    #[test]
-    fn registry_finds_builtins_and_replaces_by_name() {
-        let mut registry = PassRegistry::builtin();
-        assert_eq!(registry.names().len(), 6);
-        assert!(registry.get("closed-default").is_some());
-        assert!(registry.get("bogus").is_none());
-        let custom = PipelineSpec::new("closed-default", vec![PassSpec::Place, PassSpec::Route]);
-        registry.register(custom.clone());
-        assert_eq!(registry.names().len(), 6);
-        assert_eq!(registry.get("closed-default"), Some(&custom));
-        registry.register(PipelineSpec::new("mine", vec![PassSpec::Schedule]));
-        assert_eq!(registry.names().len(), 7);
     }
 
     #[test]

@@ -91,20 +91,6 @@ pub struct RoutedCircuit {
     pub measured_on: Vec<Option<usize>>,
 }
 
-impl RoutedCircuit {
-    /// Relabels a physical-qubit outcome mask into program-qubit order
-    /// using the recorded measurement locations.
-    pub fn relabel_bits(&self, physical_bits: u64) -> u64 {
-        crate::pass::relabel_bits(&self.measured_on, physical_bits)
-    }
-
-    /// Relabels a whole histogram of physical outcomes into program-qubit
-    /// order.
-    pub fn relabel_counts(&self, counts: &supermarq_sim::Counts) -> supermarq_sim::Counts {
-        crate::pass::relabel_counts(&self.measured_on, counts)
-    }
-}
-
 /// Routes `circuit` onto `topology` starting from `initial_mapping`
 /// (program qubit -> physical qubit, injective).
 ///
@@ -326,7 +312,8 @@ pub fn route_with_lookahead(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use supermarq_sim::Executor;
+    use crate::transpiler::relabel_counts;
+    use supermarq_sim::{Counts, Executor};
 
     fn all_two_qubit_gates_adjacent(c: &Circuit, t: &Topology) -> bool {
         c.iter()
@@ -365,7 +352,7 @@ mod tests {
         assert!(all_two_qubit_gates_adjacent(&routed.circuit, &topo));
         let ideal = Executor::noiseless().run(&c, 2000, 9);
         let phys = Executor::noiseless().run(&routed.circuit, 2000, 9);
-        let relabeled = routed.relabel_counts(&phys);
+        let relabeled = relabel_counts(&phys, &routed.measured_on);
         // GHZ: only all-zeros and all-ones.
         assert_eq!(relabeled.count(0b0110), 0);
         let p_ideal = ideal.probability(0b1111);
@@ -400,7 +387,9 @@ mod tests {
         assert_eq!(routed.measured_on[0], Some(1));
         assert_eq!(routed.measured_on[1], None);
         // Relabeling: physical bit 1 becomes program bit 0.
-        assert_eq!(routed.relabel_bits(0b010), 0b001);
+        let phys = Counts::from_pairs(3, [(0b010, 1)]);
+        let relabeled = relabel_counts(&phys, &routed.measured_on);
+        assert_eq!(relabeled, Counts::from_pairs(3, [(0b001, 1)]));
     }
 
     #[test]
@@ -410,7 +399,7 @@ mod tests {
         let topo = Topology::line(4);
         let routed = route(&c, &topo, &[3, 1]).unwrap();
         let counts = Executor::noiseless().run(&routed.circuit, 10, 1);
-        let relabeled = routed.relabel_counts(&counts);
+        let relabeled = relabel_counts(&counts, &routed.measured_on);
         assert_eq!(relabeled.count(0b01), 10);
     }
 
@@ -435,7 +424,7 @@ mod tests {
         assert!(all_two_qubit_gates_adjacent(&routed.circuit, &topo));
         let ideal = Executor::noiseless().run(&c, 2000, 9);
         let phys = Executor::noiseless().run(&routed.circuit, 2000, 9);
-        let relabeled = routed.relabel_counts(&phys);
+        let relabeled = relabel_counts(&phys, &routed.measured_on);
         assert_eq!(relabeled.count(0) + relabeled.count(0b1111), 2000);
         assert!((ideal.probability(0) - relabeled.probability(0)).abs() < 0.05);
     }

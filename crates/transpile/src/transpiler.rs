@@ -3,6 +3,7 @@
 use supermarq_circuit::{Circuit, Depth, TwoQubitGateCount};
 use supermarq_device::Device;
 use supermarq_obs::Span;
+use supermarq_sim::Counts;
 use supermarq_verify::Diagnostic;
 
 use crate::pass::{run_pass, PassContext};
@@ -63,25 +64,6 @@ impl From<RouteError> for TranspileError {
     }
 }
 
-/// How much static verification [`Transpiler::run`] performs.
-///
-/// Under the pass manager this is no longer a special-cased mode: together
-/// with the optimize flag it merely selects which built-in [`PipelineId`]
-/// runs (`Stages` splices verify passes between the stages).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VerifyLevel {
-    /// No verification (fastest; trust the pipeline).
-    Off,
-    /// Verify the final native circuit only: operand validity, native-gate
-    /// and coupling-map conformance. The release-mode replacement for the
-    /// old output `debug_assert!`.
-    #[default]
-    Final,
-    /// Additionally verify after each pipeline stage, including the
-    /// Closed-Division audit of the router's output against its input.
-    Stages,
-}
-
 /// Output of [`Transpiler::run`].
 #[derive(Debug, Clone)]
 pub struct TranspileResult {
@@ -103,9 +85,19 @@ pub struct TranspileResult {
 }
 
 impl TranspileResult {
-    /// Relabels a physical-outcome histogram into program-qubit order.
-    pub fn relabel_counts(&self, counts: &supermarq_sim::Counts) -> supermarq_sim::Counts {
-        crate::pass::relabel_counts(&self.measured_on, counts)
+    /// The circuit to execute and its readout map: the physical circuit
+    /// compacted to the wires it touches, and for each program qubit the
+    /// compacted wire its last measurement landed on (`None` if never
+    /// measured). [`relabel_counts`] with that map puts the executed
+    /// outcomes back in program-qubit order.
+    pub fn compacted(&self) -> (Circuit, Vec<Option<usize>>) {
+        let (circuit, phys_to_dense) = self.circuit.compacted();
+        let readout = self
+            .measured_on
+            .iter()
+            .map(|m| m.map(|p| phys_to_dense[p].expect("measured qubit is used")))
+            .collect();
+        (circuit, readout)
     }
 
     /// Builds the result from a finished pipeline context. Depth, gate
@@ -126,6 +118,22 @@ impl TranspileResult {
             measured_on: layout.measured_on,
         }
     }
+}
+
+/// Relabels a histogram into program-qubit order: bit `readout[q]` of
+/// every outcome becomes bit `q`, and a program qubit mapped to `None`
+/// reads 0. One histogram update per outcome, not one per shot.
+pub fn relabel_counts(counts: &Counts, readout: &[Option<usize>]) -> Counts {
+    let mut out = Counts::new(readout.len());
+    for (bits, count) in counts.iter() {
+        let relabeled = readout
+            .iter()
+            .enumerate()
+            .filter_map(|(q, wire)| wire.map(|w| (bits >> w & 1) << q))
+            .fold(0, |acc, bit| acc | bit);
+        out.record_n(relabeled, count);
+    }
+    out
 }
 
 /// SWAP-routing algorithm selection.
@@ -161,22 +169,19 @@ pub struct Transpiler {
     device: Device,
     placement: PlacementStrategy,
     routing: RoutingStrategy,
-    optimize: bool,
-    verify: VerifyLevel,
-    pipeline: Option<PipelineId>,
+    pipeline: PipelineId,
 }
 
 impl Transpiler {
-    /// A transpiler for `device` with default (greedy placement,
-    /// optimizations on, final-output verification) settings.
+    /// A transpiler for `device` with default settings: greedy placement,
+    /// shortest-path routing, and the `closed-default` pipeline
+    /// (optimizations on, final-output verification).
     pub fn for_device(device: &Device) -> Self {
         Transpiler {
             device: device.clone(),
             placement: PlacementStrategy::default(),
             routing: RoutingStrategy::default(),
-            optimize: true,
-            verify: VerifyLevel::default(),
-            pipeline: None,
+            pipeline: PipelineId::default(),
         }
     }
 
@@ -192,34 +197,15 @@ impl Transpiler {
         self
     }
 
-    /// Enables or disables the fusion/cancellation passes (used by the
-    /// ablation benches). Ignored when [`with_pipeline`](Self::with_pipeline)
-    /// set an explicit pipeline.
-    pub fn with_optimization(mut self, optimize: bool) -> Self {
-        self.optimize = optimize;
-        self
-    }
-
-    /// Selects how much static verification the pipeline performs. Ignored
-    /// when [`with_pipeline`](Self::with_pipeline) set an explicit pipeline.
-    pub fn with_verify(mut self, verify: VerifyLevel) -> Self {
-        self.verify = verify;
-        self
-    }
-
-    /// Pins an explicit built-in pipeline, overriding the
-    /// optimize/verify flags.
+    /// Selects the built-in pipeline [`run`](Self::run) executes.
     pub fn with_pipeline(mut self, pipeline: PipelineId) -> Self {
-        self.pipeline = Some(pipeline);
+        self.pipeline = pipeline;
         self
     }
 
-    /// The pipeline [`run`](Self::run) will execute: the explicit
-    /// [`with_pipeline`](Self::with_pipeline) choice if set, otherwise the
-    /// one matching the optimize/verify flags.
+    /// The pipeline [`run`](Self::run) executes.
     pub fn pipeline_id(&self) -> PipelineId {
         self.pipeline
-            .unwrap_or_else(|| PipelineId::from_flags(self.optimize, self.verify))
     }
 
     /// Runs the full pipeline on a logical circuit.
@@ -244,7 +230,7 @@ impl Transpiler {
     ///
     /// Same as [`run`](Self::run).
     pub fn run_with_context(&self, circuit: &Circuit) -> Result<PassContext<'_>, TranspileError> {
-        self.run_pipeline(&self.pipeline_id().spec(), circuit)
+        self.run_pipeline(&self.pipeline.spec(), circuit)
     }
 
     /// Runs an arbitrary [`PipelineSpec`] — the escape hatch for custom
@@ -323,13 +309,44 @@ mod tests {
         for device in [Device::ibm_casablanca(), Device::ionq(), Device::aqt()] {
             let c = ghz(4);
             let r = Transpiler::for_device(&device).run(&c).unwrap();
-            let counts = Executor::noiseless().run(&r.circuit, 2000, 23);
-            let relabeled = r.relabel_counts(&counts);
+            let (circuit, readout) = r.compacted();
+            let counts = Executor::noiseless().run(&circuit, 2000, 23);
+            let relabeled = relabel_counts(&counts, &readout);
             let good = relabeled.count(0) + relabeled.count(0b1111);
             assert_eq!(good, 2000, "{}: {relabeled}", device.name());
             let p0 = relabeled.probability(0);
             assert!((p0 - 0.5).abs() < 0.05, "{}: p0={p0}", device.name());
         }
+    }
+
+    #[test]
+    fn relabel_counts_maps_readout_wires_to_program_order() {
+        // Wire 2 -> program bit 0, wire 0 -> program bit 1, program
+        // qubit 2 never measured; one histogram entry per outcome.
+        let counts = Counts::from_pairs(3, [(0b100, 1), (0b001, 2), (0b101, 3), (0b010, 4)]);
+        let relabeled = relabel_counts(&counts, &[Some(2), Some(0), None]);
+        assert_eq!(
+            relabeled,
+            Counts::from_pairs(3, [(0b01, 1), (0b10, 2), (0b11, 3), (0b00, 4)])
+        );
+    }
+
+    #[test]
+    fn compacted_readout_points_at_dense_wires() {
+        // A 2-qubit circuit placed on a 27-qubit lattice executes on two
+        // dense wires, and each program qubit reads the wire it landed on.
+        let mut c = Circuit::new(2);
+        c.x(1).cx(1, 0).measure_all();
+        let r = Transpiler::for_device(&Device::ibm_montreal())
+            .run(&c)
+            .unwrap();
+        let (circuit, readout) = r.compacted();
+        assert_eq!(circuit.num_qubits(), 2);
+        let mut wires: Vec<usize> = readout.iter().flatten().copied().collect();
+        wires.sort_unstable();
+        assert_eq!(wires, [0, 1]);
+        let counts = Executor::noiseless().run(&circuit, 50, 3);
+        assert_eq!(relabel_counts(&counts, &readout).count(0b11), 50);
     }
 
     #[test]
@@ -354,7 +371,7 @@ mod tests {
             for strategy in [RoutingStrategy::ShortestPath, RoutingStrategy::Lookahead] {
                 let r = Transpiler::for_device(&device)
                     .with_routing(strategy)
-                    .with_verify(VerifyLevel::Stages)
+                    .with_pipeline(PipelineId::ClosedStages)
                     .run(&c);
                 assert!(r.is_ok(), "{} ({strategy:?}): {:?}", device.name(), r.err());
             }
@@ -388,7 +405,7 @@ mod tests {
         let device = Device::ibm_casablanca();
         let c = ghz(4);
         let r = Transpiler::for_device(&device)
-            .with_verify(VerifyLevel::Off)
+            .with_pipeline(PipelineId::ClosedUnverified)
             .run(&c)
             .unwrap();
         assert!(r
@@ -465,7 +482,7 @@ mod tests {
         let device = Device::ibm_montreal();
         let optimized = Transpiler::for_device(&device).run(&c).unwrap();
         let raw = Transpiler::for_device(&device)
-            .with_optimization(false)
+            .with_pipeline(PipelineId::NoOptimize)
             .run(&c)
             .unwrap();
         assert!(optimized.circuit.gate_count() <= raw.circuit.gate_count());
@@ -500,8 +517,9 @@ mod tests {
                 .topology()
                 .are_adjacent(instr.qubits[0], instr.qubits[1]));
         }
-        let counts = Executor::noiseless().run(&r.circuit, 2000, 41);
-        let relabeled = r.relabel_counts(&counts);
+        let (circuit, readout) = r.compacted();
+        let counts = Executor::noiseless().run(&circuit, 2000, 41);
+        let relabeled = relabel_counts(&counts, &readout);
         assert_eq!(relabeled.count(0) + relabeled.count(0b11111), 2000);
     }
 
@@ -533,8 +551,9 @@ mod tests {
             c.measure_all();
             let r = Transpiler::for_device(&device).run(&c).unwrap();
             let ideal = Executor::noiseless().run(&c, 3000, 31);
-            let phys = Executor::noiseless().run(&r.circuit, 3000, 31);
-            let relabeled = r.relabel_counts(&phys);
+            let (circuit, readout) = r.compacted();
+            let phys = Executor::noiseless().run(&circuit, 3000, 31);
+            let relabeled = relabel_counts(&phys, &readout);
             // Compare total-variation distance of the two histograms.
             let mut tv = 0.0;
             for k in 0..(1u64 << n) {
@@ -546,43 +565,11 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_id_follows_flags_until_overridden() {
-        let device = Device::ionq();
-        let t = Transpiler::for_device(&device);
-        assert_eq!(t.pipeline_id(), PipelineId::ClosedDefault);
-        let t = t.with_verify(VerifyLevel::Stages);
-        assert_eq!(t.pipeline_id(), PipelineId::ClosedStages);
-        let t = t.with_optimization(false).with_verify(VerifyLevel::Off);
-        assert_eq!(t.pipeline_id(), PipelineId::NoOptimizeUnverified);
-        let t = t.with_pipeline(PipelineId::ClosedDefault);
-        assert_eq!(t.pipeline_id(), PipelineId::ClosedDefault);
-    }
-
-    #[test]
-    fn explicit_pipeline_overrides_flags() {
-        // Flags say "don't optimize", the pinned pipeline optimizes anyway:
-        // the redundant H pair must vanish.
-        let mut c = Circuit::new(2);
-        c.h(0).h(0).cx(0, 1).measure_all();
-        let device = Device::ionq();
-        let pinned = Transpiler::for_device(&device)
-            .with_optimization(false)
-            .with_pipeline(PipelineId::ClosedDefault)
-            .run(&c)
-            .unwrap();
-        let unoptimized = Transpiler::for_device(&device)
-            .with_optimization(false)
-            .run(&c)
-            .unwrap();
-        assert!(pinned.circuit.gate_count() < unoptimized.circuit.gate_count());
-    }
-
-    #[test]
     fn context_exposes_layout_diagnostics_and_cached_analyses() {
         use supermarq_circuit::{Depth, GateCount, TwoQubitGateCount};
         let device = Device::ibm_casablanca();
         let c = ghz(4);
-        let t = Transpiler::for_device(&device).with_verify(VerifyLevel::Stages);
+        let t = Transpiler::for_device(&device).with_pipeline(PipelineId::ClosedStages);
         let ctx = t.run_with_context(&c).unwrap();
         // The schedule pass primed these; reading them costs nothing.
         // (GateCount is only primed when obs spans are recording, so it is

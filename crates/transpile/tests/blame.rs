@@ -5,8 +5,8 @@ use supermarq_circuit::Circuit;
 use supermarq_device::Device;
 use supermarq_transpile::pipeline::PassSpec;
 use supermarq_transpile::{
-    run_pass, Pass, PassContext, PassOutcome, PlacementStrategy, RoutingStrategy, TranspileError,
-    Transpiler, VerifyLevel,
+    run_pass, Pass, PassContext, PassOutcome, PipelineId, PlacementStrategy, RoutingStrategy,
+    TranspileError, Transpiler,
 };
 use supermarq_verify::{CheckId, Severity};
 
@@ -109,7 +109,7 @@ fn every_pipeline_diagnostic_carries_nonempty_blame() {
     // The clean pipelines obey the same invariant on their accumulated
     // (warning/lint) diagnostics.
     for device in [Device::ionq(), Device::ibm_casablanca()] {
-        let t = Transpiler::for_device(&device).with_verify(VerifyLevel::Stages);
+        let t = Transpiler::for_device(&device).with_pipeline(PipelineId::ClosedStages);
         let ctx = t.run_with_context(&ghz(4)).unwrap();
         for d in ctx.diagnostics() {
             assert!(

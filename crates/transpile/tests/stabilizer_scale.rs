@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use supermarq_circuit::Circuit;
 use supermarq_device::{Calibration, Device, NativeGateSet, Topology};
-use supermarq_transpile::{Transpiler, VerifyLevel};
+use supermarq_transpile::{PipelineId, Transpiler};
 use supermarq_verify::{audit_tier, AuditTier, RoutingAudit, StabilizerVerdict};
 
 const N: usize = 200;
@@ -47,7 +47,7 @@ fn two_hundred_qubit_mirror_is_proven_post_routing_under_a_second() {
     let device = line_device(N);
     let c = mirror(N);
     let r = Transpiler::for_device(&device)
-        .with_verify(VerifyLevel::Stages) // interleaved verify incl. tiered V006
+        .with_pipeline(PipelineId::ClosedStages) // interleaved verify incl. tiered V006
         .run(&c)
         .expect("pipeline must verify clean");
 

@@ -2,8 +2,10 @@
 # End-to-end smoke test for the pass-manager pipelines: run one benchmark
 # under three named pipelines (closed-default, closed-stages, no-optimize),
 # assert the scores agree (stage verification must not perturb results;
-# disabling optimization may only move the score within tolerance), and
-# assert the closed-stages trace JSONL names every pass in the pipeline.
+# disabling optimization may only move the score within tolerance),
+# assert the closed-stages trace JSONL names every pass in the pipeline,
+# and run both divisions (closed and --open) through the text and --json
+# paths, which must report the same mean score.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,7 +29,7 @@ run_pipeline() {
     score_of "$WORK/$name.txt"
 }
 
-echo "==> listing registered pipelines"
+echo "==> listing built-in pipelines"
 "$BIN" transpile passes >"$WORK/passes.txt"
 for name in closed-default closed-stages no-optimize; do
     grep -q "$name" "$WORK/passes.txt" || {
@@ -64,6 +66,27 @@ grep -q '"pipeline":"closed-stages"' "$TRACE" || {
 for stage in logical-optimize route decompose optimize; do
     grep -q "\"stage\":\"$stage\"" "$TRACE" || {
         echo "FAIL: trace has no verify span for stage $stage"; exit 1; }
+done
+
+echo "==> asserting text and --json runs agree in both divisions"
+# The text path calls the runner directly; --json goes through
+# execute_spec and prints the store record.
+for division in closed open; do
+    OPEN=""
+    [ "$division" = open ] && OPEN=--open
+    "$BIN" run ghz --size 4 --device IonQ --shots 400 --reps 2 --seed 7 $OPEN \
+        >"$WORK/$division.txt"
+    "$BIN" run ghz --size 4 --device IonQ --shots 400 --reps 2 --seed 7 $OPEN \
+        --json --store "$WORK/store-$division" >"$WORK/$division.json"
+    grep -q "^division: $division" "$WORK/$division.txt" || {
+        echo "FAIL: text run is not in the $division division"; exit 1; }
+    grep -q "\"division\":\"$division\"" "$WORK/$division.json" || {
+        echo "FAIL: --json record is not in the $division division"; exit 1; }
+    TEXT=$(score_of "$WORK/$division.txt")
+    JSON=$(grep -o '"mean_score":[^,}]*' "$WORK/$division.json" | cut -d: -f2)
+    echo "$division: score=$TEXT mean_score=$JSON"
+    [ "$TEXT" = "$(awk -v s="$JSON" 'BEGIN { printf "%.4f", s }')" ] || {
+        echo "FAIL: $division text score $TEXT != --json mean_score $JSON"; exit 1; }
 done
 
 echo "Pipeline smoke test passed."

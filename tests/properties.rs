@@ -378,29 +378,13 @@ proptest! {
     #[test]
     fn transpiler_preserves_semantics(c in arb_circuit(4, 15), dev_idx in 0usize..3) {
         use supermarq_repro::device::Device;
-        use supermarq_repro::transpile::Transpiler;
+        use supermarq_repro::transpile::{relabel_counts, Transpiler};
         let device = [Device::ibm_guadalupe(), Device::ionq(), Device::aqt()][dev_idx].clone();
         let mut c = c;
         c.measure_all();
         let t = Transpiler::for_device(&device).run(&c).expect("fits");
-        let (compact, mapping) = t.circuit.compacted();
-        let raw = Executor::noiseless().run(&compact, 2000, 3);
-        // Relabel: program bit q <- dense(measured_on[q]).
-        let mut relabeled = Counts::new(4);
-        for (bits, count) in raw.iter() {
-            let mut out = 0u64;
-            for (prog, &phys) in t.measured_on.iter().enumerate() {
-                if let Some(p) = phys {
-                    let dense = mapping[p].expect("measured qubit used");
-                    if bits >> dense & 1 == 1 {
-                        out |= 1 << prog;
-                    }
-                }
-            }
-            for _ in 0..count {
-                relabeled.record(out);
-            }
-        }
+        let (compact, readout) = t.compacted();
+        let relabeled = relabel_counts(&Executor::noiseless().run(&compact, 2000, 3), &readout);
         let ideal = Executor::noiseless().run(&c, 2000, 3);
         // Total variation distance must be small (sampling noise only).
         let mut tv = 0.0;
