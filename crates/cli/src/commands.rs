@@ -777,8 +777,9 @@ fn cmd_client(args: &Args) -> Result<String, CliError> {
 
 /// `supermarq client watch`: a polling live view over `stats` +
 /// `metrics`. Prints one line per refresh to stderr (throughput,
-/// warm-hit ratio, queue depth, rolling p50/p99) and returns the last
-/// sample. `count == 0` polls until Ctrl-C.
+/// warm-hit ratio of cells served warm over cells requested, queue
+/// depth, rolling p50/p99) and returns the last sample. `count == 0`
+/// polls until Ctrl-C.
 fn client_watch(client: &mut Client, interval_ms: u64, count: u64) -> Result<String, CliError> {
     signal::install_handler();
     signal::clear();
@@ -798,7 +799,7 @@ fn client_watch(client: &mut Client, interval_ms: u64, count: u64) -> Result<Str
             .and_then(Json::as_u64)
             .unwrap_or(0);
         let requests = field("requests");
-        let hits = field("hits");
+        let (hits, misses) = (field("hits"), field("misses"));
         let window = metrics.get("window").and_then(|w| w.get("request"));
         let wfield = |key: &str| {
             window
@@ -814,8 +815,10 @@ fn client_watch(client: &mut Client, interval_ms: u64, count: u64) -> Result<Str
             }
             _ => 0.0,
         };
-        let warm_pct = if requests > 0 {
-            hits as f64 * 100.0 / requests as f64
+        // Warm-hit ratio over cells, not request lines: `stats`,
+        // `metrics` and the other non-cell ops request no cells.
+        let warm_pct = if hits + misses > 0 {
+            hits as f64 * 100.0 / (hits + misses) as f64
         } else {
             0.0
         };

@@ -366,6 +366,58 @@ fn client_telemetry_commands_and_cross_request_tracing() {
 }
 
 #[test]
+fn client_watch_warm_hit_is_cells_served_warm_over_cells_requested() {
+    let _guard = SIGNAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    signal::clear();
+    let store_dir = temp_dir("watch");
+    let addr_file = temp_dir("watch-addr").join("addr.txt");
+    std::fs::create_dir_all(addr_file.parent().unwrap()).unwrap();
+    let serve_argv: Vec<String> = [
+        "serve",
+        "--addr",
+        "127.0.0.1:0",
+        "--store",
+        store_dir.to_str().unwrap(),
+        "--addr-file",
+        addr_file.to_str().unwrap(),
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    let daemon = std::thread::spawn(move || dispatch(&serve_argv));
+    let addr = wait_for_addr(&addr_file);
+
+    // Eight cells; ghz 5 and 6 do not fit AQT's four qubits, so those
+    // two fail, are never stored, and miss again on the warm pass.
+    let batch_argv = [
+        "client",
+        "batch",
+        "--benchmarks",
+        "ghz",
+        "--sizes",
+        "3,4,5,6",
+        "--devices",
+        "IonQ,AQT",
+        "--shots",
+        "50",
+        "--reps",
+        "1",
+        "--addr",
+        &addr,
+    ];
+    run(&batch_argv).unwrap();
+    run(&batch_argv).unwrap();
+
+    // 6 warm cells of 16 requested: the watch's own stats and metrics
+    // polls request no cells and must not move the ratio.
+    let watch = run(&["client", "watch", "--count", "1", "--addr", &addr]).unwrap();
+    assert!(watch.contains(" warm_hit=37.5% "), "{watch}");
+
+    run(&["client", "shutdown", "--addr", &addr]).unwrap();
+    daemon.join().unwrap().unwrap();
+}
+
+#[test]
 fn batch_ctrl_c_flushes_completed_cells_and_resumes() {
     let _guard = SIGNAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     signal::clear();

@@ -14,14 +14,15 @@
 //!   lines, [`MAX_FRAME`]). Result lines are exactly
 //!   [`SweepResult::to_line`], so daemon output is byte-identical to
 //!   `supermarq batch`.
-//! - [`queue`] — the bounded, coalescing [`JobQueue`]: backpressure via
-//!   `busy` + `retry_after_ms`, duplicate specs share one simulation,
-//!   graceful drain on shutdown.
+//! - `queue` (private) — the bounded, coalescing job queue:
+//!   backpressure via `busy` + `retry_after_ms`, duplicate specs share
+//!   one simulation, graceful drain on shutdown.
 //! - [`server`] — [`Server::bind`] / [`RunningServer`]: accept loop,
 //!   per-connection handlers, worker pool over
-//!   [`SweepEngine::run_job`], per-request obs spans and `serve.*`
-//!   counters surfaced by the `stats` request.
-//! - [`telemetry`] — the in-daemon [`SpanRing`] of completed spans
+//!   [`SweepEngine::run_job`], per-request obs spans, and
+//!   [`ServeMetrics`], the one counter store behind `stats`, `metrics`
+//!   and the exit summary.
+//! - `telemetry` (private) — the in-daemon ring of completed spans
 //!   (queried by the `trace` op) and the Prometheus text exposition
 //!   behind `metrics`.
 //! - [`client`] — the blocking [`Client`] used by `supermarq client`,
@@ -49,13 +50,11 @@
 
 pub mod client;
 pub mod protocol;
-pub mod queue;
+mod queue;
 pub mod server;
 pub mod signal;
-pub mod telemetry;
+mod telemetry;
 
 pub use client::{BatchResponse, Client, RunTiming};
 pub use protocol::{ErrorKind, MetricsFormat, Request, MAX_FRAME};
-pub use queue::{Job, JobQueue, Submit};
 pub use server::{Executor, RunningServer, ServeConfig, ServeMetrics, Server};
-pub use telemetry::{SpanRecord, SpanRing};

@@ -103,6 +103,29 @@ pub enum Request {
     Shutdown,
 }
 
+impl Request {
+    /// The request's `op` name on the wire.
+    pub(crate) fn op(&self) -> &'static str {
+        match self {
+            Request::Ping => "ping",
+            Request::Run { .. } => "run",
+            Request::Batch { .. } => "batch",
+            Request::Stats => "stats",
+            Request::Metrics(_) => "metrics",
+            Request::Trace { .. } => "trace",
+            Request::Shutdown => "shutdown",
+        }
+    }
+
+    /// The distributed-trace context a `run` or `batch` carried.
+    pub(crate) fn trace(&self) -> Option<TraceContext> {
+        match self {
+            Request::Run { trace, .. } | Request::Batch { trace, .. } => *trace,
+            _ => None,
+        }
+    }
+}
+
 /// Error taxonomy for `{"type":"error","kind":...}` responses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorKind {
@@ -200,51 +223,26 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 
 /// Encodes a request for the wire (client side).
 pub fn encode_request(request: &Request) -> String {
-    let obj = match request {
-        Request::Ping => vec![("op".into(), Json::str("ping"))],
-        Request::Stats => vec![("op".into(), Json::str("stats"))],
-        Request::Shutdown => vec![("op".into(), Json::str("shutdown"))],
-        Request::Run { spec, trace } => {
-            let mut obj = vec![
-                ("op".into(), Json::str("run")),
-                ("spec".into(), spec.to_json()),
-            ];
-            if let Some(ctx) = trace.as_ref().and_then(trace_to_json) {
-                obj.push(("trace".into(), ctx));
-            }
-            obj
-        }
-        Request::Batch { grid, trace } => {
-            let mut obj = vec![
-                ("op".into(), Json::str("batch")),
-                ("grid".into(), grid.to_json()),
-            ];
-            if let Some(ctx) = trace.as_ref().and_then(trace_to_json) {
-                obj.push(("trace".into(), ctx));
-            }
-            obj
-        }
-        Request::Metrics(format) => vec![
-            ("op".into(), Json::str("metrics")),
-            (
-                "format".into(),
-                Json::str(match format {
-                    MetricsFormat::Json => "json",
-                    MetricsFormat::Prometheus => "prometheus",
-                }),
-            ),
-        ],
+    let mut obj = vec![("op".into(), Json::str(request.op()))];
+    match request {
+        Request::Ping | Request::Stats | Request::Shutdown => {}
+        Request::Run { spec, .. } => obj.push(("spec".into(), spec.to_json())),
+        Request::Batch { grid, .. } => obj.push(("grid".into(), grid.to_json())),
+        Request::Metrics(format) => obj.push((
+            "format".into(),
+            Json::str(match format {
+                MetricsFormat::Json => "json",
+                MetricsFormat::Prometheus => "prometheus",
+            }),
+        )),
         Request::Trace { id, limit } => {
-            let mut obj = vec![("op".into(), Json::str("trace"))];
-            if let Some(id) = id {
-                obj.push(("id".into(), Json::str(id)));
-            }
-            if let Some(limit) = limit {
-                obj.push(("limit".into(), Json::uint(*limit)));
-            }
-            obj
+            obj.extend(id.as_ref().map(|id| ("id".into(), Json::str(id))));
+            obj.extend(limit.map(|limit| ("limit".into(), Json::uint(limit))));
         }
-    };
+    }
+    if let Some(ctx) = request.trace().as_ref().and_then(trace_to_json) {
+        obj.push(("trace".into(), ctx));
+    }
     Json::Obj(obj).to_string()
 }
 

@@ -3,13 +3,13 @@
 //! The queue is the daemon's admission controller:
 //!
 //! - **Bounded**: at most `capacity` jobs may be *queued* (accepted but
-//!   not yet picked up by a worker). Beyond that, submission fails with
-//!   [`Submit::Full`] and the server answers `busy` + `retry_after_ms` —
-//!   backpressure instead of unbounded memory.
+//!   not yet picked up by a worker). A submission that would exceed it
+//!   fails whole with [`Submit::Full`] and the server answers `busy` +
+//!   `retry_after_ms` — backpressure instead of unbounded memory.
 //! - **Coalescing**: jobs are keyed by the spec's content hash. A second
-//!   submission of an in-flight hash joins the existing job
-//!   ([`Submit::Joined`]) and shares its one result — two clients asking
-//!   for the same spec cost one simulation.
+//!   submission of an in-flight hash joins the existing job and shares
+//!   its one result — two clients asking for the same spec cost one
+//!   simulation.
 //! - **Draining**: [`JobQueue::close`] stops admission, but workers keep
 //!   popping until the queue is empty, so every accepted job completes
 //!   and every waiter is woken. Nothing accepted is ever abandoned.
@@ -100,13 +100,9 @@ impl Job {
     }
 }
 
-/// Outcome of a submission attempt.
+/// Why a submission was refused.
 #[derive(Debug)]
 pub enum Submit {
-    /// A new job was enqueued; wait on it.
-    New(Arc<Job>),
-    /// Coalesced with an in-flight job for the same hash; wait on it.
-    Joined(Arc<Job>),
     /// Queue at capacity — retry later.
     Full,
     /// Queue closed — the daemon is draining.
@@ -141,35 +137,13 @@ impl JobQueue {
         }
     }
 
-    /// Submits one spec, coalescing with any in-flight twin. `link` is
-    /// the submitter's trace context; it sticks to the job only when
-    /// this submission creates it (joiners inherit the first
-    /// submitter's link).
-    pub fn submit(&self, spec: &RunSpec, link: Option<TraceContext>) -> Submit {
-        let mut state = self.state.lock().unwrap();
-        if state.closed {
-            return Submit::Closed;
-        }
-        let hash = spec.content_hash();
-        if let Some(job) = state.inflight.get(&hash) {
-            return Submit::Joined(Arc::clone(job));
-        }
-        if state.queued.len() >= self.capacity {
-            return Submit::Full;
-        }
-        let job = Job::new(spec.clone(), link);
-        state.inflight.insert(hash, Arc::clone(&job));
-        state.queued.push_back(Arc::clone(&job));
-        self.available.notify_one();
-        Submit::New(job)
-    }
-
-    /// Submits a whole batch atomically: either every spec is admitted
-    /// (as a new job or by joining an in-flight twin — duplicates inside
-    /// the batch coalesce too) or none is and the batch gets one `Full`
-    /// / `Closed` answer. Returns one job per input spec, in order,
-    /// plus how many coalesced. `link` follows the same rule as
-    /// [`JobQueue::submit`]: it attaches to jobs this batch creates.
+    /// Submits specs atomically: either every spec is admitted (as a new
+    /// job or by joining an in-flight twin — duplicates among the specs
+    /// coalesce too) or none is and the submission gets one `Full` /
+    /// `Closed` answer. Returns one job per input spec, in order, plus
+    /// how many coalesced. `link` is the submitter's trace context; it
+    /// sticks only to jobs this submission creates (joiners inherit the
+    /// first submitter's link).
     pub fn submit_all(
         &self,
         specs: &[RunSpec],
@@ -202,9 +176,9 @@ impl JobQueue {
             let job = Job::new(spec.clone(), link);
             state.inflight.insert(hash.clone(), Arc::clone(&job));
             state.queued.push_back(Arc::clone(&job));
+            self.available.notify_one();
             jobs.push(job);
         }
-        self.available.notify_all();
         Ok((jobs, coalesced))
     }
 
@@ -283,32 +257,37 @@ mod tests {
         }
     }
 
+    /// Submits one spec: its job, and whether it joined an in-flight
+    /// twin.
+    fn submit(queue: &JobQueue, seed: u64) -> Result<(Arc<Job>, bool), Submit> {
+        let (mut jobs, coalesced) = queue.submit_all(&[spec(seed)], None)?;
+        Ok((jobs.remove(0), coalesced == 1))
+    }
+
     #[test]
     fn duplicate_submissions_coalesce_onto_one_job() {
         let queue = JobQueue::new(4);
-        let first = match queue.submit(&spec(1), None) {
-            Submit::New(job) => job,
-            other => panic!("expected New, got {other:?}"),
-        };
+        let (first, joined) = submit(&queue, 1).unwrap();
+        assert!(!joined);
         // Same hash joins — even after a worker picked the job up.
-        assert!(matches!(queue.submit(&spec(1), None), Submit::Joined(_)));
+        assert!(submit(&queue, 1).unwrap().1);
         let picked = queue.pop().unwrap();
-        assert!(matches!(queue.submit(&spec(1), None), Submit::Joined(_)));
+        assert!(submit(&queue, 1).unwrap().1);
         assert_eq!(queue.depth(), 0);
         queue.complete(&picked, result_for(&picked.spec));
         assert_eq!(first.wait().spec, spec(1));
         // Completion retires the hash: the next submission is new work.
-        assert!(matches!(queue.submit(&spec(1), None), Submit::New(_)));
+        assert!(!submit(&queue, 1).unwrap().1);
     }
 
     #[test]
     fn capacity_rejects_with_full_but_joins_still_succeed() {
         let queue = JobQueue::new(2);
-        assert!(matches!(queue.submit(&spec(1), None), Submit::New(_)));
-        assert!(matches!(queue.submit(&spec(2), None), Submit::New(_)));
-        assert!(matches!(queue.submit(&spec(3), None), Submit::Full));
+        assert!(!submit(&queue, 1).unwrap().1);
+        assert!(!submit(&queue, 2).unwrap().1);
+        assert!(matches!(submit(&queue, 3), Err(Submit::Full)));
         // Coalescing costs no slot, so it succeeds even at capacity.
-        assert!(matches!(queue.submit(&spec(1), None), Submit::Joined(_)));
+        assert!(submit(&queue, 1).unwrap().1);
     }
 
     #[test]
@@ -336,14 +315,9 @@ mod tests {
     #[test]
     fn close_drains_accepted_work_then_stops_workers() {
         let queue = Arc::new(JobQueue::new(8));
-        let jobs: Vec<_> = (0..4)
-            .map(|i| match queue.submit(&spec(i), None) {
-                Submit::New(job) => job,
-                other => panic!("{other:?}"),
-            })
-            .collect();
+        let jobs: Vec<_> = (0..4).map(|i| submit(&queue, i).unwrap().0).collect();
         queue.close();
-        assert!(matches!(queue.submit(&spec(99), None), Submit::Closed));
+        assert!(matches!(submit(&queue, 99), Err(Submit::Closed)));
         // A worker still sees all four, then the stop signal.
         let mut served = 0;
         while let Some(job) = queue.pop() {
@@ -359,10 +333,7 @@ mod tests {
     #[test]
     fn waiters_block_until_completion_across_threads() {
         let queue = Arc::new(JobQueue::new(4));
-        let job = match queue.submit(&spec(5), None) {
-            Submit::New(job) => job,
-            other => panic!("{other:?}"),
-        };
+        let (job, _) = submit(&queue, 5).unwrap();
         let waiter = {
             let job = Arc::clone(&job);
             std::thread::spawn(move || job.wait())

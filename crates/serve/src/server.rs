@@ -6,10 +6,16 @@
 //! - one **accept thread** (non-blocking + poll, so shutdown is prompt);
 //! - one detached **handler thread per connection**, counted so shutdown
 //!   can wait for responses in flight;
-//! - `workers` **worker threads** popping the [`JobQueue`] and running
+//! - `workers` **worker threads** popping the job queue and running
 //!   jobs through [`SweepEngine::run_job`] — the exact path `supermarq
 //!   batch` uses, which is what makes daemon responses byte-identical
 //!   to offline sweeps.
+//!
+//! `run` and `batch` share one request body: warm cells come straight
+//! from the store, the misses are admitted to the queue all or nothing
+//! (a `run` is a one-cell batch), and the two differ only in the lines
+//! they write. Every frame, parsed or not, ends in one epilogue that
+//! feeds [`ServeMetrics`] and the span ring.
 //!
 //! Graceful shutdown (a `shutdown` request, [`RunningServer::shutdown`],
 //! or drop): stop admission, drain every accepted job, join workers,
@@ -26,7 +32,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use supermarq_obs::metrics::Histogram;
-use supermarq_obs::{counter, gauge, histogram, Span, TraceContext, WindowedHistogram};
+use supermarq_obs::{Span, WindowedHistogram};
 use supermarq_store::{Json, RunOutcome, RunRecord, RunSpec, Store, SweepEngine, SweepResult};
 
 use crate::protocol::{self, ErrorKind, MetricsFormat, Request, MAX_FRAME};
@@ -77,12 +83,13 @@ impl Default for ServeConfig {
     }
 }
 
-/// Service counters, readable while the daemon runs. Mirrored into the
-/// global obs registry as `serve.*` so `--profile` sees them; kept here
-/// as plain per-server atomics so tests get deterministic values.
+/// Service counters, readable while the daemon runs: the one store
+/// behind the `stats` and `metrics` ops (JSON and Prometheus) and the
+/// exit summary. Plain per-server atomics, so tests get deterministic
+/// values.
 #[derive(Debug, Default)]
 pub struct ServeMetrics {
-    /// Request lines received (including malformed ones).
+    /// Request frames received (including malformed and oversized ones).
     pub requests: AtomicU64,
     /// Run/batch cells answered straight from the store.
     pub hits: AtomicU64,
@@ -94,9 +101,9 @@ pub struct ServeMetrics {
     pub simulations: AtomicU64,
     /// Requests rejected with `busy`.
     pub rejected: AtomicU64,
-    /// Protocol errors returned (parse, oversized, internal).
+    /// Protocol errors returned (parse, oversized).
     pub errors: AtomicU64,
-    /// End-to-end latency per request line, nanoseconds.
+    /// End-to-end latency per request frame, nanoseconds.
     pub request_ns: Histogram,
     /// Latency of warm single-run hits, nanoseconds.
     pub warm_hit_ns: Histogram,
@@ -108,10 +115,26 @@ pub struct ServeMetrics {
 }
 
 impl ServeMetrics {
+    /// The lifetime counters by name, in schema order: the one list
+    /// every report of them (`stats`, `metrics`, Prometheus, the exit
+    /// summary) walks.
+    pub(crate) fn counters(&self) -> [(&'static str, u64); 7] {
+        [
+            ("requests", &self.requests),
+            ("hits", &self.hits),
+            ("misses", &self.misses),
+            ("coalesced", &self.coalesced),
+            ("simulations", &self.simulations),
+            ("rejected", &self.rejected),
+            ("errors", &self.errors),
+        ]
+        .map(|(name, counter)| (name, counter.load(Ordering::Relaxed)))
+    }
+
     /// Strict-JSON snapshot, embedded in `stats` responses and the
     /// JSON-format `metrics` response — one serializer for both ops, so
     /// the schemas cannot drift.
-    pub fn to_json(&self, queue_depth: usize, inflight: usize) -> Json {
+    fn to_json(&self, queue_depth: usize, inflight: usize) -> Json {
         fn hist(h: &Histogram) -> Json {
             Json::Obj(vec![
                 ("count".into(), Json::uint(h.count())),
@@ -120,24 +143,22 @@ impl ServeMetrics {
                 ("mean_ns".into(), Json::float(h.mean())),
             ])
         }
-        let n = |a: &AtomicU64| Json::uint(a.load(Ordering::Relaxed));
-        Json::Obj(vec![
-            ("requests".into(), n(&self.requests)),
-            ("hits".into(), n(&self.hits)),
-            ("misses".into(), n(&self.misses)),
-            ("coalesced".into(), n(&self.coalesced)),
-            ("simulations".into(), n(&self.simulations)),
-            ("rejected".into(), n(&self.rejected)),
-            ("errors".into(), n(&self.errors)),
+        let mut obj: Vec<(String, Json)> = self
+            .counters()
+            .iter()
+            .map(|&(name, value)| (name.into(), Json::uint(value)))
+            .collect();
+        obj.extend([
             ("queue_depth".into(), Json::uint(queue_depth as u64)),
             ("inflight".into(), Json::uint(inflight as u64)),
             ("request_ns".into(), hist(&self.request_ns)),
             ("warm_hit_ns".into(), hist(&self.warm_hit_ns)),
-        ])
+        ]);
+        Json::Obj(obj)
     }
 
     /// Rolling-window digests for the JSON-format `metrics` response.
-    pub fn window_json(&self) -> Json {
+    fn window_json(&self) -> Json {
         fn digest(w: &WindowedHistogram) -> Json {
             let d = w.snapshot();
             Json::Obj(vec![
@@ -262,18 +283,14 @@ impl RunningServer {
 
     /// One-line counter summary for CLI output.
     pub fn summary(&self) -> String {
-        let m = &self.shared.metrics;
-        let n = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        format!(
-            "serve: requests={} hits={} misses={} coalesced={} simulations={} rejected={} errors={}",
-            n(&m.requests),
-            n(&m.hits),
-            n(&m.misses),
-            n(&m.coalesced),
-            n(&m.simulations),
-            n(&m.rejected),
-            n(&m.errors),
-        )
+        let counters: Vec<String> = self
+            .shared
+            .metrics
+            .counters()
+            .iter()
+            .map(|(name, value)| format!("{name}={value}"))
+            .collect();
+        format!("serve: {}", counters.join(" "))
     }
 
     fn finish(&mut self) {
@@ -335,7 +352,6 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
         job.mark_dequeued();
-        gauge!("serve.queue_depth").set(shared.queue.depth() as i64);
         let engine = SweepEngine::new(&shared.store).with_cache(shared.config.use_cache);
         let exec = &shared.exec;
         // Continue the submitting request's trace (in-process link:
@@ -364,14 +380,13 @@ fn worker_loop(shared: &Shared) {
             store_error: false,
             outcome: Err("internal: executor panicked".into()),
         });
-        let execute_ns = u64::try_from(exec_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let execute_ns = elapsed_ns(exec_start);
         job.set_execute_ns(execute_ns);
         span.record("ok", result.outcome.is_ok());
         span.record("from_cache", result.from_cache);
         drop(span);
         if !result.from_cache {
             shared.metrics.simulations.fetch_add(1, Ordering::Relaxed);
-            counter!("serve.simulations").incr();
         }
         shared.ring.push(SpanRecord {
             name: "serve.execute",
@@ -395,6 +410,11 @@ fn worker_loop(shared: &Shared) {
 /// Milliseconds since `since`, saturating.
 fn elapsed_ms(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_millis()).unwrap_or(u64::MAX)
+}
+
+/// Nanoseconds since `since`, saturating.
+fn elapsed_ns(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// One complete request frame, or the reason there is none.
@@ -474,159 +494,111 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     };
     let mut reader = BufReader::new(stream);
     loop {
-        match read_frame(&mut reader, &shared.stop, shared.config.idle_timeout) {
-            Frame::Line(line) => {
-                if line.trim().is_empty() {
-                    continue; // blank keep-alives from interactive netcat
-                }
-                if !handle_request(shared, &line, &mut writer) {
-                    return;
-                }
-            }
-            Frame::TooLong => {
-                shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                counter!("serve.errors").incr();
-                let message = format!("request frame exceeds {MAX_FRAME} bytes");
-                write_line(
-                    &mut writer,
-                    &protocol::error_line(ErrorKind::Oversized, &message, None),
-                );
-                // The rest of the oversized line is unread; there is no
-                // way to resynchronize, so close.
-                return;
-            }
+        let frame = match read_frame(&mut reader, &shared.stop, shared.config.idle_timeout) {
+            Frame::Line(line) if line.trim().is_empty() => continue, // keep-alives from netcat
+            Frame::Line(line) => Some(line),
+            Frame::TooLong => None,
             Frame::Eof | Frame::Stopped => return,
+        };
+        if !handle_request(shared, frame.as_deref(), &mut writer) {
+            return;
         }
     }
 }
 
-/// Per-request facts the dispatch handlers report back so the epilogue
-/// (latency histograms, ring record) can attribute the outcome.
+/// Per-request facts the handlers report back so the epilogue's ring
+/// record can attribute the outcome.
 struct Outcome {
     ok: bool,
-    /// `warm` / `executed` / `coalesced` for run-shaped work, `""`
-    /// otherwise.
+    /// `warm` / `executed` / `coalesced` for a `run`, `""` otherwise.
     source: &'static str,
 }
 
-/// Serves one request line. Returns `false` when the connection should
-/// close (write failure, shutdown, unrecoverable framing).
-fn handle_request(shared: &Arc<Shared>, line: &str, out: &mut impl Write) -> bool {
+/// Serves one request frame; `None` is a frame longer than
+/// [`MAX_FRAME`]. Every frame, parsed or not, ends in the same
+/// epilogue: the `requests` count, latency histograms (lifetime and
+/// rolling window) and a ring record. Returns `false` when the
+/// connection should close (write failure, shutdown, unrecoverable
+/// framing).
+fn handle_request(shared: &Shared, frame: Option<&str>, out: &mut impl Write) -> bool {
     shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
-    counter!("serve.requests").incr();
     let start = Instant::now();
     let start_ms = elapsed_ms(shared.started);
-    let request = match protocol::parse_request(line) {
-        Ok(request) => request,
-        Err(message) => {
-            // Parse failures still get a (trace-less) span and latency
-            // sample: a flood of junk shows up in telemetry too.
-            let mut span = Span::open("serve.request");
-            shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            counter!("serve.errors").incr();
-            span.record("ok", false);
-            let keep_open =
-                write_line(out, &protocol::error_line(ErrorKind::Parse, &message, None));
-            let span_id = span.id();
-            drop(span);
-            finish_request(
-                shared, start, start_ms, "parse", span_id, 0, None, false, "",
-            );
-            return keep_open;
-        }
+    let request = match frame {
+        Some(line) => protocol::parse_request(line).map_err(|message| (ErrorKind::Parse, message)),
+        None => Err((
+            ErrorKind::Oversized,
+            format!("request frame exceeds {MAX_FRAME} bytes"),
+        )),
     };
     // The request span continues the client's trace when the frame
     // carried a context: the client's span id becomes `remote_parent`,
     // and the trace id flows to every child span on this thread.
-    let (op, ctx) = match &request {
-        Request::Ping => ("ping", None),
-        Request::Stats => ("stats", None),
-        Request::Shutdown => ("shutdown", None),
-        Request::Metrics(_) => ("metrics", None),
-        Request::Trace { .. } => ("trace", None),
-        Request::Run { trace, .. } => ("run", *trace),
-        Request::Batch { trace, .. } => ("batch", *trace),
-    };
+    let ctx = request.as_ref().ok().and_then(Request::trace);
     let mut span = Span::open_in_context("serve.request", ctx.as_ref());
-    span.record("op", op);
     let mut outcome = Outcome {
         ok: true,
         source: "",
     };
-    let keep_open = match request {
-        Request::Ping => write_line(out, &protocol::pong_line()),
-        Request::Stats => write_line(out, &stats_response(shared)),
-        Request::Metrics(format) => write_line(out, &metrics_response(shared, format)),
-        Request::Trace { id, limit } => {
-            write_line(out, &trace_response(shared, id.as_deref(), limit))
+    let (op, keep_open) = match request {
+        // A rejected frame still gets a (trace-less) span, a latency
+        // sample and a ring record: a flood of junk shows up in
+        // telemetry too. The rest of an oversized line is unread and
+        // there is no way to resynchronize, so it closes the connection.
+        Err((kind, message)) => {
+            shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
+            outcome.ok = false;
+            let written = write_line(out, &protocol::error_line(kind, &message, None));
+            (kind.as_str(), written && kind == ErrorKind::Parse)
         }
-        Request::Shutdown => {
-            write_line(out, &protocol::shutdown_line());
-            shared.begin_shutdown();
-            false
+        Ok(request) => {
+            let op = request.op();
+            span.record("op", op);
+            let keep_open = match request {
+                Request::Ping => write_line(out, &protocol::pong_line()),
+                Request::Stats => write_line(out, &stats_response(shared)),
+                Request::Metrics(format) => write_line(out, &metrics_response(shared, format)),
+                Request::Trace { id, limit } => {
+                    write_line(out, &trace_response(shared, id.as_deref(), limit))
+                }
+                Request::Shutdown => {
+                    write_line(out, &protocol::shutdown_line());
+                    shared.begin_shutdown();
+                    false
+                }
+                Request::Run { spec, trace } => {
+                    let echo = trace.is_some();
+                    handle_run(shared, &spec, echo, start, &span, out, &mut outcome)
+                }
+                Request::Batch { grid, .. } => {
+                    handle_batch(shared, &grid.expand(), &span, out, &mut outcome)
+                }
+            };
+            (op, keep_open)
         }
-        Request::Run { spec, trace } => handle_run(
-            shared,
-            &spec,
-            trace.as_ref(),
-            out,
-            start,
-            &span,
-            &mut outcome,
-        ),
-        Request::Batch { grid, .. } => handle_batch(shared, &grid, out, &span, &mut outcome),
     };
     span.record("ok", outcome.ok);
     let span_id = span.id();
     let trace = span.trace_id().or(ctx.and_then(|c| c.trace));
-    // The ring's serve.request record points back at the *client's*
-    // span when one was given, so merged tooling sees the stitch even
-    // without trace files.
-    let remote_parent = ctx.map_or(0, |c| c.parent);
     drop(span);
-    finish_request(
-        shared,
-        start,
-        start_ms,
-        op,
-        span_id,
-        remote_parent,
-        trace.map(|t| t.to_hex()),
-        outcome.ok,
-        outcome.source,
-    );
-    keep_open
-}
-
-/// Request epilogue: latency histograms (lifetime + rolling window) and
-/// the ring record every protocol op leaves behind.
-#[allow(clippy::too_many_arguments)]
-fn finish_request(
-    shared: &Shared,
-    start: Instant,
-    start_ms: u64,
-    op: &'static str,
-    span_id: Option<u64>,
-    parent: u64,
-    trace: Option<String>,
-    ok: bool,
-    source: &'static str,
-) {
-    let elapsed_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    let elapsed_ns = elapsed_ns(start);
     shared.metrics.request_ns.record(elapsed_ns);
     shared.metrics.request_window.record(elapsed_ns);
-    histogram!("serve.request_ns").record(elapsed_ns);
     shared.ring.push(SpanRecord {
         name: "serve.request",
         op,
-        trace,
+        trace: trace.map(|t| t.to_hex()),
         span: span_id.unwrap_or(0),
-        parent,
+        // The ring's serve.request record points back at the *client's*
+        // span when one was given, so merged tooling sees the stitch
+        // even without trace files.
+        parent: ctx.map_or(0, |c| c.parent),
         start_ms,
         elapsed_ns,
-        ok,
-        source,
+        ok: outcome.ok,
+        source: outcome.source,
     });
+    keep_open
 }
 
 fn stats_response(shared: &Shared) -> String {
@@ -662,179 +634,200 @@ fn trace_response(shared: &Shared, id: Option<&str>, limit: Option<u64>) -> Stri
     protocol::trace_line(spans.iter().map(SpanRecord::to_json).collect())
 }
 
-/// Waits for a queued job inside a `serve.wait` child span, so traces
-/// show queue wait distinctly from execution.
-fn wait_traced(job: &Job, coalesced: bool) -> SweepResult {
-    let mut span = Span::open("serve.wait");
-    span.record("coalesced", coalesced);
-    job.wait()
+/// One cell of a `run` or `batch`, resolved.
+enum Cell {
+    /// Served from the store.
+    Warm(RunRecord),
+    /// Resolved by a job: the job (for its timings) and its result.
+    Fresh(Arc<Job>, SweepResult),
 }
 
-#[allow(clippy::too_many_arguments)]
-fn handle_run(
-    shared: &Shared,
-    spec: &RunSpec,
-    wire_ctx: Option<&TraceContext>,
-    out: &mut impl Write,
-    start: Instant,
-    span: &Span,
-    outcome: &mut Outcome,
-) -> bool {
-    // The timing echo is strictly opt-in: only requests that carried a
-    // trace context get the extra line, so untraced responses stay
-    // byte-identical to the pre-telemetry wire format.
-    let echo = wire_ctx.is_some();
-    if shared.config.use_cache {
-        if let Some(record) = shared.store.get(spec) {
-            shared.metrics.hits.fetch_add(1, Ordering::Relaxed);
-            counter!("serve.hits").incr();
-            let warm_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            shared.metrics.warm_hit_ns.record(warm_ns);
-            shared.metrics.warm_window.record(warm_ns);
-            histogram!("serve.warm_hit_ns").record(warm_ns);
-            outcome.source = "warm";
-            let mut keep_open = write_line(out, &record.to_line());
-            if keep_open && echo {
-                keep_open = write_line(out, &protocol::timing_line("warm", warm_ns, 0, 0));
-            }
-            return keep_open;
+impl Cell {
+    /// The cell's result line, exactly as `supermarq batch` writes it.
+    fn to_line(&self) -> String {
+        match self {
+            Cell::Warm(record) => record.to_line(),
+            Cell::Fresh(_, result) => result.to_line(),
         }
     }
-    // The job link is *this server's* request span (which itself points
-    // at the client's root): the worker parents its execute span here.
-    let submitted = match shared.queue.submit(spec, span.ctx()) {
-        Submit::New(job) => {
-            shared.metrics.misses.fetch_add(1, Ordering::Relaxed);
-            counter!("serve.misses").incr();
-            gauge!("serve.queue_depth").set(shared.queue.depth() as i64);
-            outcome.source = "executed";
-            Some((job, false))
-        }
-        Submit::Joined(job) => {
-            shared.metrics.misses.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.coalesced.fetch_add(1, Ordering::Relaxed);
-            counter!("serve.misses").incr();
-            counter!("serve.coalesced").incr();
-            outcome.source = "coalesced";
-            Some((job, true))
-        }
-        Submit::Full => {
-            shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            counter!("serve.rejected").incr();
-            outcome.ok = false;
-            return write_line(
-                out,
-                &protocol::error_line(ErrorKind::Busy, "job queue full", Some(RETRY_AFTER_MS)),
-            );
-        }
-        Submit::Closed => {
-            outcome.ok = false;
-            write_line(
-                out,
-                &protocol::error_line(ErrorKind::ShuttingDown, "daemon is draining", None),
-            );
-            return false;
-        }
-    };
-    let (job, coalesced) = submitted.expect("submit variants handled above");
-    let result = wait_traced(&job, coalesced);
-    outcome.ok = result.outcome.is_ok();
-    let mut keep_open = write_line(out, &result.to_line());
-    if keep_open && echo {
-        let total_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        keep_open = write_line(
-            out,
-            &protocol::timing_line(outcome.source, total_ns, job.queue_ns(), job.execute_ns()),
-        );
-    }
-    keep_open
 }
 
-fn handle_batch(
-    shared: &Shared,
-    grid: &supermarq_store::SweepGrid,
-    out: &mut impl Write,
-    span: &Span,
-    outcome: &mut Outcome,
-) -> bool {
-    let specs = grid.expand();
-    // Partition warm cells exactly like `SweepEngine::run` does, so the
-    // response body is byte-identical to `supermarq batch` output.
-    let cached: Vec<Option<RunRecord>> = specs
+/// A request's cells in request order, with their tallies.
+struct Resolved {
+    cells: Vec<Cell>,
+    hits: u64,
+    misses: u64,
+    coalesced: u64,
+}
+
+/// A request whose misses the queue did not admit: why, and how many
+/// cells needed a job.
+struct Refused {
+    reason: Submit,
+    misses: usize,
+}
+
+/// The body `run` and `batch` share. It serves warm cells from the
+/// store, admits the misses to the queue as one all-or-nothing unit (a
+/// `run` is a one-cell batch; a request with no misses never touches
+/// the queue), counts the request, and waits for its jobs.
+fn resolve(shared: &Shared, specs: &[RunSpec], span: &Span) -> Result<Resolved, Refused> {
+    let use_cache = shared.config.use_cache;
+    let stored: Vec<Option<RunRecord>> = specs
         .iter()
-        .map(|spec| {
-            if shared.config.use_cache {
-                shared.store.get(spec)
-            } else {
-                None
-            }
-        })
+        .map(|spec| use_cache.then(|| shared.store.get(spec)).flatten())
         .collect();
     let miss_specs: Vec<RunSpec> = specs
         .iter()
-        .zip(&cached)
-        .filter(|(_, c)| c.is_none())
-        .map(|(s, _)| s.clone())
+        .zip(&stored)
+        .filter(|(_, record)| record.is_none())
+        .map(|(spec, _)| spec.clone())
         .collect();
-    let (jobs, coalesced) = match shared.queue.submit_all(&miss_specs, span.ctx()) {
+    // The job link is *this server's* request span (which itself points
+    // at the client's root): the worker parents its execute span here.
+    let admitted = if miss_specs.is_empty() {
+        Ok((Vec::new(), 0))
+    } else {
+        shared.queue.submit_all(&miss_specs, span.ctx())
+    };
+    let metrics = &shared.metrics;
+    let (jobs, coalesced) = match admitted {
         Ok(admitted) => admitted,
-        Err(Submit::Full) => {
-            shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            counter!("serve.rejected").incr();
-            outcome.ok = false;
-            let message = format!(
-                "job queue cannot admit {} jobs; retry later",
-                miss_specs.len()
-            );
-            return write_line(
-                out,
-                &protocol::error_line(ErrorKind::Busy, &message, Some(RETRY_AFTER_MS)),
-            );
+        Err(reason) => {
+            if matches!(reason, Submit::Full) {
+                metrics.rejected.fetch_add(1, Ordering::Relaxed);
+            }
+            let misses = miss_specs.len();
+            return Err(Refused { reason, misses });
         }
-        Err(_) => {
-            outcome.ok = false;
+    };
+    let misses = miss_specs.len() as u64;
+    let hits = specs.len() as u64 - misses;
+    metrics.hits.fetch_add(hits, Ordering::Relaxed);
+    metrics.misses.fetch_add(misses, Ordering::Relaxed);
+    metrics.coalesced.fetch_add(coalesced, Ordering::Relaxed);
+    // Queue wait gets its own span, so traces show it apart from
+    // execution.
+    let waiting = (misses > 0).then(|| Span::open("serve.wait").with("coalesced", coalesced > 0));
+    let mut jobs = jobs.into_iter();
+    let cells = stored
+        .into_iter()
+        .map(|record| match record {
+            Some(record) => Cell::Warm(record),
+            None => {
+                let job = jobs.next().expect("submit_all returns one job per miss");
+                let result = job.wait();
+                Cell::Fresh(job, result)
+            }
+        })
+        .collect();
+    drop(waiting);
+    Ok(Resolved {
+        cells,
+        hits,
+        misses,
+        coalesced,
+    })
+}
+
+/// Answers a request whose misses were refused: `busy` with a retry
+/// hint when the queue is full, `shutting-down` (and close) when the
+/// daemon is draining.
+fn refuse(out: &mut impl Write, refused: Refused, busy: &str, outcome: &mut Outcome) -> bool {
+    outcome.ok = false;
+    match refused.reason {
+        Submit::Full => write_line(
+            out,
+            &protocol::error_line(ErrorKind::Busy, busy, Some(RETRY_AFTER_MS)),
+        ),
+        Submit::Closed => {
             write_line(
                 out,
                 &protocol::error_line(ErrorKind::ShuttingDown, "daemon is draining", None),
             );
-            return false;
+            false
+        }
+    }
+}
+
+/// Writes a `run`'s result line and, when the request carried a trace
+/// context (`echo`), its timing line. The echo is strictly opt-in, so
+/// untraced responses stay byte-identical to the pre-telemetry wire
+/// format.
+fn handle_run(
+    shared: &Shared,
+    spec: &RunSpec,
+    echo: bool,
+    start: Instant,
+    span: &Span,
+    out: &mut impl Write,
+    outcome: &mut Outcome,
+) -> bool {
+    let mut resolved = match resolve(shared, std::slice::from_ref(spec), span) {
+        Ok(resolved) => resolved,
+        Err(refused) => return refuse(out, refused, "job queue full", outcome),
+    };
+    match resolved.cells.pop().expect("a run has one cell") {
+        Cell::Warm(record) => {
+            let warm_ns = elapsed_ns(start);
+            shared.metrics.warm_hit_ns.record(warm_ns);
+            shared.metrics.warm_window.record(warm_ns);
+            outcome.source = "warm";
+            write_line(out, &record.to_line())
+                && (!echo || write_line(out, &protocol::timing_line("warm", warm_ns, 0, 0)))
+        }
+        Cell::Fresh(job, result) => {
+            outcome.source = if resolved.coalesced > 0 {
+                "coalesced"
+            } else {
+                "executed"
+            };
+            outcome.ok = result.outcome.is_ok();
+            write_line(out, &result.to_line())
+                && (!echo
+                    || write_line(
+                        out,
+                        &protocol::timing_line(
+                            outcome.source,
+                            elapsed_ns(start),
+                            job.queue_ns(),
+                            job.execute_ns(),
+                        ),
+                    ))
+        }
+    }
+}
+
+/// Writes a `batch`'s header, then one result line per cell in grid
+/// order — byte-identical to `supermarq batch` output. Waiting for
+/// every job first lets the header carry the failure count.
+fn handle_batch(
+    shared: &Shared,
+    specs: &[RunSpec],
+    span: &Span,
+    out: &mut impl Write,
+    outcome: &mut Outcome,
+) -> bool {
+    let resolved = match resolve(shared, specs, span) {
+        Ok(resolved) => resolved,
+        Err(refused) => {
+            let busy = format!(
+                "job queue cannot admit {} jobs; retry later",
+                refused.misses
+            );
+            return refuse(out, refused, &busy, outcome);
         }
     };
-    let hits = (specs.len() - miss_specs.len()) as u64;
-    shared.metrics.hits.fetch_add(hits, Ordering::Relaxed);
-    shared
-        .metrics
-        .misses
-        .fetch_add(miss_specs.len() as u64, Ordering::Relaxed);
-    shared
-        .metrics
-        .coalesced
-        .fetch_add(coalesced, Ordering::Relaxed);
-    counter!("serve.hits").add(hits);
-    counter!("serve.misses").add(miss_specs.len() as u64);
-    counter!("serve.coalesced").add(coalesced);
-    gauge!("serve.queue_depth").set(shared.queue.depth() as i64);
-    // Wait for every job, then assemble lines in grid order. Waiting
-    // first lets the header carry the failure count.
-    let fresh: Vec<SweepResult> = jobs.iter().map(|job| job.wait()).collect();
-    let failures = fresh.iter().filter(|r| r.outcome.is_err()).count() as u64;
+    let failures = resolved
+        .cells
+        .iter()
+        .filter(|cell| matches!(cell, Cell::Fresh(_, result) if result.outcome.is_err()))
+        .count() as u64;
     let header =
-        protocol::batch_header_line(specs.len() as u64, hits, miss_specs.len() as u64, failures);
-    if !write_line(out, &header) {
-        return false;
-    }
-    let mut next_fresh = fresh.into_iter();
-    for record in cached {
-        let line = match record {
-            Some(record) => record.to_line(),
-            None => match next_fresh.next() {
-                Some(result) => result.to_line(),
-                None => protocol::error_line(ErrorKind::Internal, "job result missing", None),
-            },
-        };
-        if !write_line(out, &line) {
-            return false;
-        }
-    }
-    true
+        protocol::batch_header_line(specs.len() as u64, resolved.hits, resolved.misses, failures);
+    write_line(out, &header)
+        && resolved
+            .cells
+            .iter()
+            .all(|cell| write_line(out, &cell.to_line()))
 }

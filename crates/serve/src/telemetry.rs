@@ -154,15 +154,7 @@ fn seconds(ns: u64) -> f64 {
 /// 60 s window digests as gauges.
 pub fn prometheus_text(metrics: &ServeMetrics, queue_depth: u64, inflight: u64) -> String {
     let mut out = String::with_capacity(2048);
-    for (name, value) in [
-        ("requests", metrics.requests.load(Ordering::Relaxed)),
-        ("hits", metrics.hits.load(Ordering::Relaxed)),
-        ("misses", metrics.misses.load(Ordering::Relaxed)),
-        ("coalesced", metrics.coalesced.load(Ordering::Relaxed)),
-        ("simulations", metrics.simulations.load(Ordering::Relaxed)),
-        ("rejected", metrics.rejected.load(Ordering::Relaxed)),
-        ("errors", metrics.errors.load(Ordering::Relaxed)),
-    ] {
+    for (name, value) in metrics.counters() {
         let full = format!("supermarq_serve_{name}_total");
         out.push_str(&format!("# TYPE {full} counter\n"));
         sample(&mut out, &full, "", value);

@@ -166,6 +166,71 @@ fn oversized_frame_gets_a_typed_error_and_the_connection_closes() {
 }
 
 #[test]
+fn oversized_frames_are_counted_like_any_other_request() {
+    let server = start_server("oversized-accounting");
+    let addr = server.addr();
+    // The oversized frame: its error line, then the close. The close
+    // comes after the request's accounting, so reading to EOF orders
+    // the counters below.
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let _ = writer.write_all(&vec![b'x'; MAX_FRAME + 2]);
+    let _ = writer.flush();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert_error_kind(line.trim_end(), "oversized");
+    assert_eq!(reader.read_line(&mut String::new()).unwrap(), 0);
+
+    // A junk line, then `stats` and `trace` on the same connection:
+    // frames on one connection are served in order, epilogue included.
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let frames = format!(
+        "junk\n{}\n{}\n",
+        encode_request(&Request::Stats),
+        encode_request(&Request::Trace {
+            id: None,
+            limit: Some(64),
+        })
+    );
+    writer.write_all(frames.as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut next = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        line.trim_end().to_string()
+    };
+    assert_error_kind(&next(), "parse");
+    let stats = Json::parse(&next()).unwrap();
+    let trace = Json::parse(&next()).unwrap();
+    let serve = stats.get("serve").unwrap();
+    let count = |key: &str| serve.get(key).and_then(Json::as_u64);
+    assert_eq!(count("requests"), Some(3), "{stats}");
+    assert_eq!(count("errors"), Some(2), "{stats}");
+    // The `stats` request is still open while it reports, so two
+    // latency samples: the oversized frame and the junk line.
+    let request_ns = serve.get("request_ns").unwrap();
+    assert_eq!(request_ns.get("count").and_then(Json::as_u64), Some(2));
+
+    let spans = trace.get("spans").and_then(Json::as_arr).unwrap();
+    let ops: Vec<&str> = spans
+        .iter()
+        .filter(|s| s.get("name").and_then(Json::as_str) == Some("serve.request"))
+        .filter_map(|s| s.get("op").and_then(Json::as_str))
+        .collect();
+    assert_eq!(ops, ["oversized", "parse", "stats"], "{trace}");
+    assert_eq!(spans[0].get("ok"), Some(&Json::Bool(false)), "{trace}");
+    server.shutdown();
+}
+
+#[test]
 fn empty_and_whitespace_lines_are_ignored_keepalives() {
     let server = start_server("blank");
     let stream = TcpStream::connect(server.addr()).unwrap();

@@ -35,6 +35,12 @@ pub(crate) fn set_force_parallel(on: bool) -> bool {
     FORCE_PARALLEL.swap(on, Ordering::Relaxed)
 }
 
+/// Held by every test that sets [`FORCE_PARALLEL`] or needs it clear:
+/// the flag is process-global and the test harness runs tests in
+/// parallel.
+#[cfg(test)]
+pub(crate) static FORCE_PARALLEL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// A raw pointer to the amplitude array, shareable across pool workers.
 ///
 /// Range kernels index disjoint amplitude sets for disjoint task ranges,
@@ -121,9 +127,13 @@ pub(crate) fn run_chunked(tasks: usize, kernel: impl Fn(Range<usize>) + Sync) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::PoisonError;
 
     #[test]
     fn small_task_counts_stay_inline() {
+        let _force_lock = FORCE_PARALLEL_LOCK
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         // 100 tasks is far below MIN_TASKS_PER_WORKER: one contiguous call.
         let calls = AtomicUsize::new(0);
         run_chunked(100, |r| {
@@ -135,6 +145,9 @@ mod tests {
 
     #[test]
     fn forced_chunking_covers_every_task_exactly_once() {
+        let _force_lock = FORCE_PARALLEL_LOCK
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let prev = set_force_parallel(true);
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(4)

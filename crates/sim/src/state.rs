@@ -1291,6 +1291,9 @@ mod tests {
         };
         let mut serial = StateVector::zero_state(8);
         evolve(&mut serial);
+        let _force_lock = chunk::FORCE_PARALLEL_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let prev = chunk::set_force_parallel(true);
         for threads in [2usize, 4, 8] {
             let pool = rayon::ThreadPoolBuilder::new()
@@ -1372,6 +1375,9 @@ mod tests {
         let mut serial = scrambled_state_n(9);
         let mut chunked = serial.clone();
         serial.permute_amps(&cols, offset);
+        let _force_lock = chunk::FORCE_PARALLEL_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let prev = chunk::set_force_parallel(true);
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(4)

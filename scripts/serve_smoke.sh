@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the serve daemon:
 #   1. the same batch shipped twice to a daemon — the second pass must
-#      run zero simulations and be byte-identical;
+#      run zero simulations and be byte-identical, and `client watch`
+#      must report warm-hit as hits/(hits+misses) from `client stats`;
 #   2. `metrics` scraped mid-batch in both formats: the Prometheus body
 #      must pass a line-grammar check and carry queue-depth gauges and
 #      windowed p50/p99 while work is in flight;
@@ -10,7 +11,9 @@
 #      completed from warm hits plus re-simulation of the gap;
 #   4. `cache stats --format json` must emit the same store object the
 #      daemon's `stats` response carries;
-#   5. graceful shutdown via `supermarq client shutdown`;
+#   5. graceful shutdown via `supermarq client shutdown`: the exit
+#      summary equals the last `client stats` counters plus the
+#      shutdown request itself;
 #   6. cross-process tracing: a traced `client run` against a traced
 #      daemon must yield two JSONL files sharing one trace id, stitched
 #      via remote_parent. The merged file is copied to $SERVE_TRACE_OUT
@@ -57,6 +60,10 @@ serve_stat() { # serve_stat <counter>  — reads one serve.* counter via `client
         | tr ',{' '\n\n' | sed -n "s/^\"$1\"://p" | head -n 1
 }
 
+counter_of() { # counter_of <stats-json> <counter>  — one counter of a saved `client stats`
+    printf '%s\n' "$1" | tr ',{' '\n\n' | sed -n "s/^\"$2\"://p" | head -n 1
+}
+
 echo "==> starting daemon"
 start_daemon
 
@@ -77,6 +84,15 @@ grep -q "misses=0" "$WORK/summary2.txt" || {
     echo "FAIL: warm pass simulated ($SIMS_BEFORE -> $SIMS_AFTER)"; exit 1; }
 cmp "$WORK/pass1.jsonl" "$WORK/pass2.jsonl" || {
     echo "FAIL: warm pass output differs from cold pass"; exit 1; }
+
+echo "==> client watch warm-hit equals hits/(hits+misses) from client stats"
+WATCH=$("$BIN" client watch --count 1 --addr "$ADDR" 2>/dev/null)
+WARM_PCT=$(printf '%s\n' "$WATCH" | sed -n 's/.* warm_hit=\([0-9.]*\)%.*/\1/p')
+STATS=$("$BIN" client stats --addr "$ADDR")
+EXPECTED_PCT=$(awk -v h="$(counter_of "$STATS" hits)" -v m="$(counter_of "$STATS" misses)" \
+    'BEGIN { printf "%.1f", (h + m > 0) ? 100 * h / (h + m) : 0 }')
+[ -n "$WARM_PCT" ] && [ "$WARM_PCT" = "$EXPECTED_PCT" ] || {
+    echo "FAIL: watch warm_hit=${WARM_PCT}% but stats give ${EXPECTED_PCT}%: $WATCH"; exit 1; }
 
 echo "==> metrics scrape mid-batch (both formats)"
 # A cold grid (fresh seeds) launched in the background so the scrape
@@ -151,11 +167,23 @@ DAEMON_ENTRIES=$("$BIN" client stats --addr "$ADDR" \
     echo "FAIL: stats disagree (cli=$CLI_ENTRIES daemon=$DAEMON_ENTRIES)"; exit 1; }
 
 echo "==> graceful shutdown"
+LAST_STATS=$("$BIN" client stats --addr "$ADDR")
 "$BIN" client shutdown --addr "$ADDR"
 wait "$DAEMON_PID" || true
 DAEMON_PID=""
 grep -q "serve: requests=" "$WORK/serve.log" || {
     echo "FAIL: daemon exited without printing its summary"; cat "$WORK/serve.log"; exit 1; }
+
+echo "==> exit summary equals the last stats counters plus the shutdown request"
+EXPECTED_SUMMARY="serve:"
+for COUNTER in requests hits misses coalesced simulations rejected errors; do
+    VALUE=$(counter_of "$LAST_STATS" "$COUNTER")
+    [ "$COUNTER" = requests ] && VALUE=$((VALUE + 1))
+    EXPECTED_SUMMARY="$EXPECTED_SUMMARY $COUNTER=$VALUE"
+done
+SUMMARY=$(grep "^serve: requests=" "$WORK/serve.log")
+[ "$SUMMARY" = "$EXPECTED_SUMMARY" ] || {
+    echo "FAIL: exit summary '$SUMMARY' != last stats plus shutdown '$EXPECTED_SUMMARY'"; exit 1; }
 
 echo "==> cross-process trace propagation (client + daemon JSONL merge)"
 start_daemon --trace-out "$WORK/daemon_trace.jsonl"
