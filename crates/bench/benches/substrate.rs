@@ -15,7 +15,7 @@ use supermarq::benchmarks::{GhzBenchmark, MerminBellBenchmark, QaoaVanillaBenchm
 use supermarq::CircuitFamily;
 use supermarq::FeatureVector;
 use supermarq_circuit::{Circuit, Gate};
-use supermarq_clifford::{diagonalize, StabilizerSimulator};
+use supermarq_clifford::{diagonalize, CliffordOp, StabilizerSimulator};
 use supermarq_device::Device;
 use supermarq_geometry::{monte_carlo_volume, ConvexHull};
 use supermarq_pauli::{mermin_operator, tfim_hamiltonian};
@@ -198,9 +198,9 @@ fn bench_clifford(c: &mut Criterion) {
         use rand::SeedableRng;
         b.iter(|| {
             let mut sim = StabilizerSimulator::new(200);
-            sim.h(0);
+            sim.apply(CliffordOp::H(0));
             for q in 0..199 {
-                sim.cx(q, q + 1);
+                sim.apply(CliffordOp::Cx(q, q + 1));
             }
             let mut rng = StdRng::seed_from_u64(1);
             // measure_all is mask-limited to 64 qubits; measure per qubit.

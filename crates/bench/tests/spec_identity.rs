@@ -12,10 +12,12 @@ use std::fmt::Write;
 
 use supermarq::registry::{BenchmarkEntry, BenchmarkRegistry, ParamKind};
 use supermarq::spec::execute_spec;
-use supermarq::{Benchmark, CircuitFamily};
+use supermarq::{Benchmark, CircuitFamily, Mirror};
 use supermarq_bench::{figure2_points, shots_for};
+use supermarq_clifford::{diagonalize, StabilizerExecutor};
 use supermarq_device::Device;
-use supermarq_sim::Executor;
+use supermarq_pauli::mermin_operator;
+use supermarq_sim::{Executor, NoiseModel};
 use supermarq_store::{RunRecord, RunSpec};
 use supermarq_transpile::Transpiler;
 
@@ -159,6 +161,120 @@ fn noisy_counts_digest() {
         supermarq_store::hash::sha256_hex(listing.as_bytes()),
         NOISY_COUNTS_DIGEST,
         "noisy trajectory Counts drifted:\n{listing}"
+    );
+}
+
+/// SHA-256 over [`tableau_outputs_listing`], captured while the tableau
+/// still built X, Z, S†, CZ and SWAP from H, S and CX. Each tableau row
+/// is the exact image `U P U†` and the measurement draws depend only on
+/// the rows, so any correct statement of the Clifford rules reproduces
+/// these outputs bit for bit.
+const TABLEAU_OUTPUTS_DIGEST: &str =
+    "7f9862b7b01f2682828226927fee5ba2ea374acc772fa773820049ba80c82e38";
+
+/// The registry entries whose circuits the tableau runs.
+const CLIFFORD_IDS: [&str; 5] = ["ghz", "bit-code", "phase-code", "bv", "mermin-bell"];
+
+/// `(base id, size)` of the wide Clifford mirrors that
+/// `supermarq bench mirror` scores on the tableau.
+const WIDE_MIRRORS: [(&str, usize); 5] = [
+    ("ghz", 100),
+    ("ghz", 200),
+    ("bv", 60),
+    ("bit-code", 50),
+    ("phase-code", 50),
+];
+
+/// Every output the tableau produces, one line each:
+/// - `StabilizerExecutor::run` Counts at 300 shots of the smallest 3+
+///   qubit instance of each [`CLIFFORD_IDS`] entry and its mirror, raw
+///   and transpiled-and-compacted on every Table II device, each under
+///   ideal noise and under every device's noise model;
+/// - `success_fraction` of the [`WIDE_MIRRORS`] at 40 shots, under ideal
+///   and IonQ noise;
+/// - the QASM and diagonal terms of `diagonalize(mermin_operator(n))`
+///   for n = 2..8.
+fn tableau_outputs_listing() -> String {
+    let registry = BenchmarkRegistry::builtin();
+    let devices = Device::all_paper_devices();
+    let mut models = vec![("ideal".to_string(), NoiseModel::ideal())];
+    models.extend(
+        devices
+            .iter()
+            .map(|d| (d.name().to_string(), d.noise_model())),
+    );
+    let mut all = String::new();
+    for id in CLIFFORD_IDS {
+        let entry = registry.get(id).expect("registered");
+        let base = small_instance(entry);
+        let mirror = Mirror::new(small_instance(entry));
+        for (name, circuits) in [
+            (base.name(), base.circuits()),
+            (mirror.name(), mirror.circuits()),
+        ] {
+            for (i, c) in circuits.iter().enumerate() {
+                let mut layouts = vec![("raw".to_string(), c.clone())];
+                for device in &devices {
+                    let t = Transpiler::for_device(device)
+                        .run(c)
+                        .unwrap_or_else(|e| panic!("{name} on {}: {e}", device.name()));
+                    layouts.push((device.name().to_string(), t.circuit.compacted().0));
+                }
+                for (layout, circuit) in &layouts {
+                    for (model, noise) in &models {
+                        write!(all, "{name} {i} {layout} {model}:").unwrap();
+                        let exec = StabilizerExecutor::new(noise.clone());
+                        for (bits, count) in exec.run(circuit, 300, 2000 + i as u64).iter() {
+                            write!(all, " {bits}={count}").unwrap();
+                        }
+                        all.push('\n');
+                    }
+                }
+            }
+        }
+    }
+    let ionq = Device::ionq().noise_model();
+    for (id, size) in WIDE_MIRRORS {
+        let entry = registry.get(id).expect("registered");
+        let params: Vec<(String, String)> = entry
+            .schema()
+            .iter()
+            .map(|p| {
+                let value = p.default.map_or(size.to_string(), |d| d(size, 1));
+                (p.key.to_string(), value)
+            })
+            .collect();
+        let mirror = Mirror::new(registry.build(id, &params).expect("valid parameters"));
+        let expected = mirror.expected_bits();
+        for (model, noise) in [("ideal", NoiseModel::ideal()), ("IonQ", ionq.clone())] {
+            let exec = StabilizerExecutor::new(noise);
+            for (i, c) in mirror.circuits().iter().enumerate() {
+                let fraction = exec.success_fraction(c, &expected, 40, 3000 + i as u64);
+                writeln!(all, "{} {i} {model}: {fraction:?}", mirror.name()).unwrap();
+            }
+        }
+    }
+    for n in 2..=8 {
+        let strings: Vec<_> = mermin_operator(n).iter().map(|(_, p)| p.clone()).collect();
+        let d = diagonalize(&strings).expect("Mermin terms commute");
+        write!(all, "mermin {n}:\n{}terms:", d.circuit.to_qasm()).unwrap();
+        for (sign, mask) in &d.diagonal_terms {
+            write!(all, " {sign}*{mask}").unwrap();
+        }
+        all.push('\n');
+    }
+    all
+}
+
+/// Tableau Counts, mirror success fractions and Mermin basis changes are
+/// pinned bit for bit.
+#[test]
+fn tableau_outputs_digest() {
+    let listing = tableau_outputs_listing();
+    assert_eq!(
+        supermarq_store::hash::sha256_hex(listing.as_bytes()),
+        TABLEAU_OUTPUTS_DIGEST,
+        "tableau outputs drifted:\n{listing}"
     );
 }
 

@@ -12,7 +12,7 @@ use supermarq::{Benchmark, CircuitFamily, FeatureVector, Mirror};
 use supermarq_circuit::Circuit;
 use supermarq_device::Device;
 use supermarq_serve::{signal, Client, Executor, ServeConfig, Server};
-use supermarq_store::{Json, RunRecord, RunSpec, Store, SweepEngine, SweepGrid, TranspileSpec};
+use supermarq_store::{Json, RunSpec, Store, SweepEngine, SweepGrid, TranspileSpec};
 use supermarq_transpile::{
     differential_pipelines, PassSpec, PipelineId, TranspileError, Transpiler,
 };
@@ -58,6 +58,9 @@ observability (any command):
   SUPERMARQ_TRACE      comma-separated span-name prefixes to record
   (traced `client run`/`client batch` forward the trace to the daemon,
   which continues it server-side and echoes per-request timing)
+
+result store (run --json, batch, serve):
+  --no-cache           skip the cache read; fresh results are still stored
 
 benchmarks: ghz, mermin-bell, bit-code, phase-code, qaoa-vanilla, qaoa-swap,
             vqe, hamsim, qft, bv, adder, grover — plus a '<id>-mirror'
@@ -328,27 +331,27 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
     if args.flag("json") {
         // Emit the exact record schema the store persists, so ad-hoc CLI
         // runs and cached sweep artifacts are directly diffable — and
-        // share one cache: a run seen before is served from the store,
-        // and a fresh run seeds the store for later sweeps.
+        // resolve like one `batch` cell: a run seen before is served from
+        // the store (unless --no-cache), and a fresh run seeds the store
+        // for later sweeps.
         let kind = args
             .positional(1)
             .ok_or_else(|| CliError::usage("missing benchmark name"))?;
         let spec = build_run_spec(kind, &device, &config, args)?;
-        let use_cache = !args.flag("no-cache");
         let store = open_store(args)?;
-        if use_cache {
-            if let Some(record) = store.get(&spec) {
-                return Ok(record.to_line());
-            }
+        let result = SweepEngine::new(&store)
+            .with_cache(!args.flag("no-cache"))
+            .run_job(&spec, |spec| execute_spec(spec).map_err(|e| e.to_string()));
+        if result.store_error {
+            return Err(CliError::failure(format!(
+                "cannot persist record in store {}",
+                store.root().display()
+            )));
         }
-        let outcome = execute_spec(&spec).map_err(|e| CliError::failure(e.to_string()))?;
-        let record = RunRecord { spec, outcome };
-        if use_cache {
-            store
-                .put(&record)
-                .map_err(|e| CliError::failure(format!("cannot persist record: {e}")))?;
-        }
-        return Ok(record.to_line());
+        return result
+            .outcome
+            .map(|r| r.to_line())
+            .map_err(CliError::failure);
     }
     let result = if args.flag("open") {
         run_on_device_open(bench.as_ref(), &device, &config)
@@ -1242,6 +1245,7 @@ fn cmd_coverage() -> Result<String, CliError> {
 mod tests {
     use super::*;
     use std::str::FromStr;
+    use supermarq_store::RunRecord;
 
     fn run(tokens: &[&str]) -> Result<String, String> {
         dispatch(&tokens.iter().map(|s| s.to_string()).collect::<Vec<_>>())
@@ -1696,6 +1700,52 @@ mod tests {
         assert!(summary.contains("hits=8"), "{summary}");
         let written = std::fs::read_to_string(&out_file).unwrap();
         assert_eq!(written.trim_end(), first);
+    }
+
+    /// `run --json` argv for one small GHZ cell over `store`.
+    fn run_json_argv<'a>(store: &'a str, extra: &[&'a str]) -> Vec<&'a str> {
+        let mut argv = vec![
+            "run", "ghz", "--size", "3", "--device", "IonQ", "--shots", "100", "--reps", "1",
+            "--json", "--store", store,
+        ];
+        argv.extend(extra);
+        argv
+    }
+
+    /// `--no-cache` skips the cache read only: like `batch`, a fresh
+    /// `run --json` result is still stored.
+    #[test]
+    fn run_json_no_cache_still_stores_the_result() {
+        let store = temp_dir("run-json-nocache");
+        let store_arg = store.to_str().unwrap();
+        let fresh = run(&run_json_argv(store_arg, &["--no-cache"])).unwrap();
+        let stats = run(&["cache", "stats", "--store", store_arg]).unwrap();
+        assert!(stats.contains("entries: 1"), "{stats}");
+        // The stored record is the line printed, and a cached read
+        // replays it byte for byte.
+        assert_eq!(run(&run_json_argv(store_arg, &[])).unwrap(), fresh);
+        assert_eq!(
+            run(&run_json_argv(store_arg, &["--no-cache"])).unwrap(),
+            fresh
+        );
+    }
+
+    /// A record that cannot be stored fails `run --json`, with or without
+    /// `--no-cache`.
+    #[test]
+    fn run_json_fails_when_the_store_cannot_write() {
+        let probe = temp_dir("run-json-probe");
+        let line = run(&run_json_argv(probe.to_str().unwrap(), &[])).unwrap();
+        let hash = RunRecord::from_str(&line).unwrap().spec.content_hash();
+        let store = temp_dir("run-json-blocked");
+        // A file where the record's shard directory belongs.
+        std::fs::create_dir_all(store.join("objects")).unwrap();
+        std::fs::write(store.join("objects").join(&hash[..2]), "").unwrap();
+        let store_arg = store.to_str().unwrap();
+        for extra in [&[][..], &["--no-cache"][..]] {
+            let err = run(&run_json_argv(store_arg, extra)).unwrap_err();
+            assert!(err.contains("cannot persist record"), "{err}");
+        }
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! channel with the exact channel's Pauli-transfer diagonal, so
 //! populations and coherences decay at the exact rates. Gates are mapped
 //! to tableau primitives once per call through [`clifford_ops`], the
-//! recognizer `Mirror::is_clifford` also uses, and shot `i` draws from
-//! [`shot_rng`]`(seed, i)` like the statevector executor's.
+//! recognizer behind [`crate::is_clifford_circuit`], and shot `i` draws
+//! from [`shot_rng`]`(seed, i)` like the statevector executor's.
 
 use rand::rngs::StdRng;
 
@@ -155,22 +155,22 @@ fn run_shot(
     let mut sim = StabilizerSimulator::new(classical.len());
     for op in &program.ops {
         match *op {
-            NoisyOp::Gate(i) => gates[i].iter().for_each(|g| g.apply(&mut sim)),
+            NoisyOp::Gate(i) => gates[i].iter().for_each(|&g| sim.apply(g)),
             NoisyOp::Measure { q, flip } => classical[q] = sim.measure(q, rng) ^ coin(flip, rng),
             NoisyOp::Reset { q, flip } => {
                 sim.reset(q, rng);
                 if coin(flip, rng) {
-                    sim.x_gate(q);
+                    sim.apply(CliffordOp::X(q));
                 }
             }
             NoisyOp::Depolarize { .. } | NoisyOp::Pauli { .. } => op.sample_pauli(rng, |q, p| {
                 // Y = iXZ: conjugation ignores the phase.
                 let (x, z) = p.xz_bits();
                 if z {
-                    sim.z_gate(q);
+                    sim.apply(CliffordOp::Z(q));
                 }
                 if x {
-                    sim.x_gate(q);
+                    sim.apply(CliffordOp::X(q));
                 }
             }),
             NoisyOp::Idle { .. } => unreachable!("twirled programs carry no Idle ops"),
@@ -371,7 +371,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not a Clifford gate")]
+    fn run_executes_clifford_subset() {
+        let mut c = Circuit::new(3);
+        c.h(0).cx(0, 1).cx(1, 2).barrier_all().measure_all();
+        let counts = StabilizerExecutor::new(NoiseModel::ideal()).run(&c, 1, 11);
+        assert!(counts.iter().all(|(bits, _)| bits == 0 || bits == 0b111));
+    }
+
+    /// Cross-validation against the statevector simulator on a circuit
+    /// with a deterministic outcome: X on 0, then a CX chain.
+    #[test]
+    fn matches_statevector_for_deterministic_outcomes() {
+        let mut c = Circuit::new(4);
+        c.x(0).cx(0, 1).cx(1, 2).cx(2, 3).measure_all();
+        let counts = Executor::noiseless().run(&c, 50, 13);
+        assert_eq!(counts.count(0b1111), 50);
+        let tableau = StabilizerExecutor::new(NoiseModel::ideal()).run(&c, 1, 14);
+        assert_eq!(tableau.count(0b1111), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a Clifford gate")]
     fn rejects_non_clifford() {
         let mut c = Circuit::new(1);
         c.t(0);

@@ -1,7 +1,13 @@
 //! Phase-tracked Pauli strings under Clifford conjugation.
+//!
+//! [`SignedPauli::apply`] is the crate's one statement of the Clifford
+//! sign and bit rules: the CHP tableau conjugates each of its `2n` rows
+//! with it, and [`crate::diagonalize`] conjugates its generators.
 
-use supermarq_circuit::{Gate, Instruction};
+use supermarq_circuit::{GateKind, Instruction};
 use supermarq_pauli::PauliString;
+
+use crate::ops::{clifford_ops, CliffordOp};
 
 /// A Pauli string together with a sign, `(-1)^minus * P`, that can be
 /// conjugated by Clifford gates: applying gate `G` maps the operator to
@@ -13,19 +19,18 @@ use supermarq_pauli::PauliString;
 /// # Example
 ///
 /// ```
-/// use supermarq_clifford::SignedPauli;
-/// use supermarq_circuit::Gate;
+/// use supermarq_clifford::{CliffordOp, SignedPauli};
 ///
 /// let mut p = SignedPauli::from_string(&"X".parse().unwrap());
-/// p.conjugate(&Gate::H, &[0]); // H X H = Z
+/// p.apply(CliffordOp::H(0)); // H X H = Z
 /// assert_eq!(p.to_pauli_string().to_string(), "Z");
 /// assert!(!p.is_negative());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignedPauli {
-    x: Vec<bool>,
-    z: Vec<bool>,
-    minus: bool,
+    pub(crate) x: Vec<bool>,
+    pub(crate) z: Vec<bool>,
+    pub(crate) minus: bool,
 }
 
 impl SignedPauli {
@@ -33,6 +38,15 @@ impl SignedPauli {
     pub fn from_string(p: &PauliString) -> Self {
         let (x, z) = p.to_xz_bits();
         SignedPauli { x, z, minus: false }
+    }
+
+    /// The positive identity on `n` qubits.
+    pub(crate) fn identity(n: usize) -> Self {
+        SignedPauli {
+            x: vec![false; n],
+            z: vec![false; n],
+            minus: false,
+        }
     }
 
     /// Number of qubits.
@@ -93,96 +107,104 @@ impl SignedPauli {
         self.z[qubit]
     }
 
-    /// Conjugates the operator by a Clifford gate: `P -> G P G^\dagger`.
+    /// Conjugates the operator by one Clifford primitive:
+    /// `P -> U P U^\dagger`. Sign flips read the bits before the update.
     ///
     /// # Panics
     ///
-    /// Panics if the gate is not in the supported Clifford set
-    /// (`H, S, Sdg, X, Y, Z, Cx, Cz, Swap`) or operands are malformed.
-    pub fn conjugate(&mut self, gate: &Gate, qubits: &[usize]) {
-        match gate {
-            Gate::H => {
-                let q = qubits[0];
-                self.minus ^= self.x[q] & self.z[q];
-                self.x.swap_with_slice_one(q, &mut self.z);
+    /// Panics if an operand is out of range.
+    #[inline]
+    pub fn apply(&mut self, op: CliffordOp) {
+        let (x, z) = (&mut self.x, &mut self.z);
+        match op {
+            CliffordOp::H(q) => {
+                // X <-> Z, Y -> -Y.
+                self.minus ^= x[q] & z[q];
+                std::mem::swap(&mut x[q], &mut z[q]);
             }
-            Gate::S => {
+            CliffordOp::S(q) => {
                 // X -> Y, Y -> -X, Z -> Z.
-                let q = qubits[0];
-                self.minus ^= self.x[q] & self.z[q];
-                self.z[q] ^= self.x[q];
+                self.minus ^= x[q] & z[q];
+                z[q] ^= x[q];
             }
-            Gate::Sdg => {
+            CliffordOp::Sdg(q) => {
                 // X -> -Y, Y -> X, Z -> Z.
-                let q = qubits[0];
-                self.minus ^= self.x[q] & !self.z[q];
-                self.z[q] ^= self.x[q];
+                self.minus ^= x[q] & !z[q];
+                z[q] ^= x[q];
             }
-            Gate::X => {
-                let q = qubits[0];
-                self.minus ^= self.z[q];
+            // X flips Z and Y; Z flips X and Y.
+            CliffordOp::X(q) => self.minus ^= z[q],
+            CliffordOp::Z(q) => self.minus ^= x[q],
+            CliffordOp::Cx(c, t) => {
+                // X_c -> X_c X_t, Z_t -> Z_c Z_t (Aaronson–Gottesman).
+                self.minus ^= x[c] & z[t] & (x[t] == z[c]);
+                x[t] ^= x[c];
+                z[c] ^= z[t];
             }
-            Gate::Y => {
-                let q = qubits[0];
-                self.minus ^= self.x[q] ^ self.z[q];
+            CliffordOp::Cz(a, b) => {
+                // X_a -> X_a Z_b, X_b -> Z_a X_b.
+                self.minus ^= x[a] & x[b] & (z[a] ^ z[b]);
+                z[a] ^= x[b];
+                z[b] ^= x[a];
             }
-            Gate::Z => {
-                let q = qubits[0];
-                self.minus ^= self.x[q];
+            CliffordOp::Swap(a, b) => {
+                x.swap(a, b);
+                z.swap(a, b);
             }
-            Gate::Cx => {
-                let (c, t) = (qubits[0], qubits[1]);
-                // Aaronson–Gottesman sign rule, pre-update values.
-                self.minus ^= self.x[c] & self.z[t] & (self.x[t] == self.z[c]);
-                self.x[t] ^= self.x[c];
-                self.z[c] ^= self.z[t];
-            }
-            Gate::Cz => {
-                // CZ = H(t) CX(c,t) H(t).
-                let (c, t) = (qubits[0], qubits[1]);
-                self.conjugate(&Gate::H, &[t]);
-                self.conjugate(&Gate::Cx, &[c, t]);
-                self.conjugate(&Gate::H, &[t]);
-            }
-            Gate::Swap => {
-                let (a, b) = (qubits[0], qubits[1]);
-                self.x.swap(a, b);
-                self.z.swap(a, b);
-            }
-            other => panic!("{other:?} is not a supported Clifford gate"),
         }
+    }
+
+    /// Left-multiplies by a commuting operator, `P -> Q P` (the
+    /// Aaronson–Gottesman `rowsum`). The product of anticommuting
+    /// operators carries an `i` phase, which no sign bit can hold; the
+    /// sign is then meaningless.
+    pub(crate) fn left_multiply(&mut self, q: &SignedPauli) {
+        // Powers of i: 2 per minus sign, plus one g term per site.
+        let mut phase = 2 * (i32::from(self.minus) + i32::from(q.minus));
+        for j in 0..self.x.len() {
+            phase += g_phase(q.x[j], q.z[j], self.x[j], self.z[j]);
+            self.x[j] ^= q.x[j];
+            self.z[j] ^= q.z[j];
+        }
+        self.minus = phase.rem_euclid(4) == 2;
     }
 
     /// Conjugates through every instruction of a circuit, in program order,
-    /// yielding `C P C^\dagger` for the whole circuit `C`.
+    /// yielding `C P C^\dagger` for the whole circuit `C`. Each gate is
+    /// lowered through [`clifford_ops`].
     ///
     /// Barriers and measurements are skipped (measurement is not a
     /// conjugation; callers apply this before the readout layer).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a reset or a unitary that is not Clifford.
     pub fn conjugate_circuit(&mut self, instructions: &[Instruction]) {
         for instr in instructions {
-            match instr.gate {
-                Gate::Barrier | Gate::Measure => {}
-                ref g => self.conjugate(g, &instr.qubits),
+            match clifford_ops(instr) {
+                Some(ops) => ops.into_iter().for_each(|op| self.apply(op)),
+                None if matches!(instr.gate.kind(), GateKind::Barrier | GateKind::Measurement) => {}
+                None => panic!("{:?} is not a supported Clifford gate", instr.gate),
             }
         }
     }
 }
 
-/// Tiny helper trait: swap one element between two vectors.
-trait SwapOne {
-    fn swap_with_slice_one(&mut self, idx: usize, other: &mut Self);
-}
-
-impl SwapOne for Vec<bool> {
-    fn swap_with_slice_one(&mut self, idx: usize, other: &mut Self) {
-        std::mem::swap(&mut self[idx], &mut other[idx]);
+/// AG phase function `g(x1, z1, x2, z2)`: the exponent of `i` produced when
+/// multiplying the single-qubit Paulis `(x1, z1) * (x2, z2)`.
+fn g_phase(x1: bool, z1: bool, x2: bool, z2: bool) -> i32 {
+    match (x1, z1) {
+        (false, false) => 0,
+        (true, true) => (z2 as i32) - (x2 as i32),
+        (true, false) => (z2 as i32) * (2 * (x2 as i32) - 1),
+        (false, true) => (x2 as i32) * (1 - 2 * (z2 as i32)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use supermarq_circuit::Circuit;
+    use supermarq_circuit::{Circuit, Gate, C64};
     use supermarq_pauli::Pauli;
     use supermarq_sim::StateVector;
 
@@ -190,14 +212,149 @@ mod tests {
         SignedPauli::from_string(&s.parse().unwrap())
     }
 
+    type M2 = [[C64; 2]; 2];
+    type M4 = [[C64; 4]; 4];
+
+    /// `a (x) b`, with `a` on qubit 0, the most significant index bit (the
+    /// basis order of `Gate::matrix2`).
+    fn kron(a: M2, b: M2) -> M4 {
+        let mut out = [[C64::ZERO; 4]; 4];
+        for (r, row) in out.iter_mut().enumerate() {
+            for (c, entry) in row.iter_mut().enumerate() {
+                *entry = a[r / 2][c / 2] * b[r % 2][c % 2];
+            }
+        }
+        out
+    }
+
+    fn mul(a: &M4, b: &M4) -> M4 {
+        let mut out = [[C64::ZERO; 4]; 4];
+        for (r, row) in out.iter_mut().enumerate() {
+            for (c, entry) in row.iter_mut().enumerate() {
+                for (k, bk) in b.iter().enumerate() {
+                    *entry += a[r][k] * bk[c];
+                }
+            }
+        }
+        out
+    }
+
+    fn dagger(a: &M4) -> M4 {
+        let mut out = [[C64::ZERO; 4]; 4];
+        for (r, row) in out.iter_mut().enumerate() {
+            for (c, entry) in row.iter_mut().enumerate() {
+                *entry = a[c][r].conj();
+            }
+        }
+        out
+    }
+
+    /// The dense matrix of a signed two-qubit Pauli.
+    fn dense(p: &SignedPauli) -> M4 {
+        let (z, o, i) = (C64::ZERO, C64::ONE, C64::I);
+        let factor = |q| match p.to_pauli_string().get(q) {
+            Pauli::I => [[o, z], [z, o]],
+            Pauli::X => [[z, o], [o, z]],
+            Pauli::Y => [[z, -i], [i, z]],
+            Pauli::Z => [[o, z], [z, -o]],
+        };
+        let mut m = kron(factor(0), factor(1));
+        for entry in m.iter_mut().flatten() {
+            *entry = *entry * p.sign();
+        }
+        m
+    }
+
+    /// The dense two-qubit unitary of `op`, from the matrix of the gate
+    /// [`CliffordOp::to_instruction`] emits.
+    fn unitary(op: CliffordOp) -> M4 {
+        let instr = op.to_instruction();
+        let id = [[C64::ONE, C64::ZERO], [C64::ZERO, C64::ONE]];
+        match instr.qubits[..] {
+            [0] => kron(instr.gate.matrix1().unwrap(), id),
+            [1] => kron(id, instr.gate.matrix1().unwrap()),
+            [0, 1] => instr.gate.matrix2().unwrap(),
+            [1, 0] => {
+                let swap = Gate::Swap.matrix2().unwrap();
+                mul(&mul(&swap, &instr.gate.matrix2().unwrap()), &swap)
+            }
+            _ => unreachable!("two-qubit register"),
+        }
+    }
+
+    /// All 32 signed two-qubit Paulis.
+    fn signed_paulis() -> Vec<SignedPauli> {
+        let mut out = Vec::new();
+        for a in Pauli::ALL {
+            for b in Pauli::ALL {
+                for minus in [false, true] {
+                    let mut p = SignedPauli::from_string(&PauliString::new(vec![a, b]));
+                    p.minus = minus;
+                    out.push(p);
+                }
+            }
+        }
+        out
+    }
+
+    fn assert_dense_eq(got: &M4, want: &M4, what: &str) {
+        for (g, w) in got.iter().flatten().zip(want.iter().flatten()) {
+            assert!(g.approx_eq(*w, 1e-12), "{what}: {got:?} != {want:?}");
+        }
+    }
+
+    /// The exact oracle for the one rule set: every primitive, on every
+    /// wire (order), maps each signed two-qubit Pauli `P` to `U P U^dagger`
+    /// computed from the dense gate matrix. This covers the sign of every
+    /// row a tableau can hold, destabilizers included.
+    #[test]
+    fn apply_matches_dense_conjugation_for_every_primitive() {
+        let mut ops = Vec::new();
+        for q in [0, 1] {
+            use CliffordOp::*;
+            ops.extend([H(q), S(q), Sdg(q), X(q), Z(q)]);
+        }
+        for (a, b) in [(0, 1), (1, 0)] {
+            use CliffordOp::*;
+            ops.extend([Cx(a, b), Cz(a, b), Swap(a, b)]);
+        }
+        for op in ops {
+            let u = unitary(op);
+            for p in signed_paulis() {
+                let want = mul(&mul(&u, &dense(&p)), &dagger(&u));
+                let mut got = p.clone();
+                got.apply(op);
+                assert_dense_eq(&dense(&got), &want, &format!("{op:?} on {p:?}"));
+            }
+        }
+    }
+
+    /// `left_multiply` is the matrix product for every commuting pair.
+    #[test]
+    fn left_multiply_matches_the_dense_product() {
+        for p in signed_paulis() {
+            for q in signed_paulis() {
+                let (dp, dq) = (dense(&p), dense(&q));
+                let (pq, qp) = (mul(&dq, &dp), mul(&dp, &dq));
+                let mut pairs = pq.iter().flatten().zip(qp.iter().flatten());
+                if !pairs.all(|(a, b)| a.approx_eq(*b, 1e-12)) {
+                    continue; // anticommuting: the product has an i phase
+                }
+                let mut got = p.clone();
+                got.left_multiply(&q);
+                assert_dense_eq(&dense(&got), &pq, &format!("{q:?} * {p:?}"));
+            }
+        }
+    }
+
     #[test]
     fn hadamard_exchanges_x_and_z() {
         let mut p = sp("X");
-        p.conjugate(&Gate::H, &[0]);
+        p.apply(CliffordOp::H(0));
         assert_eq!(p.to_pauli_string().to_string(), "Z");
         assert!(!p.is_negative());
         let mut p = sp("Y");
-        p.conjugate(&Gate::H, &[0]);
+        p.apply(CliffordOp::H(0));
         assert_eq!(p.to_pauli_string().to_string(), "Y");
         assert!(p.is_negative()); // H Y H = -Y
     }
@@ -205,15 +362,15 @@ mod tests {
     #[test]
     fn s_gate_rotation() {
         let mut p = sp("X");
-        p.conjugate(&Gate::S, &[0]);
+        p.apply(CliffordOp::S(0));
         assert_eq!(p.to_pauli_string().to_string(), "Y");
         assert!(!p.is_negative());
         let mut p = sp("Y");
-        p.conjugate(&Gate::S, &[0]);
+        p.apply(CliffordOp::S(0));
         assert_eq!(p.to_pauli_string().to_string(), "X");
         assert!(p.is_negative()); // S Y Sdg = -X
         let mut p = sp("X");
-        p.conjugate(&Gate::Sdg, &[0]);
+        p.apply(CliffordOp::Sdg(0));
         assert_eq!(p.to_pauli_string().to_string(), "Y");
         assert!(p.is_negative()); // Sdg X S = -Y
     }
@@ -221,40 +378,15 @@ mod tests {
     #[test]
     fn pauli_gates_flip_signs() {
         let mut p = sp("Z");
-        p.conjugate(&Gate::X, &[0]);
+        p.apply(CliffordOp::X(0));
         assert!(p.is_negative());
         let mut p = sp("X");
-        p.conjugate(&Gate::Z, &[0]);
+        p.apply(CliffordOp::Z(0));
         assert!(p.is_negative());
+        // Y has no primitive: it lowers through `clifford_ops`.
         let mut p = sp("Y");
-        p.conjugate(&Gate::Y, &[0]);
+        p.conjugate_circuit(&[Instruction::new(Gate::Y, vec![0])]);
         assert!(!p.is_negative());
-    }
-
-    #[test]
-    fn cx_propagation_rules() {
-        // X_c -> X_c X_t.
-        let mut p = sp("XI");
-        p.conjugate(&Gate::Cx, &[0, 1]);
-        assert_eq!(p.to_pauli_string().to_string(), "XX");
-        // Z_t -> Z_c Z_t.
-        let mut p = sp("IZ");
-        p.conjugate(&Gate::Cx, &[0, 1]);
-        assert_eq!(p.to_pauli_string().to_string(), "ZZ");
-        // Z_c and X_t unchanged.
-        let mut p = sp("ZI");
-        p.conjugate(&Gate::Cx, &[0, 1]);
-        assert_eq!(p.to_pauli_string().to_string(), "ZI");
-        let mut p = sp("IX");
-        p.conjugate(&Gate::Cx, &[0, 1]);
-        assert_eq!(p.to_pauli_string().to_string(), "IX");
-    }
-
-    #[test]
-    fn swap_exchanges_sites() {
-        let mut p = sp("XZ");
-        p.conjugate(&Gate::Swap, &[0, 1]);
-        assert_eq!(p.to_pauli_string().to_string(), "ZX");
     }
 
     #[test]
@@ -336,6 +468,6 @@ mod tests {
     #[should_panic(expected = "not a supported Clifford gate")]
     fn non_clifford_gate_rejected() {
         let mut p = sp("X");
-        p.conjugate(&Gate::T, &[0]);
+        p.conjugate_circuit(&[Instruction::new(Gate::T, vec![0])]);
     }
 }

@@ -1,13 +1,16 @@
 //! Clifford recognition: rewriting IR gates into tableau primitives.
 //!
-//! The CHP tableau ([`crate::StabilizerSimulator`]) natively implements a
-//! small generating set (`H`, `S`, `CX`, ...). Real transpiled circuits
-//! carry a much richer gate alphabet — fused `U(theta, phi, lambda)` gates,
-//! quarter-turn `rz`/`rx`/`ry` rotations from decomposition, `rxx` on ion
-//! hardware — many of which are Clifford *in disguise*. This module decides,
-//! per instruction, whether the gate is a Clifford unitary and if so
-//! produces an equivalent sequence of tableau primitives (equal up to
-//! global phase, which conjugation never sees).
+//! [`SignedPauli::apply`](crate::SignedPauli::apply) states a conjugation
+//! rule for eight primitives ([`CliffordOp`]); the CHP tableau
+//! ([`crate::StabilizerSimulator`]) applies it to each of its rows.
+//! [`clifford_ops`] is the only map from IR gates onto the primitives.
+//! Real transpiled circuits carry a much richer gate alphabet — fused
+//! `U(theta, phi, lambda)` gates, quarter-turn `rz`/`rx`/`ry` rotations
+//! from decomposition, `rxx` on ion hardware — many of which are Clifford
+//! *in disguise*. This module decides, per instruction, whether the gate
+//! is a Clifford unitary and if so produces an equivalent sequence of
+//! tableau primitives (equal up to global phase, which conjugation never
+//! sees).
 //!
 //! Rotation angles are snapped to the nearest multiple of `pi/2` within
 //! [`ANGLE_TOL`]; fused/decomposed Clifford products land within float
@@ -17,15 +20,15 @@
 //! nowhere near a quarter turn in practice, and a wrong snap would be
 //! caught by the equivalence check itself, not hidden).
 
-use crate::StabilizerSimulator;
-use supermarq_circuit::{Gate, Instruction};
+use supermarq_circuit::{Circuit, Gate, Instruction};
 
 /// Largest distance from an exact multiple of `pi/2` that still counts as
 /// a quarter turn.
 pub const ANGLE_TOL: f64 = 1e-9;
 
-/// A tableau primitive: the generating set the CHP simulator applies
-/// directly. Sequences of these are what recognition produces.
+/// A Clifford primitive: one of the eight gates
+/// [`SignedPauli::apply`](crate::SignedPauli::apply) states a rule for.
+/// Sequences of these are what recognition produces.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CliffordOp {
     /// Hadamard on a wire.
@@ -47,22 +50,9 @@ pub enum CliffordOp {
 }
 
 impl CliffordOp {
-    /// Applies this primitive to a tableau.
-    pub fn apply(self, sim: &mut StabilizerSimulator) {
-        match self {
-            CliffordOp::H(q) => sim.h(q),
-            CliffordOp::S(q) => sim.s(q),
-            CliffordOp::Sdg(q) => sim.sdg(q),
-            CliffordOp::X(q) => sim.x_gate(q),
-            CliffordOp::Z(q) => sim.z_gate(q),
-            CliffordOp::Cx(a, b) => sim.cx(a, b),
-            CliffordOp::Cz(a, b) => sim.cz(a, b),
-            CliffordOp::Swap(a, b) => sim.swap(a, b),
-        }
-    }
-
-    /// The equivalent circuit instruction (exact, no phase ambiguity),
-    /// used by tests to cross-check recognition against the statevector.
+    /// The equivalent circuit instruction (exact, no phase ambiguity):
+    /// how [`crate::diagonalize`] emits its basis change, and how tests
+    /// cross-check the rules against dense matrices.
     pub fn to_instruction(self) -> Instruction {
         match self {
             CliffordOp::H(q) => Instruction::new(Gate::H, vec![q]),
@@ -227,17 +217,18 @@ pub fn clifford_ops(instr: &Instruction) -> Option<Vec<CliffordOp>> {
     Some(ops)
 }
 
-/// `true` if the instruction is a Clifford *unitary* (not a measurement,
-/// reset or barrier).
-pub fn is_clifford_unitary(instr: &Instruction) -> bool {
-    clifford_ops(instr).is_some()
+/// `true` if the tableau can run `circuit`: every unitary is recognized
+/// by [`clifford_ops`]. Measurements, resets and barriers are allowed.
+pub fn is_clifford_circuit(circuit: &Circuit) -> bool {
+    circuit
+        .iter()
+        .all(|instr| !instr.gate.is_unitary() || clifford_ops(instr).is_some())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::f64::consts::{FRAC_PI_2, PI};
-    use supermarq_circuit::Circuit;
     use supermarq_sim::StateVector;
 
     #[test]
@@ -354,24 +345,32 @@ mod tests {
             assert!(clifford_ops(&instr).is_none(), "{gate:?}");
         }
         // Non-unitaries are not "Clifford unitaries" either.
-        assert!(!is_clifford_unitary(&Instruction::new(
-            Gate::Measure,
-            vec![0]
-        )));
+        assert!(clifford_ops(&Instruction::new(Gate::Measure, vec![0])).is_none());
+    }
+
+    #[test]
+    fn clifford_circuits_allow_measurement_and_reset() {
+        let mut c = Circuit::new(2);
+        c.h(0).cx(0, 1).rz(FRAC_PI_2, 1).barrier_all().measure_all();
+        c.reset(0);
+        assert!(is_clifford_circuit(&c));
+        c.rz(0.3, 1);
+        assert!(!is_clifford_circuit(&c));
     }
 
     #[test]
     fn ops_apply_cleanly_to_a_tableau() {
+        use crate::StabilizerSimulator;
         // Sx Sx = X up to phase: the tableau must agree.
         let mut via_ops = StabilizerSimulator::new(1);
         let sx = Instruction::new(Gate::Sx, vec![0]);
         for _ in 0..2 {
             for op in clifford_ops(&sx).unwrap() {
-                op.apply(&mut via_ops);
+                via_ops.apply(op);
             }
         }
         let mut via_x = StabilizerSimulator::new(1);
-        via_x.x_gate(0);
+        via_x.apply(CliffordOp::X(0));
         for row in 0..2 {
             assert_eq!(via_ops.row_pauli(row), via_x.row_pauli(row));
         }

@@ -14,7 +14,8 @@
 //! placed pivots.
 
 use crate::frame::SignedPauli;
-use supermarq_circuit::{Circuit, Gate};
+use crate::ops::CliffordOp;
+use supermarq_circuit::Circuit;
 use supermarq_pauli::PauliString;
 
 /// Result of a successful diagonalization.
@@ -93,10 +94,11 @@ pub fn diagonalize(strings: &[PauliString]) -> Result<Diagonalization, Diagonali
     let mut gens: Vec<SignedPauli> = generators.iter().map(SignedPauli::from_string).collect();
     let mut pivots: Vec<usize> = Vec::new();
 
-    let append = |circuit: &mut Circuit, gens: &mut Vec<SignedPauli>, gate: Gate, qs: &[usize]| {
-        circuit.append(gate, qs);
+    let append = |circuit: &mut Circuit, gens: &mut [SignedPauli], op: CliffordOp| {
+        let instr = op.to_instruction();
+        circuit.append(instr.gate, &instr.qubits);
         for g in gens.iter_mut() {
-            g.conjugate(&gate, qs);
+            g.apply(op);
         }
     };
 
@@ -110,14 +112,14 @@ pub fn diagonalize(strings: &[PauliString]) -> Result<Diagonalization, Diagonali
                 .ok_or(DiagonalizeError::NotCommuting)?;
             for &r in &x_support {
                 if r != q {
-                    append(&mut circuit, &mut gens, Gate::Cx, &[q, r]);
+                    append(&mut circuit, &mut gens, CliffordOp::Cx(q, r));
                 }
             }
             if gens[j].z_bit(q) {
                 // Y at the pivot: S maps Y -> -X first.
-                append(&mut circuit, &mut gens, Gate::S, &[q]);
+                append(&mut circuit, &mut gens, CliffordOp::S(q));
             }
-            append(&mut circuit, &mut gens, Gate::H, &[q]);
+            append(&mut circuit, &mut gens, CliffordOp::H(q));
         }
         if !gens[j].is_diagonal() {
             return Err(DiagonalizeError::NotCommuting);
@@ -130,12 +132,12 @@ pub fn diagonalize(strings: &[PauliString]) -> Result<Diagonalization, Diagonali
             .ok_or(DiagonalizeError::NotCommuting)?;
         for &r in &z_support {
             if r != q {
-                append(&mut circuit, &mut gens, Gate::Cx, &[r, q]);
+                append(&mut circuit, &mut gens, CliffordOp::Cx(r, q));
             }
         }
         // Phase 3: normalize the sign to +Z.
         if gens[j].is_negative() {
-            append(&mut circuit, &mut gens, Gate::X, &[q]);
+            append(&mut circuit, &mut gens, CliffordOp::X(q));
         }
         pivots.push(q);
     }
@@ -192,6 +194,7 @@ fn independent_subset(strings: &[PauliString], n: usize) -> Vec<PauliString> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use supermarq_circuit::Gate;
     use supermarq_pauli::mermin_operator;
     use supermarq_sim::StateVector;
 
@@ -201,7 +204,6 @@ mod tests {
 
     /// Checks `C P C^dagger == sign * Z(mask)` with exact statevectors.
     fn verify_diagonalization(strings: &[PauliString], d: &Diagonalization) {
-        use supermarq_circuit::Gate;
         let n = strings[0].num_qubits();
         // For a batch of random states |psi>, compare <psi|P|psi> against
         // sign * <C psi| Z(mask) |C psi>.

@@ -22,7 +22,7 @@
 //! path under a width guard.
 
 use supermarq_circuit::{Circuit, GateKind};
-use supermarq_clifford::{is_clifford_unitary, StabilizerExecutor};
+use supermarq_clifford::{is_clifford_circuit, StabilizerExecutor};
 use supermarq_sim::{Counts, Executor, NoiseModel};
 
 use crate::benchmark::{
@@ -96,18 +96,11 @@ impl<B: Benchmark> Mirror<B> {
         m
     }
 
-    /// `true` if every mirrored circuit is Clifford (unitaries snap to
-    /// Clifford operations; measurements, resets and barriers allowed) —
-    /// i.e. the mirror scores through the CHP path at any width.
+    /// `true` if every mirrored circuit is Clifford (see
+    /// [`is_clifford_circuit`]) — i.e. the mirror scores through the CHP
+    /// path at any width.
     pub fn is_clifford(&self) -> bool {
-        self.circuits().iter().all(|c| {
-            c.instructions().iter().all(|instr| {
-                matches!(
-                    instr.gate.kind(),
-                    GateKind::Measurement | GateKind::Reset | GateKind::Barrier
-                ) || is_clifford_unitary(instr)
-            })
-        })
+        self.circuits().iter().all(is_clifford_circuit)
     }
 
     /// Scores the mirror on an ideal (noiseless) machine, dispatching to

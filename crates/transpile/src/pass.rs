@@ -120,7 +120,7 @@ impl<'d> PassContext<'d> {
     /// routed circuit against it.
     pub fn new(device: &'d Device, circuit: Circuit, want_snapshot: bool) -> Self {
         let provenance = Provenance::for_input(&circuit);
-        let input_clifford = supermarq_verify::circuit_is_clifford(&circuit);
+        let input_clifford = supermarq_clifford::is_clifford_circuit(&circuit);
         PassContext {
             device,
             circuit,

@@ -30,6 +30,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 use supermarq_circuit::{Circuit, Gate, GateKind};
+use supermarq_clifford::is_clifford_circuit;
 use supermarq_obs::Span;
 use supermarq_sim::StateVector;
 
@@ -90,10 +91,7 @@ impl AuditTier {
 /// The equivalence tier the audit will use for this provenance record.
 pub fn audit_tier(audit: &RoutingAudit<'_>) -> AuditTier {
     let reset_free = audit.logical.reset_count() == 0 && audit.routed.reset_count() == 0;
-    if reset_free
-        && crate::stabilizer::circuit_is_clifford(audit.logical)
-        && crate::stabilizer::circuit_is_clifford(audit.routed)
-    {
+    if reset_free && is_clifford_circuit(audit.logical) && is_clifford_circuit(audit.routed) {
         AuditTier::StabilizerProof
     } else if probe_is_tractable(audit) {
         AuditTier::StatevectorProbe

@@ -3,11 +3,9 @@
 //! A circuit is a loop-free, branch-free instruction list, which makes it
 //! the easiest possible program to analyze: a dataflow fact computed by
 //! walking the instructions once is already the fixpoint. This module
-//! provides the tiny engine the concrete domains share — a [`Domain`] is a
-//! transfer function per instruction plus a `join` for merging facts from
-//! alternative executions (used when comparing circuits, e.g. by
-//! [`crate::differential`]); no widening is needed because there are no
-//! loops.
+//! provides the tiny engine the concrete domains share — a [`Domain`] is an
+//! initial state plus a transfer function per instruction; with no
+//! branches there is nothing to join, and with no loops nothing to widen.
 //!
 //! Concrete domains live next door:
 //!
@@ -43,9 +41,6 @@ pub trait Domain {
 
     /// Folds one instruction into the state.
     fn transfer(&self, state: &mut Self::State, index: usize, instr: &Instruction);
-
-    /// Least upper bound of two states (merge of alternative executions).
-    fn join(&self, a: Self::State, b: Self::State) -> Self::State;
 }
 
 /// Runs `domain` forward over `circuit`, returning the final state.
@@ -106,10 +101,6 @@ mod tests {
                 state.1.push(index);
             }
         }
-
-        fn join(&self, a: Self::State, b: Self::State) -> Self::State {
-            (a.0.max(b.0), if a.0 >= b.0 { a.1 } else { b.1 })
-        }
     }
 
     #[test]
@@ -123,12 +114,5 @@ mod tests {
         assert_eq!(rev.0, 2);
         // Reverse order, original indices.
         assert_eq!(rev.1, vec![1, 0]);
-    }
-
-    #[test]
-    fn join_merges_states() {
-        let d = CountUnitaries;
-        let merged = d.join((3, vec![0, 1, 2]), (1, vec![5]));
-        assert_eq!(merged.0, 3);
     }
 }

@@ -217,7 +217,7 @@ mod tests {
     fn corpus_is_clifford_and_measured() {
         for (label, c) in clifford_corpus(6) {
             assert!(
-                crate::stabilizer::circuit_is_clifford(&c),
+                supermarq_clifford::is_clifford_circuit(&c),
                 "{label} is not Clifford"
             );
             assert!(c.measurement_count() > 0, "{label} never measures");

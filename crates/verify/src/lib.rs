@@ -65,8 +65,7 @@ pub use differential::{
 };
 pub use lightcone::{Lightcone, LightconeAnalysis, Liveness, LivenessAnalysis};
 pub use stabilizer::{
-    circuit_is_clifford, prove_permutation_equivalence, CliffordFlowAnalysis, CliffordSummary,
-    StabilizerVerdict,
+    prove_permutation_equivalence, CliffordFlowAnalysis, CliffordSummary, StabilizerVerdict,
 };
 
 use supermarq_circuit::{Circuit, Gate, GateKind, PropertySet};

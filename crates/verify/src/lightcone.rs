@@ -110,26 +110,6 @@ impl Domain for LivenessDomain {
             }
         }
     }
-
-    fn join(&self, mut a: Liveness, b: Liveness) -> Liveness {
-        // Merge of alternative executions: may-facts union, must-facts meet.
-        for q in 0..a.measured.len().min(b.measured.len()) {
-            a.first_use[q] = match (a.first_use[q], b.first_use[q]) {
-                (Some(x), Some(y)) => Some(x.min(y)),
-                (x, y) => x.or(y),
-            };
-            a.last_use[q] = a.last_use[q].max(b.last_use[q]);
-            a.measured[q] &= b.measured[q];
-            a.pending[q] = a.pending[q].max(b.pending[q]);
-            a.coupled[q] |= b.coupled[q];
-        }
-        for ev in b.clobbered {
-            if !a.clobbered.contains(&ev) {
-                a.clobbered.push(ev);
-            }
-        }
-        a
-    }
 }
 
 /// Reverse lightcone facts: which wires can still influence a measurement.
@@ -192,19 +172,6 @@ impl Domain for LightconeDomain {
                 }
             }
         }
-    }
-
-    fn join(&self, mut a: Lightcone, b: Lightcone) -> Lightcone {
-        for q in 0..a.relevant.len().min(b.relevant.len()) {
-            a.relevant[q] |= b.relevant[q];
-        }
-        a.measurements = a.measurements.max(b.measurements);
-        for i in b.dead {
-            if !a.dead.contains(&i) {
-                a.dead.push(i);
-            }
-        }
-        a
     }
 }
 

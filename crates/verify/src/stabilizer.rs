@@ -76,18 +76,6 @@ impl Domain for CliffordFlowDomain {
             }
         }
     }
-
-    fn join(&self, mut a: CliffordSummary, b: CliffordSummary) -> CliffordSummary {
-        for i in b.non_clifford {
-            if !a.non_clifford.contains(&i) {
-                a.non_clifford.push(i);
-            }
-        }
-        a.non_clifford.sort_unstable();
-        a.resets = a.resets.max(b.resets);
-        a.measurements = a.measurements.max(b.measurements);
-        a
-    }
 }
 
 /// [`CircuitAnalysis`] wrapper caching [`CliffordSummary`] in a
@@ -108,12 +96,6 @@ pub fn clifford_summary_of(ctx: &Context<'_>) -> Rc<CliffordSummary> {
         Some(props) => props.get::<CliffordFlowAnalysis>(ctx.circuit),
         None => Rc::new(interpret(&CliffordFlowDomain, ctx.circuit)),
     }
-}
-
-/// `true` if every unitary instruction of `circuit` is a Clifford gate.
-/// Measurements, resets and barriers are allowed.
-pub fn circuit_is_clifford(circuit: &Circuit) -> bool {
-    interpret(&CliffordFlowDomain, circuit).all_clifford()
 }
 
 /// The precise tableau domain: `Some(tableau)` while the instruction
@@ -150,28 +132,10 @@ impl Domain for TableauDomain {
             return;
         }
         match clifford_ops(instr) {
-            Some(ops) => {
-                for op in ops {
-                    op.apply(sim);
-                }
-            }
+            Some(ops) => ops.into_iter().for_each(|op| sim.apply(op)),
             None => *state = None,
         }
     }
-
-    fn join(&self, a: Self::State, b: Self::State) -> Self::State {
-        // Lattice: bottom < {each tableau} < top(None). Equal tableaus
-        // join to themselves; anything else is top.
-        match (a, b) {
-            (Some(x), Some(y)) if tableaus_equal(&x, &y) => Some(x),
-            _ => None,
-        }
-    }
-}
-
-fn tableaus_equal(a: &StabilizerSimulator, b: &StabilizerSimulator) -> bool {
-    a.num_qubits() == b.num_qubits()
-        && (0..2 * a.num_qubits()).all(|row| a.row_pauli(row) == b.row_pauli(row))
 }
 
 /// Outcome of the symbolic equivalence check.
@@ -452,11 +416,11 @@ mod tests {
         assert_eq!(summary.measurements, 2);
         assert_eq!(summary.resets, 1);
         assert!(!summary.all_clifford());
-        assert!(!circuit_is_clifford(&c));
+        assert!(!supermarq_clifford::is_clifford_circuit(&c));
 
         let mut ghz = Circuit::new(3);
         ghz.h(0).cx(0, 1).cx(1, 2).measure_all();
-        assert!(circuit_is_clifford(&ghz));
+        assert!(supermarq_clifford::is_clifford_circuit(&ghz));
     }
 
     #[test]
@@ -466,20 +430,6 @@ mod tests {
         assert!(interpret(&TableauDomain, &c).is_some());
         c.t(0);
         assert!(interpret(&TableauDomain, &c).is_none());
-    }
-
-    #[test]
-    fn tableau_join_keeps_equal_states_and_tops_diverging_ones() {
-        let d = TableauDomain;
-        let mut a = Circuit::new(1);
-        a.h(0);
-        let x = interpret(&d, &a);
-        let y = interpret(&d, &a);
-        assert!(d.join(x.clone(), y).is_some());
-        let mut b = Circuit::new(1);
-        b.x(0);
-        let z = interpret(&d, &b);
-        assert!(d.join(x, z).is_none());
     }
 
     #[test]

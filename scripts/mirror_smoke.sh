@@ -51,16 +51,18 @@ for id in $ALL_IDS; do
 done
 
 echo "==> Clifford mirrors verify at >= 50 qubits through the CHP path"
-for spec in "ghz 100" "bv 60"; do
+# The five mirror-wide shapes; the bit and phase codes apply X and Z.
+for spec in "ghz 100" "ghz 200" "bv 60" "bit-code 50" "phase-code 50"; do
     set -- $spec
     id=$1 size=$2
+    out="$WORK/wide-$id-$size.txt"
     "$BIN" bench mirror "$id" --size "$size" --shots 100 --seed 7 \
-        --min 0.99 >"$WORK/wide-$id.txt" || {
-        echo "FAIL: wide mirror of $id below 0.99"; cat "$WORK/wide-$id.txt"
+        --min 0.99 >"$out" || {
+        echo "FAIL: wide mirror of $id below 0.99"; cat "$out"
         exit 1; }
-    grep -q '^path: clifford' "$WORK/wide-$id.txt" || {
+    grep -q '^path: clifford' "$out" || {
         echo "FAIL: $size-qubit $id mirror did not take the CHP path"
-        cat "$WORK/wide-$id.txt"; exit 1; }
+        cat "$out"; exit 1; }
 done
 
 echo "mirror smoke passed."
