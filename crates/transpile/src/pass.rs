@@ -215,8 +215,8 @@ impl<'d> PassContext<'d> {
         self.snapshot.as_ref()
     }
 
-    /// Per-instruction blame tags for the working circuit (maintained by
-    /// [`run_pass`] diffing around every mutating pass).
+    /// Per-instruction blame tags for the working circuit ([`run_pass`]
+    /// records every mutating pass; the diff runs when a tag is read).
     pub fn provenance(&self) -> &Provenance {
         &self.provenance
     }
@@ -289,10 +289,10 @@ pub fn run_pass(pass: &dyn Pass, ctx: &mut PassContext<'_>) -> Result<PassOutcom
     let outcome = outcome?;
     if outcome == PassOutcome::Mutated {
         ctx.invalidate_analyses();
-        // Blame diff: instructions the pass did not preserve are tagged
-        // with its name. Inner FixedPoint members mutate without their own
-        // run_pass frame, so their edits land on the enclosing pass — the
-        // granularity the pipeline actually reruns at.
+        // Blame: instructions the pass did not preserve get its name once
+        // a diagnostic reads their tags. Inner FixedPoint members mutate
+        // without their own run_pass frame, so their edits land on the
+        // enclosing pass — the granularity the pipeline actually reruns at.
         ctx.record_rewrite(&before, pass.name());
     }
     span.record_with("gates_out", || *ctx.analysis::<GateCount>());

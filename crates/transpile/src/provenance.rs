@@ -10,12 +10,19 @@
 //! `supermarq lint` can say not just *what* is wrong but *which pass* put
 //! it there.
 //!
+//! The diff is deferred: a rewrite is queued when it is recorded and
+//! diffed, in order, only when a tag is first read. A pipeline that reads
+//! no tag, such as one whose diagnostics name no instruction, never
+//! diffs at all.
+//!
 //! Matching is an instruction-level LCS keyed on `(gate, operands)`,
 //! anchored by the common prefix/suffix (the overwhelmingly common case:
 //! passes touch a few gates and leave the rest in place). The quadratic
 //! middle is capped at [`MAX_LCS_CELLS`]; past the cap the unmatched
 //! middle is blamed wholesale on the running pass — a conservative
 //! over-attribution, never a missed one.
+
+use std::cell::RefCell;
 
 use supermarq_circuit::{Circuit, Instruction};
 
@@ -27,10 +34,21 @@ const MAX_LCS_CELLS: usize = 64_000;
 pub const INPUT_TAG: &str = "input";
 
 /// Per-instruction blame tags for the working circuit of a pipeline run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Provenance {
-    tags: Vec<&'static str>,
+    /// Tags of the circuit the first queued rewrite starts from: the
+    /// working circuit's tags once the queue is replayed.
+    tags: RefCell<Vec<&'static str>>,
+    queue: RefCell<Queue>,
     last_mutator: Option<&'static str>,
+}
+
+/// Rewrites recorded but not yet diffed, as the chain of circuits they
+/// produced: `passes[i]` rewrote `circuits[i]` into `circuits[i + 1]`.
+#[derive(Debug, Clone, Default)]
+struct Queue {
+    circuits: Vec<Circuit>,
+    passes: Vec<&'static str>,
 }
 
 impl Provenance {
@@ -42,16 +60,23 @@ impl Provenance {
     /// barriers and shear every index after the first one).
     pub fn for_input(circuit: &Circuit) -> Self {
         Provenance {
-            tags: vec![INPUT_TAG; circuit.iter().count()],
+            tags: RefCell::new(vec![INPUT_TAG; circuit.iter().count()]),
+            queue: RefCell::default(),
             last_mutator: None,
         }
     }
 
     /// The blame tag of instruction `index` in the current circuit.
     /// Out-of-range indices (a diagnostic about a since-rewritten circuit)
-    /// fall back to [`INPUT_TAG`].
+    /// fall back to [`INPUT_TAG`]. The first read after a rewrite diffs
+    /// every queued rewrite, in order.
     pub fn tag(&self, index: usize) -> &'static str {
-        self.tags.get(index).copied().unwrap_or(INPUT_TAG)
+        let Queue { circuits, passes } = self.queue.take();
+        let mut tags = self.tags.borrow_mut();
+        for (pair, pass) in circuits.windows(2).zip(passes) {
+            *tags = retag(&tags, &pair[0], &pair[1], pass);
+        }
+        tags.get(index).copied().unwrap_or(INPUT_TAG)
     }
 
     /// The most recent pass that mutated the circuit, if any.
@@ -61,9 +86,26 @@ impl Provenance {
 
     /// Records that `pass` rewrote `old` into `new`: surviving
     /// instructions keep their tags, everything else is blamed on `pass`.
+    /// The diff waits in a queue until a tag is read.
     pub fn record_rewrite(&mut self, old: &Circuit, new: &Circuit, pass: &'static str) {
-        debug_assert_eq!(self.tags.len(), old.iter().count(), "stale provenance");
-        self.tags = retag(&self.tags, old, new, pass);
+        let queue = self.queue.get_mut();
+        match queue.circuits.last() {
+            None => {
+                debug_assert_eq!(
+                    self.tags.get_mut().len(),
+                    old.iter().count(),
+                    "stale provenance"
+                );
+                queue.circuits.push(old.clone());
+            }
+            // The last rewrite's output is this one's input, because only
+            // passes that report `Mutated` change the circuit (the
+            // invalidation contract `run_pass` already relies on), so the
+            // queue keeps one copy of each intermediate circuit.
+            Some(last) => debug_assert!(last == old, "rewrite does not follow the last one"),
+        }
+        queue.circuits.push(new.clone());
+        queue.passes.push(pass);
         self.last_mutator = Some(pass);
     }
 }
@@ -264,5 +306,164 @@ mod tests {
         let mut p = Provenance::for_input(&old);
         p.record_rewrite(&old, &new, "mover");
         assert_eq!(p.tag(0), "mover");
+    }
+}
+
+/// Oracle for the blame tags: whatever `Provenance` does between
+/// `record_rewrite` and `tag`, the tags it reads must equal `retag`
+/// folded eagerly over the same chain of rewrites.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use supermarq_circuit::Gate;
+
+    const PASSES: [&str; 4] = ["first", "second", "third", "fourth"];
+
+    fn random_instruction(rng: &mut StdRng, n: usize) -> Instruction {
+        let q = rng.gen_range(0..n);
+        let gate = match rng.gen_range(0..8) {
+            0 => Gate::H,
+            1 => Gate::X,
+            2 => Gate::S,
+            3 => Gate::Rz([0.5, 1.0][rng.gen_range(0..2usize)]),
+            4 => Gate::Measure,
+            5 => Gate::Barrier,
+            _ if n > 1 => {
+                let r = (q + rng.gen_range(1..n)) % n;
+                let gate = if rng.gen_bool(0.5) {
+                    Gate::Cx
+                } else {
+                    Gate::Cz
+                };
+                return Instruction::new(gate, vec![q, r]);
+            }
+            _ => Gate::Z,
+        };
+        Instruction::new(gate, vec![q])
+    }
+
+    fn build(n: usize, instrs: &[Instruction]) -> Circuit {
+        let mut c = Circuit::new(n);
+        for i in instrs {
+            c.push_unchecked(i.gate, &i.qubits);
+        }
+        c
+    }
+
+    fn random_circuit(rng: &mut StdRng, n: usize, len: usize) -> Circuit {
+        let instrs: Vec<_> = (0..len).map(|_| random_instruction(rng, n)).collect();
+        build(n, &instrs)
+    }
+
+    /// One random pass: an insertion, deletion, replacement or
+    /// reordering of a few instructions.
+    fn random_rewrite(rng: &mut StdRng, old: &Circuit) -> Circuit {
+        let n = old.num_qubits();
+        let mut instrs = old.instructions().to_vec();
+        let len = instrs.len();
+        match rng.gen_range(0..4) {
+            0 => {
+                let at = rng.gen_range(0..=len);
+                for _ in 0..rng.gen_range(1..=3) {
+                    instrs.insert(at, random_instruction(rng, n));
+                }
+            }
+            1 if len > 0 => {
+                let at = rng.gen_range(0..len);
+                let end = (at + rng.gen_range(1..=3usize)).min(len);
+                instrs.drain(at..end);
+            }
+            2 if len > 0 => {
+                let at = rng.gen_range(0..len);
+                instrs[at] = random_instruction(rng, n);
+            }
+            3 if len > 1 => {
+                let a = rng.gen_range(0..len);
+                let b = rng.gen_range(0..len);
+                instrs.swap(a, b);
+            }
+            _ => instrs.push(random_instruction(rng, n)),
+        }
+        build(n, &instrs)
+    }
+
+    fn tags_of(p: &Provenance, circuit: &Circuit) -> Vec<&'static str> {
+        (0..circuit.iter().count()).map(|i| p.tag(i)).collect()
+    }
+
+    /// Records `chain` on a tracker and folds `retag` eagerly beside it,
+    /// checking `last_mutator` after every step. Tags are read after the
+    /// chain, and also after each step where `read_between` says so.
+    fn check_chain(input: &Circuit, chain: &[Circuit], read_between: &[bool], label: &str) {
+        let mut p = Provenance::for_input(input);
+        let mut eager = vec![INPUT_TAG; input.iter().count()];
+        let mut old = input;
+        for (step, new) in chain.iter().enumerate() {
+            let pass = PASSES[step];
+            eager = retag(&eager, old, new, pass);
+            p.record_rewrite(old, new, pass);
+            assert_eq!(p.last_mutator(), Some(pass), "{label}: step {step}");
+            if read_between[step] {
+                assert_eq!(tags_of(&p, new), eager, "{label}: after step {step}");
+            }
+            old = new;
+        }
+        assert_eq!(tags_of(&p, old), eager, "{label}: after the chain");
+        assert_eq!(p.tag(eager.len()), INPUT_TAG, "{label}: out of range");
+    }
+
+    #[test]
+    fn tags_after_random_rewrite_chains_match_an_eager_fold_of_retag() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for case in 0..400 {
+            let n = rng.gen_range(1..=4);
+            let len = rng.gen_range(0..=20);
+            let input = random_circuit(&mut rng, n, len);
+            let steps = rng.gen_range(1..=4);
+            let mut chain: Vec<Circuit> = Vec::with_capacity(steps);
+            for _ in 0..steps {
+                let next = random_rewrite(&mut rng, chain.last().unwrap_or(&input));
+                chain.push(next);
+            }
+            let read_between: Vec<bool> = (0..steps).map(|_| rng.gen_bool(0.3)).collect();
+            check_chain(&input, &chain, &read_between, &format!("case {case}"));
+        }
+    }
+
+    #[test]
+    fn a_chain_whose_middle_rewrite_passes_the_lcs_cap_matches_the_fold() {
+        let mut rng = StdRng::seed_from_u64(29);
+        for case in 0..4 {
+            let n = 4;
+            let input = random_circuit(&mut rng, n, 300);
+            let first = random_rewrite(&mut rng, &input);
+            // The middle pass rebuilds the circuit from scratch, with first
+            // and last instructions no anchor can match, so its whole
+            // middle is past the cap and blamed wholesale.
+            let mut middle = Circuit::new(n);
+            middle.reset(0);
+            for instr in random_circuit(&mut rng, n, 290).iter() {
+                middle.push_unchecked(instr.gate, &instr.qubits);
+            }
+            middle.reset(n - 1);
+            let (old_len, new_len) = (first.iter().count(), middle.iter().count());
+            assert!(old_len * new_len > MAX_LCS_CELLS);
+            assert_ne!(first.instructions()[0], middle.instructions()[0]);
+            assert_ne!(
+                first.instructions()[old_len - 1],
+                middle.instructions()[new_len - 1]
+            );
+            let last = random_rewrite(&mut rng, &middle);
+            let chain = [first, middle, last];
+            let read_between = [case & 1 == 1, case & 2 == 2, false];
+            check_chain(
+                &input,
+                &chain,
+                &read_between,
+                &format!("capped case {case}"),
+            );
+        }
     }
 }

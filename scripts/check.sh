@@ -22,6 +22,9 @@ cargo bench -q -p supermarq-bench --bench substrate -- --test
 echo "==> bench assertion (dense CX path must stay within 2.5x of the CX kernel)"
 BENCH_ASSERT=1 cargo bench -q -p supermarq-bench --bench substrate -- kernels_18q
 
+echo "==> bench assertion (ambient pool within 1.5x of an installed pool of one on ghz6 trajectories)"
+BENCH_ASSERT=1 cargo bench -q -p supermarq-bench --bench substrate -- noisy_trajectories_ghz6
+
 echo "==> cache smoke (batch twice; warm pass must be all cache hits)"
 bash scripts/cache_smoke.sh
 
