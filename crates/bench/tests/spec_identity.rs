@@ -6,20 +6,23 @@
 //! `SCHEMA_VERSION` instead of editing the constants. The noisy Counts
 //! those records hold are pinned the same way (`noisy_counts_digest`), and
 //! so are the records themselves — seeds, relabeling, mitigation and
-//! scoring of both divisions (`run_records_digest`).
+//! scoring of both divisions (`run_records_digest`) — and every output
+//! built from a circuit analysis: transpiled circuits, diagnostics with
+//! their blame, and feature vectors (`analysis_outputs_digest`).
 
 use std::fmt::Write;
 
 use supermarq::registry::{BenchmarkEntry, BenchmarkRegistry, ParamKind};
 use supermarq::spec::execute_spec;
-use supermarq::{Benchmark, CircuitFamily, Mirror};
+use supermarq::{Benchmark, CircuitFamily, FeatureVector, Mirror};
 use supermarq_bench::{figure2_points, shots_for};
 use supermarq_clifford::{diagonalize, StabilizerExecutor};
 use supermarq_device::Device;
 use supermarq_pauli::mermin_operator;
 use supermarq_sim::{Executor, NoiseModel};
 use supermarq_store::{RunRecord, RunSpec};
-use supermarq_transpile::Transpiler;
+use supermarq_transpile::{PipelineId, TranspileError, Transpiler};
+use supermarq_verify::verify_on_device;
 
 /// Combined SHA-256 over the canonical strings of every Fig. 2 cell
 /// spec, captured on the pre-refactor tree (hard-coded factory match).
@@ -336,6 +339,105 @@ fn run_records_digest() {
         supermarq_store::hash::sha256_hex(listing.as_bytes()),
         RUN_RECORDS_DIGEST,
         "run records drifted:\n{listing}"
+    );
+}
+
+/// SHA-256 over [`analysis_outputs_listing`], captured while circuit
+/// analyses were still read through a shared per-pipeline cache and the
+/// verify checks through a dataflow engine.
+const ANALYSIS_OUTPUTS_DIGEST: &str =
+    "031ca40592986957da86a4172254430ca93dd1676f01d70512791ecd7ba8b5c3";
+
+/// The smallest 3+ qubit instance of every registry entry, then its
+/// mirror.
+fn small_instances_and_mirrors() -> Vec<Box<dyn Benchmark>> {
+    let mut benchmarks: Vec<Box<dyn Benchmark>> = Vec::new();
+    for entry in BenchmarkRegistry::builtin().entries() {
+        benchmarks.push(small_instance(entry));
+        benchmarks.push(Box::new(Mirror::new(small_instance(entry))));
+    }
+    benchmarks
+}
+
+/// Every output built from a circuit analysis, one item per line:
+/// - for every circuit of [`small_instances_and_mirrors`] on every Table
+///   II device under every built-in pipeline: on success the final QASM,
+///   every `TranspileResult` field and each accumulated diagnostic (with
+///   its `[pass: ...]` blame); on failure the error and, for a
+///   verification failure, each of its diagnostics;
+/// - the `verify_on_device` report of each raw circuit on each device;
+/// - `FeatureVector::as_array` bit patterns of every circuit and of
+///   `Benchmark::features`, for those benchmarks and `standard_suite()`.
+fn analysis_outputs_listing() -> String {
+    let devices = Device::all_paper_devices();
+    let benchmarks = small_instances_and_mirrors();
+    let mut all = String::new();
+    for benchmark in &benchmarks {
+        let name = benchmark.name();
+        for (i, c) in benchmark.circuits().iter().enumerate() {
+            for device in &devices {
+                let dev = device.name();
+                let report = verify_on_device(c, device);
+                for d in report.sorted() {
+                    writeln!(all, "{name} {i} {dev} raw: {d}").unwrap();
+                }
+                for pipeline in PipelineId::ALL {
+                    let transpiler = Transpiler::for_device(device).with_pipeline(pipeline);
+                    let label = format!("{name} {i} {dev} {pipeline}");
+                    match transpiler.run_with_context(c) {
+                        Ok(ctx) => {
+                            for d in ctx.diagnostics() {
+                                writeln!(all, "{label} diagnostic: {d}").unwrap();
+                            }
+                            let t = transpiler.run(c).unwrap_or_else(|e| panic!("{label}: {e}"));
+                            writeln!(
+                                all,
+                                "{label}: initial={:?} final={:?} swaps={} 2q={} depth={} \
+                                 measured_on={:?}\n{}",
+                                t.initial_mapping,
+                                t.final_mapping,
+                                t.swap_count,
+                                t.two_qubit_gates,
+                                t.depth,
+                                t.measured_on,
+                                t.circuit.to_qasm()
+                            )
+                            .unwrap();
+                        }
+                        Err(e) => {
+                            writeln!(all, "{label} error: {e}").unwrap();
+                            if let TranspileError::Verification { diagnostics, .. } = &e {
+                                for d in diagnostics {
+                                    writeln!(all, "{label} error diagnostic: {d}").unwrap();
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let suite = supermarq::benchmarks::standard_suite();
+    for benchmark in benchmarks.iter().chain(&suite) {
+        let name = benchmark.name();
+        let bits = |f: FeatureVector| f.as_array().map(f64::to_bits);
+        for (i, c) in benchmark.circuits().iter().enumerate() {
+            writeln!(all, "{name} {i} features: {:?}", bits(FeatureVector::of(c))).unwrap();
+        }
+        writeln!(all, "{name} features: {:?}", bits(benchmark.features())).unwrap();
+    }
+    all
+}
+
+/// Transpiled circuits, `TranspileResult` fields, diagnostics with their
+/// blame, raw-circuit reports and feature vectors are pinned bit for bit.
+#[test]
+fn analysis_outputs_digest() {
+    let listing = analysis_outputs_listing();
+    assert_eq!(
+        supermarq_store::hash::sha256_hex(listing.as_bytes()),
+        ANALYSIS_OUTPUTS_DIGEST,
+        "analysis outputs drifted:\n{listing}"
     );
 }
 
