@@ -172,15 +172,6 @@ impl LivenessMatrix {
         self.live.first().map_or(0, Vec::len)
     }
 
-    /// Whether qubit `q` is active in layer `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` or `t` is out of range.
-    pub fn is_live(&self, q: usize, t: usize) -> bool {
-        self.live[q][t]
-    }
-
     /// Sum over all entries of the matrix (`sum_ij A_ij` in Eq. 5).
     pub fn total_live(&self) -> usize {
         self.live
@@ -359,8 +350,6 @@ mod tests {
         let live = LivenessMatrix::of(&c);
         assert_eq!(live.total_live(), 2);
         assert!((live.fraction() - 0.5).abs() < 1e-12);
-        assert!(live.is_live(0, 0));
-        assert!(!live.is_live(1, 0));
     }
 
     #[test]

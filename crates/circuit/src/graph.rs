@@ -102,26 +102,6 @@ impl InteractionGraph {
         self.degree_sum() as f64 / (n as f64 * (n as f64 - 1.0))
     }
 
-    /// Number of connected components (isolated qubits each count as one).
-    pub fn connected_components(&self) -> usize {
-        let n = self.num_qubits;
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-            if parent[x] != x {
-                let root = find(parent, parent[x]);
-                parent[x] = root;
-            }
-            parent[x]
-        }
-        for &(a, b) in &self.edges {
-            let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-            if ra != rb {
-                parent[ra] = rb;
-            }
-        }
-        (0..n).filter(|&x| find(&mut parent, x) == x).count()
-    }
-
     /// All-pairs shortest-path distance between `a` and `b` via BFS, or
     /// `None` if disconnected.
     pub fn distance(&self, a: usize, b: usize) -> Option<usize> {
@@ -176,7 +156,6 @@ mod tests {
         assert_eq!(g.degree(2), 2);
         // Path graph: sum deg = 2(n-1); normalized = 2(n-1)/(n(n-1)) = 2/n.
         assert!((g.normalized_average_degree() - 2.0 / n as f64).abs() < 1e-12);
-        assert_eq!(g.connected_components(), 1);
     }
 
     #[test]
@@ -207,7 +186,6 @@ mod tests {
         let g = InteractionGraph::of(&c);
         assert_eq!(g.edge_count(), 0);
         assert_eq!(g.normalized_average_degree(), 0.0);
-        assert_eq!(g.connected_components(), 3);
     }
 
     #[test]

@@ -4,6 +4,12 @@
 //! the [`Circuit`] container, structural analyses (moment scheduling, DAG
 //! critical path, interaction graph) and OpenQASM 2.0 import/export.
 //!
+//! Each analysis is a plain function of `&Circuit`, called where its
+//! result is used: [`CircuitLayers::of`], [`Circuit::depth`],
+//! [`Circuit::gate_count`], [`Circuit::two_qubit_gate_count`],
+//! [`InteractionGraph::of`] and [`CriticalPathInfo::of`]. Nothing caches
+//! them, so no result can outlive the circuit it describes.
+//!
 //! The SupermarQ paper specifies its benchmarks "at the level of OpenQASM"
 //! (Sec. III, Principle 3), so the IR here deliberately mirrors the OpenQASM
 //! 2.0 operation set: a universal collection of named 1- and 2-qubit gates
@@ -29,7 +35,6 @@ pub mod diagram;
 pub mod gate;
 pub mod graph;
 pub mod math;
-pub mod properties;
 pub mod qasm;
 
 pub use analysis::{CircuitLayers, CriticalPathInfo, LivenessMatrix};
@@ -37,10 +42,6 @@ pub use circuit::{Circuit, Instruction};
 pub use gate::{Gate, GateKind};
 pub use graph::InteractionGraph;
 pub use math::C64;
-pub use properties::{
-    AsapLayers, CircuitAnalysis, CriticalPath, Depth, GateCount, Interactions, PropertySet,
-    TwoQubitGateCount,
-};
 pub use qasm::ParseQasmError;
 
 /// Errors produced while constructing or mutating a [`Circuit`].

@@ -1,7 +1,7 @@
 //! The end-of-process summary sink: per-span-name aggregates rendered
 //! as a fixed-width table together with every registered metric.
 //!
-//! Every span close calls [`record_span`] (cheap: one short mutex
+//! Every span close calls `record_span` (cheap: one short mutex
 //! acquisition on a map keyed by `&'static str`); [`render`] produces
 //! the table the CLI prints on stderr under `--profile`.
 

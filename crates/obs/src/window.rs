@@ -1,6 +1,6 @@
 //! Rolling-window histograms: recent latency, not lifetime latency.
 //!
-//! A lifetime [`Histogram`](crate::metrics::Histogram) answers "how has
+//! A lifetime [`Histogram`] answers "how has
 //! this process behaved since it started"; a live dashboard needs "how
 //! is it behaving *now*". [`WindowedHistogram`] keeps a small ring of
 //! per-slot histograms, each covering `slot_ms` of wall time. Recording

@@ -2,9 +2,9 @@
 //!
 //! Gate kernels are written as *range kernels* over a flat task space
 //! (pair indices for one-qubit gates, 4-tuple indices for two-qubit
-//! gates): [`crate::chunk::run_chunked`] splits the task space across the
+//! gates): `chunk::run_chunked` splits the task space across the
 //! thread pool for large states and runs inline otherwise, and the inner
-//! loops go through the [`crate::simd`] lanes. Amplitudes are
+//! loops go through the `simd` lanes. Amplitudes are
 //! bit-identical at every thread count — see `chunk.rs` for the contract.
 
 use crate::chunk::{self, SharedAmps};
@@ -194,7 +194,7 @@ impl StateVector {
     /// kernel scanned all `2^n` indices and skipped three quarters of
     /// them — O(4·2^n) branchy work per gate). Exact-zero matrix entries
     /// are masked out of the row accumulation once up front
-    /// ([`simd::nonzero_mask4`]), so sparse gate matrices — CX touches 4
+    /// (`simd::nonzero_mask4`), so sparse gate matrices — CX touches 4
     /// of 16 entries — pay only for their nonzero structure; the mask is
     /// fixed per gate, keeping amplitudes bit-identical at any chunking.
     pub fn apply_matrix2(&mut self, m: &[[C64; 4]; 4], q0: usize, q1: usize) {
@@ -648,7 +648,7 @@ impl StateVector {
     }
 }
 
-/// Retired amplitude buffers go back to the thread-local [`pool`] so the
+/// Retired amplitude buffers go back to the thread-local `pool` so the
 /// next state (or permutation pass) reuses the allocation instead of
 /// bouncing multi-megabyte blocks through the system allocator — see the
 /// pool module docs for why that matters.

@@ -1,8 +1,7 @@
 //! The six application feature vectors of paper Sec. III-B.
 
 use supermarq_circuit::{
-    AsapLayers, Circuit, CriticalPath, GateCount, Interactions, LivenessMatrix, PropertySet,
-    TwoQubitGateCount,
+    Circuit, CircuitLayers, CriticalPathInfo, InteractionGraph, LivenessMatrix,
 };
 
 /// The hardware-agnostic feature vector describing how an application
@@ -48,21 +47,13 @@ pub const FEATURE_NAMES: [&str; 6] = [
 ];
 
 impl FeatureVector {
-    /// Computes all six features of a circuit.
+    /// Computes all six features of a circuit. The ASAP layering is built
+    /// once and feeds depth, liveness and the measurement feature.
     ///
     /// Empty circuits produce the all-zero vector.
     pub fn of(circuit: &Circuit) -> Self {
-        Self::with_properties(circuit, &PropertySet::new())
-    }
-
-    /// Computes all six features, reading every structural analysis through
-    /// `properties` so already-cached results (e.g. from a transpile
-    /// [`PassContext`](supermarq_transpile::PassContext)) are reused rather
-    /// than recomputed. The set must be valid for `circuit` — see the
-    /// [`PropertySet`] invalidation contract.
-    pub fn with_properties(circuit: &Circuit, properties: &PropertySet) -> Self {
         let n = circuit.num_qubits();
-        let layers = properties.get::<AsapLayers>(circuit);
+        let layers = CircuitLayers::of(circuit);
         let d = layers.depth();
         if d == 0 || n == 0 {
             return FeatureVector {
@@ -75,10 +66,9 @@ impl FeatureVector {
             };
         }
 
-        let graph = properties.get::<Interactions>(circuit);
-        let program_communication = graph.normalized_average_degree();
+        let program_communication = InteractionGraph::of(circuit).normalized_average_degree();
 
-        let cp = properties.get::<CriticalPath>(circuit);
+        let cp = CriticalPathInfo::of(circuit);
         let critical_depth = if cp.two_qubit_total == 0 {
             0.0
         } else {
@@ -87,8 +77,8 @@ impl FeatureVector {
 
         // Gate counts exclude barriers but include measure/reset (they
         // occupy hardware time exactly like gates do).
-        let n_g = *properties.get::<GateCount>(circuit);
-        let n_e = *properties.get::<TwoQubitGateCount>(circuit);
+        let n_g = circuit.gate_count();
+        let n_e = circuit.two_qubit_gate_count();
         let entanglement_ratio = if n_g == 0 {
             0.0
         } else {
@@ -274,21 +264,6 @@ mod tests {
         let mut terminal_only = Circuit::new(3);
         terminal_only.cx(0, 1).cx(2, 1).measure_all();
         assert_eq!(FeatureVector::of(&terminal_only).measurement, 0.0);
-    }
-
-    #[test]
-    fn with_properties_matches_of_and_populates_the_cache() {
-        let c = ghz(5);
-        let props = PropertySet::new();
-        // Prime one analysis the way a transpile pass context would.
-        let _ = props.get::<AsapLayers>(&c);
-        let f = FeatureVector::with_properties(&c, &props);
-        assert_eq!(f, FeatureVector::of(&c));
-        // Every analysis the features touched is now shared in the set.
-        assert!(props.is_cached::<Interactions>());
-        assert!(props.is_cached::<CriticalPath>());
-        assert!(props.is_cached::<GateCount>());
-        assert!(props.is_cached::<TwoQubitGateCount>());
     }
 
     #[test]

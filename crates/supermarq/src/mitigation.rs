@@ -12,7 +12,7 @@
 //! whose tensor-product inverse is applied qubit-by-qubit to the measured
 //! histogram. Negative quasi-probabilities are clipped and the distribution
 //! renormalized (the common practical recipe), then converted back to
-//! integer counts so the unchanged [`crate::Benchmark::score`] functions
+//! integer counts so the unchanged [`crate::ScoringStrategy::score`] functions
 //! apply.
 
 use std::collections::BTreeMap;

@@ -4,7 +4,7 @@
 //! The store crate is executor-agnostic; this module gives its specs
 //! meaning. A spec's `(benchmark, params)` pair resolves through
 //! [`benchmark_from_params`] — a thin wrapper over the
-//! [`BenchmarkRegistry`](crate::registry::BenchmarkRegistry), which
+//! [`BenchmarkRegistry`], which
 //! validates strictly (every declared parameter present, nothing else —
 //! so each logical run has exactly one canonical spec and therefore one
 //! cache key) — the device by catalog name, and the transpile strings
@@ -60,7 +60,7 @@ pub fn default_init(size: usize) -> String {
 
 /// Instantiates a benchmark from a spec's `(benchmark, params)` pair by
 /// resolving through the built-in
-/// [`BenchmarkRegistry`](crate::registry::BenchmarkRegistry), including
+/// [`BenchmarkRegistry`], including
 /// `-mirror` variants.
 ///
 /// # Errors

@@ -1,5 +1,5 @@
 //! Differential pipeline certification: the transpile-side adapter over
-//! [`supermarq_verify::differential`].
+//! [`supermarq_verify::differential`](mod@supermarq_verify::differential).
 //!
 //! `supermarq transpile diff` and the autotuning roadmap item both need
 //! the same primitive: "do pipelines A and B compile the same programs to

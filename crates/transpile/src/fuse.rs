@@ -72,8 +72,7 @@ struct PendingRun {
 /// A run consisting of exactly one `U` gate passes through *bit-identical*
 /// rather than round-tripping through matrix extraction (which reintroduces
 /// float jitter in the angles). This makes fusion idempotent — the second
-/// application of `fuse` to an already-fused circuit is the identity — which
-/// the pass manager's `FixedPoint` combinator relies on to reach quiescence.
+/// application of `fuse` to an already-fused circuit is the identity.
 /// Inputs containing no `U` gates (every benchmark circuit; every decomposed
 /// native circuit) are handled exactly as before.
 pub fn fuse_single_qubit_runs(input: &Circuit) -> Circuit {

@@ -18,11 +18,12 @@
 //!
 //! Since the pass-manager refactor the pipeline is *data*: each stage is a
 //! [`Pass`] run over a shared [`PassContext`] (which owns the working
-//! circuit, the qubit [`Layout`] and a cache of circuit analyses), and
-//! named [`pipeline::PipelineSpec`]s — `closed-default`, `closed-stages`,
-//! `no-optimize`, ... — say which passes run in which order. The default
-//! `closed-default` pipeline reproduces the historical hard-coded sequence
-//! bit-identically.
+//! circuit and the qubit [`Layout`], and records every rewrite for blame),
+//! and named [`pipeline::PipelineSpec`]s — `closed-default`,
+//! `closed-stages`, `no-optimize`, ... — say which passes run in which
+//! order. A pass that needs a circuit analysis calls it on the working
+//! circuit; nothing is cached between passes. The default `closed-default`
+//! pipeline reproduces the historical hard-coded sequence bit-identically.
 //!
 //! # Example
 //!
@@ -54,11 +55,9 @@ pub mod routing;
 pub mod transpiler;
 
 pub use diff::differential_pipelines;
-pub use pass::{run_pass, FixedPoint, Layout, Pass, PassContext, PassOutcome};
+pub use pass::{run_pass, Layout, Pass, PassContext};
 pub use pipeline::{PassSpec, PipelineId, PipelineSpec};
 pub use placement::PlacementStrategy;
 pub use provenance::{Provenance, INPUT_TAG};
 pub use routing::RouteError;
-pub use transpiler::{
-    relabel_counts, RoutingStrategy, TranspileError, TranspileResult, Transpiler,
-};
+pub use transpiler::{relabel_counts, TranspileError, TranspileResult, Transpiler};

@@ -1,20 +1,18 @@
-//! The pass-manager core: [`Pass`], [`PassContext`], [`Layout`] and the
-//! [`FixedPoint`] combinator.
+//! The pass-manager core: [`Pass`], [`PassContext`] and [`Layout`].
 //!
 //! A transpile pipeline is a sequence of [`Pass`]es run over one shared
-//! [`PassContext`]. The context owns the working [`Circuit`], the qubit
-//! [`Layout`], and a [`PropertySet`] of cached circuit analyses (depth, gate
-//! counts, interaction graph, ASAP layers) that passes consume via
-//! [`PassContext::analysis`].
+//! [`PassContext`]. The context owns the working [`Circuit`] and the qubit
+//! [`Layout`]. A pass that needs an analysis of the circuit (depth, the
+//! interaction graph, ...) calls it on [`PassContext::circuit`]; the
+//! context holds no analysis results.
 //!
-//! # Invalidation contract
+//! # Blame
 //!
-//! Cached analyses are invalidated *only* when a pass reports
-//! [`PassOutcome::Mutated`]. The pass runner ([`run_pass`]) handles this; a
-//! pass that replaces the circuit via [`PassContext::set_circuit`] but
-//! reports [`PassOutcome::Unchanged`] leaves stale analyses behind and is a
-//! bug. In exchange, read-only passes (verify, schedule) share every
-//! analysis for free.
+//! A pass changes the working circuit only through
+//! [`PassContext::set_circuit`], which records the rewrite in the
+//! context's [`Provenance`] under the name of the pass [`run_pass`] is
+//! running. So a pass reports nothing about what it did, and the runner
+//! never copies a pass's input.
 //!
 //! # Observability
 //!
@@ -23,25 +21,13 @@
 //! A pass adds extra span fields by queuing [`PassContext::note`]s, which
 //! the runner drains into the span after the pass returns.
 
-use std::rc::Rc;
-
-use supermarq_circuit::{Circuit, CircuitAnalysis, GateCount, GateKind, PropertySet};
+use supermarq_circuit::{Circuit, GateKind};
 use supermarq_device::Device;
 use supermarq_obs::{FieldValue, Span};
 use supermarq_verify::Diagnostic;
 
-use crate::provenance::Provenance;
+use crate::provenance::{Provenance, INPUT_TAG};
 use crate::transpiler::TranspileError;
-
-/// What a [`Pass`] did to the working circuit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PassOutcome {
-    /// The circuit is untouched; cached analyses stay valid.
-    Unchanged,
-    /// The circuit was rewritten; the runner invalidates the
-    /// [`PropertySet`].
-    Mutated,
-}
 
 /// The program-to-physical qubit mapping as a first-class value.
 ///
@@ -96,21 +82,22 @@ impl Layout {
 ///
 /// Owns exactly one working [`Circuit`]; passes replace it via
 /// [`set_circuit`](Self::set_circuit) instead of threading clones between
-/// stages. The only clone the pipeline ever takes beyond the input copy is
-/// the optional pre-route snapshot, and only when a downstream
-/// routing-audit pass asked for it.
+/// stages. Beyond the input copy, the pipeline copies a circuit only to
+/// keep a rewrite for blame (see [`Provenance`]) and for the optional
+/// pre-route snapshot, taken only when a downstream routing-audit pass
+/// asked for it.
 #[derive(Debug)]
 pub struct PassContext<'d> {
     device: &'d Device,
     circuit: Circuit,
     layout: Layout,
     swap_count: usize,
-    properties: PropertySet,
     diagnostics: Vec<Diagnostic>,
     notes: Vec<(&'static str, FieldValue)>,
     snapshot: Option<Circuit>,
     want_snapshot: bool,
     provenance: Provenance,
+    running: &'static str,
     input_clifford: bool,
 }
 
@@ -126,12 +113,12 @@ impl<'d> PassContext<'d> {
             circuit,
             layout: Layout::default(),
             swap_count: 0,
-            properties: PropertySet::new(),
             diagnostics: Vec::new(),
             notes: Vec::new(),
             snapshot: None,
             want_snapshot,
             provenance,
+            running: INPUT_TAG,
             input_clifford,
         }
     }
@@ -146,11 +133,14 @@ impl<'d> PassContext<'d> {
         &self.circuit
     }
 
-    /// Replaces the working circuit. The caller **must** report
-    /// [`PassOutcome::Mutated`] so the runner invalidates cached analyses
-    /// (see the module-level invalidation contract).
+    /// Replaces the working circuit and records the rewrite for blame:
+    /// instructions the rewrite did not preserve are blamed on the pass
+    /// [`run_pass`] is running ([`INPUT_TAG`] outside any pass). A pass
+    /// calls this once, with everything it changed.
     pub fn set_circuit(&mut self, circuit: Circuit) {
-        self.circuit = circuit;
+        let old = std::mem::replace(&mut self.circuit, circuit);
+        self.provenance
+            .record_rewrite(&old, &self.circuit, self.running);
     }
 
     /// The current qubit layout.
@@ -171,23 +161,6 @@ impl<'d> PassContext<'d> {
     /// Records `n` more inserted SWAPs.
     pub fn add_swaps(&mut self, n: usize) {
         self.swap_count += n;
-    }
-
-    /// A cached analysis of the working circuit, computing it on first use.
-    pub fn analysis<A: CircuitAnalysis>(&self) -> Rc<A::Output> {
-        self.properties.get::<A>(&self.circuit)
-    }
-
-    /// The underlying analysis cache (mainly for tests asserting the
-    /// invalidation contract).
-    pub fn properties(&self) -> &PropertySet {
-        &self.properties
-    }
-
-    /// Drops every cached analysis. Called by the runner after a pass
-    /// reports [`PassOutcome::Mutated`].
-    pub fn invalidate_analyses(&mut self) {
-        self.properties.invalidate();
     }
 
     /// Queues an extra field for the running pass's obs span.
@@ -215,16 +188,11 @@ impl<'d> PassContext<'d> {
         self.snapshot.as_ref()
     }
 
-    /// Per-instruction blame tags for the working circuit ([`run_pass`]
-    /// records every mutating pass; the diff runs when a tag is read).
+    /// Per-instruction blame tags for the working circuit
+    /// ([`set_circuit`](Self::set_circuit) records every rewrite; the diff
+    /// runs when a tag is read).
     pub fn provenance(&self) -> &Provenance {
         &self.provenance
-    }
-
-    /// Records a circuit rewrite in the provenance tracker (runner-side).
-    pub(crate) fn record_rewrite(&mut self, old: &Circuit, pass: &'static str) {
-        // `self.circuit` is already the rewritten version here.
-        self.provenance.record_rewrite(old, &self.circuit, pass);
     }
 
     /// Whether the pipeline's *input* circuit was entirely Clifford — the
@@ -268,116 +236,34 @@ pub trait Pass {
     ///
     /// Routing passes return [`TranspileError::Routing`]; verify passes
     /// return [`TranspileError::Verification`] on error-grade findings.
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassOutcome, TranspileError>;
+    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError>;
 }
 
-/// Runs one pass under its obs span, recording `gates_in` / `gates_out`
-/// and draining the pass's queued [`note`](PassContext::note)s into the
-/// span, then enforces the invalidation contract.
+/// Runs one pass under its obs span: names it on the context (so its
+/// [`set_circuit`](PassContext::set_circuit) call is blamed on it), records
+/// `gates_in` / `gates_out`, and drains the pass's queued
+/// [`note`](PassContext::note)s into the span.
 ///
 /// # Errors
 ///
 /// Propagates whatever the pass returns.
-pub fn run_pass(pass: &dyn Pass, ctx: &mut PassContext<'_>) -> Result<PassOutcome, TranspileError> {
+pub fn run_pass(pass: &dyn Pass, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
     let mut span = Span::open(pass.span_name());
-    span.record_with("gates_in", || *ctx.analysis::<GateCount>());
-    let before = ctx.circuit().clone();
-    let outcome = pass.run(ctx);
+    span.record_with("gates_in", || ctx.circuit().gate_count());
+    ctx.running = pass.name();
+    let result = pass.run(ctx);
     for (key, value) in ctx.take_notes() {
         span.record(key, value);
     }
-    let outcome = outcome?;
-    if outcome == PassOutcome::Mutated {
-        ctx.invalidate_analyses();
-        // Blame: instructions the pass did not preserve get its name once
-        // a diagnostic reads their tags. Inner FixedPoint members mutate
-        // without their own run_pass frame, so their edits land on the
-        // enclosing pass — the granularity the pipeline actually reruns at.
-        ctx.record_rewrite(&before, pass.name());
-    }
-    span.record_with("gates_out", || *ctx.analysis::<GateCount>());
-    Ok(outcome)
-}
-
-/// Runs a cycle of passes until a full round leaves the circuit unchanged
-/// (or the round cap is hit), invalidating cached analyses after every
-/// mutating member so later members never read stale values.
-///
-/// Inner passes run without their own obs spans; the combinator is meant to
-/// live *inside* a named pass (e.g. the optimize passes), whose span the
-/// runner already emits.
-pub struct FixedPoint {
-    passes: Vec<Box<dyn Pass>>,
-    max_rounds: usize,
-}
-
-impl FixedPoint {
-    /// A fixed-point loop over `passes` with the default round cap of 8.
-    pub fn new(passes: Vec<Box<dyn Pass>>) -> Self {
-        FixedPoint {
-            passes,
-            max_rounds: 8,
-        }
-    }
-
-    /// Overrides the safety cap on rounds.
-    pub fn with_max_rounds(mut self, max_rounds: usize) -> Self {
-        self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Runs rounds until quiescence; returns the combined outcome and the
-    /// number of rounds executed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first inner-pass error.
-    pub fn run(&self, ctx: &mut PassContext<'_>) -> Result<(PassOutcome, usize), TranspileError> {
-        let mut combined = PassOutcome::Unchanged;
-        let mut rounds = 0usize;
-        for _ in 0..self.max_rounds {
-            rounds += 1;
-            let mut round_changed = false;
-            for pass in &self.passes {
-                if pass.run(ctx)? == PassOutcome::Mutated {
-                    ctx.invalidate_analyses();
-                    round_changed = true;
-                    combined = PassOutcome::Mutated;
-                }
-            }
-            if !round_changed {
-                break;
-            }
-        }
-        Ok((combined, rounds))
-    }
+    result?;
+    span.record_with("gates_out", || ctx.circuit().gate_count());
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use supermarq_circuit::{Depth, TwoQubitGateCount};
     use supermarq_device::Device;
-
-    fn ctx_for(circuit: Circuit) -> (Device, Circuit) {
-        (Device::ionq(), circuit)
-    }
-
-    #[test]
-    fn analysis_is_cached_until_invalidated() {
-        let (device, mut c) = ctx_for(Circuit::new(2));
-        c.h(0).cx(0, 1);
-        let mut ctx = PassContext::new(&device, c, false);
-        assert_eq!(*ctx.analysis::<Depth>(), 2);
-        assert!(ctx.properties().is_cached::<Depth>());
-        let mut bigger = ctx.circuit().clone();
-        bigger.h(1);
-        ctx.set_circuit(bigger);
-        // Stale until the runner invalidates — the documented contract.
-        assert_eq!(*ctx.analysis::<Depth>(), 2);
-        ctx.invalidate_analyses();
-        assert_eq!(*ctx.analysis::<Depth>(), 3);
-    }
 
     #[test]
     fn derive_measured_on_follows_the_static_mapping() {
@@ -395,11 +281,11 @@ mod tests {
         fn span_name(&self) -> &'static str {
             "transpile.test"
         }
-        fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassOutcome, TranspileError> {
+        fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
             let mut c = ctx.circuit().clone();
             c.h(0);
             ctx.set_circuit(c);
-            Ok(PassOutcome::Mutated)
+            Ok(())
         }
     }
 
@@ -411,72 +297,23 @@ mod tests {
         fn span_name(&self) -> &'static str {
             "transpile.test"
         }
-        fn run(&self, _ctx: &mut PassContext<'_>) -> Result<PassOutcome, TranspileError> {
-            Ok(PassOutcome::Unchanged)
+        fn run(&self, _ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
+            Ok(())
         }
     }
 
     #[test]
-    fn runner_invalidates_only_on_mutation() {
-        let (device, c) = ctx_for(Circuit::new(1));
-        let mut ctx = PassContext::new(&device, c, false);
-        assert_eq!(*ctx.analysis::<TwoQubitGateCount>(), 0);
-        run_pass(&Noop, &mut ctx).unwrap();
-        assert!(ctx.properties().is_cached::<TwoQubitGateCount>());
-        run_pass(&AppendH, &mut ctx).unwrap();
-        // gates_out recording re-primes GateCount, but the stale 2q count
-        // must be gone.
-        assert!(!ctx.properties().is_cached::<TwoQubitGateCount>());
-        assert_eq!(*ctx.analysis::<Depth>(), 1);
-    }
-
-    /// Removes trailing H pairs one pair per invocation, so quiescence
-    /// takes several rounds.
-    struct CancelHPair;
-    impl Pass for CancelHPair {
-        fn name(&self) -> &'static str {
-            "cancel-h-pair"
-        }
-        fn span_name(&self) -> &'static str {
-            "transpile.test"
-        }
-        fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassOutcome, TranspileError> {
-            let gates: Vec<_> = ctx.circuit().iter().cloned().collect();
-            if gates.len() >= 2 {
-                let mut c = Circuit::new(ctx.circuit().num_qubits());
-                for instr in &gates[..gates.len() - 2] {
-                    c.append(instr.gate, &instr.qubits);
-                }
-                ctx.set_circuit(c);
-                Ok(PassOutcome::Mutated)
-            } else {
-                Ok(PassOutcome::Unchanged)
-            }
-        }
-    }
-
-    #[test]
-    fn fixed_point_runs_until_quiescent() {
+    fn set_circuit_blames_the_running_pass() {
         let device = Device::ionq();
         let mut c = Circuit::new(1);
-        c.h(0).h(0).h(0).h(0).h(0).h(0);
+        c.x(0);
         let mut ctx = PassContext::new(&device, c, false);
-        let fp = FixedPoint::new(vec![Box::new(CancelHPair)]);
-        let (outcome, rounds) = fp.run(&mut ctx).unwrap();
-        assert_eq!(outcome, PassOutcome::Mutated);
-        // Three mutating rounds plus the quiescent confirmation round.
-        assert_eq!(rounds, 4);
-        assert_eq!(ctx.circuit().gate_count(), 0);
-    }
-
-    #[test]
-    fn fixed_point_respects_round_cap() {
-        let device = Device::ionq();
-        let mut ctx = PassContext::new(&device, Circuit::new(1), false);
-        let fp = FixedPoint::new(vec![Box::new(AppendH)]).with_max_rounds(3);
-        let (outcome, rounds) = fp.run(&mut ctx).unwrap();
-        assert_eq!(outcome, PassOutcome::Mutated);
-        assert_eq!(rounds, 3);
-        assert_eq!(ctx.circuit().gate_count(), 3);
+        run_pass(&Noop, &mut ctx).unwrap();
+        assert_eq!(ctx.provenance().last_mutator(), None);
+        run_pass(&AppendH, &mut ctx).unwrap();
+        run_pass(&Noop, &mut ctx).unwrap();
+        assert_eq!(ctx.provenance().last_mutator(), Some("append-h"));
+        assert_eq!(ctx.provenance().tag(0), INPUT_TAG);
+        assert_eq!(ctx.provenance().tag(1), "append-h");
     }
 }

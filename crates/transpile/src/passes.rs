@@ -7,83 +7,34 @@
 //! `"route"`, `"decompose"`, `"optimize"`) in their
 //! [`TranspileError::Verification`] reports.
 
-use supermarq_circuit::{Depth, Interactions, TwoQubitGateCount};
+use supermarq_circuit::Circuit;
 use supermarq_verify::{Context, Report, RoutingAudit, Verifier};
 
 use crate::cancel::cancel_adjacent_gates;
 use crate::decompose::decompose;
 use crate::fuse::fuse_single_qubit_runs;
-use crate::pass::{FixedPoint, Layout, Pass, PassContext, PassOutcome};
-use crate::placement::{place_on_device_with_graph, PlacementStrategy};
-use crate::routing::{route, route_with_lookahead};
-use crate::transpiler::{RoutingStrategy, TranspileError};
+use crate::pass::{Layout, Pass, PassContext};
+use crate::placement::{place_on_device, PlacementStrategy};
+use crate::routing::route;
+use crate::transpiler::TranspileError;
 
-/// Lookahead window for [`RoutingStrategy::Lookahead`] (unchanged from the
-/// pre-pass-manager pipeline).
-const LOOKAHEAD_WINDOW: usize = 8;
-
-/// Single-qubit fusion as a bare pass ([`FixedPoint`] member; no span of
-/// its own).
-pub struct FusePass;
-
-impl Pass for FusePass {
-    fn name(&self) -> &'static str {
-        "fuse"
-    }
-    fn span_name(&self) -> &'static str {
-        "transpile.fuse"
-    }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassOutcome, TranspileError> {
-        let fused = fuse_single_qubit_runs(ctx.circuit());
-        if fused == *ctx.circuit() {
-            Ok(PassOutcome::Unchanged)
-        } else {
-            ctx.set_circuit(fused);
-            Ok(PassOutcome::Mutated)
-        }
-    }
-}
-
-/// Adjacent-gate cancellation as a bare pass ([`FixedPoint`] member).
-pub struct CancelPass;
-
-impl Pass for CancelPass {
-    fn name(&self) -> &'static str {
-        "cancel"
-    }
-    fn span_name(&self) -> &'static str {
-        "transpile.cancel"
-    }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassOutcome, TranspileError> {
-        let cancelled = cancel_adjacent_gates(ctx.circuit());
-        if cancelled == *ctx.circuit() {
-            Ok(PassOutcome::Unchanged)
-        } else {
-            ctx.set_circuit(cancelled);
-            Ok(PassOutcome::Mutated)
-        }
-    }
-}
-
-/// Runs one fuse + cancel round through the [`FixedPoint`] combinator and
-/// notes the round count.
+/// One fuse + cancel round, `cancel_adjacent_gates(&fuse_single_qubit_runs(c))`:
+/// the result, and whether either step changed its input.
 ///
-/// The round cap is pinned to 1 — exactly the legacy
-/// `cancel(fuse(circuit))` sequence — because running to quiescence is
-/// *not* output-preserving: cancellation can delete a two-qubit pair and
-/// leave two fused `U` gates newly adjacent, which a second fuse round
-/// would merge. The equivalence suite freezes the paper pipelines to the
-/// historical single-round output; pipelines that want the deeper
-/// optimization can build their own [`FixedPoint`] with a higher cap.
-fn optimize_to_fixed_point(ctx: &mut PassContext<'_>) -> Result<PassOutcome, TranspileError> {
-    let loop_ = FixedPoint::new(vec![Box::new(FusePass), Box::new(CancelPass)]).with_max_rounds(1);
-    let (outcome, rounds) = loop_.run(ctx)?;
-    ctx.note("rounds", rounds);
-    Ok(outcome)
+/// One round, not a loop to quiescence, because a second round is *not*
+/// output-preserving: cancellation can delete a two-qubit pair and leave
+/// two fused `U` gates newly adjacent, which a second fuse would merge.
+/// The equivalence suite freezes the paper pipelines to the single-round
+/// output.
+fn fuse_and_cancel(circuit: &Circuit) -> (Circuit, bool) {
+    let fused = fuse_single_qubit_runs(circuit);
+    let cancelled = cancel_adjacent_gates(&fused);
+    let changed = fused != *circuit || cancelled != fused;
+    (cancelled, changed)
 }
 
-/// Logical-level cleanup: one fuse + cancel round (see
-/// [`optimize_to_fixed_point`] for why it is a single round).
+/// Logical-level cleanup: one fuse + cancel round (`fuse_and_cancel`
+/// says why it is a single round).
 pub struct OptimizeLogicalPass;
 
 impl Pass for OptimizeLogicalPass {
@@ -93,16 +44,21 @@ impl Pass for OptimizeLogicalPass {
     fn span_name(&self) -> &'static str {
         "transpile.optimize"
     }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassOutcome, TranspileError> {
+    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
         ctx.note("phase", "logical");
-        optimize_to_fixed_point(ctx)
+        let (optimized, changed) = fuse_and_cancel(ctx.circuit());
+        if changed {
+            ctx.set_circuit(optimized);
+        }
+        Ok(())
     }
 }
 
 /// Physical-level cleanup: one fuse + cancel round, then one decompose to
 /// lower the `U3` gates fusion introduced back to native single-qubit
-/// gates. The decompose stays *outside* the loop: its float jitter would
-/// keep a fixed point from ever quiescing.
+/// gates. The three steps are one rewrite, recorded when any of them
+/// changed its input — even when the re-lowered circuit equals the pass's
+/// input, so blame still names this pass as the last mutator.
 pub struct OptimizePhysicalPass;
 
 impl Pass for OptimizePhysicalPass {
@@ -112,15 +68,14 @@ impl Pass for OptimizePhysicalPass {
     fn span_name(&self) -> &'static str {
         "transpile.optimize"
     }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassOutcome, TranspileError> {
+    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
         ctx.note("phase", "physical");
-        let mut outcome = optimize_to_fixed_point(ctx)?;
-        let lowered = decompose(ctx.circuit(), ctx.device().gate_set());
-        if lowered != *ctx.circuit() {
+        let (optimized, changed) = fuse_and_cancel(ctx.circuit());
+        let lowered = decompose(&optimized, ctx.device().gate_set());
+        if changed || lowered != optimized {
             ctx.set_circuit(lowered);
-            outcome = PassOutcome::Mutated;
         }
-        Ok(outcome)
+        Ok(())
     }
 }
 
@@ -136,23 +91,19 @@ impl Pass for PlacePass {
     fn span_name(&self) -> &'static str {
         "transpile.place"
     }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassOutcome, TranspileError> {
+    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
         ctx.note("qubits", ctx.circuit().num_qubits());
         ctx.note("strategy", format!("{:?}", self.strategy));
-        let interactions = ctx.analysis::<Interactions>();
-        let mapping =
-            place_on_device_with_graph(ctx.circuit(), ctx.device(), self.strategy, &interactions);
+        let mapping = place_on_device(ctx.circuit(), ctx.device(), self.strategy);
         let layout = Layout::from_placement(ctx.circuit(), mapping);
         ctx.set_layout(layout);
-        Ok(PassOutcome::Unchanged)
+        Ok(())
     }
 }
 
 /// SWAP-insertion routing: rewrites the circuit onto physical wires and
 /// updates the [`Layout`]'s `current` / `measured_on` tracking.
-pub struct RoutePass {
-    pub strategy: RoutingStrategy,
-}
+pub struct RoutePass;
 
 impl Pass for RoutePass {
     fn name(&self) -> &'static str {
@@ -161,23 +112,15 @@ impl Pass for RoutePass {
     fn span_name(&self) -> &'static str {
         "transpile.route"
     }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassOutcome, TranspileError> {
-        ctx.note("strategy", format!("{:?}", self.strategy));
+    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
         if ctx.wants_route_snapshot() {
             ctx.save_route_snapshot();
         }
-        let mapping = ctx.layout().initial.clone();
-        let routed = match self.strategy {
-            RoutingStrategy::ShortestPath => {
-                route(ctx.circuit(), ctx.device().topology(), &mapping)?
-            }
-            RoutingStrategy::Lookahead => route_with_lookahead(
-                ctx.circuit(),
-                ctx.device().topology(),
-                &mapping,
-                LOOKAHEAD_WINDOW,
-            )?,
-        };
+        let routed = route(
+            ctx.circuit(),
+            ctx.device().topology(),
+            &ctx.layout().initial,
+        )?;
         ctx.note("swaps_added", routed.swap_count);
         ctx.add_swaps(routed.swap_count);
         ctx.set_layout(Layout {
@@ -186,7 +129,7 @@ impl Pass for RoutePass {
             measured_on: routed.measured_on,
         });
         ctx.set_circuit(routed.circuit);
-        Ok(PassOutcome::Mutated)
+        Ok(())
     }
 }
 
@@ -200,22 +143,17 @@ impl Pass for DecomposePass {
     fn span_name(&self) -> &'static str {
         "transpile.decompose"
     }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassOutcome, TranspileError> {
+    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
         let native = decompose(ctx.circuit(), ctx.device().gate_set());
-        if native == *ctx.circuit() {
-            Ok(PassOutcome::Unchanged)
-        } else {
+        if native != *ctx.circuit() {
             ctx.set_circuit(native);
-            Ok(PassOutcome::Mutated)
         }
+        Ok(())
     }
 }
 
-/// Final bookkeeping: ASAP-schedules the circuit and reports its depth and
-/// two-qubit gate count. Both analyses land in the shared [`PropertySet`],
-/// so building the `TranspileResult` afterwards recomputes nothing.
-///
-/// [`PropertySet`]: supermarq_circuit::PropertySet
+/// Final bookkeeping: ASAP-schedules the circuit and notes its depth and
+/// two-qubit gate count on the pass span.
 pub struct SchedulePass;
 
 impl Pass for SchedulePass {
@@ -225,12 +163,10 @@ impl Pass for SchedulePass {
     fn span_name(&self) -> &'static str {
         "transpile.schedule"
     }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassOutcome, TranspileError> {
-        let depth = *ctx.analysis::<Depth>();
-        let two_qubit_gates = *ctx.analysis::<TwoQubitGateCount>();
-        ctx.note("depth", depth);
-        ctx.note("two_qubit_gates", two_qubit_gates);
-        Ok(PassOutcome::Unchanged)
+    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
+        ctx.note("depth", ctx.circuit().depth());
+        ctx.note("two_qubit_gates", ctx.circuit().two_qubit_gate_count());
+        Ok(())
     }
 }
 
@@ -242,7 +178,7 @@ fn finish_verify(
     ctx: &mut PassContext<'_>,
     stage: &'static str,
     mut report: Report,
-) -> Result<PassOutcome, TranspileError> {
+) -> Result<(), TranspileError> {
     for d in &mut report.diagnostics {
         let blame = match d.instruction {
             Some(index) => ctx.provenance().tag(index),
@@ -260,7 +196,7 @@ fn finish_verify(
     }
     ctx.note("diagnostics", report.diagnostics.len());
     ctx.extend_diagnostics(report.diagnostics);
-    Ok(PassOutcome::Unchanged)
+    Ok(())
 }
 
 /// Structural verification of the logical circuit (stage
@@ -274,11 +210,9 @@ impl Pass for VerifyLogicalPass {
     fn span_name(&self) -> &'static str {
         "transpile.verify"
     }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassOutcome, TranspileError> {
+    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
         ctx.note("stage", "logical-optimize");
-        let vctx = Context::bare(ctx.circuit())
-            .with_properties(ctx.properties())
-            .with_clifford_claim(ctx.input_clifford());
+        let vctx = Context::bare(ctx.circuit()).with_clifford_claim(ctx.input_clifford());
         let report = Verifier::structural().verify(&vctx);
         finish_verify(ctx, "logical-optimize", report)
     }
@@ -296,7 +230,7 @@ impl Pass for VerifyRoutedPass {
     fn span_name(&self) -> &'static str {
         "transpile.verify"
     }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassOutcome, TranspileError> {
+    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
         ctx.note("stage", "route");
         let report = match ctx.route_snapshot() {
             Some(logical) => {
@@ -313,7 +247,6 @@ impl Pass for VerifyRoutedPass {
                     routing: Some(&audit),
                     ..Context::bare(ctx.circuit())
                 }
-                .with_properties(ctx.properties())
                 .with_clifford_claim(ctx.input_clifford());
                 Verifier::post_routing().verify(&vctx)
             }
@@ -321,7 +254,6 @@ impl Pass for VerifyRoutedPass {
             // device-conformance checks still apply, the audit does not.
             None => {
                 let vctx = Context::on_device(ctx.circuit(), ctx.device())
-                    .with_properties(ctx.properties())
                     .with_clifford_claim(ctx.input_clifford());
                 Verifier::post_routing().verify(&vctx)
             }
@@ -341,10 +273,9 @@ impl Pass for VerifyNativePass {
     fn span_name(&self) -> &'static str {
         "transpile.verify"
     }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassOutcome, TranspileError> {
+    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
         ctx.note("stage", "decompose");
         let vctx = Context::on_device(ctx.circuit(), ctx.device())
-            .with_properties(ctx.properties())
             .with_clifford_claim(ctx.input_clifford());
         let report = Verifier::all().verify(&vctx);
         finish_verify(ctx, "decompose", report)
@@ -362,10 +293,9 @@ impl Pass for VerifyFinalPass {
     fn span_name(&self) -> &'static str {
         "transpile.verify"
     }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassOutcome, TranspileError> {
+    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
         ctx.note("stage", "optimize");
         let vctx = Context::on_device(ctx.circuit(), ctx.device())
-            .with_properties(ctx.properties())
             .with_clifford_claim(ctx.input_clifford());
         let report = Verifier::all().verify(&vctx);
         finish_verify(ctx, "optimize", report)

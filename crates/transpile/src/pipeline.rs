@@ -1,5 +1,4 @@
-//! Named, serializable pipelines: [`PassSpec`], [`PipelineSpec`] and
-//! [`PipelineId`].
+//! Named pipelines: [`PassSpec`], [`PipelineSpec`] and [`PipelineId`].
 //!
 //! A pipeline is *data*: an ordered list of [`PassSpec`]s under a stable
 //! name. The name is what downstream layers hash — the content-addressed
@@ -13,13 +12,12 @@ use crate::passes::{
     VerifyFinalPass, VerifyLogicalPass, VerifyNativePass, VerifyRoutedPass,
 };
 use crate::placement::PlacementStrategy;
-use crate::transpiler::RoutingStrategy;
 
 /// One pass slot in a pipeline, as pure data.
 ///
-/// Strategy-dependent passes (place, route) read their strategy from the
+/// The place pass reads its strategy from the
 /// [`Transpiler`](crate::Transpiler) at instantiation time, so the same
-/// `PassSpec` list serves every placement/routing configuration.
+/// `PassSpec` list serves every placement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PassSpec {
     /// Logical fuse + cancel (one round, matching the legacy sequence).
@@ -60,7 +58,7 @@ impl PassSpec {
         PassSpec::Schedule,
     ];
 
-    /// Stable kebab-case identifier (the serialized form).
+    /// Stable kebab-case identifier (what `transpile passes` prints).
     pub fn id(self) -> &'static str {
         match self {
             PassSpec::OptimizeLogical => "optimize-logical",
@@ -92,24 +90,15 @@ impl PassSpec {
         }
     }
 
-    /// Parses a serialized pass id.
-    pub fn parse(s: &str) -> Option<PassSpec> {
-        PassSpec::ALL.into_iter().find(|p| p.id() == s)
-    }
-
-    /// Instantiates the pass, binding the strategy-dependent slots.
-    pub fn instantiate(
-        self,
-        placement: PlacementStrategy,
-        routing: RoutingStrategy,
-    ) -> Box<dyn Pass> {
+    /// Instantiates the pass, binding the place pass's strategy.
+    pub fn instantiate(self, placement: PlacementStrategy) -> Box<dyn Pass> {
         match self {
             PassSpec::OptimizeLogical => Box::new(OptimizeLogicalPass),
             PassSpec::VerifyLogical => Box::new(VerifyLogicalPass),
             PassSpec::Place => Box::new(PlacePass {
                 strategy: placement,
             }),
-            PassSpec::Route => Box::new(RoutePass { strategy: routing }),
+            PassSpec::Route => Box::new(RoutePass),
             PassSpec::VerifyRouted => Box::new(VerifyRoutedPass),
             PassSpec::Decompose => Box::new(DecomposePass),
             PassSpec::VerifyNative => Box::new(VerifyNativePass),
@@ -120,8 +109,7 @@ impl PassSpec {
     }
 }
 
-/// A named, ordered list of passes — the serializable unit cache keys
-/// reference.
+/// A named, ordered list of passes; cache keys reference it by name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineSpec {
     name: String,
@@ -147,7 +135,7 @@ impl PipelineSpec {
         &self.passes
     }
 
-    /// The serialized pass ids, in execution order.
+    /// The pass ids, in execution order.
     pub fn pass_ids(&self) -> Vec<&'static str> {
         self.passes.iter().map(|p| p.id()).collect()
     }
@@ -158,21 +146,9 @@ impl PipelineSpec {
         self.passes.contains(&PassSpec::VerifyRouted)
     }
 
-    /// Serializes to the canonical `name: pass pass ...` line.
+    /// The one-line `name: pass pass ...` form `transpile passes` prints.
     pub fn render(&self) -> String {
         format!("{}: {}", self.name, self.pass_ids().join(" "))
-    }
-
-    /// Parses the [`render`](Self::render) form. Returns `None` on a
-    /// missing name or an unknown pass id.
-    pub fn parse(s: &str) -> Option<PipelineSpec> {
-        let (name, rest) = s.split_once(':')?;
-        let name = name.trim();
-        if name.is_empty() {
-            return None;
-        }
-        let passes: Option<Vec<PassSpec>> = rest.split_whitespace().map(PassSpec::parse).collect();
-        Some(PipelineSpec::new(name, passes?))
     }
 }
 
@@ -289,14 +265,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pass_ids_round_trip() {
-        for pass in PassSpec::ALL {
-            assert_eq!(PassSpec::parse(pass.id()), Some(pass));
-        }
-        assert_eq!(PassSpec::parse("nonsense"), None);
-    }
-
-    #[test]
     fn pipeline_ids_round_trip() {
         for id in PipelineId::ALL {
             assert_eq!(PipelineId::parse(id.as_str()), Some(id));
@@ -326,18 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn spec_serialization_round_trips() {
-        for id in PipelineId::ALL {
-            let spec = id.spec();
-            let parsed = PipelineSpec::parse(&spec.render()).unwrap();
-            assert_eq!(parsed, spec);
-        }
-        assert_eq!(PipelineSpec::parse("no-colon"), None);
-        assert_eq!(PipelineSpec::parse("name: bogus-pass"), None);
-        assert_eq!(PipelineSpec::parse(": place route"), None);
-    }
-
-    #[test]
     fn snapshot_is_requested_exactly_when_audited() {
         for id in PipelineId::ALL {
             let spec = id.spec();
@@ -352,10 +308,7 @@ mod tests {
     #[test]
     fn every_pass_instantiates_with_matching_name() {
         for pass in PassSpec::ALL {
-            let boxed = pass.instantiate(
-                crate::placement::PlacementStrategy::Greedy,
-                crate::transpiler::RoutingStrategy::ShortestPath,
-            );
+            let boxed = pass.instantiate(PlacementStrategy::Greedy);
             assert_eq!(boxed.name(), pass.id());
             assert!(boxed.span_name().starts_with("transpile."));
         }

@@ -54,36 +54,18 @@ pub fn place_on_device(
     device: &Device,
     strategy: PlacementStrategy,
 ) -> Vec<usize> {
-    let interactions = InteractionGraph::of(circuit);
-    place_on_device_with_graph(circuit, device, strategy, &interactions)
-}
-
-/// Like [`place_on_device`], but consumes a precomputed [`InteractionGraph`]
-/// instead of re-deriving it from the circuit — the pass-manager entry
-/// point, where the graph comes from the shared analysis `PropertySet`.
-/// Results are identical to [`place_on_device`] given the circuit's own
-/// graph.
-///
-/// # Panics
-///
-/// Panics if the circuit needs more qubits than the device has.
-pub fn place_on_device_with_graph(
-    circuit: &Circuit,
-    device: &Device,
-    strategy: PlacementStrategy,
-    interactions: &InteractionGraph,
-) -> Vec<usize> {
     let n_prog = circuit.num_qubits();
     let n_phys = device.num_qubits();
     assert!(
         n_prog <= n_phys,
         "circuit needs {n_prog} qubits but device has only {n_phys}"
     );
+    let interactions = InteractionGraph::of(circuit);
     match strategy {
         PlacementStrategy::Trivial => (0..n_prog).collect(),
-        PlacementStrategy::Greedy => greedy_place(circuit, device.topology(), None, interactions),
+        PlacementStrategy::Greedy => greedy_place(circuit, device.topology(), None, &interactions),
         PlacementStrategy::NoiseAware => {
-            greedy_place(circuit, device.topology(), Some(device), interactions)
+            greedy_place(circuit, device.topology(), Some(device), &interactions)
         }
     }
 }

@@ -2,13 +2,15 @@
 //! instruction of the working circuit.
 //!
 //! The tracker is deliberately pass-agnostic: passes do not report what
-//! they did, the runner *observes* it by diffing the circuit before and
-//! after each mutating pass. Instructions that survive a rewrite keep
-//! their existing tag; instructions the diff cannot match to a survivor
-//! are blamed on the pass that just ran. Verify passes then stamp the tag
-//! onto every [`Diagnostic`](supermarq_verify::Diagnostic) they emit, so
-//! `supermarq lint` can say not just *what* is wrong but *which pass* put
-//! it there.
+//! they did. [`PassContext::set_circuit`](crate::PassContext::set_circuit),
+//! the only way a pass changes the working circuit, records each rewrite
+//! under the running pass's name, and the tracker *observes* the change by
+//! diffing the circuit before and after it. Instructions that survive a
+//! rewrite keep their existing tag; instructions the diff cannot match to
+//! a survivor are blamed on the pass that just ran. Verify passes then
+//! stamp the tag onto every [`Diagnostic`](supermarq_verify::Diagnostic)
+//! they emit, so `supermarq lint` can say not just *what* is wrong but
+//! *which pass* put it there.
 //!
 //! The diff is deferred: a rewrite is queued when it is recorded and
 //! diffed, in order, only when a tag is first read. A pipeline that reads
@@ -18,7 +20,7 @@
 //! Matching is an instruction-level LCS keyed on `(gate, operands)`,
 //! anchored by the common prefix/suffix (the overwhelmingly common case:
 //! passes touch a few gates and leave the rest in place). The quadratic
-//! middle is capped at [`MAX_LCS_CELLS`]; past the cap the unmatched
+//! middle is capped at `MAX_LCS_CELLS`; past the cap the unmatched
 //! middle is blamed wholesale on the running pass — a conservative
 //! over-attribution, never a missed one.
 
@@ -98,10 +100,10 @@ impl Provenance {
                 );
                 queue.circuits.push(old.clone());
             }
-            // The last rewrite's output is this one's input, because only
-            // passes that report `Mutated` change the circuit (the
-            // invalidation contract `run_pass` already relies on), so the
-            // queue keeps one copy of each intermediate circuit.
+            // The last rewrite's output is this one's input, because a
+            // pipeline changes its circuit only through `set_circuit`,
+            // which records every change, so the queue keeps one copy of
+            // each intermediate circuit.
             Some(last) => debug_assert!(last == old, "rewrite does not follow the last one"),
         }
         queue.circuits.push(new.clone());

@@ -164,151 +164,6 @@ pub fn route(
     })
 }
 
-/// Routes with a SABRE-style lookahead: instead of always walking the
-/// first blocked gate's qubits together along a shortest path, candidate
-/// SWAPs on the "front" of blocked gates are scored by the distance they
-/// save for the front plus a discounted window of upcoming two-qubit
-/// gates. Falls back to making progress on the front gate so termination
-/// is guaranteed.
-///
-/// # Errors
-///
-/// Returns a [`RouteError`] on malformed mappings or a topology that is
-/// disconnected across the mapped region (same contract as [`route`]).
-pub fn route_with_lookahead(
-    circuit: &Circuit,
-    topology: &Topology,
-    initial_mapping: &[usize],
-    window: usize,
-) -> Result<RoutedCircuit, RouteError> {
-    let n_prog = circuit.num_qubits();
-    let n_phys = topology.num_qubits();
-    check_mapping(initial_mapping, n_prog, n_phys)?;
-    let mut phys_of: Vec<usize> = initial_mapping.to_vec();
-    let mut prog_of: Vec<usize> = vec![usize::MAX; n_phys];
-    for (prog, &phys) in phys_of.iter().enumerate() {
-        prog_of[phys] = prog;
-    }
-    // Pre-extract the sequence of two-qubit gate operand pairs for the
-    // lookahead score.
-    let two_q_sequence: Vec<(usize, usize)> = circuit
-        .iter()
-        .filter(|i| i.is_two_qubit())
-        .map(|i| (i.qubits[0], i.qubits[1]))
-        .collect();
-    let mut two_q_index = 0usize;
-
-    let mut out = Circuit::new(n_phys);
-    let mut swap_count = 0usize;
-    let mut measured_on: Vec<Option<usize>> = vec![None; n_prog];
-
-    for instr in circuit.iter() {
-        match instr.gate.kind() {
-            GateKind::TwoQubitUnitary => {
-                let (a, b) = (instr.qubits[0], instr.qubits[1]);
-                // Score = distance(front) + 0.5 * sum of discounted
-                // distances over the lookahead window.
-                let score = |phys_of: &[usize]| -> f64 {
-                    let mut total =
-                        topology.distance(phys_of[a], phys_of[b]).unwrap_or(n_phys) as f64;
-                    let mut discount = 0.5;
-                    for &(u, v) in two_q_sequence.iter().skip(two_q_index + 1).take(window) {
-                        total += discount
-                            * topology.distance(phys_of[u], phys_of[v]).unwrap_or(n_phys) as f64;
-                        discount *= 0.8;
-                    }
-                    total
-                };
-                let mut guard = 0usize;
-                while !topology.are_adjacent(phys_of[a], phys_of[b]) {
-                    guard += 1;
-                    if guard > 4 * n_phys * n_phys {
-                        // Front progress is enforced below, so running out
-                        // of iterations means no path exists.
-                        return Err(RouteError::Disconnected {
-                            a: phys_of[a],
-                            b: phys_of[b],
-                        });
-                    }
-                    // Candidate swaps: edges touching a's or b's current
-                    // location.
-                    let mut best: Option<((usize, usize), f64)> = None;
-                    let front_dist = topology.distance(phys_of[a], phys_of[b]).unwrap_or(n_phys);
-                    for &center in &[phys_of[a], phys_of[b]] {
-                        for other in 0..n_phys {
-                            if !topology.are_adjacent(center, other) {
-                                continue;
-                            }
-                            // Trial-apply the swap.
-                            let mut trial = phys_of.clone();
-                            for t in trial.iter_mut() {
-                                if *t == center {
-                                    *t = other;
-                                } else if *t == other {
-                                    *t = center;
-                                }
-                            }
-                            // Require progress on the front gate to
-                            // guarantee termination.
-                            let trial_front =
-                                topology.distance(trial[a], trial[b]).unwrap_or(n_phys);
-                            if trial_front >= front_dist {
-                                continue;
-                            }
-                            let sc = score(&trial);
-                            if best.is_none_or(|(_, s)| sc < s) {
-                                best = Some(((center, other), sc));
-                            }
-                        }
-                    }
-                    // On a connected topology a front-progress swap always
-                    // exists (walk toward `b` along a shortest path); no
-                    // candidate means the operands sit in different
-                    // components.
-                    let Some(((p1, p2), _)) = best else {
-                        return Err(RouteError::Disconnected {
-                            a: phys_of[a],
-                            b: phys_of[b],
-                        });
-                    };
-                    out.swap(p1, p2);
-                    swap_count += 1;
-                    let (g1, g2) = (prog_of[p1], prog_of[p2]);
-                    prog_of[p1] = g2;
-                    prog_of[p2] = g1;
-                    if g1 != usize::MAX {
-                        phys_of[g1] = p2;
-                    }
-                    if g2 != usize::MAX {
-                        phys_of[g2] = p1;
-                    }
-                }
-                out.append(instr.gate, &[phys_of[a], phys_of[b]]);
-                two_q_index += 1;
-            }
-            GateKind::Measurement => {
-                let q = instr.qubits[0];
-                measured_on[q] = Some(phys_of[q]);
-                out.measure(phys_of[q]);
-            }
-            GateKind::Barrier => {
-                let qubits: Vec<usize> = instr.qubits.iter().map(|&q| phys_of[q]).collect();
-                out.barrier(&qubits);
-            }
-            _ => {
-                out.append(instr.gate, &[phys_of[instr.qubits[0]]]);
-            }
-        }
-    }
-    Ok(RoutedCircuit {
-        circuit: out,
-        initial_mapping: initial_mapping.to_vec(),
-        final_mapping: phys_of,
-        swap_count,
-        measured_on,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,75 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_router_preserves_semantics() {
-        let mut c = Circuit::new(4);
-        c.h(0).cx(0, 3).cx(3, 1).cx(1, 2).measure_all();
-        let topo = Topology::line(4);
-        let routed = route_with_lookahead(&c, &topo, &[0, 1, 2, 3], 4).unwrap();
-        assert!(all_two_qubit_gates_adjacent(&routed.circuit, &topo));
-        let ideal = Executor::noiseless().run(&c, 2000, 9);
-        let phys = Executor::noiseless().run(&routed.circuit, 2000, 9);
-        let relabeled = relabel_counts(&phys, &routed.measured_on);
-        assert_eq!(relabeled.count(0) + relabeled.count(0b1111), 2000);
-        assert!((ideal.probability(0) - relabeled.probability(0)).abs() < 0.05);
-    }
-
-    #[test]
-    fn lookahead_never_beats_baseline_by_being_wrong() {
-        // Both routers must produce adjacency-legal circuits on a batch of
-        // random programs, and lookahead should not use more swaps than
-        // twice the baseline (sanity envelope).
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(31);
-        let topo = Topology::ibm_falcon_16q();
-        for trial in 0..6 {
-            let n = 6;
-            let mut c = Circuit::new(n);
-            for _ in 0..15 {
-                let a = rng.gen_range(0..n);
-                let b = (a + 1 + rng.gen_range(0..n - 1)) % n;
-                c.cz(a, b);
-            }
-            c.measure_all();
-            let mapping: Vec<usize> = (0..n).collect();
-            let base = route(&c, &topo, &mapping).unwrap();
-            let look = route_with_lookahead(&c, &topo, &mapping, 6).unwrap();
-            assert!(
-                all_two_qubit_gates_adjacent(&look.circuit, &topo),
-                "trial {trial}"
-            );
-            assert!(
-                look.swap_count <= base.swap_count * 2 + 2,
-                "trial {trial}: lookahead {} vs base {}",
-                look.swap_count,
-                base.swap_count
-            );
-        }
-    }
-
-    #[test]
-    fn lookahead_helps_on_alternating_pattern() {
-        // Pattern where pure shortest-path walking thrashes: alternating
-        // far pairs. The lookahead should use no more swaps than baseline.
-        let mut c = Circuit::new(4);
-        for _ in 0..3 {
-            c.cz(0, 3).cz(1, 2).cz(0, 3);
-        }
-        c.measure_all();
-        let topo = Topology::line(4);
-        let mapping = [0, 1, 2, 3];
-        let base = route(&c, &topo, &mapping).unwrap();
-        let look = route_with_lookahead(&c, &topo, &mapping, 8).unwrap();
-        assert!(
-            look.swap_count <= base.swap_count,
-            "lookahead {} vs base {}",
-            look.swap_count,
-            base.swap_count
-        );
-    }
-
-    #[test]
     fn rejects_malformed_mappings() {
         let mut c = Circuit::new(2);
         c.cx(0, 1);
@@ -507,16 +293,12 @@ mod tests {
                 num_qubits: 3
             }
         );
-        assert_eq!(
-            route_with_lookahead(&c, &topo, &[1, 1], 4).unwrap_err(),
-            RouteError::MappingNotInjective
-        );
     }
 
     #[test]
     fn disconnected_topology_reports_instead_of_panicking() {
         // Two disjoint couplers: 0-1 and 2-3. A gate across the components
-        // can never be routed; both routers must say so.
+        // can never be routed; the router must say so.
         let topo = Topology::from_edges("split", 4, &[(0, 1), (2, 3)]);
         let mut c = Circuit::new(2);
         c.cx(0, 1);
@@ -525,10 +307,6 @@ mod tests {
             route(&c, &topo, &mapping).unwrap_err(),
             RouteError::Disconnected { a: 0, b: 2 }
         );
-        assert!(matches!(
-            route_with_lookahead(&c, &topo, &mapping, 4).unwrap_err(),
-            RouteError::Disconnected { .. }
-        ));
         // Same circuit confined to one component routes fine.
         let ok = route(&c, &topo, &[0, 1]).unwrap();
         assert_eq!(ok.swap_count, 0);

@@ -1,6 +1,6 @@
 //! The end-to-end transpilation pipeline, as a pass-manager run.
 
-use supermarq_circuit::{Circuit, Depth, TwoQubitGateCount};
+use supermarq_circuit::Circuit;
 use supermarq_device::Device;
 use supermarq_obs::Span;
 use supermarq_sim::Counts;
@@ -77,8 +77,7 @@ pub struct TranspileResult {
     pub swap_count: usize,
     /// Two-qubit gate count of the final native circuit.
     pub two_qubit_gates: usize,
-    /// ASAP-schedule depth of the final native circuit (computed by the
-    /// pipeline's schedule pass).
+    /// ASAP-schedule depth of the final native circuit.
     pub depth: usize,
     /// For each program qubit, where its last measurement landed.
     pub measured_on: Vec<Option<usize>>,
@@ -100,14 +99,13 @@ impl TranspileResult {
         (circuit, readout)
     }
 
-    /// Builds the result from a finished pipeline context. Depth, gate
-    /// counts and mappings come straight out of the context's cached
-    /// analyses and [`Layout`](crate::pass::Layout) — nothing is
-    /// recomputed when the schedule pass already ran.
+    /// Builds the result from a finished pipeline context: the final
+    /// circuit with its depth and two-qubit gate count, and the mappings
+    /// of its [`Layout`](crate::pass::Layout).
     fn from_context(ctx: PassContext<'_>) -> TranspileResult {
-        let depth = *ctx.analysis::<Depth>();
-        let two_qubit_gates = *ctx.analysis::<TwoQubitGateCount>();
         let (circuit, layout, swap_count) = ctx.into_parts();
+        let depth = circuit.depth();
+        let two_qubit_gates = circuit.two_qubit_gate_count();
         TranspileResult {
             circuit,
             initial_mapping: layout.initial,
@@ -136,18 +134,6 @@ pub fn relabel_counts(counts: &Counts, readout: &[Option<usize>]) -> Counts {
     out
 }
 
-/// SWAP-routing algorithm selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutingStrategy {
-    /// Walk each blocked gate's operands together along a shortest coupler
-    /// path.
-    #[default]
-    ShortestPath,
-    /// SABRE-style lookahead: score candidate SWAPs against a discounted
-    /// window of upcoming two-qubit gates.
-    Lookahead,
-}
-
 /// The Closed-Division transpiler: placement, routing, native
 /// decomposition, fusion and cancellation, run as a named pipeline of
 /// [`Pass`](crate::pass::Pass)es.
@@ -168,27 +154,19 @@ pub enum RoutingStrategy {
 pub struct Transpiler {
     device: Device,
     placement: PlacementStrategy,
-    routing: RoutingStrategy,
     pipeline: PipelineId,
 }
 
 impl Transpiler {
-    /// A transpiler for `device` with default settings: greedy placement,
-    /// shortest-path routing, and the `closed-default` pipeline
-    /// (optimizations on, final-output verification).
+    /// A transpiler for `device` with default settings: greedy placement
+    /// and the `closed-default` pipeline (optimizations on, final-output
+    /// verification).
     pub fn for_device(device: &Device) -> Self {
         Transpiler {
             device: device.clone(),
             placement: PlacementStrategy::default(),
-            routing: RoutingStrategy::default(),
             pipeline: PipelineId::default(),
         }
-    }
-
-    /// Selects the routing strategy.
-    pub fn with_routing(mut self, routing: RoutingStrategy) -> Self {
-        self.routing = routing;
-        self
     }
 
     /// Selects the placement strategy.
@@ -223,8 +201,8 @@ impl Transpiler {
     }
 
     /// Like [`run`](Self::run), but returns the finished [`PassContext`]
-    /// so callers (tests, analyses) can inspect the final layout,
-    /// accumulated diagnostics and cached analyses.
+    /// so callers (tests, analyses) can inspect the final layout and the
+    /// accumulated diagnostics.
     ///
     /// # Errors
     ///
@@ -254,7 +232,7 @@ impl Transpiler {
         run_span.record_with("pipeline", || spec.name().to_string());
         let mut ctx = PassContext::new(&self.device, circuit.clone(), spec.needs_route_snapshot());
         for pass_spec in spec.passes() {
-            let pass = pass_spec.instantiate(self.placement, self.routing);
+            let pass = pass_spec.instantiate(self.placement);
             run_pass(pass.as_ref(), &mut ctx)?;
         }
         run_span.record("swaps_added", ctx.swap_count());
@@ -368,13 +346,10 @@ mod tests {
     fn stage_verification_accepts_honest_pipeline() {
         for device in Device::all_paper_devices() {
             let c = ghz(4.min(device.num_qubits()));
-            for strategy in [RoutingStrategy::ShortestPath, RoutingStrategy::Lookahead] {
-                let r = Transpiler::for_device(&device)
-                    .with_routing(strategy)
-                    .with_pipeline(PipelineId::ClosedStages)
-                    .run(&c);
-                assert!(r.is_ok(), "{} ({strategy:?}): {:?}", device.name(), r.err());
-            }
+            let r = Transpiler::for_device(&device)
+                .with_pipeline(PipelineId::ClosedStages)
+                .run(&c);
+            assert!(r.is_ok(), "{}: {:?}", device.name(), r.err());
         }
     }
 
@@ -505,25 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_routing_preserves_ghz_through_full_pipeline() {
-        let device = Device::ibm_guadalupe();
-        let c = ghz(5);
-        let r = Transpiler::for_device(&device)
-            .with_routing(RoutingStrategy::Lookahead)
-            .run(&c)
-            .unwrap();
-        for instr in r.circuit.iter().filter(|i| i.is_two_qubit()) {
-            assert!(device
-                .topology()
-                .are_adjacent(instr.qubits[0], instr.qubits[1]));
-        }
-        let (circuit, readout) = r.compacted();
-        let counts = Executor::noiseless().run(&circuit, 2000, 41);
-        let relabeled = relabel_counts(&counts, &readout);
-        assert_eq!(relabeled.count(0) + relabeled.count(0b11111), 2000);
-    }
-
-    #[test]
     fn semantics_preserved_on_random_circuits_across_devices() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -565,18 +521,11 @@ mod tests {
     }
 
     #[test]
-    fn context_exposes_layout_diagnostics_and_cached_analyses() {
-        use supermarq_circuit::{Depth, GateCount, TwoQubitGateCount};
+    fn context_exposes_layout_and_diagnostics() {
         let device = Device::ibm_casablanca();
         let c = ghz(4);
         let t = Transpiler::for_device(&device).with_pipeline(PipelineId::ClosedStages);
         let ctx = t.run_with_context(&c).unwrap();
-        // The schedule pass primed these; reading them costs nothing.
-        // (GateCount is only primed when obs spans are recording, so it is
-        // not asserted cached here.)
-        assert!(ctx.properties().is_cached::<Depth>());
-        assert!(ctx.properties().is_cached::<TwoQubitGateCount>());
-        assert_eq!(*ctx.analysis::<GateCount>(), ctx.circuit().gate_count());
         assert_eq!(ctx.layout().initial.len(), 4);
         assert_eq!(ctx.layout().measured_on.iter().flatten().count(), 4);
         // Stage verification ran clean: no error-grade diagnostics stuck.
@@ -592,7 +541,6 @@ mod tests {
         let c = ghz(5);
         let t = Transpiler::for_device(&device);
         let ctx = t.run_with_context(&c).unwrap();
-        let expected_depth = *ctx.analysis::<Depth>();
         let (circuit, layout, swaps) = ctx.into_parts();
         let r = t.run(&c).unwrap();
         assert_eq!(r.circuit, circuit);
@@ -600,6 +548,7 @@ mod tests {
         assert_eq!(r.final_mapping, layout.current);
         assert_eq!(r.measured_on, layout.measured_on);
         assert_eq!(r.swap_count, swaps);
-        assert_eq!(r.depth, expected_depth);
+        assert_eq!(r.depth, circuit.depth());
+        assert_eq!(r.two_qubit_gates, circuit.two_qubit_gate_count());
     }
 }

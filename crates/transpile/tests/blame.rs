@@ -5,8 +5,7 @@ use supermarq_circuit::Circuit;
 use supermarq_device::Device;
 use supermarq_transpile::pipeline::PassSpec;
 use supermarq_transpile::{
-    run_pass, Pass, PassContext, PassOutcome, PipelineId, PlacementStrategy, RoutingStrategy,
-    TranspileError, Transpiler,
+    run_pass, Pass, PassContext, PipelineId, PlacementStrategy, TranspileError, Transpiler,
 };
 use supermarq_verify::{CheckId, Severity};
 
@@ -22,7 +21,7 @@ impl Pass for InjectIdleWork {
     fn span_name(&self) -> &'static str {
         "transpile.test"
     }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<PassOutcome, TranspileError> {
+    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
         let old = ctx.circuit();
         let used: std::collections::BTreeSet<usize> =
             old.iter().flat_map(|i| i.qubits.iter().copied()).collect();
@@ -36,7 +35,7 @@ impl Pass for InjectIdleWork {
             rebuilt.push_unchecked(instr.gate, &instr.qubits);
         }
         ctx.set_circuit(rebuilt);
-        Ok(PassOutcome::Mutated)
+        Ok(())
     }
 }
 
@@ -55,12 +54,11 @@ fn ghz(n: usize) -> Circuit {
 fn run_sabotaged(device: &Device) -> PassContext<'_> {
     let mut ctx = PassContext::new(device, ghz(3), false);
     for spec in [PassSpec::Place, PassSpec::Route, PassSpec::Decompose] {
-        let pass = spec.instantiate(PlacementStrategy::Greedy, RoutingStrategy::ShortestPath);
+        let pass = spec.instantiate(PlacementStrategy::Greedy);
         run_pass(pass.as_ref(), &mut ctx).unwrap();
     }
     run_pass(&InjectIdleWork, &mut ctx).unwrap();
-    let verify =
-        PassSpec::VerifyFinal.instantiate(PlacementStrategy::Greedy, RoutingStrategy::ShortestPath);
+    let verify = PassSpec::VerifyFinal.instantiate(PlacementStrategy::Greedy);
     run_pass(verify.as_ref(), &mut ctx).unwrap();
     ctx
 }
@@ -129,8 +127,7 @@ fn untouched_input_violations_are_blamed_on_input() {
     let mut c = Circuit::new(3);
     c.h(0).cx(0, 1).measure(0).measure(1).h(2);
     let mut ctx = PassContext::new(&device, c, false);
-    let verify = PassSpec::VerifyLogical
-        .instantiate(PlacementStrategy::Greedy, RoutingStrategy::ShortestPath);
+    let verify = PassSpec::VerifyLogical.instantiate(PlacementStrategy::Greedy);
     run_pass(verify.as_ref(), &mut ctx).unwrap();
     let dead: Vec<_> = ctx
         .diagnostics()

@@ -32,9 +32,11 @@
 //! proof at any size, non-Clifford circuits fall back to the statevector
 //! probe when tractable, and otherwise the audit degrades to gate
 //! accounting with an explicit lint naming the skipped tier (see
-//! [`audit::AuditTier`]). V008–V010 are powered by the abstract
-//! interpretation engine in [`dataflow`] with the concrete domains in
-//! [`lightcone`] and [`stabilizer`].
+//! [`audit::AuditTier`]). V008–V010 read three analyses, each one walk
+//! over the instruction list: [`liveness`] and [`lightcone()`] (V008/V009)
+//! and [`clifford_summary`] (V010). Each check calls the analysis it
+//! needs on the circuit in its [`Context`]; nothing is cached between
+//! checks.
 //!
 //! # Example
 //!
@@ -52,23 +54,21 @@
 
 pub mod audit;
 pub mod checks;
-pub mod dataflow;
 pub mod differential;
 pub mod lightcone;
 pub mod stabilizer;
 
 pub use audit::{audit_tier, statevector_probe, AuditTier, RoutingAudit};
-pub use dataflow::{interpret, interpret_rev, Domain};
 pub use differential::{
     clifford_corpus, differential, CompiledOutput, DifferentialCase, DifferentialReport,
     EquivalenceVerdict,
 };
-pub use lightcone::{Lightcone, LightconeAnalysis, Liveness, LivenessAnalysis};
+pub use lightcone::{lightcone, liveness, Lightcone, Liveness};
 pub use stabilizer::{
-    prove_permutation_equivalence, CliffordFlowAnalysis, CliffordSummary, StabilizerVerdict,
+    clifford_summary, prove_permutation_equivalence, CliffordSummary, StabilizerVerdict,
 };
 
-use supermarq_circuit::{Circuit, Gate, GateKind, PropertySet};
+use supermarq_circuit::{Circuit, Gate, GateKind};
 use supermarq_device::{Device, NativeGateSet};
 
 /// How serious a finding is.
@@ -308,16 +308,6 @@ impl Report {
             .count()
     }
 
-    /// The set of checks that produced at least one finding.
-    pub fn checks_hit(&self) -> Vec<CheckId> {
-        let mut hit: Vec<CheckId> = CheckId::ALL
-            .into_iter()
-            .filter(|c| self.diagnostics.iter().any(|d| d.check == *c))
-            .collect();
-        hit.dedup();
-        hit
-    }
-
     /// The diagnostics in render order: severity descending, then
     /// instruction location (circuit-level findings last), then check code
     /// and message. Total and value-determined, so output built from it is
@@ -363,10 +353,6 @@ pub struct Context<'a> {
     pub device: Option<&'a Device>,
     /// Routing provenance, when the circuit is the output of the router.
     pub routing: Option<&'a RoutingAudit<'a>>,
-    /// Shared analysis cache: when present (pipeline runs), dataflow
-    /// results land here and are reused across passes; when absent, each
-    /// pass interprets fresh.
-    pub properties: Option<&'a PropertySet>,
     /// Whether the pipeline's *input* circuit was all-Clifford — the claim
     /// V010 holds the output to. `false` outside pipeline runs (V010 is
     /// then silent).
@@ -380,7 +366,6 @@ impl<'a> Context<'a> {
             circuit,
             device: None,
             routing: None,
-            properties: None,
             clifford_input: false,
         }
     }
@@ -391,12 +376,6 @@ impl<'a> Context<'a> {
             device: Some(device),
             ..Context::bare(circuit)
         }
-    }
-
-    /// Attaches a shared analysis cache.
-    pub fn with_properties(mut self, properties: &'a PropertySet) -> Self {
-        self.properties = Some(properties);
-        self
     }
 
     /// Sets the Clifford-preservation claim checked by V010.
@@ -642,10 +621,6 @@ mod tests {
         assert_eq!(report.count(Severity::Lint), 1);
         assert_eq!(report.count(Severity::Error), 2);
         assert_eq!(report.errors().len(), 2);
-        assert_eq!(
-            report.checks_hit(),
-            vec![CheckId::NativeGates, CheckId::Lint]
-        );
     }
 
     #[test]

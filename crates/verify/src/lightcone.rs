@@ -1,26 +1,24 @@
-//! Liveness / lightcone domain and the checks it powers (V008, V009).
+//! Liveness and lightcone analyses and the checks they power (V008, V009).
 //!
-//! Two interpretations of the same per-qubit facts:
+//! Two one-pass walks over the same per-qubit facts:
 //!
-//! * **Forward liveness** ([`LivenessDomain`]) tracks, per qubit, the live
-//!   range (first/last use), whether it has been measured yet, and how much
+//! * **Forward liveness** ([`liveness`]) tracks, per qubit, the live range
+//!   (first/last use), whether it has been measured yet, and how much
 //!   unconsumed unitary work has accumulated since the last collapse. A
 //!   reset that lands on a qubit carrying unconsumed, uncoupled work
 //!   *clobbers* state nothing ever observed — check V009.
-//! * **Reverse lightcone** ([`LightconeDomain`]) walks the circuit
-//!   backwards from every measurement, growing the set of wires that can
-//!   still influence an observed outcome. A unitary touching no such wire
-//!   is *dead*: it lies outside every measurement lightcone — check V008.
+//! * **Reverse lightcone** ([`lightcone`]) walks the circuit backwards
+//!   from every measurement, growing the set of wires that can still
+//!   influence an observed outcome. A unitary touching no such wire is
+//!   *dead*: it lies outside every measurement lightcone — check V008.
 //!
 //! V008 deliberately cedes territory to V003: a gate whose operand was
 //! already measured earlier in the circuit is the measurement-discipline
 //! pass's finding (and routing legitimately swaps through measured wires),
 //! so V008 only flags dead gates on wires with no earlier measurement.
 
-use crate::dataflow::{interpret, interpret_rev, Domain};
 use crate::{CheckId, Context, Diagnostic, Pass, Severity};
-use std::rc::Rc;
-use supermarq_circuit::{Circuit, CircuitAnalysis, GateKind, Instruction, PropertySet};
+use supermarq_circuit::{Circuit, GateKind};
 
 /// Forward per-qubit liveness facts.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -46,169 +44,113 @@ pub struct Liveness {
     pub operand_measured_before: Vec<bool>,
 }
 
-/// The forward liveness domain.
-pub struct LivenessDomain;
-
-impl Domain for LivenessDomain {
-    type State = Liveness;
-
-    fn name(&self) -> &'static str {
-        "liveness"
-    }
-
-    fn initial(&self, circuit: &Circuit) -> Liveness {
-        let n = circuit.num_qubits();
-        Liveness {
-            first_use: vec![None; n],
-            last_use: vec![None; n],
-            measured: vec![false; n],
-            pending: vec![0; n],
-            coupled: vec![false; n],
-            clobbered: Vec::new(),
-            operand_measured_before: Vec::with_capacity(circuit.instructions().len()),
-        }
-    }
-
-    fn transfer(&self, state: &mut Liveness, index: usize, instr: &Instruction) {
-        let n = state.measured.len();
+/// Walks `circuit` forward once and returns its [`Liveness`] facts.
+/// Operands outside the register (V001's finding) are ignored.
+pub fn liveness(circuit: &Circuit) -> Liveness {
+    let n = circuit.num_qubits();
+    let mut live = Liveness {
+        first_use: vec![None; n],
+        last_use: vec![None; n],
+        measured: vec![false; n],
+        pending: vec![0; n],
+        coupled: vec![false; n],
+        clobbered: Vec::new(),
+        operand_measured_before: Vec::with_capacity(circuit.instructions().len()),
+    };
+    for (index, instr) in circuit.iter().enumerate() {
         let operands: Vec<usize> = instr.qubits.iter().copied().filter(|&q| q < n).collect();
-        state
-            .operand_measured_before
-            .push(operands.iter().any(|&q| state.measured[q]));
+        live.operand_measured_before
+            .push(operands.iter().any(|&q| live.measured[q]));
         for &q in &operands {
-            state.first_use[q].get_or_insert(index);
-            state.last_use[q] = Some(index);
+            live.first_use[q].get_or_insert(index);
+            live.last_use[q] = Some(index);
         }
         match instr.gate.kind() {
             GateKind::Barrier => {}
             GateKind::Measurement => {
                 for &q in &operands {
-                    state.measured[q] = true;
-                    state.pending[q] = 0;
-                    state.coupled[q] = false;
+                    live.measured[q] = true;
+                    live.pending[q] = 0;
+                    live.coupled[q] = false;
                 }
             }
             GateKind::Reset => {
                 for &q in &operands {
-                    if state.pending[q] > 0 && !state.coupled[q] {
-                        state.clobbered.push((index, q));
+                    if live.pending[q] > 0 && !live.coupled[q] {
+                        live.clobbered.push((index, q));
                     }
-                    state.pending[q] = 0;
-                    state.coupled[q] = false;
+                    live.pending[q] = 0;
+                    live.coupled[q] = false;
                 }
             }
             GateKind::OneQubitUnitary => {
                 for &q in &operands {
-                    state.pending[q] += 1;
+                    live.pending[q] += 1;
                 }
             }
             GateKind::TwoQubitUnitary => {
                 for &q in &operands {
-                    state.pending[q] += 1;
-                    state.coupled[q] = true;
+                    live.pending[q] += 1;
+                    live.coupled[q] = true;
                 }
             }
         }
     }
+    live
 }
 
 /// Reverse lightcone facts: which wires can still influence a measurement.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Lightcone {
-    /// Wires inside some measurement's lightcone at the current (reverse)
-    /// program point.
+    /// Wires inside some measurement's lightcone at the start of the
+    /// circuit (where the reverse walk ends).
     pub relevant: Vec<bool>,
     /// Number of measurements seen.
     pub measurements: usize,
-    /// Unitary instructions outside every measurement lightcone, in the
-    /// order visited (reverse program order).
+    /// Unitary instructions outside every measurement lightcone, as
+    /// original instruction indices in the order visited (reverse program
+    /// order).
     pub dead: Vec<usize>,
 }
 
-/// The reverse lightcone domain; interpret with
-/// [`crate::dataflow::interpret_rev`].
-pub struct LightconeDomain;
-
-impl Domain for LightconeDomain {
-    type State = Lightcone;
-
-    fn name(&self) -> &'static str {
-        "lightcone"
-    }
-
-    fn initial(&self, circuit: &Circuit) -> Lightcone {
-        Lightcone {
-            relevant: vec![false; circuit.num_qubits()],
-            measurements: 0,
-            dead: Vec::new(),
-        }
-    }
-
-    fn transfer(&self, state: &mut Lightcone, index: usize, instr: &Instruction) {
-        let n = state.relevant.len();
+/// Walks `circuit` backwards once and returns its [`Lightcone`].
+/// Operands outside the register (V001's finding) are ignored.
+pub fn lightcone(circuit: &Circuit) -> Lightcone {
+    let n = circuit.num_qubits();
+    let mut cone = Lightcone {
+        relevant: vec![false; n],
+        measurements: 0,
+        dead: Vec::new(),
+    };
+    for (index, instr) in circuit.iter().enumerate().rev() {
         let operands: Vec<usize> = instr.qubits.iter().copied().filter(|&q| q < n).collect();
         match instr.gate.kind() {
             GateKind::Barrier => {}
             GateKind::Measurement => {
-                state.measurements += 1;
+                cone.measurements += 1;
                 for &q in &operands {
-                    state.relevant[q] = true;
+                    cone.relevant[q] = true;
                 }
             }
             GateKind::Reset => {
                 // Whatever precedes a reset cannot reach later measurements
                 // through this wire.
                 for &q in &operands {
-                    state.relevant[q] = false;
+                    cone.relevant[q] = false;
                 }
             }
             GateKind::OneQubitUnitary | GateKind::TwoQubitUnitary => {
-                if operands.iter().any(|&q| state.relevant[q]) {
+                if operands.iter().any(|&q| cone.relevant[q]) {
                     for &q in &operands {
-                        state.relevant[q] = true;
+                        cone.relevant[q] = true;
                     }
                 } else {
-                    state.dead.push(index);
+                    cone.dead.push(index);
                 }
             }
         }
     }
-}
-
-/// [`CircuitAnalysis`] wrapper caching [`Liveness`] in a `PropertySet`.
-pub struct LivenessAnalysis;
-
-impl CircuitAnalysis for LivenessAnalysis {
-    type Output = Liveness;
-
-    fn compute(circuit: &Circuit, _properties: &PropertySet) -> Liveness {
-        interpret(&LivenessDomain, circuit)
-    }
-}
-
-/// [`CircuitAnalysis`] wrapper caching [`Lightcone`] in a `PropertySet`.
-pub struct LightconeAnalysis;
-
-impl CircuitAnalysis for LightconeAnalysis {
-    type Output = Lightcone;
-
-    fn compute(circuit: &Circuit, _properties: &PropertySet) -> Lightcone {
-        interpret_rev(&LightconeDomain, circuit)
-    }
-}
-
-fn liveness_of(ctx: &Context<'_>) -> Rc<Liveness> {
-    match ctx.properties {
-        Some(props) => props.get::<LivenessAnalysis>(ctx.circuit),
-        None => Rc::new(interpret(&LivenessDomain, ctx.circuit)),
-    }
-}
-
-fn lightcone_of(ctx: &Context<'_>) -> Rc<Lightcone> {
-    match ctx.properties {
-        Some(props) => props.get::<LightconeAnalysis>(ctx.circuit),
-        None => Rc::new(interpret_rev(&LightconeDomain, ctx.circuit)),
-    }
+    cone
 }
 
 /// V008: dead gate outside every measurement lightcone.
@@ -223,9 +165,8 @@ impl Pass for DeadGate {
         if ctx.circuit.measurement_count() == 0 {
             return; // a purely unitary circuit observes nothing; all fair
         }
-        let cone = lightcone_of(ctx);
-        let live = liveness_of(ctx);
-        let mut dead: Vec<usize> = cone.dead.clone();
+        let live = liveness(ctx.circuit);
+        let mut dead = lightcone(ctx.circuit).dead;
         dead.sort_unstable();
         for index in dead {
             // Gates on previously-measured wires are V003's finding.
@@ -256,8 +197,7 @@ impl Pass for ClobberedQubit {
     }
 
     fn run(&self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        let live = liveness_of(ctx);
-        for &(index, qubit) in &live.clobbered {
+        for (index, qubit) in liveness(ctx.circuit).clobbered {
             out.push(Diagnostic::at(
                 CheckId::ClobberedQubit,
                 Severity::Warning,
@@ -286,7 +226,7 @@ mod tests {
     fn liveness_tracks_ranges_and_measurements() {
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).measure(0).measure(1);
-        let live = interpret(&LivenessDomain, &c);
+        let live = liveness(&c);
         assert_eq!(live.first_use[0], Some(0));
         assert_eq!(live.last_use[0], Some(2));
         assert_eq!(live.first_use[2], None);
@@ -302,7 +242,7 @@ mod tests {
     fn lightcone_marks_gate_on_unmeasured_spare_wire_dead() {
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).h(2).measure(0).measure(1);
-        let cone = interpret_rev(&LightconeDomain, &c);
+        let cone = lightcone(&c);
         assert_eq!(cone.dead, vec![2]);
         assert_eq!(cone.measurements, 2);
         assert!(cone.relevant[0] && cone.relevant[1]);
@@ -390,30 +330,20 @@ mod tests {
     }
 
     #[test]
-    fn analyses_land_in_a_property_set() {
-        let mut c = Circuit::new(2);
-        c.h(0).cx(0, 1).measure_all();
-        let props = PropertySet::new();
-        let ctx = Context::bare(&c).with_properties(&props);
-        let mut out = Vec::new();
-        DeadGate.run(&ctx, &mut out);
-        assert!(props.is_cached::<LightconeAnalysis>());
-        assert!(props.is_cached::<LivenessAnalysis>());
-        // Cached result identical to a fresh interpretation.
-        assert_eq!(
-            *props.get::<LivenessAnalysis>(&c),
-            interpret(&LivenessDomain, &c)
-        );
+    fn lightcone_reports_original_indices_in_reverse_order() {
+        let mut c = Circuit::new(3);
+        c.h(2).h(0).cx(0, 1).h(2).measure(0).measure(1);
+        assert_eq!(lightcone(&c).dead, vec![3, 0]);
     }
 
     #[test]
-    fn out_of_range_operands_do_not_panic_the_domains() {
+    fn out_of_range_operands_do_not_panic_the_analyses() {
         use supermarq_circuit::Gate;
         let mut c = Circuit::new(2);
         c.push_unchecked(Gate::Cx, &[0, 9]);
         c.measure_all();
         let report = Verifier::all().verify(&Context::bare(&c));
-        // V001 owns the finding; the dataflow checks must simply survive.
+        // V001 owns the finding; V008 and V009 must simply survive.
         assert!(report.has_errors());
     }
 }

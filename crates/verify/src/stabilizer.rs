@@ -1,37 +1,36 @@
-//! Stabilizer / Pauli-tableau domain: symbolic Clifford reasoning (V010 and
-//! the scalable V006 tier).
+//! Clifford analyses: symbolic Clifford reasoning (V010 and the scalable
+//! V006 tier).
 //!
-//! Two abstractions of the same semantics, at different precision:
+//! Two one-pass walks over the same semantics, at different precision:
 //!
-//! * [`CliffordFlowDomain`] — a cheap summary recording which instructions
+//! * [`clifford_summary`] — a cheap summary recording which instructions
 //!   are Clifford unitaries (after quarter-turn angle snapping, see
 //!   `supermarq_clifford::ops`), plus reset/measurement counts. Powers
-//!   check V010 and the applicability gate for the precise domain.
-//! * [`TableauDomain`] — the full Aaronson–Gottesman tableau: the state is
-//!   the `2n` signed Pauli images `U X_i U^dagger` / `U Z_i U^dagger`,
-//!   which determine the accumulated Clifford unitary up to global phase in
-//!   `O(n^2)` bits. A non-Clifford instruction (or a reset) sends the state
-//!   to top (`None`).
+//!   check V010 and names what keeps the precise walk from applying.
+//! * `unitary_tableau` — the full Aaronson–Gottesman tableau of the
+//!   circuit's unitary part: the `2n` signed Pauli images
+//!   `U X_i U^dagger` / `U Z_i U^dagger`, which determine the accumulated
+//!   Clifford unitary up to global phase in `O(n^2)` bits. A non-Clifford
+//!   instruction (or a reset) leaves no tableau (`None`).
 //!
 //! [`prove_permutation_equivalence`] is the scalable V006 tier built on the
-//! tableau domain: it proves a routed circuit implements its input up to
-//! the claimed output permutation by comparing permuted tableau rows —
+//! tableau: it proves a routed circuit implements its input up to the
+//! claimed output permutation by comparing permuted tableau rows —
 //! polynomial in qubit count, so 200-qubit mirror circuits verify in
 //! milliseconds where a statevector probe cannot run at all. Conjugation by
 //! a wire permutation permutes the tensor factors of a signed Pauli without
 //! touching its sign, which is exactly what [`PauliString::permuted`]
 //! implements.
 
-use crate::dataflow::{interpret, Domain};
 use crate::{CheckId, Context, Diagnostic, Pass, Severity};
 use std::collections::BTreeMap;
-use std::rc::Rc;
-use supermarq_circuit::{Circuit, CircuitAnalysis, GateKind, Instruction, PropertySet};
+use supermarq_circuit::{Circuit, GateKind};
 use supermarq_clifford::{clifford_ops, StabilizerSimulator};
 use supermarq_obs::Span;
 use supermarq_pauli::PauliString;
 
-/// Summary facts from the Clifford-flow domain.
+/// Which instructions of a circuit are Clifford, plus its reset and
+/// measurement counts.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CliffordSummary {
     /// Indices of unitary instructions that are not Clifford (or carry
@@ -43,99 +42,45 @@ pub struct CliffordSummary {
     pub measurements: usize,
 }
 
-impl CliffordSummary {
-    /// `true` when every unitary in the circuit is Clifford.
-    pub fn all_clifford(&self) -> bool {
-        self.non_clifford.is_empty()
-    }
-}
-
-/// The cheap Clifford-membership domain.
-pub struct CliffordFlowDomain;
-
-impl Domain for CliffordFlowDomain {
-    type State = CliffordSummary;
-
-    fn name(&self) -> &'static str {
-        "clifford-flow"
-    }
-
-    fn initial(&self, _circuit: &Circuit) -> CliffordSummary {
-        CliffordSummary::default()
-    }
-
-    fn transfer(&self, state: &mut CliffordSummary, index: usize, instr: &Instruction) {
+/// Walks `circuit` once and returns its [`CliffordSummary`].
+pub fn clifford_summary(circuit: &Circuit) -> CliffordSummary {
+    let mut summary = CliffordSummary::default();
+    for (index, instr) in circuit.iter().enumerate() {
         match instr.gate.kind() {
             GateKind::Barrier => {}
-            GateKind::Measurement => state.measurements += 1,
-            GateKind::Reset => state.resets += 1,
+            GateKind::Measurement => summary.measurements += 1,
+            GateKind::Reset => summary.resets += 1,
             GateKind::OneQubitUnitary | GateKind::TwoQubitUnitary => {
                 if clifford_ops(instr).is_none() {
-                    state.non_clifford.push(index);
+                    summary.non_clifford.push(index);
                 }
             }
         }
     }
+    summary
 }
 
-/// [`CircuitAnalysis`] wrapper caching [`CliffordSummary`] in a
-/// `PropertySet`.
-pub struct CliffordFlowAnalysis;
-
-impl CircuitAnalysis for CliffordFlowAnalysis {
-    type Output = CliffordSummary;
-
-    fn compute(circuit: &Circuit, _properties: &PropertySet) -> CliffordSummary {
-        interpret(&CliffordFlowDomain, circuit)
-    }
-}
-
-/// Cached-or-fresh Clifford summary for a context.
-pub fn clifford_summary_of(ctx: &Context<'_>) -> Rc<CliffordSummary> {
-    match ctx.properties {
-        Some(props) => props.get::<CliffordFlowAnalysis>(ctx.circuit),
-        None => Rc::new(interpret(&CliffordFlowDomain, ctx.circuit)),
-    }
-}
-
-/// The precise tableau domain: `Some(tableau)` while the instruction
-/// prefix is a pure Clifford unitary (measurements and barriers are
-/// skipped — equivalence checking compares unitary parts, matching the
-/// statevector probe's convention); `None` (top) once a reset or a
-/// non-Clifford gate appears.
-pub struct TableauDomain;
-
-impl Domain for TableauDomain {
-    type State = Option<StabilizerSimulator>;
-
-    fn name(&self) -> &'static str {
-        "stabilizer-tableau"
-    }
-
-    fn initial(&self, circuit: &Circuit) -> Self::State {
-        Some(StabilizerSimulator::new(circuit.num_qubits()))
-    }
-
-    fn transfer(&self, state: &mut Self::State, _index: usize, instr: &Instruction) {
-        let Some(sim) = state else { return };
-        let n = sim.num_qubits();
+/// The tableau of `circuit`'s unitary part, or `None` once a reset, a
+/// non-Clifford gate or an out-of-range operand appears. Measurements and
+/// barriers are skipped: equivalence checking compares unitary parts,
+/// matching the statevector probe's convention.
+fn unitary_tableau(circuit: &Circuit) -> Option<StabilizerSimulator> {
+    let n = circuit.num_qubits();
+    let mut sim = StabilizerSimulator::new(n);
+    for instr in circuit.iter() {
         match instr.gate.kind() {
-            GateKind::Barrier | GateKind::Measurement => return,
-            GateKind::Reset => {
-                *state = None;
-                return;
-            }
+            GateKind::Barrier | GateKind::Measurement => continue,
+            GateKind::Reset => return None,
             GateKind::OneQubitUnitary | GateKind::TwoQubitUnitary => {}
         }
         if instr.qubits.iter().any(|&q| q >= n) {
-            *state = None;
-            return;
+            return None;
         }
-        match clifford_ops(instr) {
-            Some(ops) => ops.into_iter().for_each(|op| sim.apply(op)),
-            None => *state = None,
-        }
+        clifford_ops(instr)?
+            .into_iter()
+            .for_each(|op| sim.apply(op));
     }
+    Some(sim)
 }
 
 /// Outcome of the symbolic equivalence check.
@@ -271,12 +216,9 @@ fn prove_inner(
         routed_dense.push_unchecked(instr.gate, &qubits);
     }
 
-    // Interpret both circuits in the tableau domain.
-    let emb_state = interpret(&TableauDomain, &embedded);
-    let routed_state = interpret(&TableauDomain, &routed_dense);
-    let (Some(emb), Some(rt)) = (emb_state, routed_state) else {
+    let (Some(emb), Some(rt)) = (unitary_tableau(&embedded), unitary_tableau(&routed_dense)) else {
         let offender = |c: &Circuit| -> Option<String> {
-            let summary = interpret(&CliffordFlowDomain, c);
+            let summary = clifford_summary(c);
             summary
                 .non_clifford
                 .first()
@@ -379,8 +321,7 @@ impl Pass for CliffordPreservation {
         if !ctx.clifford_input {
             return;
         }
-        let summary = clifford_summary_of(ctx);
-        for &index in &summary.non_clifford {
+        for index in clifford_summary(ctx.circuit).non_clifford {
             let instr = &ctx.circuit.instructions()[index];
             out.push(Diagnostic::at(
                 CheckId::CliffordPreservation,
@@ -402,7 +343,7 @@ mod tests {
     use std::f64::consts::FRAC_PI_2;
 
     #[test]
-    fn clifford_flow_summarizes_membership() {
+    fn clifford_summary_records_membership() {
         let mut c = Circuit::new(2);
         c.h(0)
             .t(0)
@@ -411,11 +352,10 @@ mod tests {
             .rz(FRAC_PI_2, 1)
             .measure_all()
             .reset(0);
-        let summary = interpret(&CliffordFlowDomain, &c);
+        let summary = clifford_summary(&c);
         assert_eq!(summary.non_clifford, vec![1, 3]);
         assert_eq!(summary.measurements, 2);
         assert_eq!(summary.resets, 1);
-        assert!(!summary.all_clifford());
         assert!(!supermarq_clifford::is_clifford_circuit(&c));
 
         let mut ghz = Circuit::new(3);
@@ -424,12 +364,12 @@ mod tests {
     }
 
     #[test]
-    fn tableau_domain_poisons_on_non_clifford() {
+    fn unitary_tableau_is_none_past_a_non_clifford_gate() {
         let mut c = Circuit::new(1);
         c.h(0);
-        assert!(interpret(&TableauDomain, &c).is_some());
+        assert!(unitary_tableau(&c).is_some());
         c.t(0);
-        assert!(interpret(&TableauDomain, &c).is_none());
+        assert!(unitary_tableau(&c).is_none());
     }
 
     #[test]
