@@ -135,7 +135,7 @@ impl<'d> PassContext<'d> {
 
     /// Replaces the working circuit and records the rewrite for blame:
     /// instructions the rewrite did not preserve are blamed on the pass
-    /// [`run_pass`] is running ([`INPUT_TAG`] outside any pass). A pass
+    /// [`run_pass`] last started ([`INPUT_TAG`] before the first). A pass
     /// calls this once, with everything it changed.
     pub fn set_circuit(&mut self, circuit: Circuit) {
         let old = std::mem::replace(&mut self.circuit, circuit);

@@ -21,11 +21,9 @@ use crate::transpiler::TranspileError;
 /// One fuse + cancel round, `cancel_adjacent_gates(&fuse_single_qubit_runs(c))`:
 /// the result, and whether either step changed its input.
 ///
-/// One round, not a loop to quiescence, because a second round is *not*
-/// output-preserving: cancellation can delete a two-qubit pair and leave
-/// two fused `U` gates newly adjacent, which a second fuse would merge.
-/// The equivalence suite freezes the paper pipelines to the single-round
-/// output.
+/// Not run to quiescence: cancelling a two-qubit pair can leave two fused
+/// `U` gates newly adjacent, and a second fuse would merge them, changing
+/// the paper pipelines' output.
 fn fuse_and_cancel(circuit: &Circuit) -> (Circuit, bool) {
     let fused = fuse_single_qubit_runs(circuit);
     let cancelled = cancel_adjacent_gates(&fused);
