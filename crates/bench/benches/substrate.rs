@@ -13,9 +13,9 @@ use std::hint::black_box;
 
 use supermarq::benchmarks::{GhzBenchmark, MerminBellBenchmark, QaoaVanillaBenchmark};
 use supermarq::CircuitFamily;
-use supermarq::FeatureVector;
+use supermarq::{FeatureVector, Mirror};
 use supermarq_circuit::{Circuit, Gate};
-use supermarq_clifford::{diagonalize, CliffordOp, StabilizerSimulator};
+use supermarq_clifford::{diagonalize, CliffordOp, StabilizerExecutor, StabilizerSimulator};
 use supermarq_device::Device;
 use supermarq_geometry::{monte_carlo_volume, ConvexHull};
 use supermarq_pauli::{mermin_operator, tfim_hamiltonian};
@@ -225,6 +225,32 @@ fn bench_clifford(c: &mut Criterion) {
     });
 }
 
+/// Qubits vs time for wide Clifford mirrors: `success_fraction` of the
+/// GHZ mirror at 100 shots, noiseless and under IonQ's noise model. Every
+/// id contains `ghz_<n>q`, so the filter `ghz_200q` selects the 200-qubit
+/// pair together with `chp_ghz_200q`, the one-run baseline of the
+/// `BENCH_ASSERT` invariant.
+fn bench_clifford_mirror(c: &mut Criterion) {
+    const SHOTS: usize = 100;
+    let mut group = c.benchmark_group("clifford_mirror");
+    let noises = [
+        ("ideal", NoiseModel::ideal()),
+        ("ionq", Device::ionq().noise_model()),
+    ];
+    for n in [50usize, 100, 200] {
+        let mirror = Mirror::new(GhzBenchmark::new(n));
+        let circuit = mirror.circuits().remove(0);
+        let expected = mirror.expected_bits();
+        for (name, noise) in &noises {
+            let exec = StabilizerExecutor::new(noise.clone());
+            group.bench_function(&format!("ghz_{n}q_{name}"), |b| {
+                b.iter(|| black_box(exec.success_fraction(&circuit, &expected, SHOTS, 7)));
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_geometry(c: &mut Criterion) {
     let suite = supermarq_suites::supermarq_suite();
     let points: Vec<Vec<f64>> = suite
@@ -326,6 +352,7 @@ criterion_group!(
     bench_trajectory_execution,
     bench_transpiler,
     bench_clifford,
+    bench_clifford_mirror,
     bench_geometry,
     bench_features,
     bench_krylov,
@@ -445,13 +472,18 @@ fn export_bench_json() {
 /// * The ambient pool adds no per-call cost that an installed pool of one
 ///   avoids: on one CPU the ratio is about 1, and a thread-count lookup
 ///   that reread the environment on every gate kernel put it near 60.
-const INVARIANTS: [(&str, &str, f64); 2] = [
+/// * 100 noiseless shots of the 200-qubit GHZ mirror cost no more than
+///   one CHP run of a 200-qubit GHZ state: the shots are Pauli frames
+///   over one reference tableau run (about 0.3), where a full tableau
+///   run per shot put the ratio near 11.
+const INVARIANTS: [(&str, &str, f64); 3] = [
     ("kernels_18q/cx_dense", "kernels_18q/cx_kernel", 2.5),
     (
         "noisy_trajectories_ghz6/1000",
         "noisy_trajectories_ghz6/1000_seq1",
         1.5,
     ),
+    ("clifford_mirror/ghz_200q_ideal", "chp_ghz_200q", 1.0),
 ];
 
 /// `BENCH_ASSERT=1` turns the run into a pass/fail perf gate over every
@@ -488,7 +520,8 @@ fn run_assertions() -> bool {
     if checked == 0 {
         eprintln!("BENCH_ASSERT: no invariant had both of its ids measured");
         eprintln!(
-            "BENCH_ASSERT: run with a filter that includes kernels_18q or noisy_trajectories_ghz6"
+            "BENCH_ASSERT: run with a filter that includes kernels_18q, \
+             noisy_trajectories_ghz6 or ghz_200q"
         );
         return false;
     }

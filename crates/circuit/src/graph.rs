@@ -102,31 +102,6 @@ impl InteractionGraph {
         self.degree_sum() as f64 / (n as f64 * (n as f64 - 1.0))
     }
 
-    /// All-pairs shortest-path distance between `a` and `b` via BFS, or
-    /// `None` if disconnected.
-    pub fn distance(&self, a: usize, b: usize) -> Option<usize> {
-        if a == b {
-            return Some(0);
-        }
-        let adj = self.adjacency();
-        let mut dist = vec![usize::MAX; self.num_qubits];
-        let mut queue = std::collections::VecDeque::new();
-        dist[a] = 0;
-        queue.push_back(a);
-        while let Some(u) = queue.pop_front() {
-            for &v in &adj[u] {
-                if dist[v] == usize::MAX {
-                    dist[v] = dist[u] + 1;
-                    if v == b {
-                        return Some(dist[v]);
-                    }
-                    queue.push_back(v);
-                }
-            }
-        }
-        None
-    }
-
     /// Adjacency lists, sorted.
     pub fn adjacency(&self) -> Vec<Vec<usize>> {
         let mut adj = vec![Vec::new(); self.num_qubits];
@@ -186,15 +161,6 @@ mod tests {
         let g = InteractionGraph::of(&c);
         assert_eq!(g.edge_count(), 0);
         assert_eq!(g.normalized_average_degree(), 0.0);
-    }
-
-    #[test]
-    fn distances_on_a_path() {
-        let g = InteractionGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(g.distance(0, 3), Some(3));
-        assert_eq!(g.distance(1, 1), Some(0));
-        let disconnected = InteractionGraph::from_edges(4, &[(0, 1)]);
-        assert_eq!(disconnected.distance(0, 3), None);
     }
 
     #[test]

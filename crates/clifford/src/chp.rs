@@ -85,6 +85,19 @@ impl StabilizerSimulator {
 
     /// Measures qubit `a` in the computational basis, collapsing the state.
     pub fn measure<R: Rng + ?Sized>(&mut self, a: usize, rng: &mut R) -> bool {
+        self.collapse(a, || rng.gen::<bool>()).0
+    }
+
+    /// Measures qubit `a`, calling `random` for the outcome only when the
+    /// state does not fix it. Returns the outcome and, for a random one,
+    /// the destabilizer row that now holds the stabilizer the measurement
+    /// replaced: the Pauli that maps the collapsed state onto the other
+    /// outcome's.
+    pub(crate) fn collapse(
+        &mut self,
+        a: usize,
+        random: impl FnOnce() -> bool,
+    ) -> (bool, Option<&SignedPauli>) {
         let n = self.n;
         // Random outcome iff some stabilizer anticommutes with Z_a.
         let p = (n..2 * n).find(|&i| self.rows[i].x[a]);
@@ -96,12 +109,12 @@ impl StabilizerSimulator {
             }
             // Destabilizer p-n gets the old stabilizer row; the new
             // stabilizer is +/- Z_a.
-            let outcome = rng.gen::<bool>();
+            let outcome = random();
             let mut z_a = SignedPauli::identity(n);
             z_a.z[a] = true;
             z_a.minus = outcome;
             self.rows[p - n] = std::mem::replace(&mut self.rows[p], z_a);
-            outcome
+            (outcome, Some(&self.rows[p - n]))
         } else {
             // Determinate: the product of the stabilizers paired with the
             // destabilizers that anticommute with Z_a is +/- Z_a.
@@ -111,7 +124,7 @@ impl StabilizerSimulator {
                     scratch.left_multiply(&self.rows[i + n]);
                 }
             }
-            scratch.minus
+            (scratch.minus, None)
         }
     }
 

@@ -3,9 +3,24 @@
 //! The paper's first design principle is scalability: benchmarks must run
 //! "from just a few qubits to hundreds, thousands, and beyond". For the
 //! Clifford benchmarks (GHZ, the bit/phase codes, the Mermin–Bell basis
-//! change) this executor delivers exactly that: each shot is a CHP tableau
-//! trajectory with *Pauli-twirled* noise, polynomial in the qubit count
-//! where the statevector executor is exponential.
+//! change) this executor delivers exactly that: shots sample
+//! *Pauli-twirled* noise in time polynomial in the qubit count, where the
+//! statevector executor is exponential.
+//!
+//! Each call runs the circuit once on a noiseless CHP tableau, the
+//! reference, and records how every measurement and reset resolved. A
+//! shot is then a Pauli frame, the difference between its state and the
+//! reference's: gates conjugate the frame with [`SignedPauli::apply`],
+//! sampled Paulis multiply into it, and a measurement reads the
+//! reference outcome flipped by the frame's X bit. A Pauli frame changes
+//! only stabilizer signs, so a measurement is random for a shot exactly
+//! when it was random for the reference; the shot then makes the same
+//! single draw a full tableau trajectory makes, and moves onto the other
+//! outcome by multiplying in the stabilizer the measurement replaced. A
+//! shot costs O(1) per gate and O(n) per random measurement, and every
+//! draw happens where the trajectory made it, so Counts are those of
+//! per-shot tableau runs bit for bit (a test keeps that trajectory as
+//! the oracle).
 //!
 //! The executor interprets the circuit's [`NoisyProgram::twirled`]
 //! program, so it reads the same lowered noise as the statevector and
@@ -19,16 +34,18 @@
 //! from [`shot_rng`]`(seed, i)` like the statevector executor's.
 
 use rand::rngs::StdRng;
+use rand::Rng;
 
 use supermarq_circuit::Circuit;
 use supermarq_sim::noise::coin;
 use supermarq_sim::{shot_rng, Counts, NoiseModel, NoisyOp, NoisyProgram};
 
 use crate::chp::StabilizerSimulator;
+use crate::frame::SignedPauli;
 use crate::ops::{clifford_ops, CliffordOp};
 
 /// Executes Clifford circuits for many shots under a Pauli-twirled noise
-/// model, with cost polynomial in qubit count.
+/// model: one reference tableau run per call, one Pauli frame per shot.
 ///
 /// # Example
 ///
@@ -110,8 +127,9 @@ impl StabilizerExecutor {
         hits as f64 / shots as f64
     }
 
-    /// Lowers `circuit` once, then hands each shot's classical register
-    /// (indexed by program qubit) to `record`.
+    /// Lowers `circuit` once, runs the noiseless reference, then hands
+    /// each shot's classical register (indexed by program qubit) to
+    /// `record`.
     fn for_each_shot(
         &self,
         circuit: &Circuit,
@@ -119,23 +137,18 @@ impl StabilizerExecutor {
         seed: u64,
         mut record: impl FnMut(&[bool]),
     ) {
-        let gates: Vec<Vec<CliffordOp>> = circuit
-            .iter()
-            .map(|instr| match clifford_ops(instr) {
-                Some(ops) => ops,
-                None if instr.gate.is_unitary() => {
-                    panic!("{:?} is not a Clifford gate", instr.gate)
-                }
-                None => Vec::new(),
-            })
-            .collect();
+        let gates = clifford_gates(circuit);
         let program = NoisyProgram::lower(circuit, &self.noise).twirled();
+        let collapses = reference_run(&program, &gates, circuit.num_qubits());
+        let mut frame = SignedPauli::identity(circuit.num_qubits());
         let mut classical = vec![false; circuit.num_qubits()];
         for shot in 0..shots {
             classical.fill(false);
-            run_shot(
+            sample_frame(
                 &program,
                 &gates,
+                &collapses,
+                &mut frame,
                 &mut shot_rng(seed, shot as u64),
                 &mut classical,
             );
@@ -144,34 +157,119 @@ impl StabilizerExecutor {
     }
 }
 
-/// One tableau trajectory of a twirled program, writing measured bits
-/// into `classical`.
-fn run_shot(
-    program: &NoisyProgram,
-    gates: &[Vec<CliffordOp>],
-    rng: &mut StdRng,
-    classical: &mut [bool],
-) {
-    let mut sim = StabilizerSimulator::new(classical.len());
+/// Each instruction's tableau primitives (none for measurements, resets
+/// and barriers).
+///
+/// # Panics
+///
+/// Panics on a unitary that is not Clifford.
+fn clifford_gates(circuit: &Circuit) -> Vec<Vec<CliffordOp>> {
+    circuit
+        .iter()
+        .map(|instr| match clifford_ops(instr) {
+            Some(ops) => ops,
+            None if instr.gate.is_unitary() => {
+                panic!("{:?} is not a Clifford gate", instr.gate)
+            }
+            None => Vec::new(),
+        })
+        .collect()
+}
+
+/// How one `Measure` or `Reset` resolved on the noiseless reference.
+enum Collapse {
+    /// The state fixed the outcome; a shot reads it flipped by its
+    /// frame's X bit on the qubit.
+    Determined(bool),
+    /// The outcome was random and the reference took 0. The Pauli is the
+    /// stabilizer the measurement replaced: it anticommutes with the
+    /// measured Z, commutes with every stabilizer left, so it maps the
+    /// collapsed state onto the other outcome's.
+    Random(SignedPauli),
+}
+
+impl Collapse {
+    /// A shot's outcome when its frame is `frame`: a determined outcome
+    /// flips with the frame's X bit on `q`; a random one is the same
+    /// single draw the tableau makes, and when it differs from the
+    /// frame's X bit the frame takes on the replaced stabilizer (up to
+    /// phase, which the frame never reads).
+    fn resolve(&self, frame: &mut SignedPauli, q: usize, rng: &mut StdRng) -> bool {
+        match self {
+            Collapse::Determined(outcome) => outcome ^ frame.x[q],
+            Collapse::Random(d) => {
+                let outcome = rng.gen::<bool>();
+                if outcome != frame.x[q] {
+                    frame.left_multiply(d);
+                }
+                outcome
+            }
+        }
+    }
+}
+
+/// Runs the gates of `program` once on a noiseless tableau, skipping its
+/// noise, and records each `Measure` and `Reset` in program order. A
+/// random outcome is taken as 0 without a draw.
+fn reference_run(program: &NoisyProgram, gates: &[Vec<CliffordOp>], n: usize) -> Vec<Collapse> {
+    let mut sim = StabilizerSimulator::new(n);
+    let mut collapses = Vec::new();
     for op in &program.ops {
         match *op {
             NoisyOp::Gate(i) => gates[i].iter().for_each(|&g| sim.apply(g)),
-            NoisyOp::Measure { q, flip } => classical[q] = sim.measure(q, rng) ^ coin(flip, rng),
-            NoisyOp::Reset { q, flip } => {
-                sim.reset(q, rng);
-                if coin(flip, rng) {
+            NoisyOp::Measure { q, .. } | NoisyOp::Reset { q, .. } => {
+                let collapse = match sim.collapse(q, || false) {
+                    (outcome, None) => Collapse::Determined(outcome),
+                    (_, Some(d)) => Collapse::Random(d.clone()),
+                };
+                if matches!(op, NoisyOp::Reset { .. })
+                    && matches!(collapse, Collapse::Determined(true))
+                {
                     sim.apply(CliffordOp::X(q));
                 }
+                collapses.push(collapse);
+            }
+            _ => {}
+        }
+    }
+    collapses
+}
+
+/// One shot of a twirled program as a Pauli frame over the reference
+/// run: the shot's state is `frame` applied to the reference state, up
+/// to phase. A Pauli changes only stabilizer signs, so a measurement is
+/// random for the shot exactly when it was for the reference, and the
+/// shot makes every draw the full tableau trajectory would make, in the
+/// same order. Measured bits go into `classical`.
+fn sample_frame(
+    program: &NoisyProgram,
+    gates: &[Vec<CliffordOp>],
+    collapses: &[Collapse],
+    frame: &mut SignedPauli,
+    rng: &mut StdRng,
+    classical: &mut [bool],
+) {
+    frame.x.fill(false);
+    frame.z.fill(false);
+    let mut collapses = collapses.iter();
+    let mut next = || collapses.next().expect("one record per collapse");
+    for op in &program.ops {
+        match *op {
+            // The frame's sign is never read.
+            NoisyOp::Gate(i) => gates[i].iter().for_each(|&g| frame.apply(g)),
+            NoisyOp::Measure { q, flip } => {
+                classical[q] = next().resolve(frame, q, rng) ^ coin(flip, rng);
+            }
+            NoisyOp::Reset { q, flip } => {
+                // The shot and the reference both return q to |0>, so
+                // only the reset error stays in the frame.
+                next().resolve(frame, q, rng);
+                frame.x[q] = coin(flip, rng);
             }
             NoisyOp::Depolarize { .. } | NoisyOp::Pauli { .. } => op.sample_pauli(rng, |q, p| {
-                // Y = iXZ: conjugation ignores the phase.
                 let (x, z) = p.xz_bits();
-                if z {
-                    sim.apply(CliffordOp::Z(q));
-                }
-                if x {
-                    sim.apply(CliffordOp::X(q));
-                }
+                frame.x[q] ^= x;
+                frame.z[q] ^= z;
             }),
             NoisyOp::Idle { .. } => unreachable!("twirled programs carry no Idle ops"),
         }
@@ -181,7 +279,183 @@ fn run_shot(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
+    use std::f64::consts::FRAC_PI_2;
+    use supermarq_device::Device;
+    use supermarq_sim::noise::GateDurations;
     use supermarq_sim::Executor;
+
+    /// One full tableau trajectory of a twirled program, writing measured
+    /// bits into `classical`: how every shot ran before frame sampling,
+    /// kept as the oracle the frame sampler must match bit for bit.
+    fn run_shot(
+        program: &NoisyProgram,
+        gates: &[Vec<CliffordOp>],
+        rng: &mut StdRng,
+        classical: &mut [bool],
+    ) {
+        let mut sim = StabilizerSimulator::new(classical.len());
+        for op in &program.ops {
+            match *op {
+                NoisyOp::Gate(i) => gates[i].iter().for_each(|&g| sim.apply(g)),
+                NoisyOp::Measure { q, flip } => {
+                    classical[q] = sim.measure(q, rng) ^ coin(flip, rng)
+                }
+                NoisyOp::Reset { q, flip } => {
+                    sim.reset(q, rng);
+                    if coin(flip, rng) {
+                        sim.apply(CliffordOp::X(q));
+                    }
+                }
+                NoisyOp::Depolarize { .. } | NoisyOp::Pauli { .. } => {
+                    op.sample_pauli(rng, |q, p| {
+                        // Y = iXZ: conjugation ignores the phase.
+                        let (x, z) = p.xz_bits();
+                        if z {
+                            sim.apply(CliffordOp::Z(q));
+                        }
+                        if x {
+                            sim.apply(CliffordOp::X(q));
+                        }
+                    })
+                }
+                NoisyOp::Idle { .. } => unreachable!("twirled programs carry no Idle ops"),
+            }
+        }
+    }
+
+    /// Every shot's classical register from full tableau trajectories,
+    /// shot `i` drawing from `shot_rng(seed, i)`.
+    fn oracle_registers(
+        c: &Circuit,
+        noise: &NoiseModel,
+        shots: usize,
+        seed: u64,
+    ) -> Vec<Vec<bool>> {
+        let gates = clifford_gates(c);
+        let program = NoisyProgram::lower(c, noise).twirled();
+        (0..shots)
+            .map(|shot| {
+                let mut classical = vec![false; c.num_qubits()];
+                run_shot(
+                    &program,
+                    &gates,
+                    &mut shot_rng(seed, shot as u64),
+                    &mut classical,
+                );
+                classical
+            })
+            .collect()
+    }
+
+    /// A random Clifford circuit on 2 to 8 qubits: every primitive's
+    /// family, with mid-circuit measurements, resets and
+    /// measure-after-reset among the gates, ending in `measure_all`.
+    fn random_clifford_circuit(rng: &mut StdRng) -> Circuit {
+        let n = rng.gen_range(2..=8);
+        let mut c = Circuit::new(n);
+        for _ in 0..rng.gen_range(8..40) {
+            let a = rng.gen_range(0..n);
+            let b = (a + rng.gen_range(1..n)) % n;
+            match rng.gen_range(0..16) {
+                0 | 1 => c.h(a),
+                2 => c.s(a),
+                3 => c.sdg(a),
+                4 => c.x(a),
+                5 => c.y(a),
+                6 => c.z(a),
+                7 => c.sx(a),
+                8 | 9 => c.cx(a, b),
+                10 => c.cz(a, b),
+                11 => c.swap(a, b),
+                12 => c.rzz(FRAC_PI_2, a, b),
+                13 => c.measure(a),
+                14 => c.reset(a),
+                _ => c.reset(a).measure(a),
+            };
+        }
+        c.measure_all();
+        c
+    }
+
+    /// A noise model with depolarizing (plus crosstalk), readout, reset
+    /// and T1/T2 idle noise at random rates and durations.
+    fn random_noise(rng: &mut StdRng) -> NoiseModel {
+        let t1 = rng.gen_range(2.0..40.0);
+        NoiseModel {
+            depolarizing_1q: rng.gen_range(0.0..0.05),
+            depolarizing_2q: rng.gen_range(0.0..0.15),
+            readout_error: rng.gen_range(0.0..0.15),
+            reset_error: rng.gen_range(0.0..0.2),
+            t1,
+            t2: t1 * rng.gen_range(0.1..2.2),
+            durations: GateDurations {
+                one_qubit: rng.gen_range(0.0..0.5),
+                two_qubit: rng.gen_range(0.0..2.0),
+                measurement: rng.gen_range(0.0..5.0),
+                reset: rng.gen_range(0.0..5.0),
+            },
+            crosstalk: rng.gen_range(0.0..1.0),
+            ..NoiseModel::ideal()
+        }
+    }
+
+    /// Frame sampling reproduces the full tableau trajectories bit for
+    /// bit: `run` Counts and `success_fraction` equal the oracle's on
+    /// random circuits, under random noise models and every Table II
+    /// device's model, at several seeds.
+    #[test]
+    fn frame_sampling_matches_full_tableau_trajectories() {
+        const SHOTS: usize = 64;
+        let (mut random_measures, mut random_resets) = (0, 0);
+        for case in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let c = random_clifford_circuit(&mut rng);
+            let mut models = vec![NoiseModel::ideal()];
+            models.extend((0..3).map(|_| random_noise(&mut rng)));
+            models.extend(Device::all_paper_devices().iter().map(Device::noise_model));
+            for noise in &models {
+                let exec = StabilizerExecutor::new(noise.clone());
+                for seed in [case, 1000 + case, u64::MAX - case] {
+                    let registers = oracle_registers(&c, noise, SHOTS, seed);
+                    let mut counts = Counts::new(c.num_qubits());
+                    for register in &registers {
+                        let bits = register.iter().enumerate();
+                        counts.record(bits.fold(0, |acc, (q, &b)| acc | u64::from(b) << q));
+                    }
+                    assert_eq!(exec.run(&c, SHOTS, seed), counts, "case {case}, {noise:?}");
+                    let expected = &registers[0];
+                    let hits = registers.iter().filter(|r| r == &expected).count();
+                    assert_eq!(
+                        exec.success_fraction(&c, expected, SHOTS, seed).to_bits(),
+                        (hits as f64 / SHOTS as f64).to_bits(),
+                        "case {case}, {noise:?}"
+                    );
+                }
+            }
+            // Count random collapses so the corpus provably exercises the
+            // replaced-stabilizer update and the reset rule.
+            let program = NoisyProgram::lower(&c, &NoiseModel::ideal());
+            let collapses = reference_run(&program, &clifford_gates(&c), c.num_qubits());
+            let kinds = program
+                .ops
+                .iter()
+                .filter(|op| matches!(op, NoisyOp::Measure { .. } | NoisyOp::Reset { .. }));
+            for (op, collapse) in kinds.zip(&collapses) {
+                if let Collapse::Random(_) = collapse {
+                    match op {
+                        NoisyOp::Reset { .. } => random_resets += 1,
+                        _ => random_measures += 1,
+                    }
+                }
+            }
+        }
+        assert!(
+            random_measures > 20,
+            "random measurements: {random_measures}"
+        );
+        assert!(random_resets > 20, "random resets: {random_resets}");
+    }
 
     fn ghz(n: usize) -> Circuit {
         let mut c = Circuit::new(n);

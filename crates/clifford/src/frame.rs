@@ -2,7 +2,8 @@
 //!
 //! [`SignedPauli::apply`] is the crate's one statement of the Clifford
 //! sign and bit rules: the CHP tableau conjugates each of its `2n` rows
-//! with it, and [`crate::diagonalize`] conjugates its generators.
+//! with it, the stabilizer executor its per-shot Pauli frames, and
+//! [`crate::diagonalize`] its generators.
 
 use supermarq_circuit::{GateKind, Instruction};
 use supermarq_pauli::PauliString;

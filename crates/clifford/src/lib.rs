@@ -20,8 +20,9 @@
 //! * [`StabilizerSimulator`] — an Aaronson–Gottesman CHP tableau simulator
 //!   whose `2n` rows are `SignedPauli`s conjugated by the same rules, used
 //!   to cross-check Clifford circuits at sizes far beyond the statevector
-//!   simulator's reach, and [`StabilizerExecutor`], which runs noisy shots
-//!   on it.
+//!   simulator's reach, and [`StabilizerExecutor`], which runs a circuit
+//!   once on it and samples each noisy shot as a Pauli frame
+//!   (a `SignedPauli` conjugated by the same rules).
 //!
 //! # Example
 //!

@@ -19,6 +19,8 @@ use supermarq_circuit::InteractionGraph;
 pub struct Topology {
     name: String,
     graph: InteractionGraph,
+    /// Sorted neighbour lists of `graph`, built once.
+    adjacency: Vec<Vec<usize>>,
 }
 
 impl Topology {
@@ -32,9 +34,11 @@ impl Topology {
         num_qubits: usize,
         edges: &[(usize, usize)],
     ) -> Self {
+        let graph = InteractionGraph::from_edges(num_qubits, edges);
         Topology {
             name: name.into(),
-            graph: InteractionGraph::from_edges(num_qubits, edges),
+            adjacency: graph.adjacency(),
+            graph,
         }
     }
 
@@ -238,7 +242,24 @@ impl Topology {
 
     /// Coupler-graph distance (number of hops), or `None` if disconnected.
     pub fn distance(&self, a: usize, b: usize) -> Option<usize> {
-        self.graph.distance(a, b)
+        Some(self.distances_from(a)[b]).filter(|&d| d != usize::MAX)
+    }
+
+    /// Hop distance from `a` to every qubit, `usize::MAX` where
+    /// disconnected: one breadth-first search.
+    pub fn distances_from(&self, a: usize) -> Vec<usize> {
+        let mut dist = vec![usize::MAX; self.num_qubits()];
+        let mut queue = std::collections::VecDeque::from([a]);
+        dist[a] = 0;
+        while let Some(u) = queue.pop_front() {
+            for &v in &self.adjacency[u] {
+                if dist[v] == usize::MAX {
+                    dist[v] = dist[u] + 1;
+                    queue.push_back(v);
+                }
+            }
+        }
+        dist
     }
 
     /// `true` when every pair of qubits is directly coupled.
@@ -249,7 +270,12 @@ impl Topology {
 
     /// Degree of physical qubit `q`.
     pub fn degree(&self, q: usize) -> usize {
-        self.graph.degree(q)
+        self.adjacency[q].len()
+    }
+
+    /// The qubits coupled to `q`, in ascending order.
+    pub fn neighbors(&self, q: usize) -> &[usize] {
+        &self.adjacency[q]
     }
 
     /// The underlying graph.
@@ -263,14 +289,11 @@ impl Topology {
         if a == b {
             return Some(vec![a]);
         }
-        let adj = self.graph.adjacency();
-        let n = self.num_qubits();
-        let mut prev = vec![usize::MAX; n];
-        let mut queue = std::collections::VecDeque::new();
+        let mut prev = vec![usize::MAX; self.num_qubits()];
+        let mut queue = std::collections::VecDeque::from([a]);
         prev[a] = a;
-        queue.push_back(a);
         while let Some(u) = queue.pop_front() {
-            for &v in &adj[u] {
+            for &v in &self.adjacency[u] {
                 if prev[v] == usize::MAX {
                     prev[v] = u;
                     if v == b {
@@ -303,6 +326,18 @@ mod tests {
         assert!(!t.are_adjacent(0, 2));
         assert_eq!(t.distance(0, 3), Some(3));
         assert!(!t.is_fully_connected());
+    }
+
+    #[test]
+    fn distances_on_a_path() {
+        let t = Topology::line(4);
+        assert_eq!(t.distances_from(1), vec![1, 0, 1, 2]);
+        assert_eq!(t.distance(1, 1), Some(0));
+        assert_eq!(t.neighbors(1), &[0, 2]);
+        let disconnected = Topology::from_edges("pair", 4, &[(0, 1)]);
+        assert_eq!(disconnected.distances_from(0)[3], usize::MAX);
+        assert_eq!(disconnected.distance(0, 3), None);
+        assert_eq!(disconnected.degree(3), 0);
     }
 
     #[test]

@@ -15,11 +15,13 @@
 //! matter where qubits ended up.
 //!
 //! When the mirrored circuit is Clifford, [`Mirror::score_noiseless`]
-//! routes through the CHP tableau executor's
+//! routes through the stabilizer executor's
 //! [`success_fraction`](supermarq_clifford::StabilizerExecutor::success_fraction)
-//! — no histogram, no 64-qubit cap — so 100–200-qubit mirrors score in
-//! polynomial time. Non-Clifford mirrors fall back to the statevector
-//! path under a width guard.
+//! — no histogram, no 64-qubit cap. It runs each circuit once on a CHP
+//! tableau and then samples every shot as a Pauli frame, so 100–200-qubit
+//! mirrors score in polynomial time and a shot costs O(1) per gate.
+//! Non-Clifford mirrors fall back to the statevector path under a width
+//! guard.
 
 use supermarq_circuit::{Circuit, GateKind};
 use supermarq_clifford::{is_clifford_circuit, StabilizerExecutor};
@@ -104,7 +106,7 @@ impl<B: Benchmark> Mirror<B> {
     }
 
     /// Scores the mirror on an ideal (noiseless) machine, dispatching to
-    /// the CHP tableau executor when the mirror is Clifford (any width)
+    /// the stabilizer executor when the mirror is Clifford (any width)
     /// and to the statevector executor otherwise (up to
     /// [`MAX_STATEVECTOR_MIRROR_QUBITS`] qubits). Returns the mean
     /// success probability across the mirror circuits and the path taken.
@@ -116,7 +118,7 @@ impl<B: Benchmark> Mirror<B> {
     pub fn score_noiseless(&self, shots: usize, seed: u64) -> Result<(f64, MirrorPath), ExecError> {
         let circuits = self.circuits();
         let expected = self.expected_bits();
-        if self.is_clifford() {
+        if circuits.iter().all(is_clifford_circuit) {
             let exec = StabilizerExecutor::new(NoiseModel::ideal());
             let mut total = 0.0;
             for (i, c) in circuits.iter().enumerate() {

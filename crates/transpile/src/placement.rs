@@ -82,9 +82,9 @@ fn greedy_place(
     // heaviest so consecutive placements are connected when possible.
     let mut order: Vec<usize> = Vec::with_capacity(n_prog);
     let mut visited = vec![false; n_prog];
-    let mut by_degree: Vec<usize> = (0..n_prog).collect();
-    by_degree.sort_by_key(|&q| std::cmp::Reverse(interactions.degree(q)));
     let adj = interactions.adjacency();
+    let mut by_degree: Vec<usize> = (0..n_prog).collect();
+    by_degree.sort_by_key(|&q| std::cmp::Reverse(adj[q].len()));
     for &seed in &by_degree {
         if visited[seed] {
             continue;
@@ -94,7 +94,7 @@ fn greedy_place(
         while let Some(q) = queue.pop_front() {
             order.push(q);
             let mut nbrs: Vec<usize> = adj[q].iter().copied().filter(|&r| !visited[r]).collect();
-            nbrs.sort_by_key(|&r| std::cmp::Reverse(interactions.degree(r)));
+            nbrs.sort_by_key(|&r| std::cmp::Reverse(adj[r].len()));
             for r in nbrs {
                 visited[r] = true;
                 queue.push_back(r);
@@ -104,6 +104,8 @@ fn greedy_place(
 
     let mut mapping = vec![usize::MAX; n_prog];
     let mut used = vec![false; n_phys];
+    // Hop distances from each placed program qubit's physical qubit.
+    let mut distances_from: Vec<Vec<usize>> = vec![Vec::new(); n_prog];
     for &prog in &order {
         // Score each free physical qubit: prefer proximity to already-placed
         // interaction partners, then high degree (well-connected regions),
@@ -116,8 +118,11 @@ fn greedy_place(
             let mut dist_cost = 0.0;
             for &nbr in &adj[prog] {
                 if mapping[nbr] != usize::MAX {
-                    let d = topology.distance(phys, mapping[nbr]).unwrap_or(n_phys) as f64;
-                    dist_cost += d;
+                    let d = match distances_from[nbr][phys] {
+                        usize::MAX => n_phys,
+                        d => d,
+                    };
+                    dist_cost += d as f64;
                 }
             }
             let mut score = -dist_cost + 0.01 * topology.degree(phys) as f64;
@@ -141,9 +146,10 @@ fn greedy_place(
                 if partners > 0 {
                     score -= 2.0 * partner_cost / partners as f64;
                 } else {
-                    let best_incident = (0..n_phys)
-                        .filter(|&other| topology.are_adjacent(phys, other))
-                        .map(|other| dev.edge_error(phys, other) / avg)
+                    let best_incident = topology
+                        .neighbors(phys)
+                        .iter()
+                        .map(|&other| dev.edge_error(phys, other) / avg)
                         .fold(f64::INFINITY, f64::min);
                     if best_incident.is_finite() {
                         score -= 2.0 * best_incident;
@@ -158,6 +164,7 @@ fn greedy_place(
         }
         mapping[prog] = best.expect("free physical qubit exists").0;
         used[mapping[prog]] = true;
+        distances_from[prog] = topology.distances_from(mapping[prog]);
     }
     mapping
 }

@@ -28,6 +28,9 @@ BENCH_ASSERT=1 cargo bench -q -p supermarq-bench --bench substrate -- kernels_18
 echo "==> bench assertion (ambient pool within 1.5x of an installed pool of one on ghz6 trajectories)"
 BENCH_ASSERT=1 cargo bench -q -p supermarq-bench --bench substrate -- noisy_trajectories_ghz6
 
+echo "==> bench assertion (100 shots of the 200-qubit GHZ mirror within 1.0x of one CHP run)"
+BENCH_ASSERT=1 cargo bench -q -p supermarq-bench --bench substrate -- ghz_200q
+
 echo "==> cache smoke (batch twice; warm pass must be all cache hits)"
 bash scripts/cache_smoke.sh
 
