@@ -475,7 +475,7 @@ fn export_bench_json() {
 /// * 100 noiseless shots of the 200-qubit GHZ mirror cost no more than
 ///   one CHP run of a 200-qubit GHZ state: the shots are Pauli frames
 ///   over one reference tableau run (about 0.3), where a full tableau
-///   run per shot put the ratio near 11.
+///   run per shot put it at 11-13.
 const INVARIANTS: [(&str, &str, f64); 3] = [
     ("kernels_18q/cx_dense", "kernels_18q/cx_kernel", 2.5),
     (
