@@ -8,7 +8,9 @@
 //! so are the records themselves — seeds, relabeling, mitigation and
 //! scoring of both divisions (`run_records_digest`) — and every output
 //! built from a circuit analysis: transpiled circuits, diagnostics with
-//! their blame, and feature vectors (`analysis_outputs_digest`).
+//! their blame, and feature vectors (`analysis_outputs_digest`). The
+//! Table I comparison corpora are pinned circuit by circuit
+//! (`table1_corpora_digest`).
 
 use std::fmt::Write;
 
@@ -21,6 +23,9 @@ use supermarq_device::Device;
 use supermarq_pauli::mermin_operator;
 use supermarq_sim::{Executor, NoiseModel};
 use supermarq_store::{RunRecord, RunSpec};
+use supermarq_suites::{
+    cbg2021_suite, ppl2020_suite, qasmbench_suite, supermarq_suite, triq_suite,
+};
 use supermarq_transpile::{PipelineId, TranspileError, Transpiler};
 use supermarq_verify::verify_on_device;
 
@@ -438,6 +443,34 @@ fn analysis_outputs_digest() {
         supermarq_store::hash::sha256_hex(listing.as_bytes()),
         ANALYSIS_OUTPUTS_DIGEST,
         "analysis outputs drifted:\n{listing}"
+    );
+}
+
+/// SHA-256 over the OpenQASM of every circuit of the five Table I
+/// corpora, captured while they still lived in their own crate.
+const TABLE1_CORPORA_DIGEST: &str =
+    "e9e1f9cd369a75758af0ae4dcf12b5b341e2ea3fc54553ec3dc8562861f989da";
+
+/// The Table I corpora (`supermarq export` writes the first of them) are
+/// pinned circuit for circuit, in catalog order.
+#[test]
+fn table1_corpora_digest() {
+    let mut all = String::new();
+    for (name, suite) in [
+        ("supermarq", supermarq_suite()),
+        ("qasmbench", qasmbench_suite()),
+        ("cbg2021", cbg2021_suite()),
+        ("triq", triq_suite()),
+        ("ppl2020", ppl2020_suite()),
+    ] {
+        for (i, c) in suite.iter().enumerate() {
+            writeln!(all, "{name} {i}\n{}", c.to_qasm()).unwrap();
+        }
+    }
+    assert_eq!(
+        supermarq_store::hash::sha256_hex(all.as_bytes()),
+        TABLE1_CORPORA_DIGEST,
+        "Table I corpora drifted"
     );
 }
 
