@@ -10,6 +10,7 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::time::Instant;
 
 use supermarq::benchmarks::{GhzBenchmark, MerminBellBenchmark, QaoaVanillaBenchmark};
 use supermarq::CircuitFamily;
@@ -68,16 +69,22 @@ fn bench_intra_statevector(c: &mut Criterion) {
     group.finish();
 }
 
-/// Specialized gate kernels vs. the dense-matrix fallback on an 18-qubit
-/// state. `apply_gate` dispatches diagonal/permutation gates to in-place
-/// kernels; `apply_matrix1`/`apply_matrix2` force the generic path, so the
-/// `*_dense` ids are the baselines the kernels are measured against.
-fn bench_kernels(c: &mut Criterion) {
+/// The 18-qubit uniform superposition the kernel benchmarks act on.
+fn kernels_base_state() -> StateVector {
     const N: usize = 18;
     let mut base = StateVector::zero_state(N);
     for q in 0..N {
         base.apply_gate(&Gate::H, &[q]);
     }
+    base
+}
+
+/// Specialized gate kernels vs. the dense-matrix fallback on an 18-qubit
+/// state. `apply_gate` dispatches diagonal/permutation gates to in-place
+/// kernels; `apply_matrix1`/`apply_matrix2` force the generic path, so the
+/// `*_dense` ids are the baselines the kernels are measured against.
+fn bench_kernels(c: &mut Criterion) {
+    let base = kernels_base_state();
     let mut group = c.benchmark_group("kernels_18q");
     let one_q: &[(&str, Gate)] = &[
         ("x_kernel", Gate::X),
@@ -252,7 +259,7 @@ fn bench_clifford_mirror(c: &mut Criterion) {
 }
 
 fn bench_geometry(c: &mut Criterion) {
-    let suite = supermarq_suites::supermarq_suite();
+    let suite = supermarq::coverage::supermarq_suite();
     let points: Vec<Vec<f64>> = suite
         .iter()
         .map(|circ| FeatureVector::of(circ).to_vec())
@@ -464,11 +471,56 @@ fn export_bench_json() {
     }
 }
 
-/// The `BENCH_ASSERT=1` invariants: `(slower, faster, limit)` requires
-/// time(`slower`) <= `limit` * time(`faster`).
+/// Median nanoseconds per call of the dense two-qubit path
+/// (`apply_matrix2` with the CX matrix) and of the CX kernel
+/// (`apply_gate(Cx)`), over single calls alternated on one 18-qubit
+/// state in an installed pool of one thread. Alternating exposes both
+/// paths to the same cache and clock state, the median drops the calls
+/// the scheduler interrupted, and one thread keeps the load on a
+/// second vCPU out of the ratio.
+fn interleaved_cx_medians() -> (f64, f64) {
+    const CALLS: usize = 3_000;
+    let m = Gate::Cx.matrix2().expect("CX has a 2q matrix");
+    let mut psi = kernels_base_state();
+    let mut dense = Vec::with_capacity(CALLS);
+    let mut kernel = Vec::with_capacity(CALLS);
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("single-thread pool");
+    one_thread.install(|| {
+        for _ in 0..CALLS {
+            let start = Instant::now();
+            psi.apply_matrix2(&m, 3, 12);
+            black_box(&psi);
+            dense.push(start.elapsed().as_nanos());
+            let start = Instant::now();
+            psi.apply_gate(&Gate::Cx, &[3, 12]);
+            black_box(&psi);
+            kernel.push(start.elapsed().as_nanos());
+        }
+    });
+    let median = |mut v: Vec<u128>| {
+        v.sort_unstable();
+        v[v.len() / 2] as f64
+    };
+    (median(dense), median(kernel))
+}
+
+/// A measurement returning `(slower, faster)` nanoseconds.
+type Timing = fn() -> (f64, f64);
+
+/// The `BENCH_ASSERT=1` invariants: `(slower, faster, limit, timing)`
+/// requires time(`slower`) <= `limit` * time(`faster`). An invariant is
+/// checked when the filtered run measured both of its ids, on their
+/// criterion means unless it names its own timing.
 /// * The dense two-qubit path stays within 2.5x of the specialized CX
 ///   kernel on the 18-qubit state (the O(4*2^n) full scan it replaced
-///   sat around 4.6x).
+///   sat around 4.6x in criterion means). Means over a few criterion
+///   iterations on 2 vCPUs failed about a third of runs without a
+///   regression, so it reads medians of interleaved calls on one thread
+///   instead: about 2.2 (1.8-2.6 on a shared 2-vCPU VM), and 5.8-7.8
+///   with the full scan put back.
 /// * The ambient pool adds no per-call cost that an installed pool of one
 ///   avoids: on one CPU the ratio is about 1, and a thread-count lookup
 ///   that reread the environment on every gate kernel put it near 60.
@@ -476,14 +528,20 @@ fn export_bench_json() {
 ///   one CHP run of a 200-qubit GHZ state: the shots are Pauli frames
 ///   over one reference tableau run (about 0.3), where a full tableau
 ///   run per shot put it at 11-13.
-const INVARIANTS: [(&str, &str, f64); 3] = [
-    ("kernels_18q/cx_dense", "kernels_18q/cx_kernel", 2.5),
+const INVARIANTS: [(&str, &str, f64, Option<Timing>); 3] = [
+    (
+        "kernels_18q/cx_dense",
+        "kernels_18q/cx_kernel",
+        2.5,
+        Some(interleaved_cx_medians),
+    ),
     (
         "noisy_trajectories_ghz6/1000",
         "noisy_trajectories_ghz6/1000_seq1",
         1.5,
+        None,
     ),
-    ("clifford_mirror/ghz_200q_ideal", "chp_ghz_200q", 1.0),
+    ("clifford_mirror/ghz_200q_ideal", "chp_ghz_200q", 1.0, None),
 ];
 
 /// `BENCH_ASSERT=1` turns the run into a pass/fail perf gate over every
@@ -499,10 +557,11 @@ fn run_assertions() -> bool {
     };
     let mut checked = 0;
     let mut ok = true;
-    for (slower, faster, limit) in INVARIANTS {
+    for (slower, faster, limit, timing) in INVARIANTS {
         let (Some(slow), Some(fast)) = (lookup(slower), lookup(faster)) else {
             continue;
         };
+        let (slow, fast) = timing.map_or((slow, fast), |measure| measure());
         checked += 1;
         if fast <= 0.0 {
             eprintln!("BENCH_ASSERT: {faster} reported a non-positive time");

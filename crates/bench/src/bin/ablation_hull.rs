@@ -31,7 +31,7 @@ fn simplex(d: usize) -> Vec<Vec<f64>> {
 
 fn main() {
     println!("== Ablation: exact hull volume vs Monte-Carlo estimate ==\n");
-    let suite = supermarq_suites::supermarq_suite();
+    let suite = supermarq::coverage::supermarq_suite();
     let feature_cloud: Vec<Vec<f64>> = suite
         .iter()
         .map(|c| FeatureVector::of(c).to_vec())

@@ -7,14 +7,14 @@
 //! joggle artifacts of degenerate point sets; we report both the exact
 //! volume (0 when degenerate) and a joggled volume mirroring qhull `QJ`.
 
-use supermarq::coverage::{coverage_of_features, synthetic_suite_features};
+use supermarq::coverage::{
+    cbg2021_suite, coverage_of_features, ppl2020_suite, qasmbench_suite, supermarq_suite,
+    synthetic_suite_features, triq_suite,
+};
 use supermarq::FeatureVector;
 use supermarq_bench::render_table;
 use supermarq_circuit::Circuit;
 use supermarq_geometry::hull_volume_joggled;
-use supermarq_suites::{
-    cbg2021_suite, ppl2020_suite, qasmbench_suite, supermarq_suite, triq_suite,
-};
 
 fn features_of(circuits: &[Circuit]) -> Vec<FeatureVector> {
     circuits.iter().map(FeatureVector::of).collect()

@@ -11,13 +11,13 @@ use supermarq::Benchmark;
 /// A benchmark point in spec form: `(benchmark id, parameters)` — the
 /// `(benchmark, params)` half of a `supermarq_store::RunSpec`, so grid
 /// cells are content-addressable.
-pub type BenchPoint = (String, Vec<(String, String)>);
+pub(crate) type BenchPoint = (String, Vec<(String, String)>);
 
 /// One Fig. 2 panel: `(panel_label, instances, is_error_correction)`.
-pub type Fig2Panel = (&'static str, Vec<Box<dyn Benchmark>>, bool);
+pub(crate) type Fig2Panel = (&'static str, Vec<Box<dyn Benchmark>>, bool);
 
 /// One Fig. 2 panel in spec form: `(panel_label, points, is_error_correction)`.
-pub type Fig2SpecPanel = (&'static str, Vec<BenchPoint>, bool);
+pub(crate) type Fig2SpecPanel = (&'static str, Vec<BenchPoint>, bool);
 
 /// Parses the observability flags shared by the figure binaries
 /// (`--profile`, `--trace-out <path>`) from the process arguments and

@@ -14,6 +14,9 @@
 
 use std::fmt::Write;
 
+use supermarq::coverage::{
+    cbg2021_suite, ppl2020_suite, qasmbench_suite, supermarq_suite, triq_suite,
+};
 use supermarq::registry::{BenchmarkEntry, BenchmarkRegistry, ParamKind};
 use supermarq::spec::execute_spec;
 use supermarq::{Benchmark, CircuitFamily, FeatureVector, Mirror};
@@ -23,9 +26,6 @@ use supermarq_device::Device;
 use supermarq_pauli::mermin_operator;
 use supermarq_sim::{Executor, NoiseModel};
 use supermarq_store::{RunRecord, RunSpec};
-use supermarq_suites::{
-    cbg2021_suite, ppl2020_suite, qasmbench_suite, supermarq_suite, triq_suite,
-};
 use supermarq_transpile::{PipelineId, TranspileError, Transpiler};
 use supermarq_verify::verify_on_device;
 

@@ -31,7 +31,6 @@ pub struct CircuitLayers {
     /// `layers[i]` holds indices into `circuit.instructions()` scheduled at
     /// layer `i`.
     layers: Vec<Vec<usize>>,
-    num_qubits: usize,
 }
 
 impl CircuitLayers {
@@ -58,20 +57,12 @@ impl CircuitLayers {
                 frontier[q] = layer + 1;
             }
         }
-        CircuitLayers {
-            layers,
-            num_qubits: n,
-        }
+        CircuitLayers { layers }
     }
 
     /// The circuit depth `d`: the number of non-empty layers.
     pub fn depth(&self) -> usize {
         self.layers.len()
-    }
-
-    /// Number of qubits of the underlying circuit.
-    pub fn num_qubits(&self) -> usize {
-        self.num_qubits
     }
 
     /// Instruction indices scheduled at each layer, in layer order.
@@ -140,12 +131,6 @@ pub struct LivenessMatrix {
 }
 
 impl LivenessMatrix {
-    /// Builds the liveness matrix from a circuit's ASAP layering.
-    pub fn of(circuit: &Circuit) -> Self {
-        let layers = CircuitLayers::of(circuit);
-        Self::from_layers(circuit, &layers)
-    }
-
     /// Builds the liveness matrix from a precomputed layering.
     pub fn from_layers(circuit: &Circuit, layers: &CircuitLayers) -> Self {
         let n = circuit.num_qubits();
@@ -163,17 +148,17 @@ impl LivenessMatrix {
     }
 
     /// Number of qubits (rows).
-    pub fn num_qubits(&self) -> usize {
+    pub(crate) fn num_qubits(&self) -> usize {
         self.live.len()
     }
 
     /// Circuit depth (columns).
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.live.first().map_or(0, Vec::len)
     }
 
     /// Sum over all entries of the matrix (`sum_ij A_ij` in Eq. 5).
-    pub fn total_live(&self) -> usize {
+    pub(crate) fn total_live(&self) -> usize {
         self.live
             .iter()
             .map(|row| row.iter().filter(|&&b| b).count())
@@ -338,7 +323,7 @@ mod tests {
     fn liveness_of_fully_dense_circuit_is_one() {
         let mut c = Circuit::new(2);
         c.h(0).h(1).cx(0, 1);
-        let live = LivenessMatrix::of(&c);
+        let live = LivenessMatrix::from_layers(&c, &CircuitLayers::of(&c));
         assert_eq!(live.depth(), 2);
         assert!((live.fraction() - 1.0).abs() < 1e-12);
     }
@@ -347,7 +332,7 @@ mod tests {
     fn liveness_counts_idle_qubits() {
         let mut c = Circuit::new(2);
         c.h(0).h(0); // qubit 1 always idle
-        let live = LivenessMatrix::of(&c);
+        let live = LivenessMatrix::from_layers(&c, &CircuitLayers::of(&c));
         assert_eq!(live.total_live(), 2);
         assert!((live.fraction() - 0.5).abs() < 1e-12);
     }
@@ -355,7 +340,7 @@ mod tests {
     #[test]
     fn empty_circuit_liveness_zero() {
         let c = Circuit::new(3);
-        let live = LivenessMatrix::of(&c);
+        let live = LivenessMatrix::from_layers(&c, &CircuitLayers::of(&c));
         assert_eq!(live.fraction(), 0.0);
         assert_eq!(live.depth(), 0);
     }

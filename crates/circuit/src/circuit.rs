@@ -28,8 +28,8 @@ impl Instruction {
 /// [`Instruction`]s.
 ///
 /// Builder methods (`h`, `cx`, `rz`, ...) validate operands and return
-/// `&mut Self` so calls can be chained; the checked [`Circuit::push`] is the
-/// non-panicking primitive underneath them.
+/// `&mut Self` so calls can be chained; they panic on invalid operands
+/// (see [`Circuit::append`]).
 ///
 /// # Example
 ///
@@ -117,7 +117,7 @@ impl Circuit {
     /// repeats an operand, and [`CircuitError::ArityMismatch`] if the
     /// operand count does not match the gate's arity (barriers are exempt:
     /// their arity is variable).
-    pub fn push(&mut self, gate: Gate, qubits: &[usize]) -> Result<&mut Self, CircuitError> {
+    pub(crate) fn push(&mut self, gate: Gate, qubits: &[usize]) -> Result<&mut Self, CircuitError> {
         if gate.kind() != GateKind::Barrier && qubits.len() != gate.arity() {
             return Err(CircuitError::ArityMismatch {
                 gate: gate.qasm_name(),
@@ -148,7 +148,7 @@ impl Circuit {
     /// This is the deliberate escape hatch for constructing malformed
     /// circuits — e.g. seeding mutations when testing the
     /// `supermarq-verify` static analyses. Production code should use
-    /// [`Circuit::push`] (fallible) or [`Circuit::append`] (panicking)
+    /// [`Circuit::append`] or a builder method, which validate operands,
     /// so invalid operands cannot enter a circuit silently.
     pub fn push_unchecked(&mut self, gate: Gate, qubits: &[usize]) -> &mut Self {
         self.instructions
@@ -159,14 +159,12 @@ impl Circuit {
     /// Appends an instruction, panicking on invalid operands.
     ///
     /// This is the convenience wrapper the builder methods (`h`, `cx`, ...)
-    /// sit on; it performs exactly the validation of [`Circuit::push`].
+    /// sit on.
     ///
     /// # Panics
     ///
     /// Panics with `"invalid instruction operands"` if operands are out of
-    /// range, duplicated, or mismatch the gate's arity; see
-    /// [`Circuit::push`] for the fallible alternative that reports which
-    /// rule was violated.
+    /// range, duplicated, or mismatch the gate's arity.
     pub fn append(&mut self, gate: Gate, qubits: &[usize]) -> &mut Self {
         self.push(gate, qubits)
             .expect("invalid instruction operands")
@@ -303,11 +301,6 @@ impl Circuit {
     /// Applies an XX-rotation.
     pub fn rxx(&mut self, theta: f64, a: usize, b: usize) -> &mut Self {
         self.append(Gate::Rxx(theta), &[a, b])
-    }
-
-    /// Applies a YY-rotation.
-    pub fn ryy(&mut self, theta: f64, a: usize, b: usize) -> &mut Self {
-        self.append(Gate::Ryy(theta), &[a, b])
     }
 
     /// Applies a ZZ-rotation.

@@ -13,24 +13,8 @@ use crate::analysis::CircuitLayers;
 use crate::circuit::Circuit;
 use crate::gate::{Gate, GateKind};
 
-/// Renders `circuit` as an ASCII diagram, one line per qubit.
-///
-/// Controlled gates draw `●` on the control wire; CX targets draw `X`, CZ
-/// draws `●` on both wires; other two-qubit gates draw their mnemonic on
-/// both wires. Measurement is `[M]`, reset `[R]`, barriers a `|` column.
-///
-/// # Example
-///
-/// ```
-/// use supermarq_circuit::Circuit;
-///
-/// let mut c = Circuit::new(2);
-/// c.h(0).cx(0, 1).measure_all();
-/// let d = c.to_diagram();
-/// assert!(d.contains("[h]"));
-/// assert!(d.contains("[M]"));
-/// ```
-pub fn to_diagram(circuit: &Circuit) -> String {
+/// The body of [`Circuit::to_diagram`].
+pub(crate) fn to_diagram(circuit: &Circuit) -> String {
     let n = circuit.num_qubits();
     if n == 0 {
         return String::new();
@@ -119,7 +103,23 @@ fn short_name(gate: &Gate) -> String {
 }
 
 impl Circuit {
-    /// Renders the circuit as an ASCII diagram; see [`to_diagram`].
+    /// Renders the circuit as an ASCII diagram, one line per qubit.
+    ///
+    /// Controlled gates draw `●` on the control wire; CX targets draw `X`, CZ
+    /// draws `●` on both wires; other two-qubit gates draw their mnemonic on
+    /// both wires. Measurement is `[M]`, reset `[R]`, barriers a `|` column.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use supermarq_circuit::Circuit;
+    ///
+    /// let mut c = Circuit::new(2);
+    /// c.h(0).cx(0, 1).measure_all();
+    /// let d = c.to_diagram();
+    /// assert!(d.contains("[h]"));
+    /// assert!(d.contains("[M]"));
+    /// ```
     pub fn to_diagram(&self) -> String {
         to_diagram(self)
     }

@@ -18,11 +18,11 @@ use crate::math::C64;
 /// # Example
 ///
 /// ```
-/// use supermarq_circuit::Gate;
+/// use supermarq_circuit::{Gate, GateKind};
 ///
 /// assert_eq!(Gate::H.arity(), 1);
 /// assert_eq!(Gate::Cx.arity(), 2);
-/// assert!(Gate::Cx.is_two_qubit());
+/// assert_eq!(Gate::Cx.kind(), GateKind::TwoQubitUnitary);
 /// assert!(!Gate::Measure.is_unitary());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,7 +133,7 @@ impl Gate {
     }
 
     /// `true` for two-qubit unitary gates.
-    pub fn is_two_qubit(&self) -> bool {
+    pub(crate) fn is_two_qubit(&self) -> bool {
         self.kind() == GateKind::TwoQubitUnitary
     }
 

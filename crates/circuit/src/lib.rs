@@ -29,13 +29,13 @@
 //! assert!(qasm.contains("cx q[0],q[1];"));
 //! ```
 
-pub mod analysis;
-pub mod circuit;
-pub mod diagram;
-pub mod gate;
-pub mod graph;
-pub mod math;
-pub mod qasm;
+pub(crate) mod analysis;
+pub(crate) mod circuit;
+pub(crate) mod diagram;
+pub(crate) mod gate;
+pub(crate) mod graph;
+pub(crate) mod math;
+pub(crate) mod qasm;
 
 pub use analysis::{CircuitLayers, CriticalPathInfo, LivenessMatrix};
 pub use circuit::{Circuit, Instruction};
@@ -46,7 +46,7 @@ pub use qasm::ParseQasmError;
 
 /// Errors produced while constructing or mutating a [`Circuit`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CircuitError {
+pub(crate) enum CircuitError {
     /// A gate referenced a qubit index `>= num_qubits`.
     QubitOutOfRange { qubit: usize, num_qubits: usize },
     /// A multi-qubit gate was applied to a repeated qubit.

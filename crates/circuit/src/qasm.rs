@@ -439,7 +439,7 @@ mod tests {
             .cp(0.9, 0, 2)
             .swap(0, 1)
             .rxx(0.4, 1, 2)
-            .ryy(0.5, 0, 2)
+            .append(Gate::Ryy(0.5), &[0, 2])
             .rzz(0.6, 0, 1)
             .reset(2)
             .barrier(&[0, 1])

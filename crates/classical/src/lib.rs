@@ -10,7 +10,7 @@
 //!    the final circuit on hardware ([`opt`], [`qaoa`]);
 //! 3. **Exactly solvable references** — the level-1 QAOA energy on
 //!    Sherrington–Kirkpatrick instances in closed form ([`qaoa`]), the 1-D
-//!    transverse-field Ising ground energy via free fermions ([`tfim`]),
+//!    transverse-field Ising ground energy via free fermions (`tfim`),
 //!    and brute-force Ising optima for small instances ([`maxcut`]).
 //!
 //! # Example
@@ -24,14 +24,11 @@
 //! assert!((hellinger_fidelity_maps(&p, &q) - 1.0).abs() < 1e-12);
 //! ```
 
-pub mod linalg;
+pub(crate) mod linalg;
 pub mod maxcut;
 pub mod opt;
 pub mod qaoa;
 pub mod stats;
-pub mod tfim;
+pub(crate) mod tfim;
 
-pub use opt::{nelder_mead, NelderMeadOptions};
-pub use qaoa::{qaoa_p1_energy, qaoa_p1_optimize};
-pub use stats::{hellinger_fidelity_maps, linear_regression, LinearFit};
-pub use tfim::{tfim_ground_energy, tfim_ground_energy_per_site_thermodynamic};
+pub use tfim::tfim_ground_energy;

@@ -13,7 +13,7 @@
 ///
 /// Panics if the matrix is not square, or if it fails to converge in 100
 /// sweeps (does not happen for symmetric input).
-pub fn symmetric_eigenvalues(matrix: &[Vec<f64>]) -> Vec<f64> {
+pub(crate) fn symmetric_eigenvalues(matrix: &[Vec<f64>]) -> Vec<f64> {
     let n = matrix.len();
     assert!(matrix.iter().all(|r| r.len() == n), "matrix must be square");
     if n == 0 {
@@ -78,7 +78,7 @@ pub fn symmetric_eigenvalues(matrix: &[Vec<f64>]) -> Vec<f64> {
 /// # Panics
 ///
 /// Panics on dimension mismatch.
-pub fn matmul(a: &[Vec<f64>], b: &[Vec<f64>]) -> Vec<Vec<f64>> {
+pub(crate) fn matmul(a: &[Vec<f64>], b: &[Vec<f64>]) -> Vec<Vec<f64>> {
     let n = a.len();
     assert!(
         b.len() == n && a.iter().chain(b.iter()).all(|r| r.len() == n),
@@ -99,7 +99,7 @@ pub fn matmul(a: &[Vec<f64>], b: &[Vec<f64>]) -> Vec<Vec<f64>> {
 }
 
 /// Transposes a square matrix.
-pub fn transpose(a: &[Vec<f64>]) -> Vec<Vec<f64>> {
+pub(crate) fn transpose(a: &[Vec<f64>]) -> Vec<Vec<f64>> {
     let n = a.len();
     let mut out = vec![vec![0.0; n]; n];
     for i in 0..n {

@@ -60,14 +60,6 @@ pub fn min_ising_energy(n: usize, weights: &[f64]) -> (f64, u64) {
     best
 }
 
-/// The maximum cut value corresponding to the Ising minimum:
-/// `maxcut = (sum_w - E_min) / 2`.
-pub fn max_cut_value(n: usize, weights: &[f64]) -> f64 {
-    let (e_min, _) = min_ising_energy(n, weights);
-    let total: f64 = weights.iter().sum();
-    (total - e_min) / 2.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,12 +95,6 @@ mod tests {
         let (e, bits) = min_ising_energy(2, &[1.0]);
         assert!((e + 1.0).abs() < 1e-12);
         assert_eq!(bits, 0b10); // opposite spins
-    }
-
-    #[test]
-    fn cut_value_of_triangle() {
-        // MaxCut of unit triangle = 2.
-        assert!((max_cut_value(3, &[1.0, 1.0, 1.0]) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -136,7 +136,7 @@ pub fn nelder_mead<F: FnMut(&[f64]) -> f64>(
 /// # Panics
 ///
 /// Panics if `steps < 2`.
-pub fn grid_search_2d<F: FnMut(f64, f64) -> f64>(
+pub(crate) fn grid_search_2d<F: FnMut(f64, f64) -> f64>(
     mut f: F,
     x_range: (f64, f64),
     y_range: (f64, f64),

@@ -53,7 +53,14 @@ pub fn qaoa_p1_energy(n: usize, weights: &[f64], gamma: f64, beta: f64) -> f64 {
 }
 
 /// The exact level-1 correlator `<Z_u Z_v>`.
-pub fn qaoa_p1_zz(n: usize, weights: &[f64], u: usize, v: usize, gamma: f64, beta: f64) -> f64 {
+pub(crate) fn qaoa_p1_zz(
+    n: usize,
+    weights: &[f64],
+    u: usize,
+    v: usize,
+    gamma: f64,
+    beta: f64,
+) -> f64 {
     let w_uv = weight(n, weights, u, v);
     let g2 = 2.0 * gamma;
     let mut prod_u = 1.0;

@@ -11,7 +11,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Population variance; 0 for fewer than two samples.
-pub fn variance(xs: &[f64]) -> f64 {
+pub(crate) fn variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -112,61 +112,6 @@ pub fn linear_regression(xs: &[f64], ys: &[f64]) -> Option<LinearFit> {
     })
 }
 
-/// Pearson correlation coefficient `r` between paired samples, or `None`
-/// when either variable has (near-)zero variance.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn pearson_correlation(xs: &[f64], ys: &[f64]) -> Option<f64> {
-    assert_eq!(xs.len(), ys.len(), "paired samples required");
-    if xs.len() < 2 {
-        return None;
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let sxx: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
-    let syy: f64 = ys.iter().map(|y| (y - my) * (y - my)).sum();
-    if sxx < 1e-15 || syy < 1e-15 {
-        return None;
-    }
-    let sxy: f64 = xs.iter().zip(ys).map(|(x, y)| (x - mx) * (y - my)).sum();
-    Some(sxy / (sxx * syy).sqrt())
-}
-
-/// A nonparametric bootstrap confidence interval for the mean of `samples`:
-/// `resamples` bootstrap means are drawn with replacement (deterministic
-/// seed) and the `[alpha/2, 1 - alpha/2]` percentile interval is returned
-/// as `(low, high)`.
-///
-/// Used to put honest uncertainty on the Fig. 2 score bars beyond the
-/// plain standard deviation.
-///
-/// # Panics
-///
-/// Panics if `samples` is empty, `resamples == 0`, or `alpha` is outside
-/// `(0, 1)`.
-pub fn bootstrap_mean_ci(samples: &[f64], resamples: usize, alpha: f64, seed: u64) -> (f64, f64) {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    assert!(!samples.is_empty(), "need at least one sample");
-    assert!(resamples > 0, "need at least one resample");
-    assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0, 1)");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut means: Vec<f64> = (0..resamples)
-        .map(|_| {
-            let total: f64 = (0..samples.len())
-                .map(|_| samples[rng.gen_range(0..samples.len())])
-                .sum();
-            total / samples.len() as f64
-        })
-        .collect();
-    means.sort_by(|a, b| a.partial_cmp(b).expect("finite means"));
-    let lo_idx = ((alpha / 2.0) * (resamples as f64 - 1.0)).round() as usize;
-    let hi_idx = ((1.0 - alpha / 2.0) * (resamples as f64 - 1.0)).round() as usize;
-    (means[lo_idx], means[hi_idx.min(resamples - 1)])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,51 +182,6 @@ mod tests {
         let ys = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0];
         let fit = linear_regression(&xs, &ys).unwrap();
         assert!(fit.r_squared < 0.2, "r2={}", fit.r_squared);
-    }
-
-    #[test]
-    fn pearson_matches_r_squared() {
-        let xs = [0.0, 1.0, 2.0, 3.0, 4.0];
-        let ys = [0.2, 1.1, 1.9, 3.2, 3.9];
-        let r = pearson_correlation(&xs, &ys).unwrap();
-        let fit = linear_regression(&xs, &ys).unwrap();
-        assert!(
-            (r * r - fit.r_squared).abs() < 1e-10,
-            "r^2={} fit={}",
-            r * r,
-            fit.r_squared
-        );
-        // Anti-correlated data gives negative r.
-        let neg: Vec<f64> = ys.iter().map(|y| -y).collect();
-        assert!(pearson_correlation(&xs, &neg).unwrap() < -0.99);
-        assert!(pearson_correlation(&[1.0, 1.0], &[0.0, 1.0]).is_none());
-    }
-
-    #[test]
-    fn bootstrap_ci_brackets_the_true_mean() {
-        // Samples from a known distribution: the CI should contain the
-        // sample mean and shrink with more data.
-        let small: Vec<f64> = (0..10).map(|i| (i % 5) as f64).collect();
-        let (lo, hi) = bootstrap_mean_ci(&small, 2000, 0.05, 1);
-        let m = mean(&small);
-        assert!(lo <= m && m <= hi, "[{lo}, {hi}] vs {m}");
-        let large: Vec<f64> = (0..1000).map(|i| (i % 5) as f64).collect();
-        let (lo2, hi2) = bootstrap_mean_ci(&large, 2000, 0.05, 1);
-        assert!(hi2 - lo2 < hi - lo, "large-sample CI must be tighter");
-    }
-
-    #[test]
-    fn bootstrap_ci_of_constant_data_is_degenerate() {
-        let (lo, hi) = bootstrap_mean_ci(&[0.7; 20], 200, 0.1, 3);
-        assert!((lo - 0.7).abs() < 1e-12);
-        assert!((hi - 0.7).abs() < 1e-12);
-        assert!(hi - lo < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn bootstrap_rejects_bad_alpha() {
-        bootstrap_mean_ci(&[1.0], 10, 1.5, 1);
     }
 
     #[test]

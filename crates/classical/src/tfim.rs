@@ -62,8 +62,9 @@ pub fn tfim_ground_energy(n: usize, j: f64, h: f64) -> f64 {
 ///
 /// evaluated with Simpson quadrature. At criticality (`J = h = 1`) this is
 /// the textbook `-4/pi` (for the `2 sqrt(...)` dispersion normalization
-/// used here).
-pub fn tfim_ground_energy_per_site_thermodynamic(j: f64, h: f64) -> f64 {
+/// used here). The finite-chain solver is checked against it.
+#[cfg(test)]
+fn tfim_ground_energy_per_site_thermodynamic(j: f64, h: f64) -> f64 {
     let steps = 20_000usize; // even
     let a = 0.0;
     let b = std::f64::consts::PI;

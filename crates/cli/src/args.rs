@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 /// Parsed command-line arguments: positional values plus `--key value`
 /// options.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Args {
+pub(crate) struct Args {
     positional: Vec<String>,
     options: BTreeMap<String, String>,
     flags: Vec<String>,
@@ -15,7 +15,7 @@ impl Args {
     /// Parses raw arguments. `--key value` becomes an option, a bare
     /// `--key` at the end or followed by another `--` token becomes a
     /// boolean flag, everything else is positional.
-    pub fn parse(argv: &[String]) -> Result<Args, String> {
+    pub(crate) fn parse(argv: &[String]) -> Result<Args, String> {
         let mut args = Args::default();
         let mut i = 0;
         while i < argv.len() {
@@ -41,22 +41,26 @@ impl Args {
     }
 
     /// Positional argument at `idx`.
-    pub fn positional(&self, idx: usize) -> Option<&str> {
+    pub(crate) fn positional(&self, idx: usize) -> Option<&str> {
         self.positional.get(idx).map(String::as_str)
     }
 
     /// Number of positional arguments.
-    pub fn positional_len(&self) -> usize {
+    pub(crate) fn positional_len(&self) -> usize {
         self.positional.len()
     }
 
     /// String option by name.
-    pub fn option(&self, key: &str) -> Option<&str> {
+    pub(crate) fn option(&self, key: &str) -> Option<&str> {
         self.options.get(key).map(String::as_str)
     }
 
     /// Parsed numeric option with a default.
-    pub fn option_parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+    pub(crate) fn option_parse<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: T,
+    ) -> Result<T, String> {
         match self.options.get(key) {
             None => Ok(default),
             Some(raw) => raw
@@ -66,7 +70,7 @@ impl Args {
     }
 
     /// `true` if the boolean flag was given.
-    pub fn flag(&self, key: &str) -> bool {
+    pub(crate) fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
 }

@@ -284,7 +284,7 @@ fn cmd_export(args: &Args) -> Result<String, CliError> {
     let dir = std::path::Path::new(dir);
     std::fs::create_dir_all(dir)
         .map_err(|e| CliError::failure(format!("cannot create {}: {e}", dir.display())))?;
-    let suite = supermarq_suites::supermarq_suite();
+    let suite = supermarq::coverage::supermarq_suite();
     let mut written = 0usize;
     for (i, circuit) in suite.iter().enumerate() {
         let path = dir.join(format!("supermarq_{:02}_{}q.qasm", i, circuit.num_qubits()));

@@ -5,5 +5,5 @@
 //! whole commands (including `serve` and signal handling) in their own
 //! process without shelling out to a built binary.
 
-pub mod args;
+pub(crate) mod args;
 pub mod commands;

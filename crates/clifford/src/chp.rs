@@ -14,10 +14,10 @@ use crate::ops::CliffordOp;
 
 /// A stabilizer-state simulator over `n` qubits.
 ///
-/// The tableau is `2n` [`SignedPauli`] rows: rows `0..n` are
+/// The tableau is `2n` `SignedPauli` rows: rows `0..n` are
 /// destabilizers, rows `n..2n` stabilizers, following Aaronson &
 /// Gottesman, "Improved simulation of stabilizer circuits" (2004). A gate
-/// conjugates every row with [`SignedPauli::apply`], so the tableau and a
+/// conjugates every row with `SignedPauli::apply`, so the tableau and a
 /// lone `SignedPauli` share one rule set.
 ///
 /// # Example
@@ -52,11 +52,6 @@ impl StabilizerSimulator {
             rows[n + i].z[i] = true; // stabilizer Z_i
         }
         StabilizerSimulator { n, rows }
-    }
-
-    /// Number of qubits.
-    pub fn num_qubits(&self) -> usize {
-        self.n
     }
 
     /// The signed Pauli stored in tableau row `i` as `(minus, string)`.
@@ -133,7 +128,8 @@ impl StabilizerSimulator {
     /// # Panics
     ///
     /// Panics if `n > 64`.
-    pub fn measure_all<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn measure_all<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
         assert!(self.n <= 64, "measure_all limited to 64 qubits");
         let mut bits = 0u64;
         for q in 0..self.n {
@@ -145,7 +141,8 @@ impl StabilizerSimulator {
     }
 
     /// Resets qubit `a` to `|0>`.
-    pub fn reset<R: Rng + ?Sized>(&mut self, a: usize, rng: &mut R) {
+    #[cfg(test)]
+    pub(crate) fn reset<R: Rng + ?Sized>(&mut self, a: usize, rng: &mut R) {
         if self.measure(a, rng) {
             self.apply(CliffordOp::X(a));
         }

@@ -16,19 +16,8 @@ use crate::ops::{clifford_ops, CliffordOp};
 ///
 /// Clifford conjugation of a Hermitian Pauli keeps it a Hermitian Pauli, so
 /// a single sign bit suffices (no `i` phases appear).
-///
-/// # Example
-///
-/// ```
-/// use supermarq_clifford::{CliffordOp, SignedPauli};
-///
-/// let mut p = SignedPauli::from_string(&"X".parse().unwrap());
-/// p.apply(CliffordOp::H(0)); // H X H = Z
-/// assert_eq!(p.to_pauli_string().to_string(), "Z");
-/// assert!(!p.is_negative());
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SignedPauli {
+pub(crate) struct SignedPauli {
     pub(crate) x: Vec<bool>,
     pub(crate) z: Vec<bool>,
     pub(crate) minus: bool,
@@ -36,7 +25,7 @@ pub struct SignedPauli {
 
 impl SignedPauli {
     /// Wraps a plain Pauli string with a positive sign.
-    pub fn from_string(p: &PauliString) -> Self {
+    pub(crate) fn from_string(p: &PauliString) -> Self {
         let (x, z) = p.to_xz_bits();
         SignedPauli { x, z, minus: false }
     }
@@ -51,17 +40,17 @@ impl SignedPauli {
     }
 
     /// Number of qubits.
-    pub fn num_qubits(&self) -> usize {
+    pub(crate) fn num_qubits(&self) -> usize {
         self.x.len()
     }
 
     /// `true` if the sign is negative.
-    pub fn is_negative(&self) -> bool {
+    pub(crate) fn is_negative(&self) -> bool {
         self.minus
     }
 
     /// The sign as `+1.0` or `-1.0`.
-    pub fn sign(&self) -> f64 {
+    pub(crate) fn sign(&self) -> f64 {
         if self.minus {
             -1.0
         } else {
@@ -70,13 +59,13 @@ impl SignedPauli {
     }
 
     /// The underlying (unsigned) Pauli string.
-    pub fn to_pauli_string(&self) -> PauliString {
+    pub(crate) fn to_pauli_string(&self) -> PauliString {
         PauliString::from_xz_bits(&self.x, &self.z)
     }
 
     /// `true` if no site carries an X component (the operator is diagonal in
     /// the computational basis).
-    pub fn is_diagonal(&self) -> bool {
+    pub(crate) fn is_diagonal(&self) -> bool {
         self.x.iter().all(|&b| !b)
     }
 
@@ -86,7 +75,7 @@ impl SignedPauli {
     /// # Panics
     ///
     /// Panics if the operator is not diagonal or has more than 64 qubits.
-    pub fn z_mask(&self) -> u64 {
+    pub(crate) fn z_mask(&self) -> u64 {
         assert!(self.is_diagonal(), "operator is not diagonal");
         assert!(self.num_qubits() <= 64, "mask limited to 64 qubits");
         let mut mask = 0u64;
@@ -99,12 +88,12 @@ impl SignedPauli {
     }
 
     /// The X bit at `qubit`.
-    pub fn x_bit(&self, qubit: usize) -> bool {
+    pub(crate) fn x_bit(&self, qubit: usize) -> bool {
         self.x[qubit]
     }
 
     /// The Z bit at `qubit`.
-    pub fn z_bit(&self, qubit: usize) -> bool {
+    pub(crate) fn z_bit(&self, qubit: usize) -> bool {
         self.z[qubit]
     }
 
@@ -115,7 +104,7 @@ impl SignedPauli {
     ///
     /// Panics if an operand is out of range.
     #[inline]
-    pub fn apply(&mut self, op: CliffordOp) {
+    pub(crate) fn apply(&mut self, op: CliffordOp) {
         let (x, z) = (&mut self.x, &mut self.z);
         match op {
             CliffordOp::H(q) => {
@@ -180,7 +169,7 @@ impl SignedPauli {
     /// # Panics
     ///
     /// Panics on a reset or a unitary that is not Clifford.
-    pub fn conjugate_circuit(&mut self, instructions: &[Instruction]) {
+    pub(crate) fn conjugate_circuit(&mut self, instructions: &[Instruction]) {
         for instr in instructions {
             match clifford_ops(instr) {
                 Some(ops) => ops.into_iter().for_each(|op| self.apply(op)),

@@ -7,8 +7,8 @@
 //! mutually commute, so such a basis exists and is reachable with a Clifford
 //! circuit. This crate provides:
 //!
-//! * [`SignedPauli`] — a phase-tracked Pauli string that can be conjugated
-//!   by Clifford gates (`P -> G P G^\dagger`). [`SignedPauli::apply`] is
+//! * `SignedPauli` — a phase-tracked Pauli string that can be conjugated
+//!   by Clifford gates (`P -> G P G^\dagger`). `SignedPauli::apply` is
 //!   the crate's one statement of the sign and bit rules, one rule per
 //!   [`CliffordOp`] primitive;
 //! * [`clifford_ops`] — the only map from IR gates (quarter-turn
@@ -27,28 +27,24 @@
 //! # Example
 //!
 //! ```
-//! use supermarq_clifford::{CliffordOp, SignedPauli, StabilizerSimulator};
+//! use supermarq_clifford::{CliffordOp, StabilizerSimulator};
 //!
-//! // Tableau row n + q is the image of Z_q: conjugating a lone Z_1 by
-//! // the same gates gives the same signed Pauli.
+//! // Tableau row n + q is the image of Z_q under the applied gates:
+//! // X_1 flips the sign of Z_0 Z_1.
 //! let mut sim = StabilizerSimulator::new(2);
-//! let mut z1 = SignedPauli::from_string(&"IZ".parse().unwrap());
 //! for op in [CliffordOp::H(0), CliffordOp::Cx(0, 1), CliffordOp::X(1)] {
 //!     sim.apply(op);
-//!     z1.apply(op);
 //! }
 //! assert_eq!(sim.row_pauli(3), (true, "ZZ".parse().unwrap()));
-//! assert_eq!(sim.row_pauli(3), (z1.is_negative(), z1.to_pauli_string()));
 //! ```
 
-pub mod chp;
-pub mod executor;
-pub mod frame;
-pub mod ops;
-pub mod synth;
+pub(crate) mod chp;
+pub(crate) mod executor;
+pub(crate) mod frame;
+pub(crate) mod ops;
+pub(crate) mod synth;
 
 pub use chp::StabilizerSimulator;
 pub use executor::StabilizerExecutor;
-pub use frame::SignedPauli;
-pub use ops::{clifford_ops, is_clifford_circuit, quarter_turns, CliffordOp};
+pub use ops::{clifford_ops, is_clifford_circuit, CliffordOp};
 pub use synth::{diagonalize, Diagonalization, DiagonalizeError};

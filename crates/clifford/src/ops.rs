@@ -1,6 +1,6 @@
 //! Clifford recognition: rewriting IR gates into tableau primitives.
 //!
-//! [`SignedPauli::apply`](crate::SignedPauli::apply) states a conjugation
+//! `SignedPauli::apply` states a conjugation
 //! rule for eight primitives ([`CliffordOp`]); the CHP tableau
 //! ([`crate::StabilizerSimulator`]) applies it to each of its rows.
 //! [`clifford_ops`] is the only map from IR gates onto the primitives.
@@ -24,10 +24,10 @@ use supermarq_circuit::{Circuit, Gate, Instruction};
 
 /// Largest distance from an exact multiple of `pi/2` that still counts as
 /// a quarter turn.
-pub const ANGLE_TOL: f64 = 1e-9;
+pub(crate) const ANGLE_TOL: f64 = 1e-9;
 
 /// A Clifford primitive: one of the eight gates
-/// [`SignedPauli::apply`](crate::SignedPauli::apply) states a rule for.
+/// `SignedPauli::apply` states a rule for.
 /// Sequences of these are what recognition produces.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CliffordOp {
@@ -53,7 +53,7 @@ impl CliffordOp {
     /// The equivalent circuit instruction (exact, no phase ambiguity):
     /// how [`crate::diagonalize`] emits its basis change, and how tests
     /// cross-check the rules against dense matrices.
-    pub fn to_instruction(self) -> Instruction {
+    pub(crate) fn to_instruction(self) -> Instruction {
         match self {
             CliffordOp::H(q) => Instruction::new(Gate::H, vec![q]),
             CliffordOp::S(q) => Instruction::new(Gate::S, vec![q]),
@@ -69,7 +69,7 @@ impl CliffordOp {
 
 /// Snaps `theta` to a quarter-turn count in `0..4`, or `None` if it is not
 /// within [`ANGLE_TOL`] of a multiple of `pi/2`.
-pub fn quarter_turns(theta: f64) -> Option<u8> {
+pub(crate) fn quarter_turns(theta: f64) -> Option<u8> {
     let half_pi = std::f64::consts::FRAC_PI_2;
     let k = (theta / half_pi).round();
     if (theta - k * half_pi).abs() > ANGLE_TOL || !k.is_finite() {

@@ -17,14 +17,14 @@
 //!
 //! let ionq = Device::ionq();
 //! assert_eq!(ionq.num_qubits(), 11);
-//! assert!(ionq.topology().is_fully_connected());
+//! assert_eq!(ionq.topology().edge_count(), 11 * 10 / 2); // all-to-all
 //! let noise = ionq.noise_model();
 //! assert!(noise.depolarizing_2q > noise.depolarizing_1q);
 //! ```
 
-pub mod calibration;
-pub mod catalog;
-pub mod topology;
+pub(crate) mod calibration;
+pub(crate) mod catalog;
+pub(crate) mod topology;
 
 pub use calibration::Calibration;
 pub use catalog::{Device, NativeGateSet};

@@ -13,7 +13,7 @@ use supermarq_circuit::InteractionGraph;
 /// assert_eq!(line.num_qubits(), 5);
 /// assert!(line.are_adjacent(1, 2));
 /// assert!(!line.are_adjacent(0, 4));
-/// assert_eq!(line.distance(0, 4), Some(4));
+/// assert_eq!(line.distances_from(0)[4], 4);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
@@ -48,40 +48,6 @@ impl Topology {
         Topology::from_edges(format!("line-{n}"), n, &edges)
     }
 
-    /// A ring of `n` qubits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 3`.
-    pub fn ring(n: usize) -> Self {
-        assert!(n >= 3, "a ring needs at least 3 qubits");
-        let mut edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
-        edges.push((n - 1, 0));
-        Topology::from_edges(format!("ring-{n}"), n, &edges)
-    }
-
-    /// A rows x cols grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn grid(rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "grid dimensions must be positive");
-        let mut edges = Vec::new();
-        let idx = |r: usize, c: usize| r * cols + c;
-        for r in 0..rows {
-            for c in 0..cols {
-                if c + 1 < cols {
-                    edges.push((idx(r, c), idx(r, c + 1)));
-                }
-                if r + 1 < rows {
-                    edges.push((idx(r, c), idx(r + 1, c)));
-                }
-            }
-        }
-        Topology::from_edges(format!("grid-{rows}x{cols}"), rows * cols, &edges)
-    }
-
     /// A complete graph on `n` qubits (trapped-ion all-to-all connectivity).
     pub fn all_to_all(n: usize) -> Self {
         let mut edges = Vec::new();
@@ -103,7 +69,7 @@ impl Topology {
     }
 
     /// The IBM 16-qubit Falcon layout (ibmq_guadalupe).
-    pub fn ibm_falcon_16q() -> Self {
+    pub(crate) fn ibm_falcon_16q() -> Self {
         Topology::from_edges(
             "ibm-falcon-16q",
             16,
@@ -130,7 +96,7 @@ impl Topology {
 
     /// The IBM 27-qubit Falcon layout (ibmq_montreal, ibmq_mumbai,
     /// ibmq_toronto).
-    pub fn ibm_falcon_27q() -> Self {
+    pub(crate) fn ibm_falcon_27q() -> Self {
         Topology::from_edges(
             "ibm-falcon-27q",
             27,
@@ -240,11 +206,6 @@ impl Topology {
         self.graph.has_edge(a, b)
     }
 
-    /// Coupler-graph distance (number of hops), or `None` if disconnected.
-    pub fn distance(&self, a: usize, b: usize) -> Option<usize> {
-        Some(self.distances_from(a)[b]).filter(|&d| d != usize::MAX)
-    }
-
     /// Hop distance from `a` to every qubit, `usize::MAX` where
     /// disconnected: one breadth-first search.
     pub fn distances_from(&self, a: usize) -> Vec<usize> {
@@ -262,12 +223,6 @@ impl Topology {
         dist
     }
 
-    /// `true` when every pair of qubits is directly coupled.
-    pub fn is_fully_connected(&self) -> bool {
-        let n = self.num_qubits();
-        self.edge_count() == n * n.saturating_sub(1) / 2
-    }
-
     /// Degree of physical qubit `q`.
     pub fn degree(&self, q: usize) -> usize {
         self.adjacency[q].len()
@@ -279,7 +234,7 @@ impl Topology {
     }
 
     /// The underlying graph.
-    pub fn graph(&self) -> &InteractionGraph {
+    pub(crate) fn graph(&self) -> &InteractionGraph {
         &self.graph
     }
 
@@ -324,45 +279,25 @@ mod tests {
         assert_eq!(t.edge_count(), 3);
         assert!(t.are_adjacent(0, 1));
         assert!(!t.are_adjacent(0, 2));
-        assert_eq!(t.distance(0, 3), Some(3));
-        assert!(!t.is_fully_connected());
+        assert_eq!(t.distances_from(0)[3], 3);
     }
 
     #[test]
     fn distances_on_a_path() {
         let t = Topology::line(4);
         assert_eq!(t.distances_from(1), vec![1, 0, 1, 2]);
-        assert_eq!(t.distance(1, 1), Some(0));
         assert_eq!(t.neighbors(1), &[0, 2]);
         let disconnected = Topology::from_edges("pair", 4, &[(0, 1)]);
         assert_eq!(disconnected.distances_from(0)[3], usize::MAX);
-        assert_eq!(disconnected.distance(0, 3), None);
         assert_eq!(disconnected.degree(3), 0);
-    }
-
-    #[test]
-    fn ring_closes_the_loop() {
-        let t = Topology::ring(5);
-        assert_eq!(t.edge_count(), 5);
-        assert!(t.are_adjacent(4, 0));
-        assert_eq!(t.distance(0, 3), Some(2)); // around the back
-    }
-
-    #[test]
-    fn grid_structure() {
-        let t = Topology::grid(2, 3);
-        assert_eq!(t.num_qubits(), 6);
-        assert_eq!(t.edge_count(), 7); // 4 horizontal + 3 vertical
-        assert!(t.are_adjacent(0, 3));
-        assert!(!t.are_adjacent(0, 4));
     }
 
     #[test]
     fn all_to_all_is_complete() {
         let t = Topology::all_to_all(6);
-        assert!(t.is_fully_connected());
+        assert!((0..6).all(|q| t.degree(q) == 5));
         assert_eq!(t.edge_count(), 15);
-        assert_eq!(t.distance(0, 5), Some(1));
+        assert_eq!(t.distances_from(0)[5], 1);
     }
 
     #[test]
@@ -380,12 +315,9 @@ mod tests {
         assert_eq!(m.edge_count(), 28);
         // All layouts must be connected.
         for t in [h, g, m] {
-            for q in 1..t.num_qubits() {
-                assert!(
-                    t.distance(0, q).is_some(),
-                    "{} disconnected at {q}",
-                    t.name()
-                );
+            let dist = t.distances_from(0);
+            for (q, d) in dist.into_iter().enumerate() {
+                assert!(d != usize::MAX, "{} disconnected at {q}", t.name());
             }
         }
     }
@@ -399,7 +331,7 @@ mod tests {
         for w in path.windows(2) {
             assert!(t.are_adjacent(w[0], w[1]));
         }
-        assert_eq!(path.len() - 1, t.distance(0, 15).unwrap());
+        assert_eq!(path.len() - 1, t.distances_from(0)[15]);
         assert_eq!(t.shortest_path(3, 3), Some(vec![3]));
     }
 
@@ -411,8 +343,8 @@ mod tests {
         // Chain edges: 2 * 8; bridge edges: 3 * 2.
         assert_eq!(t.edge_count(), 22);
         // Connected.
-        for q in 1..t.num_qubits() {
-            assert!(t.distance(0, q).is_some(), "disconnected at {q}");
+        for (q, d) in t.distances_from(0).into_iter().enumerate() {
+            assert!(d != usize::MAX, "disconnected at {q}");
         }
         // Degrees bounded by 3 (the heavy-hex property).
         for q in 0..t.num_qubits() {
@@ -424,14 +356,6 @@ mod tests {
     fn heavy_hex_scales() {
         let t = Topology::heavy_hex(4, 5);
         assert!(t.num_qubits() > 80);
-        for q in 1..t.num_qubits() {
-            assert!(t.distance(0, q).is_some());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 3")]
-    fn tiny_ring_rejected() {
-        Topology::ring(2);
+        assert!(t.distances_from(0).iter().all(|&d| d != usize::MAX));
     }
 }

@@ -134,16 +134,6 @@ impl ConvexHull {
         Ok(hull)
     }
 
-    /// The ambient dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of simplicial facets.
-    pub fn facet_count(&self) -> usize {
-        self.facets.len()
-    }
-
     /// The exact d-volume, computed by fanning simplices from the interior
     /// point: `sum_facets |det(w_i - c)| / d!`.
     pub fn volume(&self) -> f64 {
@@ -379,7 +369,7 @@ mod tests {
     fn square_volume() {
         let hull = ConvexHull::new(&cube_corners(2)).unwrap();
         assert!((hull.volume() - 1.0).abs() < 1e-10);
-        assert_eq!(hull.facet_count(), 4);
+        assert_eq!(hull.facets.len(), 4);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`ConvexHull`] — exact d-dimensional convex hull via an incremental
 //!   (quickhull-style) algorithm, with exact volume by fanning simplices
 //!   from an interior point;
-//! * [`simplex`] — a two-phase dense simplex LP solver, used for convex-hull
+//! * `simplex` — a two-phase dense simplex LP solver, used for convex-hull
 //!   membership tests;
 //! * [`monte_carlo_volume`] — randomized volume estimation used to
 //!   cross-check the exact computation in tests and ablation benches.
@@ -24,11 +24,11 @@
 //! assert!((hull.volume() - 1.0).abs() < 1e-9);
 //! ```
 
-pub mod hull;
-pub mod linalg;
-pub mod montecarlo;
-pub mod simplex;
+pub(crate) mod hull;
+pub(crate) mod linalg;
+pub(crate) mod montecarlo;
+pub(crate) mod simplex;
 
 pub use hull::{hull_volume, hull_volume_joggled, ConvexHull, HullError};
 pub use montecarlo::monte_carlo_volume;
-pub use simplex::{in_convex_hull, solve_lp, LpOutcome};
+pub use simplex::{in_convex_hull, LpOutcome};

@@ -1,58 +1,4 @@
-//! Dense linear algebra helpers (Gaussian elimination).
-
-/// Solves `A x = b` for square `A` via Gaussian elimination with partial
-/// pivoting. Returns `None` if `A` is (numerically) singular.
-///
-/// # Panics
-///
-/// Panics if dimensions are inconsistent.
-pub fn solve(a: &[Vec<f64>], b: &[f64]) -> Option<Vec<f64>> {
-    let n = a.len();
-    assert!(a.iter().all(|row| row.len() == n), "matrix must be square");
-    assert_eq!(b.len(), n, "rhs length mismatch");
-    let mut m: Vec<Vec<f64>> = a
-        .iter()
-        .zip(b)
-        .map(|(row, &bi)| {
-            let mut r = row.clone();
-            r.push(bi);
-            r
-        })
-        .collect();
-    for col in 0..n {
-        // Partial pivot.
-        let pivot = (col..n).max_by(|&i, &j| {
-            m[i][col]
-                .abs()
-                .partial_cmp(&m[j][col].abs())
-                .expect("finite")
-        })?;
-        if m[pivot][col].abs() < 1e-12 {
-            return None;
-        }
-        m.swap(col, pivot);
-        let inv = 1.0 / m[col][col];
-        let pivot_row = m[col].clone();
-        for row in m.iter_mut().take(n).skip(col + 1) {
-            let factor = row[col] * inv;
-            if factor != 0.0 {
-                for (v, &p) in row[col..=n].iter_mut().zip(&pivot_row[col..=n]) {
-                    *v -= factor * p;
-                }
-            }
-        }
-    }
-    // Back substitution.
-    let mut x = vec![0.0; n];
-    for row in (0..n).rev() {
-        let mut acc = m[row][n];
-        for k in row + 1..n {
-            acc -= m[row][k] * x[k];
-        }
-        x[row] = acc / m[row][row];
-    }
-    Some(x)
-}
+//! Dense linear algebra helpers (LU determinant).
 
 /// Determinant of a square matrix via LU decomposition with partial
 /// pivoting.
@@ -60,7 +6,7 @@ pub fn solve(a: &[Vec<f64>], b: &[f64]) -> Option<Vec<f64>> {
 /// # Panics
 ///
 /// Panics if the matrix is not square.
-pub fn determinant(a: &[Vec<f64>]) -> f64 {
+pub(crate) fn determinant(a: &[Vec<f64>]) -> f64 {
     let n = a.len();
     assert!(a.iter().all(|row| row.len() == n), "matrix must be square");
     let mut m: Vec<Vec<f64>> = a.to_vec();
@@ -99,33 +45,6 @@ pub fn determinant(a: &[Vec<f64>]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn solve_2x2() {
-        let a = vec![vec![2.0, 1.0], vec![1.0, 3.0]];
-        let b = vec![5.0, 10.0];
-        let x = solve(&a, &b).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-10);
-        assert!((x[1] - 3.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn solve_singular_returns_none() {
-        let a = vec![vec![1.0, 2.0], vec![2.0, 4.0]];
-        assert!(solve(&a, &[1.0, 2.0]).is_none());
-    }
-
-    #[test]
-    fn solve_identity() {
-        let a = vec![
-            vec![1.0, 0.0, 0.0],
-            vec![0.0, 1.0, 0.0],
-            vec![0.0, 0.0, 1.0],
-        ];
-        let b = vec![4.0, 5.0, 6.0];
-        let x = solve(&a, &b).unwrap();
-        assert_eq!(x, b);
-    }
 
     #[test]
     fn determinant_values() {

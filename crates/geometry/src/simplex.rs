@@ -24,7 +24,7 @@ const EPS: f64 = 1e-9;
 /// # Panics
 ///
 /// Panics on inconsistent dimensions.
-pub fn solve_lp(a: &[Vec<f64>], b: &[f64], c: &[f64]) -> LpOutcome {
+pub(crate) fn solve_lp(a: &[Vec<f64>], b: &[f64], c: &[f64]) -> LpOutcome {
     let m = a.len();
     let n = c.len();
     assert!(

@@ -9,15 +9,15 @@
 //!   linkage. Parent linkage is thread-aware: each thread tracks its
 //!   current span, and code fanning work over the rayon stand-in pool
 //!   captures the parent id before the parallel region and opens worker
-//!   spans with [`Span::open_with_parent`], so batch spans nest under
+//!   spans with [`Span::open_with_link`], so batch spans nest under
 //!   the run that spawned them even though they close on other threads.
-//! - **Metrics** ([`metrics`]) — a global registry of atomic counters,
-//!   gauges, and fixed-bucket (power-of-two) histograms. Hot paths are
+//! - **Metrics** ([`metrics`]) — a global registry of atomic counters
+//!   and fixed-bucket (power-of-two) histograms. Hot paths are
 //!   lock-free: one atomic add per update, with call-site handles cached
-//!   through the [`counter!`]/[`gauge!`]/[`histogram!`] macros.
-//! - **Sinks** — a JSONL trace writer ([`sink`]) emitting one event per
+//!   through the [`counter!`]/[`histogram!`] macros.
+//! - **Sinks** — a JSONL trace writer (`sink`) emitting one event per
 //!   span close as a single atomic append, and an end-of-process summary
-//!   table ([`summary`]) with per-span-name count/total/mean/p50/p99
+//!   table (`summary`) with per-span-name count/total/mean/p50/p99
 //!   plus every registered metric.
 //! - **Distributed traces** ([`TraceId`], [`TraceContext`]) — 128-bit
 //!   trace ids that propagate across process boundaries: a client opens
@@ -33,7 +33,7 @@
 //! ## Overhead contract
 //!
 //! Tracing is **off by default** and must cost near-zero when off: a
-//! span site is a single relaxed atomic load ([`enabled`]), metric
+//! span site is a single relaxed atomic load (`enabled`), metric
 //! updates are one atomic add, and no field values are computed (use
 //! [`Span::record_with`] for anything that isn't already at hand).
 //! Enabling tracing must never perturb results — the instrumented
@@ -55,13 +55,13 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 pub mod metrics;
-pub mod sink;
+pub(crate) mod sink;
 mod span;
-pub mod summary;
+pub(crate) mod summary;
 mod trace;
-pub mod window;
+pub(crate) mod window;
 
-pub use span::{current_span_id, current_trace, FieldValue, Span};
+pub use span::{current_trace, FieldValue, Span};
 pub use trace::{TraceContext, TraceId};
 pub use window::{WindowDigest, WindowedHistogram};
 
@@ -72,7 +72,7 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 /// `true` when tracing is on. One relaxed atomic load — the entire cost
 /// of an untraced span site.
 #[inline]
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
@@ -98,7 +98,7 @@ pub fn disable() {
 /// span). Normally set from `SUPERMARQ_TRACE` by [`enable`]; exposed so
 /// tests can exercise filtering without touching the process
 /// environment.
-pub fn set_filter(spec: Option<&str>) {
+pub(crate) fn set_filter(spec: Option<&str>) {
     let prefixes = spec.and_then(|s| {
         let parts: Vec<String> = s
             .split(',')
@@ -127,7 +127,7 @@ pub(crate) fn epoch() -> Instant {
 }
 
 /// Opens (or truncates) `path` as the JSONL trace sink and enables
-/// tracing. One line is appended per span close; see [`sink`] for the
+/// tracing. One line is appended per span close; see `sink` for the
 /// event schema.
 ///
 /// # Errors
@@ -145,7 +145,7 @@ pub fn flush() {
 }
 
 /// The end-of-process summary table (spans + metrics); see
-/// [`summary::render`].
+/// `summary::render`.
 pub fn summary_table() -> String {
     summary::render()
 }

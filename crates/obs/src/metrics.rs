@@ -1,16 +1,16 @@
-//! The global metrics registry: counters, gauges, and fixed-bucket
-//! histograms with lock-free hot paths.
+//! The global metrics registry: counters and fixed-bucket histograms
+//! with lock-free hot paths.
 //!
 //! Registration takes a short-lived registry lock once per call site
-//! (the [`counter!`](crate::counter)/[`gauge!`](crate::gauge)/
-//! [`histogram!`](crate::histogram) macros cache the returned
+//! (the [`counter!`](crate::counter)/[`histogram!`](crate::histogram)
+//! macros cache the returned
 //! `&'static` handle in a `OnceLock`); every subsequent update is a
 //! single atomic RMW. Metrics always count, independent of whether span
 //! tracing is enabled — an atomic add is cheap enough to leave on, and
 //! it keeps counter values meaningful for the summary table whenever
 //! the user asks for one.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// A monotonically increasing atomic counter.
@@ -42,36 +42,13 @@ impl Counter {
     }
 }
 
-/// A last-write-wins signed gauge.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.set(0);
-    }
-}
-
 /// Number of power-of-two buckets: bucket 0 holds exactly 0, bucket
 /// `i >= 1` holds values in `[2^(i-1), 2^i)`, and the top bucket (64)
 /// holds `[2^63, u64::MAX]`. 65 buckets cover the full `u64` range, so
 /// any duration lands somewhere. (Sized 64 historically, which made
 /// `record(v)` panic with an out-of-bounds bucket for `v >= 2^63` —
 /// pinned by the exact-rank oracle in `tests/quantile_oracle.rs`.)
-pub const BUCKETS: usize = 65;
+pub(crate) const BUCKETS: usize = 65;
 
 /// A fixed-bucket (power-of-two) histogram. `record` is three relaxed
 /// atomic adds; quantiles are approximate (bucket upper bound), the
@@ -145,7 +122,7 @@ impl Histogram {
     }
 
     /// A relaxed snapshot of the per-bucket counts.
-    pub fn bucket_counts(&self) -> [u64; BUCKETS] {
+    pub(crate) fn bucket_counts(&self) -> [u64; BUCKETS] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 
@@ -174,7 +151,7 @@ pub fn bucket_upper_bound(index: usize) -> u64 {
 /// `crate::window`). Same approximation contract: reports the upper
 /// bound of the bucket holding the exact rank-`ceil(q·count)`
 /// observation.
-pub fn quantile_from_counts(counts: &[u64; BUCKETS], q: f64) -> u64 {
+pub(crate) fn quantile_from_counts(counts: &[u64; BUCKETS], q: f64) -> u64 {
     let count: u64 = counts.iter().sum();
     if count == 0 {
         return 0;
@@ -192,7 +169,6 @@ pub fn quantile_from_counts(counts: &[u64; BUCKETS], q: f64) -> u64 {
 
 enum Handle {
     Counter(&'static Counter),
-    Gauge(&'static Gauge),
     Histogram(&'static Histogram),
 }
 
@@ -218,21 +194,6 @@ pub fn counter(name: &str) -> &'static Counter {
     leaked
 }
 
-/// Registers (or fetches) the gauge named `name`.
-pub fn gauge(name: &str) -> &'static Gauge {
-    let mut reg = registry().lock().expect("metric registry poisoned");
-    for (n, handle) in reg.iter() {
-        if let Handle::Gauge(g) = handle {
-            if n == name {
-                return g;
-            }
-        }
-    }
-    let leaked: &'static Gauge = Box::leak(Box::default());
-    reg.push((name.to_string(), Handle::Gauge(leaked)));
-    leaked
-}
-
 /// Registers (or fetches) the histogram named `name`.
 pub fn histogram(name: &str) -> &'static Histogram {
     let mut reg = registry().lock().expect("metric registry poisoned");
@@ -250,11 +211,9 @@ pub fn histogram(name: &str) -> &'static Histogram {
 
 /// A point-in-time metric reading for reporting.
 #[derive(Debug, Clone, PartialEq)]
-pub enum MetricValue {
+pub(crate) enum MetricValue {
     /// Counter value.
     Counter(u64),
-    /// Gauge value.
-    Gauge(i64),
     /// Histogram digest: count, sum, approximate p50/p99.
     Histogram {
         /// Observation count.
@@ -269,14 +228,13 @@ pub enum MetricValue {
 }
 
 /// Snapshot of every registered metric, sorted by name.
-pub fn snapshot() -> Vec<(String, MetricValue)> {
+pub(crate) fn snapshot() -> Vec<(String, MetricValue)> {
     let reg = registry().lock().expect("metric registry poisoned");
     let mut out: Vec<(String, MetricValue)> = reg
         .iter()
         .map(|(name, handle)| {
             let value = match handle {
                 Handle::Counter(c) => MetricValue::Counter(c.get()),
-                Handle::Gauge(g) => MetricValue::Gauge(g.get()),
                 Handle::Histogram(h) => MetricValue::Histogram {
                     count: h.count(),
                     sum: h.sum(),
@@ -292,12 +250,11 @@ pub fn snapshot() -> Vec<(String, MetricValue)> {
 }
 
 /// Zeroes every registered metric (handles stay valid). For tests.
-pub fn reset() {
+pub(crate) fn reset() {
     let reg = registry().lock().expect("metric registry poisoned");
     for (_, handle) in reg.iter() {
         match handle {
             Handle::Counter(c) => c.reset(),
-            Handle::Gauge(g) => g.reset(),
             Handle::Histogram(h) => h.reset(),
         }
     }
@@ -312,16 +269,6 @@ macro_rules! counter {
         static HANDLE: ::std::sync::OnceLock<&'static $crate::metrics::Counter> =
             ::std::sync::OnceLock::new();
         *HANDLE.get_or_init(|| $crate::metrics::counter($name))
-    }};
-}
-
-/// A gauge handle cached per call site (see [`counter!`](crate::counter)).
-#[macro_export]
-macro_rules! gauge {
-    ($name:expr) => {{
-        static HANDLE: ::std::sync::OnceLock<&'static $crate::metrics::Gauge> =
-            ::std::sync::OnceLock::new();
-        *HANDLE.get_or_init(|| $crate::metrics::gauge($name))
     }};
 }
 
@@ -351,7 +298,7 @@ mod tests {
     }
 
     #[test]
-    fn counter_and_gauge_roundtrip() {
+    fn counter_roundtrip() {
         let c = counter("test.counter.roundtrip");
         let before = c.get();
         c.add(5);
@@ -359,9 +306,6 @@ mod tests {
         assert_eq!(c.get(), before + 6);
         // Same name returns the same handle.
         assert!(std::ptr::eq(c, counter("test.counter.roundtrip")));
-        let g = gauge("test.gauge.roundtrip");
-        g.set(-7);
-        assert_eq!(g.get(), -7);
     }
 
     #[test]
@@ -383,15 +327,14 @@ mod tests {
     #[test]
     fn snapshot_is_sorted_and_typed() {
         counter("test.snap.a").add(1);
-        gauge("test.snap.b").set(2);
-        histogram("test.snap.c").record(3);
+        histogram("test.snap.b").record(3);
         let snap = snapshot();
         let names: Vec<&str> = snap
             .iter()
             .map(|(n, _)| n.as_str())
             .filter(|n| n.starts_with("test.snap."))
             .collect();
-        assert_eq!(names, ["test.snap.a", "test.snap.b", "test.snap.c"]);
+        assert_eq!(names, ["test.snap.a", "test.snap.b"]);
         let mut sorted = snap.clone();
         sorted.sort_by(|a, b| a.0.cmp(&b.0));
         assert_eq!(snap, sorted);

@@ -37,20 +37,20 @@ fn writer() -> &'static Mutex<Option<Box<dyn Write + Send>>> {
 /// # Errors
 ///
 /// Returns the underlying I/O error when the file cannot be created.
-pub fn set_trace_file(path: &Path) -> io::Result<()> {
+pub(crate) fn set_trace_file(path: &Path) -> io::Result<()> {
     let file = File::create(path)?;
     *writer().lock().expect("trace writer poisoned") = Some(Box::new(file));
     Ok(())
 }
 
-/// Installs an arbitrary writer as the trace sink (tests, in-memory
-/// capture).
-pub fn set_trace_writer(w: Box<dyn Write + Send>) {
+/// Installs an arbitrary writer as the trace sink (in-memory capture).
+#[cfg(test)]
+pub(crate) fn set_trace_writer(w: Box<dyn Write + Send>) {
     *writer().lock().expect("trace writer poisoned") = Some(w);
 }
 
 /// Flushes and removes the trace sink, if any.
-pub fn clear_trace_writer() {
+pub(crate) fn clear_trace_writer() {
     let mut guard = writer().lock().expect("trace writer poisoned");
     if let Some(w) = guard.as_mut() {
         let _ = w.flush();
@@ -59,7 +59,7 @@ pub fn clear_trace_writer() {
 }
 
 /// Flushes the trace sink, if any.
-pub fn flush() {
+pub(crate) fn flush() {
     if let Some(w) = writer().lock().expect("trace writer poisoned").as_mut() {
         let _ = w.flush();
     }

@@ -9,7 +9,7 @@
 //! open span; [`Span::open`] links to it. Worker threads spawned by the
 //! rayon stand-in start with no current span, so code fanning out over
 //! the pool captures the parent id *before* the parallel region and
-//! opens worker spans with [`Span::open_with_parent`] — the trace then
+//! opens worker spans with [`Span::open_with_link`] — the trace then
 //! shows `sim.batch` spans nesting under the `sim.run` that spawned
 //! them, whichever thread they closed on.
 //!
@@ -70,18 +70,18 @@ pub(crate) fn thread_id() -> u64 {
     })
 }
 
-/// The innermost open span on the calling thread, if any. Capture this
-/// before a parallel region and pass it to [`Span::open_with_parent`]
-/// so worker-side spans nest correctly.
-pub fn current_span_id() -> Option<u64> {
+/// The innermost open span on the calling thread, if any: the
+/// thread-local state the nesting tests read.
+#[cfg(test)]
+pub(crate) fn current_span_id() -> Option<u64> {
     let id = CURRENT_SPAN.with(Cell::get);
     (id != 0).then_some(id)
 }
 
-/// The trace the calling thread is currently inside, if any. Like
-/// [`current_span_id`], capture this before a parallel region and pass
-/// it to [`Span::open_with_link`] so worker-side spans stay in the
-/// trace.
+/// The trace the calling thread is currently inside, if any. Capture
+/// it with the parent's [`Span::id`] before a parallel region and pass
+/// both to [`Span::open_with_link`] so worker-side spans nest under the
+/// parent and stay in the trace.
 pub fn current_trace() -> Option<TraceId> {
     TraceId::from_u128(CURRENT_TRACE.with(Cell::get))
 }
@@ -200,21 +200,10 @@ impl Span {
         )
     }
 
-    /// Opens a span with an explicit parent — the cross-thread variant
-    /// for work fanned over the rayon stand-in pool, where the worker
-    /// thread has no current span of its own. The worker inherits no
-    /// trace either; use [`Span::open_with_link`] to carry one across.
-    #[inline]
-    pub fn open_with_parent(name: &'static str, parent: Option<u64>) -> Span {
-        if !crate::enabled() {
-            return Span { inner: None };
-        }
-        Span::open_slow(name, parent.unwrap_or(0), 0, 0)
-    }
-
-    /// Opens a span with an explicit parent *and* trace — the fanout
-    /// variant when the spawning thread was inside a trace: capture
-    /// both [`current_span_id`] and [`current_trace`] before the
+    /// Opens a span with an explicit parent and trace — the cross-thread
+    /// variant for work fanned over the rayon stand-in pool, where the
+    /// worker thread has no current span or trace of its own: capture
+    /// the parent's [`Span::id`] and [`current_trace`] before the
     /// parallel region and pass them here.
     #[inline]
     pub fn open_with_link(name: &'static str, parent: Option<u64>, trace: Option<TraceId>) -> Span {
@@ -288,13 +277,6 @@ impl Span {
                 fields: Vec::new(),
             })),
         }
-    }
-
-    /// `true` when this span will be recorded on drop. Use to guard
-    /// field computations that are not already at hand.
-    #[inline]
-    pub fn is_recording(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// This span's id, for parenting work on other threads.
@@ -373,7 +355,6 @@ mod tests {
         let _g = crate::test_guard();
         crate::disable();
         let span = Span::open("test.inert");
-        assert!(!span.is_recording());
         assert!(span.id().is_none());
         assert!(span.ctx().is_none());
         assert!(current_span_id().is_none());
@@ -408,7 +389,7 @@ mod tests {
         let parent_id = parent.id();
         let child_parent = std::thread::scope(|s| {
             s.spawn(|| {
-                let child = Span::open_with_parent("test.child", parent_id);
+                let child = Span::open_with_link("test.child", parent_id, None);
                 child.inner.as_ref().unwrap().parent
             })
             .join()
@@ -425,8 +406,8 @@ mod tests {
         crate::reset_for_tests();
         crate::enable();
         crate::set_filter(Some("keep."));
-        assert!(Span::open("keep.this").is_recording());
-        assert!(!Span::open("drop.this").is_recording());
+        assert!(Span::open("keep.this").id().is_some());
+        assert!(Span::open("drop.this").id().is_none());
         crate::set_filter(None);
         crate::disable();
     }

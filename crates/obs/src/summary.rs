@@ -37,7 +37,7 @@ pub(crate) fn record_span(name: &'static str, elapsed_ns: u64) {
 }
 
 /// Clears all span aggregates. For tests.
-pub fn reset() {
+pub(crate) fn reset() {
     aggregates().lock().expect("summary lock poisoned").clear();
 }
 
@@ -56,16 +56,15 @@ fn fmt_ns(ns: f64) -> String {
 
 /// Renders the summary: a span table (name, count, total, mean, ~p50,
 /// ~p99 — quantiles are power-of-two bucket bounds, accurate to 2x)
-/// followed by a metrics section listing every registered counter,
-/// gauge, and histogram. Returns an empty string when nothing was
-/// recorded.
+/// followed by a metrics section listing every registered counter and
+/// histogram. Returns an empty string when nothing was recorded.
 ///
 /// Row order is deterministic: span rows sort by name (the aggregate
 /// map is a `BTreeMap`, so iteration *is* the stable sort) and the
 /// metrics section is name-sorted by [`crate::metrics::snapshot`].
 /// Runs that record the same spans render identical tables regardless
 /// of thread scheduling.
-pub fn render() -> String {
+pub(crate) fn render() -> String {
     let mut out = String::new();
     {
         let map = aggregates().lock().expect("summary lock poisoned");
@@ -99,9 +98,7 @@ pub fn render() -> String {
         .filter(|(_, v)| {
             !matches!(
                 v,
-                MetricValue::Counter(0)
-                    | MetricValue::Gauge(0)
-                    | MetricValue::Histogram { count: 0, .. }
+                MetricValue::Counter(0) | MetricValue::Histogram { count: 0, .. }
             )
         })
         .collect();
@@ -113,7 +110,6 @@ pub fn render() -> String {
         for (name, value) in live {
             match value {
                 MetricValue::Counter(v) => out.push_str(&format!("  {name} = {v}\n")),
-                MetricValue::Gauge(v) => out.push_str(&format!("  {name} = {v}\n")),
                 MetricValue::Histogram {
                     count,
                     sum,

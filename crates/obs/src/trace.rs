@@ -61,11 +61,11 @@ pub struct TraceId(u128);
 
 impl TraceId {
     /// Hex width of the wire form: exactly 32 lowercase hex characters.
-    pub const HEX_LEN: usize = 32;
+    pub(crate) const HEX_LEN: usize = 32;
 
     /// Allocates a fresh trace id, unique within this process and
     /// probabilistically unique across processes (salted).
-    pub fn generate() -> TraceId {
+    pub(crate) fn generate() -> TraceId {
         static NEXT: AtomicU64 = AtomicU64::new(1);
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
         let hi = splitmix64(process_salt() ^ n);
@@ -80,7 +80,7 @@ impl TraceId {
     }
 
     /// The raw 128-bit value (never zero).
-    pub fn as_u128(self) -> u128 {
+    pub(crate) fn as_u128(self) -> u128 {
         self.0
     }
 

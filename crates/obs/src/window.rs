@@ -74,7 +74,7 @@ impl Default for WindowedHistogram {
 impl WindowedHistogram {
     /// A window of `slots * slot_ms` milliseconds. Both are clamped to
     /// at least 1.
-    pub fn new(slots: usize, slot_ms: u64) -> WindowedHistogram {
+    pub(crate) fn new(slots: usize, slot_ms: u64) -> WindowedHistogram {
         WindowedHistogram {
             slots: (0..slots.max(1)).map(|_| Slot::default()).collect(),
             slot_ms: slot_ms.max(1),
@@ -83,7 +83,7 @@ impl WindowedHistogram {
     }
 
     /// Total window width in milliseconds.
-    pub fn window_ms(&self) -> u64 {
+    pub(crate) fn window_ms(&self) -> u64 {
         self.slot_ms * self.slots.len() as u64
     }
 
@@ -99,7 +99,7 @@ impl WindowedHistogram {
 
     /// Records one observation as if it happened at `now_ms`
     /// milliseconds past the epoch (deterministic test hook).
-    pub fn record_at(&self, value: u64, now_ms: u64) {
+    pub(crate) fn record_at(&self, value: u64, now_ms: u64) {
         let stamp = now_ms / self.slot_ms + 1;
         let slot = &self.slots[(stamp % self.slots.len() as u64) as usize];
         let seen = slot.stamp.load(Ordering::Acquire);
@@ -128,7 +128,7 @@ impl WindowedHistogram {
     /// hook). Slots whose stamp falls outside
     /// `(current - slots, current]` are expired and excluded even
     /// though they have not been physically cleared yet.
-    pub fn snapshot_at(&self, now_ms: u64) -> WindowDigest {
+    pub(crate) fn snapshot_at(&self, now_ms: u64) -> WindowDigest {
         let current = now_ms / self.slot_ms + 1;
         let n = self.slots.len() as u64;
         let mut count = 0u64;

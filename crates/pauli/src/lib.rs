@@ -20,11 +20,11 @@
 //! assert_eq!(phase, 2); // XX * YY = -ZZ, i.e. phase i^2
 //! ```
 
-pub mod operators;
-pub mod string;
-pub mod sum;
+pub(crate) mod operators;
+pub(crate) mod string;
+pub(crate) mod sum;
 pub mod trotter;
 
-pub use operators::{average_magnetization, mermin_operator, sk_hamiltonian, tfim_hamiltonian};
+pub use operators::{mermin_operator, sk_hamiltonian, tfim_hamiltonian};
 pub use string::{ParsePauliError, Pauli, PauliString};
 pub use sum::PauliSum;

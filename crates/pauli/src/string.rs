@@ -32,7 +32,7 @@ impl Pauli {
     }
 
     /// Reconstructs a Pauli from its symplectic bits.
-    pub fn from_xz_bits(x: bool, z: bool) -> Self {
+    pub(crate) fn from_xz_bits(x: bool, z: bool) -> Self {
         match (x, z) {
             (false, false) => Pauli::I,
             (true, false) => Pauli::X,
@@ -42,13 +42,13 @@ impl Pauli {
     }
 
     /// `true` if the two Paulis commute (identical, or either is identity).
-    pub fn commutes_with(self, other: Pauli) -> bool {
+    pub(crate) fn commutes_with(self, other: Pauli) -> bool {
         self == Pauli::I || other == Pauli::I || self == other
     }
 
     /// Multiplies two single-qubit Paulis, returning `(k, P)` such that
     /// `self * other = i^k P` with `k` in `0..4`.
-    pub fn multiply(self, other: Pauli) -> (u8, Pauli) {
+    pub(crate) fn multiply(self, other: Pauli) -> (u8, Pauli) {
         use Pauli::*;
         match (self, other) {
             (I, p) => (0, p),
@@ -139,7 +139,7 @@ impl PauliString {
     /// # Panics
     ///
     /// Panics if `qubit >= n`.
-    pub fn single(n: usize, qubit: usize, p: Pauli) -> Self {
+    pub(crate) fn single(n: usize, qubit: usize, p: Pauli) -> Self {
         assert!(qubit < n, "qubit {qubit} out of range for {n}-qubit string");
         let mut paulis = vec![Pauli::I; n];
         paulis[qubit] = p;
@@ -151,7 +151,7 @@ impl PauliString {
     /// # Panics
     ///
     /// Panics if either index is out of range or they coincide.
-    pub fn two(n: usize, a: usize, p: Pauli, b: usize, q: Pauli) -> Self {
+    pub(crate) fn two(n: usize, a: usize, p: Pauli, b: usize, q: Pauli) -> Self {
         assert!(
             a < n && b < n && a != b,
             "invalid qubit pair ({a},{b}) for n={n}"
@@ -175,11 +175,6 @@ impl PauliString {
     /// The underlying Pauli slice.
     pub fn paulis(&self) -> &[Pauli] {
         &self.paulis
-    }
-
-    /// Number of non-identity sites (the string's weight).
-    pub fn weight(&self) -> usize {
-        self.paulis.iter().filter(|&&p| p != Pauli::I).count()
     }
 
     /// Indices of non-identity sites in increasing order.
@@ -342,7 +337,6 @@ mod tests {
     fn string_parse_and_display_round_trip() {
         let s: PauliString = "XIZY".parse().unwrap();
         assert_eq!(s.to_string(), "XIZY");
-        assert_eq!(s.weight(), 3);
         assert_eq!(s.support(), vec![0, 2, 3]);
         assert!("XQ".parse::<PauliString>().is_err());
     }
@@ -396,7 +390,7 @@ mod tests {
         // Factor at i moves to perm[i]: X->q2, Y->q0, Z->q3, I->q1.
         let p = s.permuted(&[2, 0, 3, 1]);
         assert_eq!(p.to_string(), "YIXZ");
-        assert_eq!(p.weight(), s.weight());
+        assert_eq!(p.support().len(), s.support().len());
         // The identity permutation is a no-op; a permutation and its
         // inverse round-trip.
         assert_eq!(s.permuted(&[0, 1, 2, 3]), s);

@@ -18,12 +18,11 @@ use std::collections::BTreeMap;
 /// ```
 /// use supermarq_pauli::{PauliString, PauliSum};
 ///
-/// let mut h = PauliSum::zero(2);
-/// h.add_term(0.5, "ZZ".parse().unwrap());
-/// h.add_term(0.5, "ZZ".parse().unwrap());
-/// h.add_term(1.0, "XI".parse().unwrap());
-/// assert_eq!(h.num_terms(), 2);
-/// assert_eq!(h.coefficient(&"ZZ".parse::<PauliString>().unwrap()), 1.0);
+/// let zz: PauliString = "ZZ".parse().unwrap();
+/// let xi: PauliString = "XI".parse().unwrap();
+/// let h = PauliSum::from_terms(2, [(0.5, zz.clone()), (1.0, xi.clone()), (0.5, zz.clone())]);
+/// let terms: Vec<(f64, &PauliString)> = h.iter().collect();
+/// assert_eq!(terms, [(1.0, &xi), (1.0, &zz)]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PauliSum {
@@ -33,7 +32,7 @@ pub struct PauliSum {
 
 impl PauliSum {
     /// The zero operator on `n` qubits.
-    pub fn zero(num_qubits: usize) -> Self {
+    pub(crate) fn zero(num_qubits: usize) -> Self {
         PauliSum {
             num_qubits,
             terms: BTreeMap::new(),
@@ -63,13 +62,9 @@ impl PauliSum {
     }
 
     /// Number of distinct Pauli strings with non-zero coefficient.
-    pub fn num_terms(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_terms(&self) -> usize {
         self.terms.len()
-    }
-
-    /// `true` if the operator is exactly zero.
-    pub fn is_zero(&self) -> bool {
-        self.terms.is_empty()
     }
 
     /// Adds `c * P` to the operator, dropping the term if the collected
@@ -78,7 +73,7 @@ impl PauliSum {
     /// # Panics
     ///
     /// Panics if `p.num_qubits() != self.num_qubits()`.
-    pub fn add_term(&mut self, c: f64, p: PauliString) {
+    pub(crate) fn add_term(&mut self, c: f64, p: PauliString) {
         assert_eq!(
             p.num_qubits(),
             self.num_qubits,
@@ -101,7 +96,8 @@ impl PauliSum {
     }
 
     /// Coefficient of a string (0 if absent).
-    pub fn coefficient(&self, p: &PauliString) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn coefficient(&self, p: &PauliString) -> f64 {
         self.terms.get(p).copied().unwrap_or(0.0)
     }
 
@@ -112,7 +108,8 @@ impl PauliSum {
 
     /// `true` if every pair of terms commutes, i.e. the whole sum can be
     /// measured simultaneously in one shared eigenbasis.
-    pub fn is_mutually_commuting(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_mutually_commuting(&self) -> bool {
         let strings: Vec<&PauliString> = self.terms.keys().collect();
         for (i, a) in strings.iter().enumerate() {
             for b in &strings[i + 1..] {
@@ -122,67 +119,6 @@ impl PauliSum {
             }
         }
         true
-    }
-
-    /// Scales every coefficient by `s`.
-    pub fn scale(&mut self, s: f64) {
-        if s == 0.0 {
-            self.terms.clear();
-            return;
-        }
-        for c in self.terms.values_mut() {
-            *c *= s;
-        }
-    }
-
-    /// Adds another operator term-wise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operators act on different register sizes.
-    pub fn add(&mut self, other: &PauliSum) {
-        assert_eq!(self.num_qubits, other.num_qubits, "size mismatch");
-        for (c, p) in other.iter() {
-            self.add_term(c, p.clone());
-        }
-    }
-
-    /// Sum of `|c_k|` — an easy upper bound on the operator norm.
-    pub fn one_norm(&self) -> f64 {
-        self.terms.values().map(|c| c.abs()).sum()
-    }
-
-    /// The maximum weight (non-identity support size) across terms.
-    pub fn max_weight(&self) -> usize {
-        self.terms
-            .keys()
-            .map(PauliString::weight)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Partitions the terms into greedily-built groups of mutually
-    /// commuting strings (first-fit). Each group can be measured with a
-    /// single circuit; the VQE benchmark uses this to measure the TFIM
-    /// energy in two bases.
-    pub fn commuting_groups(&self) -> Vec<PauliSum> {
-        let mut groups: Vec<PauliSum> = Vec::new();
-        for (c, p) in self.iter() {
-            let mut placed = false;
-            for g in groups.iter_mut() {
-                if g.terms.keys().all(|q| q.commutes_with(p)) {
-                    g.add_term(c, p.clone());
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
-                let mut g = PauliSum::zero(self.num_qubits);
-                g.add_term(c, p.clone());
-                groups.push(g);
-            }
-        }
-        groups
     }
 }
 
@@ -199,7 +135,6 @@ impl std::fmt::Display for PauliSum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::string::Pauli;
 
     fn ps(s: &str) -> PauliString {
         s.parse().unwrap()
@@ -217,7 +152,6 @@ mod tests {
         let mut h = PauliSum::zero(1);
         h.add_term(1.0, ps("X"));
         h.add_term(-1.0, ps("X"));
-        assert!(h.is_zero());
         assert_eq!(h.num_terms(), 0);
     }
 
@@ -235,46 +169,6 @@ mod tests {
         assert!(commuting.is_mutually_commuting());
         let anti = PauliSum::from_terms(2, [(1.0, ps("XI")), (1.0, ps("ZI"))]);
         assert!(!anti.is_mutually_commuting());
-    }
-
-    #[test]
-    fn scale_and_add() {
-        let mut h = PauliSum::from_terms(1, [(2.0, ps("Z"))]);
-        h.scale(0.5);
-        assert!((h.coefficient(&ps("Z")) - 1.0).abs() < 1e-12);
-        let g = PauliSum::from_terms(1, [(1.0, ps("Z")), (3.0, ps("X"))]);
-        h.add(&g);
-        assert!((h.coefficient(&ps("Z")) - 2.0).abs() < 1e-12);
-        assert!((h.coefficient(&ps("X")) - 3.0).abs() < 1e-12);
-        h.scale(0.0);
-        assert!(h.is_zero());
-    }
-
-    #[test]
-    fn norms_and_weight() {
-        let h = PauliSum::from_terms(3, [(1.0, ps("XYZ")), (-2.0, ps("IIZ"))]);
-        assert!((h.one_norm() - 3.0).abs() < 1e-12);
-        assert_eq!(h.max_weight(), 3);
-        assert_eq!(PauliSum::zero(2).max_weight(), 0);
-    }
-
-    #[test]
-    fn commuting_groups_cover_all_terms() {
-        // TFIM-style: ZZ terms commute with each other, X terms commute with
-        // each other, but ZZ and X overlap-anticommute.
-        let mut h = PauliSum::zero(3);
-        h.add_term(1.0, PauliString::two(3, 0, Pauli::Z, 1, Pauli::Z));
-        h.add_term(1.0, PauliString::two(3, 1, Pauli::Z, 2, Pauli::Z));
-        for q in 0..3 {
-            h.add_term(0.5, PauliString::single(3, q, Pauli::X));
-        }
-        let groups = h.commuting_groups();
-        assert_eq!(groups.len(), 2);
-        let total: usize = groups.iter().map(PauliSum::num_terms).sum();
-        assert_eq!(total, h.num_terms());
-        for g in &groups {
-            assert!(g.is_mutually_commuting());
-        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::sum::PauliSum;
 /// # Panics
 ///
 /// Panics if the string length mismatches the circuit width.
-pub fn append_pauli_exponential(circuit: &mut Circuit, p: &PauliString, theta: f64) {
+pub(crate) fn append_pauli_exponential(circuit: &mut Circuit, p: &PauliString, theta: f64) {
     assert_eq!(p.num_qubits(), circuit.num_qubits(), "size mismatch");
     let support = p.support();
     if support.is_empty() {

@@ -17,7 +17,7 @@
 //! - `queue` (private) — the bounded, coalescing job queue:
 //!   backpressure via `busy` + `retry_after_ms`, duplicate specs share
 //!   one simulation, graceful drain on shutdown.
-//! - [`server`] — [`Server::bind`] / [`RunningServer`]: accept loop,
+//! - `server` — [`Server::bind`] / [`RunningServer`]: accept loop,
 //!   per-connection handlers, worker pool over
 //!   [`SweepEngine::run_job`], per-request obs spans, and
 //!   [`ServeMetrics`], the one counter store behind `stats`, `metrics`
@@ -25,7 +25,7 @@
 //! - `telemetry` (private) — the in-daemon ring of completed spans
 //!   (queried by the `trace` op) and the Prometheus text exposition
 //!   behind `metrics`.
-//! - [`client`] — the blocking [`Client`] used by `supermarq client`,
+//! - `client` — the blocking [`Client`] used by `supermarq client`,
 //!   the hammer tests, and the warm-hit benchmark.
 //! - [`signal`] — flag-based Ctrl-C interception shared with the batch
 //!   CLI.
@@ -48,10 +48,10 @@
 //! [`SweepResult::to_line`]: supermarq_store::SweepResult::to_line
 //! [`SweepEngine::run_job`]: supermarq_store::SweepEngine::run_job
 
-pub mod client;
+pub(crate) mod client;
 pub mod protocol;
 mod queue;
-pub mod server;
+pub(crate) mod server;
 pub mod signal;
 mod telemetry;
 

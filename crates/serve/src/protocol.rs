@@ -143,7 +143,7 @@ pub enum ErrorKind {
 
 impl ErrorKind {
     /// The wire name of this kind.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ErrorKind::Parse => "parse",
             ErrorKind::Busy => "busy",
@@ -247,17 +247,17 @@ pub fn encode_request(request: &Request) -> String {
 }
 
 /// The `ping` response.
-pub fn pong_line() -> String {
+pub(crate) fn pong_line() -> String {
     Json::Obj(vec![("type".into(), Json::str("pong"))]).to_string()
 }
 
 /// The `shutdown` acknowledgement.
-pub fn shutdown_line() -> String {
+pub(crate) fn shutdown_line() -> String {
     Json::Obj(vec![("type".into(), Json::str("shutdown"))]).to_string()
 }
 
 /// A typed error response.
-pub fn error_line(kind: ErrorKind, message: &str, retry_after_ms: Option<u64>) -> String {
+pub(crate) fn error_line(kind: ErrorKind, message: &str, retry_after_ms: Option<u64>) -> String {
     let mut obj = vec![
         ("type".into(), Json::str("error")),
         ("kind".into(), Json::str(kind.as_str())),
@@ -270,7 +270,7 @@ pub fn error_line(kind: ErrorKind, message: &str, retry_after_ms: Option<u64>) -
 }
 
 /// The `batch` response header; exactly `total` result lines follow.
-pub fn batch_header_line(total: u64, hits: u64, misses: u64, failures: u64) -> String {
+pub(crate) fn batch_header_line(total: u64, hits: u64, misses: u64, failures: u64) -> String {
     Json::Obj(vec![
         ("type".into(), Json::str("batch")),
         ("total".into(), Json::uint(total)),
@@ -285,7 +285,7 @@ pub fn batch_header_line(total: u64, hits: u64, misses: u64, failures: u64) -> S
 /// service counters, one serializer end to end.
 ///
 /// [`StoreStats::to_json`]: supermarq_store::StoreStats::to_json
-pub fn stats_line(store: Json, serve: Json) -> String {
+pub(crate) fn stats_line(store: Json, serve: Json) -> String {
     Json::Obj(vec![
         ("type".into(), Json::str("stats")),
         ("store".into(), store),
@@ -298,7 +298,7 @@ pub fn stats_line(store: Json, serve: Json) -> String {
 /// time attribution. `source` is `"warm"` (answered from the store
 /// before queueing), `"executed"` (simulated by a worker), or
 /// `"coalesced"` (joined an in-flight twin).
-pub fn timing_line(source: &str, total_ns: u64, queue_ns: u64, execute_ns: u64) -> String {
+pub(crate) fn timing_line(source: &str, total_ns: u64, queue_ns: u64, execute_ns: u64) -> String {
     Json::Obj(vec![
         ("type".into(), Json::str("timing")),
         ("source".into(), Json::str(source)),
@@ -311,7 +311,7 @@ pub fn timing_line(source: &str, total_ns: u64, queue_ns: u64, execute_ns: u64) 
 
 /// The JSON-format `metrics` response: lifetime counters (the same
 /// `serve` object the `stats` op carries) plus rolling-window digests.
-pub fn metrics_json_line(serve: Json, window: Json) -> String {
+pub(crate) fn metrics_json_line(serve: Json, window: Json) -> String {
     Json::Obj(vec![
         ("type".into(), Json::str("metrics")),
         ("format".into(), Json::str("json")),
@@ -324,7 +324,7 @@ pub fn metrics_json_line(serve: Json, window: Json) -> String {
 /// The Prometheus-format `metrics` response. The exposition text is
 /// shipped as one escaped JSON string field so the protocol stays
 /// line-oriented; clients unwrap `body` before handing it to a scraper.
-pub fn metrics_prometheus_line(body: &str) -> String {
+pub(crate) fn metrics_prometheus_line(body: &str) -> String {
     Json::Obj(vec![
         ("type".into(), Json::str("metrics")),
         ("format".into(), Json::str("prometheus")),
@@ -334,7 +334,7 @@ pub fn metrics_prometheus_line(body: &str) -> String {
 }
 
 /// The `trace` response: recent completed spans, newest last.
-pub fn trace_line(spans: Vec<Json>) -> String {
+pub(crate) fn trace_line(spans: Vec<Json>) -> String {
     Json::Obj(vec![
         ("type".into(), Json::str("trace")),
         ("count".into(), Json::uint(spans.len() as u64)),
@@ -345,7 +345,7 @@ pub fn trace_line(spans: Vec<Json>) -> String {
 
 /// Classifies a response line: `Err((kind, message))` when it is a
 /// protocol error, `Ok(parsed)` otherwise.
-pub fn classify_response(line: &str) -> Result<Json, (String, String)> {
+pub(crate) fn classify_response(line: &str) -> Result<Json, (String, String)> {
     match Json::parse(line) {
         Ok(value) => {
             if value.get("type").and_then(Json::as_str) == Some("error") {

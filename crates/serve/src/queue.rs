@@ -18,7 +18,7 @@
 //! [`JobQueue::complete`] — including while it executes — so latecomers
 //! coalesce with *running* work, not just queued work.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -30,7 +30,7 @@ use supermarq_store::{RunSpec, SweepResult};
 /// telemetry a traced request wants back (queue wait, execute time,
 /// the submitter's trace link).
 #[derive(Debug)]
-pub struct Job {
+pub(crate) struct Job {
     /// The spec to resolve.
     pub spec: RunSpec,
     /// Trace context of the *first* submitter (coalesced joiners share
@@ -62,7 +62,7 @@ impl Job {
 
     /// Blocks until the job completes and returns its result. Safe to
     /// call from any number of coalesced waiters.
-    pub fn wait(&self) -> SweepResult {
+    pub(crate) fn wait(&self) -> SweepResult {
         let mut slot = self.result.lock().unwrap();
         while slot.is_none() {
             slot = self.done.wait(slot).unwrap();
@@ -72,7 +72,7 @@ impl Job {
 
     /// Stamps the end of the queue-wait phase; called by the worker
     /// that pops the job, before executing it.
-    pub fn mark_dequeued(&self) {
+    pub(crate) fn mark_dequeued(&self) {
         self.queue_ns.store(
             self.submitted.elapsed().as_nanos() as u64,
             Ordering::Relaxed,
@@ -80,17 +80,17 @@ impl Job {
     }
 
     /// Records how long the worker spent resolving the job.
-    pub fn set_execute_ns(&self, ns: u64) {
+    pub(crate) fn set_execute_ns(&self, ns: u64) {
         self.execute_ns.store(ns, Ordering::Relaxed);
     }
 
     /// Nanoseconds spent queued (0 until [`Job::mark_dequeued`]).
-    pub fn queue_ns(&self) -> u64 {
+    pub(crate) fn queue_ns(&self) -> u64 {
         self.queue_ns.load(Ordering::Relaxed)
     }
 
     /// Nanoseconds spent executing (0 until the worker finishes).
-    pub fn execute_ns(&self) -> u64 {
+    pub(crate) fn execute_ns(&self) -> u64 {
         self.execute_ns.load(Ordering::Relaxed)
     }
 
@@ -102,7 +102,7 @@ impl Job {
 
 /// Why a submission was refused.
 #[derive(Debug)]
-pub enum Submit {
+pub(crate) enum Submit {
     /// Queue at capacity — retry later.
     Full,
     /// Queue closed — the daemon is draining.
@@ -120,7 +120,7 @@ struct QueueState {
 
 /// The bounded, coalescing job queue shared by connection handlers
 /// (producers) and workers (consumers).
-pub struct JobQueue {
+pub(crate) struct JobQueue {
     state: Mutex<QueueState>,
     /// Signalled on enqueue and close; workers wait on it.
     available: Condvar,
@@ -129,7 +129,7 @@ pub struct JobQueue {
 
 impl JobQueue {
     /// A queue admitting at most `capacity` queued jobs (minimum 1).
-    pub fn new(capacity: usize) -> JobQueue {
+    pub(crate) fn new(capacity: usize) -> JobQueue {
         JobQueue {
             state: Mutex::new(QueueState::default()),
             available: Condvar::new(),
@@ -144,26 +144,29 @@ impl JobQueue {
     /// how many coalesced. `link` is the submitter's trace context; it
     /// sticks only to jobs this submission creates (joiners inherit the
     /// first submitter's link).
-    pub fn submit_all(
+    pub(crate) fn submit_all(
         &self,
         specs: &[RunSpec],
         link: Option<TraceContext>,
     ) -> Result<(Vec<Arc<Job>>, u64), Submit> {
+        // Hash before taking the lock: workers and other connections
+        // need not wait while a large batch is hashed.
+        let hashes: Vec<String> = specs.iter().map(RunSpec::content_hash).collect();
         let mut state = self.state.lock().unwrap();
         if state.closed {
             return Err(Submit::Closed);
         }
         // First pass: count the genuinely new hashes so admission is
-        // all-or-nothing under one lock.
-        let hashes: Vec<String> = specs.iter().map(RunSpec::content_hash).collect();
-        let mut fresh: Vec<&String> = Vec::new();
+        // all-or-nothing under one lock, stopping at the first one that
+        // does not fit.
+        let mut fresh: HashSet<&str> = HashSet::new();
         for hash in &hashes {
-            if !state.inflight.contains_key(hash) && !fresh.contains(&hash) {
-                fresh.push(hash);
+            if !state.inflight.contains_key(hash)
+                && fresh.insert(hash)
+                && state.queued.len() + fresh.len() > self.capacity
+            {
+                return Err(Submit::Full);
             }
-        }
-        if state.queued.len() + fresh.len() > self.capacity {
-            return Err(Submit::Full);
         }
         let mut jobs = Vec::with_capacity(specs.len());
         let mut coalesced = 0u64;
@@ -185,7 +188,7 @@ impl JobQueue {
     /// Blocks until a job is available and pops it. Returns `None` only
     /// when the queue is closed **and** drained — the worker-loop exit
     /// condition that guarantees every accepted job completes.
-    pub fn pop(&self) -> Option<Arc<Job>> {
+    pub(crate) fn pop(&self) -> Option<Arc<Job>> {
         let mut state = self.state.lock().unwrap();
         loop {
             if let Some(job) = state.queued.pop_front() {
@@ -200,7 +203,7 @@ impl JobQueue {
 
     /// Publishes `result`, wakes every waiter, and retires the hash so
     /// future submissions start a fresh job.
-    pub fn complete(&self, job: &Job, result: SweepResult) {
+    pub(crate) fn complete(&self, job: &Job, result: SweepResult) {
         let mut state = self.state.lock().unwrap();
         state.inflight.remove(&job.spec.content_hash());
         drop(state);
@@ -208,18 +211,18 @@ impl JobQueue {
     }
 
     /// Jobs accepted but not yet picked up by a worker.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.state.lock().unwrap().queued.len()
     }
 
     /// Jobs between submission and completion — queued *plus*
     /// executing. The in-flight gauge the `metrics` op exposes.
-    pub fn inflight(&self) -> usize {
+    pub(crate) fn inflight(&self) -> usize {
         self.state.lock().unwrap().inflight.len()
     }
 
     /// Stops admission. Workers drain what was already accepted.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.state.lock().unwrap().closed = true;
         self.available.notify_all();
     }

@@ -36,7 +36,7 @@ mod imp {
         }
     }
 
-    pub fn install() {
+    pub(crate) fn install() {
         static ONCE: Once = Once::new();
         ONCE.call_once(|| unsafe {
             signal(SIGINT, on_sigint as extern "C" fn(i32) as usize);
@@ -46,7 +46,7 @@ mod imp {
 
 #[cfg(not(unix))]
 mod imp {
-    pub fn install() {}
+    pub(crate) fn install() {}
 }
 
 /// Installs the SIGINT handler (idempotent, cheap to call repeatedly).

@@ -26,7 +26,7 @@ use crate::server::ServeMetrics;
 /// JSONL sink schema (`id`/`parent`/`trace`/`elapsed_ns`) so tooling
 /// can treat ring output and trace files uniformly.
 #[derive(Debug, Clone)]
-pub struct SpanRecord {
+pub(crate) struct SpanRecord {
     /// Span name (`serve.request`, `serve.execute`, ...).
     pub name: &'static str,
     /// Request op (`run`, `batch`, ...) or `""` when not applicable.
@@ -51,7 +51,7 @@ pub struct SpanRecord {
 
 impl SpanRecord {
     /// Strict-JSON object for the `trace` op response.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut obj = vec![
             ("name".into(), Json::str(self.name)),
             ("op".into(), Json::str(self.op)),
@@ -71,7 +71,7 @@ impl SpanRecord {
 
 /// Bounded ring of recently completed spans; see the module docs.
 #[derive(Debug)]
-pub struct SpanRing {
+pub(crate) struct SpanRing {
     slots: Vec<Mutex<Option<SpanRecord>>>,
     /// Total records ever pushed; `head % slots.len()` is the next slot.
     head: AtomicU64,
@@ -79,7 +79,7 @@ pub struct SpanRing {
 
 impl SpanRing {
     /// A ring keeping the most recent `capacity` records (minimum 1).
-    pub fn new(capacity: usize) -> SpanRing {
+    pub(crate) fn new(capacity: usize) -> SpanRing {
         SpanRing {
             slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
             head: AtomicU64::new(0),
@@ -87,12 +87,12 @@ impl SpanRing {
     }
 
     /// Number of records the ring retains.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.slots.len()
     }
 
     /// Records one completed span, overwriting the oldest when full.
-    pub fn push(&self, record: SpanRecord) {
+    pub(crate) fn push(&self, record: SpanRecord) {
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
         *slot
@@ -103,7 +103,7 @@ impl SpanRing {
     /// The most recent records, oldest first, optionally filtered by
     /// 32-hex trace id. `limit` caps the result (clamped to capacity);
     /// a filter that matches nothing returns an empty vec.
-    pub fn recent(&self, limit: usize, trace_filter: Option<&str>) -> Vec<SpanRecord> {
+    pub(crate) fn recent(&self, limit: usize, trace_filter: Option<&str>) -> Vec<SpanRecord> {
         let limit = limit.min(self.slots.len());
         let head = self.head.load(Ordering::Relaxed);
         let n = self.slots.len() as u64;
@@ -152,7 +152,7 @@ fn seconds(ns: u64) -> f64 {
 /// counters, queue-depth/in-flight gauges, lifetime latency summaries
 /// (quantiles are power-of-two bucket upper bounds), and the rolling
 /// 60 s window digests as gauges.
-pub fn prometheus_text(metrics: &ServeMetrics, queue_depth: u64, inflight: u64) -> String {
+pub(crate) fn prometheus_text(metrics: &ServeMetrics, queue_depth: u64, inflight: u64) -> String {
     let mut out = String::with_capacity(2048);
     for (name, value) in metrics.counters() {
         let full = format!("supermarq_serve_{name}_total");

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use supermarq_obs::TraceId;
 use supermarq_serve::protocol::{encode_request, parse_request};
 use supermarq_serve::{Client, Request, RunningServer, ServeConfig, Server, MAX_FRAME};
-use supermarq_store::{Json, RunOutcome, RunSpec, Store, SweepGrid, TranspileSpec};
+use supermarq_store::{Json, RunOutcome, RunSpec, Store, SweepGrid, TranspileSpec, MAX_GRID_CELLS};
 
 fn temp_store(tag: &str) -> Store {
     static N: AtomicUsize = AtomicUsize::new(0);
@@ -227,6 +227,41 @@ fn oversized_frames_are_counted_like_any_other_request() {
         .collect();
     assert_eq!(ops, ["oversized", "parse", "stats"], "{trace}");
     assert_eq!(spans[0].get("ok"), Some(&Json::Bool(false)), "{trace}");
+    server.shutdown();
+}
+
+#[test]
+fn over_cap_grid_gets_a_typed_error_and_the_connection_survives() {
+    let server = start_server("overcap");
+    // shots x seeds = side^2 runs, just past the cap, in a frame of a few
+    // KB: the daemon must refuse it before expanding it.
+    let side = (MAX_GRID_CELLS as f64).sqrt() as u64 + 1;
+    let grid = SweepGrid {
+        benchmarks: vec![("ghz".into(), vec![("size".into(), "3".into())])],
+        devices: vec!["IonQ".into()],
+        shots: (1..=side).collect(),
+        seeds: (0..side).collect(),
+        repetitions: 1,
+        transpile: TranspileSpec::default(),
+        division: "closed".into(),
+    };
+    let frame = format!("{{\"op\":\"batch\",\"grid\":{}}}\n", grid.to_json());
+    assert!(frame.len() < MAX_FRAME);
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    writer.write_all(frame.as_bytes()).unwrap();
+    writer.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    let mut first = String::new();
+    reader.read_line(&mut first).unwrap();
+    assert_error_kind(first.trim_end(), "parse");
+    assert!(first.contains("bad grid"), "{first}");
+    let mut second = String::new();
+    reader.read_line(&mut second).unwrap();
+    assert_eq!(second.trim_end(), r#"{"type":"pong"}"#);
     server.shutdown();
 }
 

@@ -76,11 +76,6 @@ impl Counts {
         self.counts.values().sum()
     }
 
-    /// Number of distinct observed outcomes.
-    pub fn num_outcomes(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Count for a specific outcome.
     pub fn count(&self, bits: u64) -> usize {
         self.counts.get(&bits).copied().unwrap_or(0)
@@ -158,7 +153,7 @@ impl Counts {
     /// # Panics
     ///
     /// Panics if the bit widths differ.
-    pub fn merge(&mut self, other: &Counts) {
+    pub(crate) fn merge(&mut self, other: &Counts) {
         assert_eq!(self.num_bits, other.num_bits, "bit width mismatch");
         for (&k, &v) in &other.counts {
             self.record_n(k, v);
@@ -199,7 +194,7 @@ mod tests {
         assert_eq!(c.total(), 3);
         assert_eq!(c.count(0b101), 2);
         assert_eq!(c.count(0b111), 0);
-        assert_eq!(c.num_outcomes(), 2);
+        assert_eq!(c.counts.len(), 2);
         assert_eq!(c.most_common(), Some((0b101, 2)));
     }
 
@@ -272,7 +267,7 @@ mod tests {
     fn record_n_of_zero_is_a_no_op() {
         let mut c = Counts::new(2);
         c.record_n(0b01, 0);
-        assert_eq!(c.num_outcomes(), 0);
+        assert_eq!(c.counts.len(), 0);
         assert_eq!(c, Counts::new(2));
     }
 

@@ -23,7 +23,7 @@ use supermarq_circuit::{Circuit, Gate, C64};
 use crate::noise::{NoisyOp, NoisyProgram};
 
 /// Maximum density-matrix register size (`4^13` complex entries = 1 GiB).
-pub const MAX_DENSITY_QUBITS: usize = 13;
+pub(crate) const MAX_DENSITY_QUBITS: usize = 13;
 
 /// An exact `2^n x 2^n` density matrix, row-major, little-endian qubit
 /// indexing (matching [`crate::StateVector`]).
@@ -31,14 +31,16 @@ pub const MAX_DENSITY_QUBITS: usize = 13;
 /// # Example
 ///
 /// ```
-/// use supermarq_sim::DensityMatrix;
-/// use supermarq_circuit::Gate;
+/// use supermarq_circuit::Circuit;
+/// use supermarq_sim::{DensityMatrix, NoiseModel, NoisyProgram};
 ///
+/// let mut c = Circuit::new(1);
+/// c.x(0);
+/// let program = NoisyProgram::lower(&c, &NoiseModel::uniform_depolarizing(0.75));
 /// let mut rho = DensityMatrix::zero_state(1);
-/// rho.apply_gate(&Gate::H, &[0]);
-/// rho.depolarize(0, 0.75); // p = 3/4 fully mixes: rho -> I/2
-/// assert!((rho.probability_of_basis(0) - 0.5).abs() < 1e-12);
-/// assert!((rho.purity() - 0.5).abs() < 1e-12);
+/// rho.run_program(&c, &program); // p = 3/4 fully mixes: rho -> I/2
+/// let p = rho.probabilities();
+/// assert!((p[0] - 0.5).abs() < 1e-12 && (p[1] - 0.5).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DensityMatrix {
@@ -69,24 +71,20 @@ impl DensityMatrix {
         }
     }
 
-    /// Number of qubits.
-    pub fn num_qubits(&self) -> usize {
-        self.num_qubits
-    }
-
     #[inline]
     fn at(&self, r: usize, c: usize) -> C64 {
         self.elems[r * self.dim + c]
     }
 
     /// The trace (should remain 1).
-    pub fn trace(&self) -> C64 {
+    pub(crate) fn trace(&self) -> C64 {
         (0..self.dim).map(|i| self.at(i, i)).sum()
     }
 
     /// Purity `Tr(rho^2)`: 1 for pure states, `1/2^n` for the maximally
     /// mixed state.
-    pub fn purity(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn purity(&self) -> f64 {
         let mut total = 0.0;
         for r in 0..self.dim {
             for c in 0..self.dim {
@@ -97,7 +95,8 @@ impl DensityMatrix {
     }
 
     /// Probability of computational-basis outcome `bits`.
-    pub fn probability_of_basis(&self, bits: u64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn probability_of_basis(&self, bits: u64) -> f64 {
         self.at(bits as usize, bits as usize).re
     }
 
@@ -194,7 +193,7 @@ impl DensityMatrix {
     /// # Panics
     ///
     /// Panics for non-unitary gates or operand mismatches.
-    pub fn apply_gate(&mut self, gate: &Gate, qubits: &[usize]) {
+    pub(crate) fn apply_gate(&mut self, gate: &Gate, qubits: &[usize]) {
         if let Some(m) = gate.matrix1() {
             assert_eq!(qubits.len(), 1, "one-qubit gate takes one operand");
             let mut out = vec![C64::ZERO; self.dim * self.dim];
@@ -213,7 +212,7 @@ impl DensityMatrix {
     /// # Panics
     ///
     /// Panics (in debug) if the Kraus set is not trace-preserving.
-    pub fn apply_kraus1(&mut self, kraus: &[[[C64; 2]; 2]], qubit: usize) {
+    pub(crate) fn apply_kraus1(&mut self, kraus: &[[[C64; 2]; 2]], qubit: usize) {
         let mut out = vec![C64::ZERO; self.dim * self.dim];
         for k in kraus {
             self.accumulate_kraus1(k, qubit, &mut out);
@@ -247,12 +246,12 @@ impl DensityMatrix {
     }
 
     /// The single-qubit depolarizing channel with probability `p`.
-    pub fn depolarize(&mut self, qubit: usize, p: f64) {
+    pub(crate) fn depolarize(&mut self, qubit: usize, p: f64) {
         self.pauli_channel(qubit, [p / 3.0; 3]);
     }
 
     /// The amplitude-damping channel with decay probability `gamma`.
-    pub fn amplitude_damp(&mut self, qubit: usize, gamma: f64) {
+    pub(crate) fn amplitude_damp(&mut self, qubit: usize, gamma: f64) {
         let k0 = [
             [C64::ONE, C64::ZERO],
             [C64::ZERO, C64::real((1.0 - gamma).sqrt())],
@@ -263,13 +262,13 @@ impl DensityMatrix {
 
     /// The phase-damping (dephasing) channel: phase flip with probability
     /// `p`.
-    pub fn dephase(&mut self, qubit: usize, p: f64) {
+    pub(crate) fn dephase(&mut self, qubit: usize, p: f64) {
         self.pauli_channel(qubit, [0.0, 0.0, p]);
     }
 
     /// The symmetric readout-error channel applied as a classical bit-flip
     /// channel on the diagonal (used when extracting final distributions).
-    pub fn classical_bitflip(&mut self, qubit: usize, p: f64) {
+    pub(crate) fn classical_bitflip(&mut self, qubit: usize, p: f64) {
         self.pauli_channel(qubit, [p, 0.0, 0.0]);
     }
 
@@ -327,7 +326,7 @@ impl DensityMatrix {
     /// The exact two-qubit depolarizing channel: with probability `p` a
     /// uniformly random non-identity two-qubit Pauli is applied (matching
     /// the trajectory sampler's convention).
-    pub fn depolarize2(&mut self, q0: usize, q1: usize, p: f64) {
+    pub(crate) fn depolarize2(&mut self, q0: usize, q1: usize, p: f64) {
         if p <= 0.0 {
             return;
         }

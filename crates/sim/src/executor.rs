@@ -111,11 +111,6 @@ impl Executor {
         }
     }
 
-    /// The executor's noise model.
-    pub fn noise(&self) -> &NoiseModel {
-        &self.noise
-    }
-
     /// Runs `circuit` for `shots` shots with a deterministic RNG seed and
     /// returns the histogram of classical-register values.
     ///

@@ -20,7 +20,7 @@ use crate::state::StateVector;
 /// # Panics
 ///
 /// Panics if the sizes mismatch.
-pub fn apply_hamiltonian(h: &PauliSum, psi: &StateVector) -> Vec<C64> {
+pub(crate) fn apply_hamiltonian(h: &PauliSum, psi: &StateVector) -> Vec<C64> {
     assert_eq!(h.num_qubits(), psi.num_qubits(), "size mismatch");
     let n = psi.num_qubits();
     let dim = 1usize << n;
@@ -138,7 +138,7 @@ fn lanczos(h: &PauliSum, psi: &StateVector, m: usize) -> LanczosBasis {
 ///
 /// Panics if the iteration fails to converge (more than 50 sweeps; does not
 /// happen for well-formed input).
-pub fn tridiagonal_eigen(diag: &[f64], off: &[f64]) -> (Vec<f64>, Vec<Vec<f64>>) {
+pub(crate) fn tridiagonal_eigen(diag: &[f64], off: &[f64]) -> (Vec<f64>, Vec<Vec<f64>>) {
     let n = diag.len();
     assert_eq!(off.len() + 1, n.max(1), "off-diagonal length must be n-1");
     let mut d = diag.to_vec();
@@ -257,62 +257,6 @@ fn evolve_step(h: &PauliSum, psi: &StateVector, dt: f64, m: usize) -> StateVecto
     out
 }
 
-/// Computes the lowest eigenvalue (ground-state energy) of a Pauli-sum
-/// Hamiltonian with Lanczos, restarting until converged to `tol`.
-///
-/// The starting vector is a fixed pseudo-random (but deterministic) dense
-/// vector, which overlaps every eigenvector with probability one.
-pub fn ground_state_energy(h: &PauliSum, tol: f64) -> f64 {
-    let n = h.num_qubits();
-    let dim = 1usize << n;
-    // Deterministic quasi-random start vector.
-    let mut amps: Vec<C64> = (0..dim)
-        .map(|i| {
-            let x = ((i as f64 + 1.0) * 0.754877666).fract() - 0.5;
-            let y = ((i as f64 + 1.0) * 0.569840290).fract() - 0.5;
-            C64::new(x, y)
-        })
-        .collect();
-    let nrm = norm(&amps);
-    for a in &mut amps {
-        *a = a.scale(1.0 / nrm);
-    }
-    let mut psi = StateVector::from_amplitudes_renormalized(amps);
-    psi.renormalize();
-    let mut last = f64::INFINITY;
-    for _ in 0..60 {
-        let m = 30.min(dim);
-        let basis = lanczos(h, &psi, m);
-        let k = basis.alphas.len();
-        let (evals, evecs) = tridiagonal_eigen(&basis.alphas, &basis.betas[..k - 1]);
-        let (min_idx, &energy) = evals
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite eigenvalues"))
-            .expect("non-empty spectrum");
-        // Ritz vector for the lowest eigenvalue becomes the restart vector.
-        let dim = basis.vectors[0].len();
-        let mut next = vec![C64::ZERO; dim];
-        for (j, v) in basis.vectors.iter().enumerate() {
-            let w = evecs[j][min_idx];
-            for (a, &vi) in next.iter_mut().zip(v) {
-                *a += vi.scale(w);
-            }
-        }
-        let nrm = norm(&next);
-        for a in &mut next {
-            *a = a.scale(1.0 / nrm);
-        }
-        psi = StateVector::from_amplitudes_renormalized(next);
-        psi.renormalize();
-        if (energy - last).abs() < tol {
-            return energy;
-        }
-        last = energy;
-    }
-    last
-}
-
 impl StateVector {
     /// Builds a state from amplitudes without the strict normalization
     /// check, for internal numerical pipelines; call
@@ -321,7 +265,7 @@ impl StateVector {
     /// # Panics
     ///
     /// Panics if the length is not a power of two.
-    pub fn from_amplitudes_renormalized(amps: Vec<C64>) -> Self {
+    pub(crate) fn from_amplitudes_renormalized(amps: Vec<C64>) -> Self {
         let len = amps.len();
         assert!(
             len.is_power_of_two() && len > 0,
@@ -449,25 +393,5 @@ mod tests {
         }
         let fid = krylov.fidelity(&trotter);
         assert!(fid > 0.9999, "fidelity {fid}");
-    }
-
-    #[test]
-    fn ground_state_energy_of_single_spin() {
-        // H = -X has ground energy -1.
-        let h = PauliSum::from_terms(1, [(-1.0, "X".parse::<PauliString>().unwrap())]);
-        let e = ground_state_energy(&h, 1e-10);
-        assert!((e + 1.0).abs() < 1e-8, "e={e}");
-    }
-
-    #[test]
-    fn ground_state_energy_matches_pfeuty_for_small_tfim() {
-        // Pfeuty's exact solution for the open-chain TFIM at J = h = 1:
-        // E0 = -sum_k eps(k) ... for small n just compare against dense
-        // diagonalization via Lanczos on a 3-spin chain computed by hand:
-        // H = -(Z0Z1 + Z1Z2) - (X0 + X1 + X2).
-        let h = tfim_hamiltonian(3, 1.0, 1.0);
-        let e = ground_state_energy(&h, 1e-10);
-        // Reference from exact diagonalization: -3.4939592074349326
-        assert!((e + 3.4939592074349326).abs() < 1e-6, "e={e}");
     }
 }

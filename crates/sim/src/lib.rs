@@ -42,15 +42,15 @@
 //! ```
 
 mod chunk;
-pub mod counts;
-pub mod density;
-pub mod executor;
+pub(crate) mod counts;
+pub(crate) mod density;
+pub(crate) mod executor;
 mod fusion;
 pub mod krylov;
 pub mod noise;
 mod pool;
 mod simd;
-pub mod state;
+pub(crate) mod state;
 
 pub use counts::Counts;
 pub use density::DensityMatrix;

@@ -147,7 +147,7 @@ impl NoiseModel {
     }
 
     /// Duration of a primitive operation under this model.
-    pub fn duration_of(&self, gate: &Gate) -> f64 {
+    pub(crate) fn duration_of(&self, gate: &Gate) -> f64 {
         use supermarq_circuit::GateKind::*;
         match gate.kind() {
             OneQubitUnitary => self.durations.one_qubit,

@@ -35,7 +35,7 @@ pub(crate) struct F64x4(pub [f64; 4]);
 impl F64x4 {
     /// All-zero lanes (additive identity; `0.0 + x` is exact for the
     /// non-NaN finite amplitudes the simulator produces).
-    pub const ZERO: F64x4 = F64x4([0.0; 4]);
+    pub(crate) const ZERO: F64x4 = F64x4([0.0; 4]);
 
     /// Loads the two amplitudes at `p` and `p + 1`.
     ///
@@ -43,7 +43,7 @@ impl F64x4 {
     ///
     /// `p` must point at two consecutive readable `C64` values.
     #[inline(always)]
-    pub unsafe fn load2(p: *const C64) -> F64x4 {
+    pub(crate) unsafe fn load2(p: *const C64) -> F64x4 {
         let a = *p;
         let b = *p.add(1);
         F64x4([a.re, a.im, b.re, b.im])
@@ -55,14 +55,14 @@ impl F64x4 {
     ///
     /// `p` must point at two consecutive writable `C64` values.
     #[inline(always)]
-    pub unsafe fn store2(self, p: *mut C64) {
+    pub(crate) unsafe fn store2(self, p: *mut C64) {
         *p = C64::new(self.0[0], self.0[1]);
         *p.add(1) = C64::new(self.0[2], self.0[3]);
     }
 
     /// Lanewise addition.
     #[inline(always)]
-    pub fn add(self, o: F64x4) -> F64x4 {
+    pub(crate) fn add(self, o: F64x4) -> F64x4 {
         F64x4([
             self.0[0] + o.0[0],
             self.0[1] + o.0[1],
@@ -75,7 +75,7 @@ impl F64x4 {
     /// `C64`'s `Mul` (four products, one subtraction, one addition per
     /// amplitude) so results match `c * amp` bit-for-bit.
     #[inline(always)]
-    pub fn cmul(self, c: C64) -> F64x4 {
+    pub(crate) fn cmul(self, c: C64) -> F64x4 {
         let a = self.0;
         F64x4([
             a[0] * c.re - a[1] * c.im,

@@ -21,8 +21,8 @@ pub const MAX_QUBITS: usize = 26;
 
 /// Numerically-zero threshold for *squared* norms: a state (or measurement
 /// branch) whose `norm_sqr()` is at or below this — i.e. whose norm is at
-/// or below `1e-12` — cannot be renormalized. [`StateVector::renormalize`]
-/// panics below it; [`StateVector::project_qubit`] and the trajectory
+/// or below `1e-12` — cannot be renormalized. `StateVector::renormalize`
+/// panics below it; `StateVector::project_qubit` and the trajectory
 /// noise channels in `crate::noise` rely on that to reject
 /// zero-probability branches (their branch selection draws against the
 /// *pre-collapse* probability, so a surviving branch always has weight
@@ -106,7 +106,7 @@ impl StateVector {
     }
 
     /// Number of qubits.
-    pub fn num_qubits(&self) -> usize {
+    pub(crate) fn num_qubits(&self) -> usize {
         self.num_qubits
     }
 
@@ -153,7 +153,7 @@ impl StateVector {
     /// compared in squared-norm space to avoid disagreeing with callers —
     /// the noise channels in `crate::noise` reason about branch weights as
     /// probabilities (squared norms), never plain norms.
-    pub fn renormalize(&mut self) {
+    pub(crate) fn renormalize(&mut self) {
         let n2 = self.norm_sqr();
         assert!(
             n2 > MIN_NORM_SQR,
@@ -549,7 +549,7 @@ impl StateVector {
 
     /// Projectively measures `qubit`, collapsing the state, and returns the
     /// observed bit.
-    pub fn measure_qubit<R: Rng + ?Sized>(&mut self, qubit: usize, rng: &mut R) -> bool {
+    pub(crate) fn measure_qubit<R: Rng + ?Sized>(&mut self, qubit: usize, rng: &mut R) -> bool {
         let p1 = self.probability_of_one(qubit);
         let outcome = rng.gen::<f64>() < p1;
         self.project_qubit(qubit, outcome);
@@ -561,7 +561,7 @@ impl StateVector {
     /// # Panics
     ///
     /// Panics if the projection has zero probability.
-    pub fn project_qubit(&mut self, qubit: usize, value: bool) {
+    pub(crate) fn project_qubit(&mut self, qubit: usize, value: bool) {
         assert!(qubit < self.num_qubits, "qubit out of range");
         let stride = 1usize << qubit;
         let len = self.amps.len();
@@ -575,7 +575,7 @@ impl StateVector {
     }
 
     /// Resets `qubit` to `|0>`: measures it and applies X if the result was 1.
-    pub fn reset_qubit<R: Rng + ?Sized>(&mut self, qubit: usize, rng: &mut R) {
+    pub(crate) fn reset_qubit<R: Rng + ?Sized>(&mut self, qubit: usize, rng: &mut R) {
         if self.measure_qubit(qubit, rng) {
             let m = Gate::X.matrix1().expect("X has a matrix");
             self.apply_matrix1(&m, qubit);
@@ -583,14 +583,14 @@ impl StateVector {
     }
 
     /// Samples a full computational-basis measurement without collapsing the
-    /// state (valid when no further evolution uses the state).
+    /// state by an O(2^n) linear scan: the reference [`CumulativeSampler`]
+    /// is checked against.
     ///
     /// When float rounding leaves the cumulative probability just below the
     /// drawn uniform variate, the fallback is the last basis state with
-    /// *nonzero* probability — never a physically impossible outcome. For
-    /// repeated sampling from the same state, build a [`CumulativeSampler`]
-    /// once instead of paying this O(2^n) scan per shot.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    /// *nonzero* probability — never a physically impossible outcome.
+    #[cfg(test)]
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let r: f64 = rng.gen();
         let mut acc = 0.0;
         let mut last_nonzero = 0u64;
@@ -608,7 +608,7 @@ impl StateVector {
     }
 
     /// Applies a Pauli string as a unitary (used by stochastic noise).
-    pub fn apply_pauli_string(&mut self, p: &PauliString) {
+    pub(crate) fn apply_pauli_string(&mut self, p: &PauliString) {
         assert_eq!(p.num_qubits(), self.num_qubits, "size mismatch");
         for (q, &pauli) in p.paulis().iter().enumerate() {
             let gate = match pauli {
@@ -799,31 +799,12 @@ fn matrix2_range(
 
 /// Precomputed cumulative-probability table for repeated basis-state
 /// sampling from a fixed state: O(2^n) once, then O(n) binary search per
-/// draw instead of [`StateVector::sample`]'s O(2^n) linear scan per shot.
+/// draw instead of an O(2^n) linear scan per shot.
 ///
 /// Zero-probability outcomes occupy zero-width intervals in the table and
 /// can never be drawn; when float rounding leaves the final cumulative sum
 /// below the drawn variate, the fallback is the last basis state with
 /// nonzero probability.
-///
-/// # Example
-///
-/// ```
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
-/// use supermarq_circuit::Gate;
-/// use supermarq_sim::{CumulativeSampler, StateVector};
-///
-/// let mut psi = StateVector::zero_state(2);
-/// psi.apply_gate(&Gate::H, &[0]);
-/// psi.apply_gate(&Gate::Cx, &[0, 1]);
-/// let sampler = CumulativeSampler::new(&psi);
-/// let mut rng = StdRng::seed_from_u64(1);
-/// for _ in 0..100 {
-///     let bits = sampler.sample(&mut rng);
-///     assert!(bits == 0b00 || bits == 0b11);
-/// }
-/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CumulativeSampler {
     /// `cumulative[i]` = probability of drawing a basis index `<= i`.
@@ -834,7 +815,7 @@ pub struct CumulativeSampler {
 
 impl CumulativeSampler {
     /// Builds the table from a state's probability distribution.
-    pub fn new(state: &StateVector) -> Self {
+    pub(crate) fn new(state: &StateVector) -> Self {
         let mut cumulative = Vec::with_capacity(state.amps.len());
         let mut acc = 0.0;
         let mut last_nonzero = 0u64;
@@ -853,7 +834,7 @@ impl CumulativeSampler {
     }
 
     /// Draws one basis index by binary search over the cumulative table.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let r: f64 = rng.gen();
         // First index whose cumulative probability exceeds r; ties on a
         // zero-width interval are impossible because `cumulative` is flat

@@ -63,7 +63,7 @@ fn compress(state: &mut [u32; 8], block: &[u8]) {
 }
 
 /// SHA-256 digest of `data`.
-pub fn sha256(data: &[u8]) -> [u8; 32] {
+pub(crate) fn sha256(data: &[u8]) -> [u8; 32] {
     let mut state = H0;
     let mut chunks = data.chunks_exact(64);
     for block in &mut chunks {

@@ -27,7 +27,7 @@ pub enum Number {
 
 impl Number {
     /// Lossy view as `f64` (exact for small integers).
-    pub fn as_f64(self) -> f64 {
+    pub(crate) fn as_f64(self) -> f64 {
         match self {
             Number::U(v) => v as f64,
             Number::I(v) => v as f64,
@@ -36,7 +36,7 @@ impl Number {
     }
 
     /// Exact `u64` view, if the number is a non-negative integer.
-    pub fn as_u64(self) -> Option<u64> {
+    pub(crate) fn as_u64(self) -> Option<u64> {
         match self {
             Number::U(v) => Some(v),
             Number::I(v) => u64::try_from(v).ok(),
@@ -96,7 +96,7 @@ impl Json {
     }
 
     /// Bool view.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,
@@ -112,7 +112,7 @@ impl Json {
     }
 
     /// Numeric view (lossy for huge integers).
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(n.as_f64()),
             _ => None,

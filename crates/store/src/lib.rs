@@ -6,14 +6,14 @@
 //! crate makes sweeps **incremental and resumable**:
 //!
 //! - [`RunSpec`] canonically names a run and derives a stable SHA-256
-//!   content hash ([`spec`]).
+//!   content hash (`spec`).
 //! - [`Store`] is an on-disk content-addressed cache of [`RunRecord`]s —
 //!   JSON files under `.supermarq-store/`, atomic temp-file+rename
 //!   writes, with corrupt or version-mismatched entries treated as
-//!   misses, never panics ([`store`]).
+//!   misses, never panics (`store`).
 //! - [`SweepEngine`] expands a [`SweepGrid`] into jobs, partitions them
 //!   into cache hits vs. misses, fans the misses over the rayon pool,
-//!   streams results as JSONL, and reports [`SweepStats`] ([`sweep`]).
+//!   streams results as JSONL, and reports [`SweepStats`] (`sweep`).
 //!
 //! The crate is deliberately *executor-agnostic*: it knows nothing of
 //! circuits or simulators. Callers (the `supermarq` runner, the CLI, the
@@ -22,16 +22,16 @@
 //! lets tests drive the engine with synthetic executors.
 
 pub mod hash;
-pub mod json;
-pub mod record;
-pub mod spec;
-pub mod store;
-pub mod sweep;
+pub(crate) mod json;
+pub(crate) mod record;
+pub(crate) mod spec;
+pub(crate) mod store;
+pub(crate) mod sweep;
 
-pub use json::Json;
+pub use json::{Json, Number};
 pub use record::{RunOutcome, RunRecord};
 pub use spec::{RunSpec, TranspileSpec, SCHEMA_VERSION};
 pub use store::{
     default_root, GcReport, Store, StoreStats, VerifyReport, DEFAULT_STORE_DIR, TMP_GRACE,
 };
-pub use sweep::{SweepEngine, SweepGrid, SweepReport, SweepResult, SweepStats};
+pub use sweep::{SweepEngine, SweepGrid, SweepReport, SweepResult, SweepStats, MAX_GRID_CELLS};

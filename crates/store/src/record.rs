@@ -53,7 +53,7 @@ impl RunRecord {
     /// JSON encoding. The embedded `hash` field is redundant with the
     /// spec (it is recomputed and checked on read) but makes records
     /// self-describing and lets `cache verify` detect spec tampering.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("schema".into(), Json::uint(SCHEMA_VERSION)),
             ("hash".into(), Json::str(self.spec.content_hash())),

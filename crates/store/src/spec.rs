@@ -52,7 +52,7 @@ pub struct RunSpec {
     /// Benchmark id, e.g. `ghz` or `qaoa-swap`.
     pub benchmark: String,
     /// Benchmark parameters as string key/value pairs, e.g.
-    /// `[("size", "4")]`. Kept sorted by key (see [`RunSpec::normalize`]).
+    /// `[("size", "4")]`. Kept sorted by key (see `RunSpec::normalize`).
     pub params: Vec<(String, String)>,
     /// Device display name, e.g. `IBM-Montreal`.
     pub device: String,
@@ -94,7 +94,7 @@ impl RunSpec {
 
     /// Sorts parameters by key so equal specs hash equally regardless of
     /// construction order.
-    pub fn normalize(&mut self) {
+    pub(crate) fn normalize(&mut self) {
         self.params.sort();
     }
 

@@ -19,6 +19,14 @@ use crate::spec::{RunSpec, TranspileSpec, SCHEMA_VERSION};
 use crate::store::Store;
 use crate::Json;
 
+/// Most runs one decoded grid may expand to (`benchmarks x devices x
+/// shots x seeds`). The serve daemon expands a `batch` grid before any
+/// admission check, and one 1 MiB frame of one-digit shots and seeds
+/// could otherwise ask for about 6x10^10 specs: an allocation failure
+/// aborts the process. The Fig. 2 grid is 200 cells; the cap leaves room
+/// for sweeps 500 times larger, a few tens of MB of specs.
+pub const MAX_GRID_CELLS: usize = 100_000;
+
 /// A declarative sweep grid; [`SweepGrid::expand`] takes the cartesian
 /// product into a deterministic job list.
 #[derive(Debug, Clone, Default)]
@@ -99,7 +107,8 @@ impl SweepGrid {
 
     /// Decodes a grid from JSON. Strict: every field present and
     /// correctly typed, or an error naming the offender — a malformed
-    /// network request must produce a message, never a panic.
+    /// network request must produce a message, never a panic. A grid that
+    /// would expand to more than [`MAX_GRID_CELLS`] runs is rejected.
     pub fn from_json(value: &Json) -> Result<SweepGrid, String> {
         let arr_field = |key: &str| -> Result<&[Json], String> {
             value
@@ -142,6 +151,16 @@ impl SweepGrid {
                 })
                 .collect()
         };
+        let (shots, seeds) = (uints("shots")?, uints("seeds")?);
+        let cells = [benchmarks.len(), devices.len(), shots.len(), seeds.len()]
+            .into_iter()
+            .try_fold(1usize, usize::checked_mul);
+        if cells.is_none_or(|n| n > MAX_GRID_CELLS) {
+            return Err(format!(
+                "grid expands to more than {MAX_GRID_CELLS} runs \
+                 (benchmarks x devices x shots x seeds)"
+            ));
+        }
         let transpile = match value.get("transpile") {
             Some(t @ Json::Obj(_)) => TranspileSpec {
                 placement: t
@@ -160,8 +179,8 @@ impl SweepGrid {
         Ok(SweepGrid {
             benchmarks,
             devices,
-            shots: uints("shots")?,
-            seeds: uints("seeds")?,
+            shots,
+            seeds,
             repetitions: value
                 .get("repetitions")
                 .and_then(Json::as_u64)
@@ -273,14 +292,6 @@ pub struct SweepReport {
     pub results: Vec<SweepResult>,
     /// Aggregate statistics.
     pub stats: SweepStats,
-}
-
-impl SweepReport {
-    /// Looks up the result for a spec by content hash.
-    pub fn result_for(&self, spec: &RunSpec) -> Option<&SweepResult> {
-        let hash = spec.content_hash();
-        self.results.iter().find(|r| r.spec.content_hash() == hash)
-    }
 }
 
 /// Runs sweeps against one store.
@@ -588,18 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn report_lookup_by_spec() {
-        let store = temp_store("lookup");
-        let specs = grid().expand();
-        let report = SweepEngine::new(&store).run(&specs, fake_exec);
-        let found = report.result_for(&specs[3]).unwrap();
-        assert_eq!(found.spec, specs[3]);
-        let mut absent = specs[0].clone();
-        absent.seed = 777;
-        assert!(report.result_for(&absent).is_none());
-    }
-
-    #[test]
     fn grid_json_round_trips_through_the_wire_format() {
         let grid = grid();
         let encoded = grid.to_json().to_string();
@@ -608,6 +607,23 @@ mod tests {
         // contract that matters on the wire.
         assert_eq!(decoded.expand(), grid.expand());
         assert_eq!(decoded.to_json().to_string(), encoded);
+    }
+
+    #[test]
+    fn grid_beyond_the_cell_cap_is_rejected_before_expansion() {
+        // grid() has 2 benchmarks x 2 devices x 1 shot count: seeds
+        // decide the cell count.
+        let decode = |seeds: usize| {
+            let mut g = grid();
+            g.seeds = (0..seeds as u64).collect();
+            SweepGrid::from_json(&g.to_json())
+        };
+        assert!(decode(MAX_GRID_CELLS / 4).is_ok());
+        let err = decode(MAX_GRID_CELLS / 4 + 1).expect_err("over the cap");
+        assert!(
+            err.contains(&format!("more than {MAX_GRID_CELLS} runs")),
+            "{err}"
+        );
     }
 
     #[test]

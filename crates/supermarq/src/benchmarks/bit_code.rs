@@ -56,12 +56,12 @@ impl BitCodeBenchmark {
     }
 
     /// Register index of data qubit `i`.
-    pub fn data_index(i: usize) -> usize {
+    pub(crate) fn data_index(i: usize) -> usize {
         2 * i
     }
 
     /// Register index of the ancilla between data qubits `i` and `i + 1`.
-    pub fn ancilla_index(i: usize) -> usize {
+    pub(crate) fn ancilla_index(i: usize) -> usize {
         2 * i + 1
     }
 

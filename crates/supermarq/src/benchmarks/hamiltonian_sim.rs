@@ -45,7 +45,7 @@ impl HamiltonianSimBenchmark {
     /// # Panics
     ///
     /// Panics if `n < 2` or `steps == 0` or `total_time <= 0`.
-    pub fn with_parameters(
+    pub(crate) fn with_parameters(
         n: usize,
         steps: usize,
         total_time: f64,
@@ -106,14 +106,14 @@ impl HamiltonianSimBenchmark {
     /// # Panics
     ///
     /// Panics if the instance exceeds the statevector simulator's limit.
-    pub fn ideal_magnetization(&self) -> f64 {
+    pub(crate) fn ideal_magnetization(&self) -> f64 {
         let psi = Executor::final_state(&self.trotter_circuit())
             .expect("trotter circuits contain no reset");
         Self::magnetization_of_probabilities(self.n, &psi.probabilities())
     }
 
     /// Estimates `<m_z>` from measurement counts.
-    pub fn measured_magnetization(&self, counts: &Counts) -> f64 {
+    pub(crate) fn measured_magnetization(&self, counts: &Counts) -> f64 {
         let terms: Vec<(f64, u64)> = (0..self.n)
             .map(|q| (1.0 / self.n as f64, 1u64 << q))
             .collect();

@@ -1,9 +1,9 @@
 //! The benchmark applications: the eight of paper Sec. IV plus the
 //! scored Table-I corpus (QFT, Bernstein–Vazirani, ripple-carry adder,
-//! Grover) in [`corpus`].
+//! Grover) in `corpus`.
 
 mod bit_code;
-pub mod corpus;
+pub(crate) mod corpus;
 mod ghz;
 mod hamiltonian_sim;
 mod mermin_bell;
@@ -13,7 +13,9 @@ mod qaoa_vanilla;
 mod vqe;
 
 pub use bit_code::BitCodeBenchmark;
-pub use corpus::{BernsteinVaziraniBenchmark, GroverBenchmark, QftBenchmark, RippleAdderBenchmark};
+pub(crate) use corpus::{
+    BernsteinVaziraniBenchmark, GroverBenchmark, QftBenchmark, RippleAdderBenchmark,
+};
 pub use ghz::GhzBenchmark;
 pub use hamiltonian_sim::HamiltonianSimBenchmark;
 pub use mermin_bell::MerminBellBenchmark;

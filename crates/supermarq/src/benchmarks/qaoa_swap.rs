@@ -59,16 +59,6 @@ impl QaoaSwapBenchmark {
         }
     }
 
-    /// The optimized `(gamma, beta)` shared with the vanilla ansatz.
-    pub fn parameters(&self) -> (f64, f64) {
-        (self.gamma, self.beta)
-    }
-
-    /// The classically exact `<H>` at the optimum.
-    pub fn ideal_energy(&self) -> f64 {
-        self.ideal_energy
-    }
-
     /// Coupling weight between logical qubits `u` and `v`.
     fn weight(&self, u: usize, v: usize) -> f64 {
         let (a, b) = (u.min(v), u.max(v));
@@ -78,7 +68,7 @@ impl QaoaSwapBenchmark {
 
     /// Estimates `<H>` from Z-basis counts measured in *wire* order,
     /// mapping back through the final permutation.
-    pub fn measured_energy(&self, counts: &Counts) -> f64 {
+    pub(crate) fn measured_energy(&self, counts: &Counts) -> f64 {
         // wire_of_logical: inverse of final_permutation.
         let mut wire_of = vec![0usize; self.n];
         for (wire, &logical) in self.final_permutation.iter().enumerate() {
@@ -190,7 +180,7 @@ mod tests {
             (e_swap - e_van).abs() < 0.15,
             "swap={e_swap} vanilla={e_van}"
         );
-        assert!((e_swap - swap.ideal_energy()).abs() < 0.15);
+        assert!((e_swap - swap.ideal_energy).abs() < 0.15);
     }
 
     #[test]

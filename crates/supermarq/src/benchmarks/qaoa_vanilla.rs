@@ -58,13 +58,8 @@ impl QaoaVanillaBenchmark {
         self.ideal_energy
     }
 
-    /// The SK couplings (upper triangular, row-major).
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
     /// Estimates `<H>` from Z-basis counts.
-    pub fn measured_energy(&self, counts: &Counts) -> f64 {
+    pub(crate) fn measured_energy(&self, counts: &Counts) -> f64 {
         let mut terms = Vec::new();
         let mut k = 0;
         for u in 0..self.n {
@@ -178,7 +173,7 @@ mod tests {
         use supermarq_classical::maxcut::min_ising_energy;
         for seed in [1, 2, 3] {
             let b = QaoaVanillaBenchmark::new(5, seed);
-            let (e_min, _) = min_ising_energy(5, b.weights());
+            let (e_min, _) = min_ising_energy(5, &b.weights);
             assert!(b.ideal_energy() < 0.0, "seed={seed}");
             assert!(b.ideal_energy() >= e_min - 1e-9, "seed={seed}");
         }
@@ -188,7 +183,7 @@ mod tests {
     fn analytic_energy_matches_parameters() {
         let b = QaoaVanillaBenchmark::new(4, 9);
         let (g, beta) = b.parameters();
-        let e = qaoa_p1_energy(4, b.weights(), g, beta);
+        let e = qaoa_p1_energy(4, &b.weights, g, beta);
         assert!((e - b.ideal_energy()).abs() < 1e-9);
     }
 
@@ -229,7 +224,7 @@ mod tests {
     fn instance_determinism() {
         let a = QaoaVanillaBenchmark::new(5, 3);
         let b = QaoaVanillaBenchmark::new(5, 3);
-        assert_eq!(a.weights(), b.weights());
+        assert_eq!(a.weights, b.weights);
         assert_eq!(a.parameters(), b.parameters());
     }
 

@@ -87,19 +87,8 @@ impl VqeBenchmark {
         c
     }
 
-    /// The classically optimized ansatz energy the hardware is scored
-    /// against.
-    pub fn ideal_energy(&self) -> f64 {
-        self.ideal_energy
-    }
-
-    /// The optimized ansatz parameters.
-    pub fn parameters(&self) -> &[f64] {
-        &self.params
-    }
-
     /// Estimates the TFIM energy from `(z_counts, x_counts)`.
-    pub fn measured_energy(&self, z_counts: &Counts, x_counts: &Counts) -> f64 {
+    pub(crate) fn measured_energy(&self, z_counts: &Counts, x_counts: &Counts) -> f64 {
         let mut zz_terms = Vec::new();
         for i in 0..self.n - 1 {
             zz_terms.push((-J, (1u64 << i) | (1u64 << (i + 1))));
@@ -154,15 +143,12 @@ mod tests {
         let n = 4;
         let b = VqeBenchmark::new(n, 2);
         let exact = tfim_ground_energy(n, J, H_FIELD);
-        assert!(
-            b.ideal_energy() >= exact - 1e-9,
-            "variational bound violated"
-        );
-        let gap = (b.ideal_energy() - exact).abs();
+        assert!(b.ideal_energy >= exact - 1e-9, "variational bound violated");
+        let gap = (b.ideal_energy - exact).abs();
         assert!(
             gap < 0.35,
             "ansatz energy {} vs exact {exact}",
-            b.ideal_energy()
+            b.ideal_energy
         );
     }
 
@@ -184,9 +170,9 @@ mod tests {
         let x = Executor::noiseless().run(&circuits[1], 60000, 7);
         let measured = b.measured_energy(&z, &x);
         assert!(
-            (measured - b.ideal_energy()).abs() < 0.1,
+            (measured - b.ideal_energy).abs() < 0.1,
             "measured={measured} ideal={}",
-            b.ideal_energy()
+            b.ideal_energy
         );
     }
 
@@ -221,6 +207,6 @@ mod tests {
     fn deterministic_construction() {
         let a = VqeBenchmark::new(3, 1);
         let b = VqeBenchmark::new(3, 1);
-        assert_eq!(a.parameters(), b.parameters());
+        assert_eq!(a.params, b.params);
     }
 }

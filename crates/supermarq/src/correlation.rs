@@ -84,7 +84,8 @@ pub struct CorrelationTable {
 
 impl CorrelationTable {
     /// Looks up a single cell by names.
-    pub fn get(&self, regressor: &str, device: &str) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn get(&self, regressor: &str, device: &str) -> Option<f64> {
         let row = REGRESSOR_NAMES.iter().position(|&n| n == regressor)?;
         let col = self.devices.iter().position(|d| d == device)?;
         self.r_squared[row][col]

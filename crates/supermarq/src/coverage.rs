@@ -1,11 +1,26 @@
-//! Feature-space coverage (the Table I metric).
+//! Feature-space coverage (the Table I metric) and the suites it compares.
 //!
 //! A suite's coverage is "the volume of the convex hull defined by their
-//! feature vectors" in the 6-D feature space (paper Sec. IV-G).
+//! feature vectors" in the 6-D feature space (paper Sec. IV-G). Table I
+//! compares SupermarQ's coverage against five other suites: QASMBench,
+//! the synthetic single-feature suite, CBG2021, TriQ and PPL+2020. Their
+//! circuit corpora are regenerated here from structural descriptions
+//! (QFT, Bernstein–Vazirani, adders, Grover, teleportation, ...) at the
+//! sizes each suite used. Table I only needs their *feature vectors*, so
+//! structurally equivalent circuits preserve the comparison.
 
+use supermarq_circuit::Circuit;
 use supermarq_geometry::hull_volume;
 
-use crate::benchmark::Benchmark;
+use crate::benchmark::CircuitFamily;
+use crate::benchmarks::corpus::{
+    bernstein_vazirani, brickwork, deutsch_jozsa, grover, phase_estimation, qft, ripple_adder,
+    teleportation, uccsd_like, w_state,
+};
+use crate::benchmarks::{
+    BitCodeBenchmark, GhzBenchmark, HamiltonianSimBenchmark, MerminBellBenchmark,
+    PhaseCodeBenchmark, QaoaSwapBenchmark, QaoaVanillaBenchmark, VqeBenchmark,
+};
 use crate::features::FeatureVector;
 
 /// Convex-hull volume of a set of feature vectors in the 6-D feature
@@ -14,13 +29,6 @@ use crate::features::FeatureVector;
 pub fn coverage_of_features(features: &[FeatureVector]) -> f64 {
     let points: Vec<Vec<f64>> = features.iter().map(FeatureVector::to_vec).collect();
     hull_volume(&points)
-}
-
-/// Coverage of a suite of benchmarks (feature vector of each benchmark's
-/// first circuit).
-pub fn suite_coverage(suite: &[Box<dyn Benchmark>]) -> f64 {
-    let features: Vec<FeatureVector> = suite.iter().map(|b| b.features()).collect();
-    coverage_of_features(&features)
 }
 
 /// The synthetic suite of paper Table I: one hypothetical proxy-benchmark
@@ -51,6 +59,193 @@ pub fn synthetic_suite_features() -> Vec<FeatureVector> {
     features
 }
 
+/// The SupermarQ corpus used for the Table I coverage computation:
+/// instances of the eight applications "ranging in size from three to a
+/// thousand qubits" (Sec. IV-G). The returned list is 52 circuits like the
+/// paper's. Large instances are cheap because only *features* are ever
+/// computed on them, never statevectors.
+// 6.28 below is a round total-evolution-time pick, not an approximation of
+// tau; swapping in the constant would silently change the corpus.
+#[allow(clippy::approx_constant)]
+pub fn supermarq_suite() -> Vec<Circuit> {
+    let mut all: Vec<Circuit> = Vec::new();
+    // GHZ: 3 -> 1000 qubits.
+    for n in [3, 5, 10, 27, 100, 200, 400, 1000] {
+        all.push(GhzBenchmark::new(n).circuits().remove(0));
+    }
+    // Mermin-Bell: term count is 2^{n-1}, keep to small n like the paper's
+    // hardware runs.
+    for n in [3, 4, 5, 6, 7, 9, 11] {
+        all.push(MerminBellBenchmark::new(n).circuits().remove(0));
+    }
+    // Bit / phase codes across data-qubit counts and rounds.
+    for (d, r) in [
+        (2, 1),
+        (2, 5),
+        (3, 1),
+        (3, 3),
+        (5, 2),
+        (11, 2),
+        (51, 3),
+        (251, 1),
+    ] {
+        all.push(
+            BitCodeBenchmark::new(d, r, &vec![true; d])
+                .circuits()
+                .remove(0),
+        );
+        all.push(
+            PhaseCodeBenchmark::new(d, r, &vec![true; d])
+                .circuits()
+                .remove(0),
+        );
+    }
+    // QAOA (both ansatzes). The vanilla circuit is O(n^2) gates; cap size.
+    for n in [4, 7, 11, 17, 50] {
+        all.push(QaoaVanillaBenchmark::new(n, 1).circuits().remove(0));
+        all.push(QaoaSwapBenchmark::new(n, 1).circuits().remove(0));
+    }
+    // VQE (optimization is classical and cheap at these sizes).
+    for n in [4, 6, 8, 10] {
+        all.push(VqeBenchmark::new(n, 1).circuits().remove(0));
+    }
+    // Hamiltonian simulation: wide and deep instances.
+    for (n, steps) in [
+        (4, 4),
+        (7, 6),
+        (10, 5),
+        (27, 5),
+        (100, 3),
+        (500, 2),
+        (1000, 1),
+    ] {
+        all.push(
+            HamiltonianSimBenchmark::with_parameters(n, steps, 1.0, 1.0, 3.0, 6.28).circuits()[0]
+                .clone(),
+        );
+    }
+    all
+}
+
+/// A QASMBench-like corpus: low-level algorithm circuits "from two to a
+/// thousand qubits" across arithmetic, search, communication and
+/// simulation categories.
+pub fn qasmbench_suite() -> Vec<Circuit> {
+    let mut all = Vec::new();
+    for n in [3, 5, 10, 18, 50, 433, 1000] {
+        all.push(qft(n));
+    }
+    for n in [3, 7, 15, 31, 60] {
+        all.push(bernstein_vazirani(n, (1u64 << n) - 1));
+    }
+    for n in [2, 4, 8, 16, 64] {
+        all.push(ripple_adder(n));
+    }
+    for n in [3, 5, 9] {
+        all.push(grover(n, 1));
+    }
+    all.push(teleportation());
+    for n in [3, 6, 12, 28, 127] {
+        all.push(w_state(n));
+    }
+    for (n, layers, seed) in [(4, 2, 1), (8, 4, 2), (16, 8, 3), (30, 10, 4)] {
+        all.push(brickwork(n, layers, seed));
+    }
+    for (n, seed) in [(4, 5), (8, 6), (12, 7)] {
+        all.push(uccsd_like(n, seed));
+    }
+    // QASMBench also carries dynamic circuits (error-correction kernels,
+    // teleportation with real mid-circuit measurement, qubit-reuse
+    // kernels); without them its hull would be stuck in the Measurement=0
+    // hyperplane.
+    all.push(
+        BitCodeBenchmark::new(3, 1, &[false, false, false])
+            .circuits()
+            .remove(0),
+    );
+    all.push(mid_circuit_teleportation());
+    for bits in [3usize, 5, 8] {
+        all.push(phase_estimation(bits, 0.3));
+    }
+    for n in [4usize, 10, 24] {
+        all.push(deutsch_jozsa(n, (1u64 << n) - 1));
+    }
+    all
+}
+
+/// Teleportation in its dynamic-circuit form: Bell measurement mid-circuit
+/// with the measured qubits reset for reuse (as in QASMBench's dynamic
+/// kernels).
+fn mid_circuit_teleportation() -> Circuit {
+    let mut c = Circuit::new(3);
+    c.ry(0.9, 0);
+    c.h(1).cx(1, 2);
+    c.cx(0, 1).h(0);
+    c.measure(0).measure(1);
+    c.reset(0).reset(1);
+    c.cx(1, 2);
+    c.cz(0, 2);
+    c.measure(2);
+    c
+}
+
+/// A CBG2021-like corpus: scalable gate-based benchmarks dominated by a
+/// few structured families (the original uses ~10k generated circuits from
+/// six families; ten family representatives reproduce its narrow feature
+/// footprint).
+pub fn cbg2021_suite() -> Vec<Circuit> {
+    let mut all = Vec::new();
+    for n in [4, 8, 12] {
+        all.push(MerminBellBenchmark::new(4.min(n)).circuits().remove(0));
+        all.push(qft(n));
+    }
+    for (n, layers) in [(6, 3), (10, 5)] {
+        all.push(brickwork(n, layers, 11));
+    }
+    all.push(bernstein_vazirani(8, 0b1011_0110));
+    all.push(grover(4, 3));
+    all
+}
+
+/// The TriQ corpus: twelve small applications with at most eight qubits
+/// (Murali et al., ISCA 2019).
+pub fn triq_suite() -> Vec<Circuit> {
+    vec![
+        bernstein_vazirani(3, 0b101),
+        bernstein_vazirani(6, 0b110101),
+        qft(4),
+        qft(6),
+        grover(3, 0b010),
+        w_state(4),
+        teleportation(),
+        ripple_adder(2),
+        {
+            let mut c = GhzBenchmark::new(4).circuits().remove(0);
+            c.barrier_all();
+            c
+        },
+        uccsd_like(4, 3),
+        brickwork(4, 2, 13),
+        w_state(6),
+    ]
+}
+
+/// The PPL+2020 corpus: nine 3-to-5-qubit applications (Patel et al.,
+/// SC 2020).
+pub fn ppl2020_suite() -> Vec<Circuit> {
+    vec![
+        GhzBenchmark::new(3).circuits().remove(0),
+        GhzBenchmark::new(5).circuits().remove(0),
+        bernstein_vazirani(4, 0b1010),
+        qft(3),
+        qft(5),
+        grover(3, 0b111),
+        teleportation(),
+        w_state(3),
+        uccsd_like(4, 9),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,6 +266,7 @@ mod tests {
 
     #[test]
     fn standard_suite_coverage_is_positive_with_size_spread() {
+        use crate::benchmark::Benchmark;
         use crate::benchmarks::*;
         // Instances across sizes, mirroring the paper's 3-to-1000-qubit
         // sweep (kept small here for test speed).
@@ -112,5 +308,82 @@ mod tests {
         });
         let v1 = coverage_of_features(&base);
         assert!(v1 > v0, "v0={v0} v1={v1}");
+    }
+
+    fn coverage(circuits: &[Circuit]) -> f64 {
+        let features: Vec<FeatureVector> = circuits.iter().map(FeatureVector::of).collect();
+        coverage_of_features(&features)
+    }
+
+    #[test]
+    fn supermarq_corpus_has_52_circuits_spanning_3_to_1000_qubits() {
+        let suite = supermarq_suite();
+        assert_eq!(suite.len(), 52);
+        let min = suite.iter().map(Circuit::num_qubits).min().unwrap();
+        let max = suite.iter().map(Circuit::num_qubits).max().unwrap();
+        assert!(min <= 5, "min={min}");
+        assert!(max >= 1000, "max={max}");
+    }
+
+    #[test]
+    fn suite_sizes_match_paper_table1() {
+        assert_eq!(triq_suite().len(), 12);
+        assert_eq!(ppl2020_suite().len(), 9);
+        assert!(qasmbench_suite().len() > 20);
+        assert_eq!(cbg2021_suite().len(), 10);
+    }
+
+    #[test]
+    fn small_suites_stay_small_scale() {
+        assert!(triq_suite().iter().all(|c| c.num_qubits() <= 8));
+        assert!(ppl2020_suite().iter().all(|c| c.num_qubits() <= 6));
+    }
+
+    #[test]
+    fn coverage_ordering_matches_table1() {
+        // The paper's Table I ordering among realistic suites: SupermarQ >
+        // QASMBench >> CBG2021 / TriQ / PPL+2020 (the latter three are
+        // degenerate: zero exact volume). The paper's SupermarQ:QASMBench
+        // ratio is 9.0/4.0 = 2.25; ours lands close. The synthetic
+        // unit-vector suite is the one place our more conservative feature
+        // definitions deviate: its corners (e.g. Parallelism = 1 with
+        // Liveness = 0) are unphysical, so real suites cannot enclose them;
+        // we assert same order of magnitude instead of strict dominance
+        // (see EXPERIMENTS.md).
+        let v_supermarq = coverage(&supermarq_suite());
+        let v_qasm = coverage(&qasmbench_suite());
+        let synthetic = coverage_of_features(&synthetic_suite_features());
+        let v_cbg = coverage(&cbg2021_suite());
+        let v_triq = coverage(&triq_suite());
+        let v_ppl = coverage(&ppl2020_suite());
+        assert!(
+            v_supermarq > v_qasm,
+            "supermarq={v_supermarq} qasm={v_qasm}"
+        );
+        let ratio = v_supermarq / v_qasm;
+        assert!((1.5..=3.5).contains(&ratio), "ratio={ratio} (paper: 2.25)");
+        assert!(
+            v_supermarq > 0.5 * synthetic,
+            "supermarq={v_supermarq} synthetic={synthetic}"
+        );
+        assert_eq!(v_cbg, 0.0, "cbg={v_cbg}");
+        assert_eq!(v_triq, 0.0, "triq={v_triq}");
+        assert_eq!(v_ppl, 0.0, "ppl={v_ppl}");
+        // Joggled volumes (qhull QJ analogue) for the degenerate suites sit
+        // orders of magnitude below everything else, like the paper's
+        // 1e-8..1e-15 rows.
+        use supermarq_geometry::hull_volume_joggled;
+        for (name, suite) in [
+            ("cbg", cbg2021_suite()),
+            ("triq", triq_suite()),
+            ("ppl", ppl2020_suite()),
+        ] {
+            let pts: Vec<Vec<f64>> = suite
+                .iter()
+                .map(|c| FeatureVector::of(c).to_vec())
+                .collect();
+            let v = hull_volume_joggled(&pts, 1e-3, 7);
+            assert!(v < 1e-6, "{name}={v}");
+        }
     }
 }

@@ -108,7 +108,7 @@ impl FeatureVector {
     /// Component-wise mean of several feature vectors, used to describe a
     /// multi-circuit benchmark by *all* of its circuits. Returns `None`
     /// for an empty slice.
-    pub fn mean(vectors: &[FeatureVector]) -> Option<FeatureVector> {
+    pub(crate) fn mean(vectors: &[FeatureVector]) -> Option<FeatureVector> {
         if vectors.is_empty() {
             return None;
         }

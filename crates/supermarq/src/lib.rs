@@ -15,7 +15,7 @@
 //!   (QFT, Bernstein–Vazirani, ripple-carry adder, Grover);
 //! * [`registry`] — the data-driven [`BenchmarkRegistry`] every spec and
 //!   CLI flag resolves through;
-//! * [`mirror`] — the [`Mirror`] wrapper: scalable verification by
+//! * `mirror` — the [`Mirror`] wrapper: scalable verification by
 //!   appending the inverse circuit, CHP-accelerated when Clifford;
 //! * [`runner`] — the evaluation harness (transpile for a device, execute
 //!   under its noise model, score) behind Fig. 2;
@@ -38,23 +38,19 @@
 //! assert!((features.critical_depth - 1.0).abs() < 1e-12);
 //! ```
 
-pub mod benchmark;
+pub(crate) mod benchmark;
 pub mod benchmarks;
 pub mod correlation;
 pub mod coverage;
 pub mod features;
-pub mod mirror;
-pub mod mitigation;
+pub(crate) mod mirror;
+pub(crate) mod mitigation;
 pub mod registry;
 pub mod runner;
 pub mod spec;
 
 pub use benchmark::{Benchmark, CircuitFamily, ScoreError, ScoringStrategy};
-pub use correlation::{correlation_table, CorrelationTable, ScoreRecord};
-pub use coverage::suite_coverage;
 pub use features::FeatureVector;
 pub use mirror::{Mirror, MirrorPath};
-pub use mitigation::ReadoutMitigator;
 pub use registry::{BenchmarkEntry, BenchmarkRegistry, ParamKind, ParamSpec};
 pub use runner::{run_on_device, run_on_device_open, BenchmarkResult, RunConfig, RunError};
-pub use spec::{benchmark_from_params, execute_spec, ExecError};

@@ -33,7 +33,7 @@ use crate::benchmark::{
 use crate::spec::ExecError;
 
 /// Widest non-Clifford mirror the statevector fallback will attempt.
-pub const MAX_STATEVECTOR_MIRROR_QUBITS: usize = 20;
+pub(crate) const MAX_STATEVECTOR_MIRROR_QUBITS: usize = 20;
 
 /// Which executor scored a mirror.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +41,7 @@ pub enum MirrorPath {
     /// CHP stabilizer tableau — polynomial cost, no width cap.
     Clifford,
     /// Dense statevector — exponential cost, capped at
-    /// [`MAX_STATEVECTOR_MIRROR_QUBITS`].
+    /// `MAX_STATEVECTOR_MIRROR_QUBITS`.
     Statevector,
 }
 
@@ -65,11 +65,6 @@ impl<B: Benchmark> Mirror<B> {
     /// Wraps a benchmark.
     pub fn new(base: B) -> Self {
         Mirror { base }
-    }
-
-    /// The wrapped benchmark.
-    pub fn base(&self) -> &B {
-        &self.base
     }
 
     /// The expected readout: all zeros, one bit per program qubit.
@@ -108,7 +103,7 @@ impl<B: Benchmark> Mirror<B> {
     /// Scores the mirror on an ideal (noiseless) machine, dispatching to
     /// the stabilizer executor when the mirror is Clifford (any width)
     /// and to the statevector executor otherwise (up to
-    /// [`MAX_STATEVECTOR_MIRROR_QUBITS`] qubits). Returns the mean
+    /// `MAX_STATEVECTOR_MIRROR_QUBITS` qubits). Returns the mean
     /// success probability across the mirror circuits and the path taken.
     ///
     /// # Errors

@@ -20,21 +20,8 @@ use std::collections::BTreeMap;
 use supermarq_sim::Counts;
 
 /// A symmetric per-qubit readout-error mitigator.
-///
-/// # Example
-///
-/// ```
-/// use supermarq::mitigation::ReadoutMitigator;
-/// use supermarq_sim::Counts;
-///
-/// // 10% symmetric flip noise on 1 qubit, true state |1>.
-/// let noisy = Counts::from_pairs(1, [(1u64, 900), (0u64, 100)]);
-/// let mitigator = ReadoutMitigator::uniform(1, 0.1);
-/// let clean = mitigator.mitigate(&noisy);
-/// assert!(clean.probability(1) > 0.97);
-/// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReadoutMitigator {
+pub(crate) struct ReadoutMitigator {
     /// Flip probability per qubit.
     flip: Vec<f64>,
 }
@@ -46,7 +33,7 @@ impl ReadoutMitigator {
     ///
     /// Panics if any probability is outside `[0, 0.5)` (at `e = 0.5` the
     /// confusion matrix is singular).
-    pub fn new(flip: Vec<f64>) -> Self {
+    pub(crate) fn new(flip: Vec<f64>) -> Self {
         assert!(
             flip.iter().all(|&e| (0.0..0.5).contains(&e)),
             "flip probabilities must lie in [0, 0.5)"
@@ -56,18 +43,13 @@ impl ReadoutMitigator {
 
     /// A mitigator with the same flip probability on every qubit, as
     /// derived from a device's average measurement error.
-    pub fn uniform(num_qubits: usize, flip: f64) -> Self {
+    pub(crate) fn uniform(num_qubits: usize, flip: f64) -> Self {
         ReadoutMitigator::new(vec![flip; num_qubits])
-    }
-
-    /// Number of qubits the mitigator covers.
-    pub fn num_qubits(&self) -> usize {
-        self.flip.len()
     }
 
     /// Applies the inverse confusion transform to a histogram, returning
     /// the quasi-probability distribution (may contain negative entries).
-    pub fn quasi_probabilities(&self, counts: &Counts) -> BTreeMap<u64, f64> {
+    pub(crate) fn quasi_probabilities(&self, counts: &Counts) -> BTreeMap<u64, f64> {
         let mut dist: BTreeMap<u64, f64> = counts.to_probabilities();
         for (q, &e) in self.flip.iter().enumerate() {
             if e == 0.0 {
@@ -95,7 +77,7 @@ impl ReadoutMitigator {
     /// # Panics
     ///
     /// Panics if `counts` is empty.
-    pub fn mitigate(&self, counts: &Counts) -> Counts {
+    pub(crate) fn mitigate(&self, counts: &Counts) -> Counts {
         let total = counts.total();
         assert!(total > 0, "cannot mitigate an empty histogram");
         let quasi = self.quasi_probabilities(counts);

@@ -26,7 +26,7 @@ use crate::mirror::Mirror;
 use crate::spec::{default_init, ExecError};
 
 /// The suffix that selects the [`Mirror`] variant of a base entry.
-pub const MIRROR_SUFFIX: &str = "-mirror";
+pub(crate) const MIRROR_SUFFIX: &str = "-mirror";
 
 /// Sentinel for "no declared upper bound".
 const NO_MAX: usize = usize::MAX;
@@ -116,16 +116,6 @@ impl BenchmarkEntry {
     /// order).
     pub fn schema(&self) -> &'static [ParamSpec] {
         self.schema
-    }
-
-    /// Validates `params` against the schema — exactly the declared
-    /// keys, parseable, in range — without constructing the benchmark.
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::Invalid`] describing the first violation.
-    pub fn validate(&self, params: &[(String, String)]) -> Result<(), ExecError> {
-        self.resolve_params(params).map(|_| ())
     }
 
     fn resolve_params(&self, params: &[(String, String)]) -> Result<Resolved, ExecError> {

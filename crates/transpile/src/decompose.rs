@@ -11,7 +11,7 @@ use supermarq_device::NativeGateSet;
 /// # Panics
 ///
 /// Panics for non-single-qubit gates.
-pub fn u3_params(gate: &Gate) -> (f64, f64, f64) {
+pub(crate) fn u3_params(gate: &Gate) -> (f64, f64, f64) {
     match *gate {
         Gate::I => (0.0, 0.0, 0.0),
         Gate::H => (FRAC_PI_2, 0.0, PI),
@@ -36,7 +36,7 @@ pub fn u3_params(gate: &Gate) -> (f64, f64, f64) {
 /// Emits the IBM/AQT-style `rz sx rz sx rz` realization of
 /// `U3(theta, phi, lambda)` onto `circuit` (up to global phase), skipping
 /// identity rotations.
-pub fn emit_u3_as_rz_sx(circuit: &mut Circuit, q: usize, theta: f64, phi: f64, lambda: f64) {
+pub(crate) fn emit_u3_as_rz_sx(circuit: &mut Circuit, q: usize, theta: f64, phi: f64, lambda: f64) {
     let tol = 1e-12;
     let norm = |a: f64| {
         let mut a = a % (2.0 * PI);
@@ -240,19 +240,11 @@ fn emit_via_rxx(out: &mut Circuit, gate: Gate, a: usize, b: usize) {
     }
 }
 
-/// `true` if the gate is allowed in the given native set (used by tests and
-/// the transpiler's output validation).
-///
-/// Native-set membership is owned by the verifier (its V004 pass checks the
-/// same rule), so this is a re-export of [`supermarq_verify::is_native`] —
-/// one source of truth for what the decomposer must reach and what the
-/// checker accepts.
-pub use supermarq_verify::is_native;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use supermarq_sim::{Executor, StateVector};
+    use supermarq_verify::is_native;
 
     /// Fidelity between the unitaries of two measurement-free circuits,
     /// estimated over a set of probe states (1 up to global phase when the

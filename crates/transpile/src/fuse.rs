@@ -5,7 +5,7 @@
 //! shortens circuits before lowering and implements the Closed Division's
 //! "cancellation of adjacent gates" for the single-qubit case.
 
-use supermarq_circuit::{Circuit, Gate, GateKind, Instruction, C64};
+use supermarq_circuit::{Circuit, Gate, GateKind, C64};
 
 /// Extracts `U3(theta, phi, lambda)` parameters from a 2x2 unitary (global
 /// phase discarded).
@@ -13,7 +13,7 @@ use supermarq_circuit::{Circuit, Gate, GateKind, Instruction, C64};
 /// # Panics
 ///
 /// Panics if the matrix is (numerically) non-unitary.
-pub fn u3_from_matrix(m: &[[C64; 2]; 2]) -> (f64, f64, f64) {
+pub(crate) fn u3_from_matrix(m: &[[C64; 2]; 2]) -> (f64, f64, f64) {
     // U3 = [[cos(t/2), -e^{il} sin(t/2)], [e^{ip} sin(t/2), e^{i(p+l)} cos(t/2)]].
     let c = m[0][0].norm();
     let s = m[1][0].norm();
@@ -126,18 +126,18 @@ pub fn fuse_single_qubit_runs(input: &Circuit) -> Circuit {
     out
 }
 
-/// Convenience: the count of one-qubit unitaries in a circuit.
-pub fn one_qubit_gate_count(c: &Circuit) -> usize {
-    c.iter()
-        .filter(|i: &&Instruction| i.gate.kind() == GateKind::OneQubitUnitary)
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use supermarq_circuit::Gate;
     use supermarq_sim::Executor;
+
+    /// The count of one-qubit unitaries in a circuit.
+    fn one_qubit_gate_count(c: &Circuit) -> usize {
+        c.iter()
+            .filter(|i| i.gate.kind() == GateKind::OneQubitUnitary)
+            .count()
+    }
 
     fn equivalent(a: &Circuit, b: &Circuit) -> bool {
         use rand::rngs::StdRng;

@@ -44,20 +44,18 @@
 
 pub mod cancel;
 pub mod decompose;
-pub mod diff;
+pub(crate) mod diff;
 pub mod fuse;
-pub mod pass;
-pub mod passes;
+pub(crate) mod pass;
+pub(crate) mod passes;
 pub mod pipeline;
 pub mod placement;
-pub mod provenance;
+pub(crate) mod provenance;
 pub mod routing;
-pub mod transpiler;
+pub(crate) mod transpiler;
 
 pub use diff::differential_pipelines;
 pub use pass::{run_pass, Layout, Pass, PassContext};
 pub use pipeline::{PassSpec, PipelineId, PipelineSpec};
 pub use placement::PlacementStrategy;
-pub use provenance::{Provenance, INPUT_TAG};
-pub use routing::RouteError;
 pub use transpiler::{relabel_counts, TranspileError, TranspileResult, Transpiler};

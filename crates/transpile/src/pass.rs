@@ -31,7 +31,7 @@ use crate::transpiler::TranspileError;
 
 /// The program-to-physical qubit mapping as a first-class value.
 ///
-/// Before placement the layout is empty; [`PlacePass`](crate::passes)
+/// Before placement the layout is empty; the placement pass
 /// installs the initial mapping, and routing updates `current` /
 /// `measured_on` as SWAPs move program qubits between wires.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -49,7 +49,7 @@ impl Layout {
     /// A layout for a freshly placed circuit: `initial == current ==
     /// mapping`, with measurement locations derived from the static
     /// mapping.
-    pub fn from_placement(circuit: &Circuit, mapping: Vec<usize>) -> Layout {
+    pub(crate) fn from_placement(circuit: &Circuit, mapping: Vec<usize>) -> Layout {
         let measured_on = Layout::derive_measured_on(circuit, &mapping);
         Layout {
             initial: mapping.clone(),
@@ -65,7 +65,7 @@ impl Layout {
     /// of the circuit — i.e. before routing. The router re-derives
     /// `measured_on` itself, tracking each program qubit as SWAPs move it
     /// between wires, and overwrites this value.
-    pub fn derive_measured_on(circuit: &Circuit, mapping: &[usize]) -> Vec<Option<usize>> {
+    pub(crate) fn derive_measured_on(circuit: &Circuit, mapping: &[usize]) -> Vec<Option<usize>> {
         let mut measured_on = vec![None; circuit.num_qubits()];
         for instr in circuit.iter() {
             if instr.gate.kind() == GateKind::Measurement {
@@ -83,7 +83,7 @@ impl Layout {
 /// Owns exactly one working [`Circuit`]; passes replace it via
 /// [`set_circuit`](Self::set_circuit) instead of threading clones between
 /// stages. Beyond the input copy, the pipeline copies a circuit only to
-/// keep a rewrite for blame (see [`Provenance`]) and for the optional
+/// keep a rewrite for blame (see `Provenance`) and for the optional
 /// pre-route snapshot, taken only when a downstream routing-audit pass
 /// asked for it.
 #[derive(Debug)]
@@ -124,7 +124,7 @@ impl<'d> PassContext<'d> {
     }
 
     /// The target device.
-    pub fn device(&self) -> &Device {
+    pub(crate) fn device(&self) -> &Device {
         self.device
     }
 
@@ -135,7 +135,7 @@ impl<'d> PassContext<'d> {
 
     /// Replaces the working circuit and records the rewrite for blame:
     /// instructions the rewrite did not preserve are blamed on the pass
-    /// [`run_pass`] last started ([`INPUT_TAG`] before the first). A pass
+    /// [`run_pass`] last started (`INPUT_TAG` before the first). A pass
     /// calls this once, with everything it changed.
     pub fn set_circuit(&mut self, circuit: Circuit) {
         let old = std::mem::replace(&mut self.circuit, circuit);
@@ -144,27 +144,27 @@ impl<'d> PassContext<'d> {
     }
 
     /// The current qubit layout.
-    pub fn layout(&self) -> &Layout {
+    pub(crate) fn layout(&self) -> &Layout {
         &self.layout
     }
 
     /// Replaces the qubit layout (placement and routing passes).
-    pub fn set_layout(&mut self, layout: Layout) {
+    pub(crate) fn set_layout(&mut self, layout: Layout) {
         self.layout = layout;
     }
 
     /// Total SWAPs inserted so far.
-    pub fn swap_count(&self) -> usize {
+    pub(crate) fn swap_count(&self) -> usize {
         self.swap_count
     }
 
     /// Records `n` more inserted SWAPs.
-    pub fn add_swaps(&mut self, n: usize) {
+    pub(crate) fn add_swaps(&mut self, n: usize) {
         self.swap_count += n;
     }
 
     /// Queues an extra field for the running pass's obs span.
-    pub fn note(&mut self, key: &'static str, value: impl Into<FieldValue>) {
+    pub(crate) fn note(&mut self, key: &'static str, value: impl Into<FieldValue>) {
         self.notes.push((key, value.into()));
     }
 
@@ -174,30 +174,30 @@ impl<'d> PassContext<'d> {
     }
 
     /// Whether a downstream pass asked for a pre-route circuit snapshot.
-    pub fn wants_route_snapshot(&self) -> bool {
+    pub(crate) fn wants_route_snapshot(&self) -> bool {
         self.want_snapshot
     }
 
     /// Saves a copy of the current circuit as the pre-route snapshot.
-    pub fn save_route_snapshot(&mut self) {
+    pub(crate) fn save_route_snapshot(&mut self) {
         self.snapshot = Some(self.circuit.clone());
     }
 
     /// The pre-route snapshot, when one was taken.
-    pub fn route_snapshot(&self) -> Option<&Circuit> {
+    pub(crate) fn route_snapshot(&self) -> Option<&Circuit> {
         self.snapshot.as_ref()
     }
 
     /// Per-instruction blame tags for the working circuit
     /// ([`set_circuit`](Self::set_circuit) records every rewrite; the diff
     /// runs when a tag is read).
-    pub fn provenance(&self) -> &Provenance {
+    pub(crate) fn provenance(&self) -> &Provenance {
         &self.provenance
     }
 
     /// Whether the pipeline's *input* circuit was entirely Clifford — the
     /// claim the V010 clifford-preservation check holds later stages to.
-    pub fn input_clifford(&self) -> bool {
+    pub(crate) fn input_clifford(&self) -> bool {
         self.input_clifford
     }
 
@@ -207,13 +207,13 @@ impl<'d> PassContext<'d> {
     }
 
     /// Appends verify-pass diagnostics to the context.
-    pub fn extend_diagnostics(&mut self, diagnostics: impl IntoIterator<Item = Diagnostic>) {
+    pub(crate) fn extend_diagnostics(&mut self, diagnostics: impl IntoIterator<Item = Diagnostic>) {
         self.diagnostics.extend(diagnostics);
     }
 
     /// Tears the context down into its result parts: the final circuit, the
     /// final layout and the total SWAP count.
-    pub fn into_parts(self) -> (Circuit, Layout, usize) {
+    pub(crate) fn into_parts(self) -> (Circuit, Layout, usize) {
         (self.circuit, self.layout, self.swap_count)
     }
 }
@@ -241,8 +241,8 @@ pub trait Pass {
 
 /// Runs one pass under its obs span: names it on the context (so its
 /// [`set_circuit`](PassContext::set_circuit) call is blamed on it), records
-/// `gates_in` / `gates_out`, and drains the pass's queued
-/// [`note`](PassContext::note)s into the span.
+/// `gates_in` / `gates_out`, and drains the pass's queued notes into the
+/// span.
 ///
 /// # Errors
 ///

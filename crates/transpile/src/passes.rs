@@ -33,7 +33,7 @@ fn fuse_and_cancel(circuit: &Circuit) -> (Circuit, bool) {
 
 /// Logical-level cleanup: one fuse + cancel round (`fuse_and_cancel`
 /// says why it is a single round).
-pub struct OptimizeLogicalPass;
+pub(crate) struct OptimizeLogicalPass;
 
 impl Pass for OptimizeLogicalPass {
     fn name(&self) -> &'static str {
@@ -57,7 +57,7 @@ impl Pass for OptimizeLogicalPass {
 /// gates. The three steps are one rewrite, recorded when any of them
 /// changed its input — even when the re-lowered circuit equals the pass's
 /// input, so blame still names this pass as the last mutator.
-pub struct OptimizePhysicalPass;
+pub(crate) struct OptimizePhysicalPass;
 
 impl Pass for OptimizePhysicalPass {
     fn name(&self) -> &'static str {
@@ -78,7 +78,7 @@ impl Pass for OptimizePhysicalPass {
 }
 
 /// Initial placement: installs the program-to-physical [`Layout`].
-pub struct PlacePass {
+pub(crate) struct PlacePass {
     pub strategy: PlacementStrategy,
 }
 
@@ -101,7 +101,7 @@ impl Pass for PlacePass {
 
 /// SWAP-insertion routing: rewrites the circuit onto physical wires and
 /// updates the [`Layout`]'s `current` / `measured_on` tracking.
-pub struct RoutePass;
+pub(crate) struct RoutePass;
 
 impl Pass for RoutePass {
     fn name(&self) -> &'static str {
@@ -132,7 +132,7 @@ impl Pass for RoutePass {
 }
 
 /// Native-gate lowering (also decomposes routing's inserted SWAPs).
-pub struct DecomposePass;
+pub(crate) struct DecomposePass;
 
 impl Pass for DecomposePass {
     fn name(&self) -> &'static str {
@@ -152,7 +152,7 @@ impl Pass for DecomposePass {
 
 /// Final bookkeeping: ASAP-schedules the circuit and notes its depth and
 /// two-qubit gate count on the pass span.
-pub struct SchedulePass;
+pub(crate) struct SchedulePass;
 
 impl Pass for SchedulePass {
     fn name(&self) -> &'static str {
@@ -199,7 +199,7 @@ fn finish_verify(
 
 /// Structural verification of the logical circuit (stage
 /// `"logical-optimize"`). Device conformance does not apply yet.
-pub struct VerifyLogicalPass;
+pub(crate) struct VerifyLogicalPass;
 
 impl Pass for VerifyLogicalPass {
     fn name(&self) -> &'static str {
@@ -219,7 +219,7 @@ impl Pass for VerifyLogicalPass {
 /// Post-routing verification (stage `"route"`): coupling-map conformance
 /// plus the Closed-Division audit of the router's output against the
 /// pre-route snapshot. Native-gate conformance does not apply yet.
-pub struct VerifyRoutedPass;
+pub(crate) struct VerifyRoutedPass;
 
 impl Pass for VerifyRoutedPass {
     fn name(&self) -> &'static str {
@@ -262,7 +262,7 @@ impl Pass for VerifyRoutedPass {
 
 /// Full verification of the freshly decomposed circuit (stage
 /// `"decompose"`).
-pub struct VerifyNativePass;
+pub(crate) struct VerifyNativePass;
 
 impl Pass for VerifyNativePass {
     fn name(&self) -> &'static str {
@@ -282,7 +282,7 @@ impl Pass for VerifyNativePass {
 
 /// Full verification of the final circuit (stage `"optimize"`) — the
 /// release-mode replacement for the old output `debug_assert!`.
-pub struct VerifyFinalPass;
+pub(crate) struct VerifyFinalPass;
 
 impl Pass for VerifyFinalPass {
     fn name(&self) -> &'static str {

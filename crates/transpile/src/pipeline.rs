@@ -118,7 +118,7 @@ pub struct PipelineSpec {
 
 impl PipelineSpec {
     /// A pipeline named `name` running `passes` in order.
-    pub fn new(name: impl Into<String>, passes: Vec<PassSpec>) -> PipelineSpec {
+    pub(crate) fn new(name: impl Into<String>, passes: Vec<PassSpec>) -> PipelineSpec {
         PipelineSpec {
             name: name.into(),
             passes,
@@ -126,23 +126,23 @@ impl PipelineSpec {
     }
 
     /// The cache-key name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// The passes, in execution order.
-    pub fn passes(&self) -> &[PassSpec] {
+    pub(crate) fn passes(&self) -> &[PassSpec] {
         &self.passes
     }
 
     /// The pass ids, in execution order.
-    pub fn pass_ids(&self) -> Vec<&'static str> {
+    pub(crate) fn pass_ids(&self) -> Vec<&'static str> {
         self.passes.iter().map(|p| p.id()).collect()
     }
 
     /// Whether the route pass must snapshot its input for a downstream
     /// audit pass.
-    pub fn needs_route_snapshot(&self) -> bool {
+    pub(crate) fn needs_route_snapshot(&self) -> bool {
         self.passes.contains(&PassSpec::VerifyRouted)
     }
 

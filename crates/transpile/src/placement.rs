@@ -22,27 +22,6 @@ pub enum PlacementStrategy {
     NoiseAware,
 }
 
-/// Computes an initial mapping `program qubit -> physical qubit`.
-///
-/// # Panics
-///
-/// Panics if the circuit needs more qubits than the topology has.
-pub fn place(circuit: &Circuit, topology: &Topology, strategy: PlacementStrategy) -> Vec<usize> {
-    let n_prog = circuit.num_qubits();
-    let n_phys = topology.num_qubits();
-    assert!(
-        n_prog <= n_phys,
-        "circuit needs {n_prog} qubits but device has only {n_phys}"
-    );
-    let interactions = InteractionGraph::of(circuit);
-    match strategy {
-        PlacementStrategy::Trivial => (0..n_prog).collect(),
-        PlacementStrategy::Greedy | PlacementStrategy::NoiseAware => {
-            greedy_place(circuit, topology, None, &interactions)
-        }
-    }
-}
-
 /// Computes an initial mapping with full device calibration available, so
 /// `NoiseAware` placement can weigh per-coupler and per-qubit error rates.
 ///
@@ -172,6 +151,14 @@ fn greedy_place(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use supermarq_device::{Calibration, NativeGateSet};
+
+    /// Places `circuit` on a device with `topology` and uniform calibration.
+    fn place(circuit: &Circuit, topology: &Topology, strategy: PlacementStrategy) -> Vec<usize> {
+        let cal = Calibration::from_table_row(100.0, 100.0, 0.03, 0.4, 5.0, 0.05, 1.0, 2.0);
+        let device = Device::new("flat", topology.clone(), cal, NativeGateSet::IbmLike, 0.0);
+        place_on_device(circuit, &device, strategy)
+    }
 
     #[test]
     fn trivial_is_identity() {
@@ -221,7 +208,6 @@ mod tests {
 
     #[test]
     fn noise_aware_avoids_bad_couplers() {
-        use supermarq_device::{Calibration, NativeGateSet};
         // A 4-qubit line device whose (0,1) coupler is terrible; a 2-qubit
         // circuit should land on the clean end under NoiseAware placement.
         let mut circuit = Circuit::new(2);
@@ -263,7 +249,6 @@ mod tests {
 
     #[test]
     fn noise_aware_equals_greedy_without_calibration_scatter() {
-        use supermarq_device::{Calibration, NativeGateSet};
         let mut c = Circuit::new(4);
         c.cx(0, 1).cx(1, 2).cx(2, 3);
         let cal = Calibration::from_table_row(100.0, 100.0, 0.03, 0.4, 5.0, 0.05, 1.0, 2.0);

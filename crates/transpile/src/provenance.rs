@@ -33,11 +33,11 @@ use supermarq_circuit::{Circuit, Instruction};
 const MAX_LCS_CELLS: usize = 64_000;
 
 /// The tag given to instructions present in the pipeline's input circuit.
-pub const INPUT_TAG: &str = "input";
+pub(crate) const INPUT_TAG: &str = "input";
 
 /// Per-instruction blame tags for the working circuit of a pipeline run.
 #[derive(Debug, Clone)]
-pub struct Provenance {
+pub(crate) struct Provenance {
     /// Tags of the circuit the first queued rewrite starts from: the
     /// working circuit's tags once the queue is replayed.
     tags: RefCell<Vec<&'static str>>,
@@ -60,7 +60,7 @@ impl Provenance {
     /// Tags are indexed by raw instruction position — barriers included —
     /// because diagnostics carry raw positions (`gate_count()` would skip
     /// barriers and shear every index after the first one).
-    pub fn for_input(circuit: &Circuit) -> Self {
+    pub(crate) fn for_input(circuit: &Circuit) -> Self {
         Provenance {
             tags: RefCell::new(vec![INPUT_TAG; circuit.iter().count()]),
             queue: RefCell::default(),
@@ -72,7 +72,7 @@ impl Provenance {
     /// Out-of-range indices (a diagnostic about a since-rewritten circuit)
     /// fall back to [`INPUT_TAG`]. The first read after a rewrite diffs
     /// every queued rewrite, in order.
-    pub fn tag(&self, index: usize) -> &'static str {
+    pub(crate) fn tag(&self, index: usize) -> &'static str {
         let Queue { circuits, passes } = self.queue.take();
         let mut tags = self.tags.borrow_mut();
         for (pair, pass) in circuits.windows(2).zip(passes) {
@@ -82,14 +82,14 @@ impl Provenance {
     }
 
     /// The most recent pass that mutated the circuit, if any.
-    pub fn last_mutator(&self) -> Option<&'static str> {
+    pub(crate) fn last_mutator(&self) -> Option<&'static str> {
         self.last_mutator
     }
 
     /// Records that `pass` rewrote `old` into `new`: surviving
     /// instructions keep their tags, everything else is blamed on `pass`.
     /// The diff waits in a queue until a tag is read.
-    pub fn record_rewrite(&mut self, old: &Circuit, new: &Circuit, pass: &'static str) {
+    pub(crate) fn record_rewrite(&mut self, old: &Circuit, new: &Circuit, pass: &'static str) {
         let queue = self.queue.get_mut();
         match queue.circuits.last() {
             None => {

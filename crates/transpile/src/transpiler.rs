@@ -217,7 +217,7 @@ impl Transpiler {
     /// # Errors
     ///
     /// Same as [`run`](Self::run).
-    pub fn run_pipeline(
+    pub(crate) fn run_pipeline(
         &self,
         spec: &PipelineSpec,
         circuit: &Circuit,
@@ -243,9 +243,9 @@ impl Transpiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decompose::is_native;
     use supermarq_device::NativeGateSet;
     use supermarq_sim::Executor;
+    use supermarq_verify::is_native;
 
     fn ghz(n: usize) -> Circuit {
         let mut c = Circuit::new(n);

@@ -36,7 +36,7 @@ use supermarq_sim::StateVector;
 
 /// Largest number of live wires for which the audit runs the exact
 /// statevector probe; beyond this only gate accounting applies.
-pub const MAX_PROBE_QUBITS: usize = 12;
+pub(crate) const MAX_PROBE_QUBITS: usize = 12;
 
 /// Number of random product-state probes per audit.
 const PROBE_TRIALS: usize = 4;
@@ -79,7 +79,7 @@ pub enum AuditTier {
 
 impl AuditTier {
     /// Stable name, used in diagnostics and obs spans.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             AuditTier::StabilizerProof => "stabilizer-proof",
             AuditTier::StatevectorProbe => "statevector-probe",
@@ -102,7 +102,7 @@ pub fn audit_tier(audit: &RoutingAudit<'_>) -> AuditTier {
 
 /// V006 pass: audits a [`RoutingAudit`] attached to the [`Context`].
 /// Silent when no routing provenance is present.
-pub struct ClosedDivisionAudit;
+pub(crate) struct ClosedDivisionAudit;
 
 impl Pass for ClosedDivisionAudit {
     fn id(&self) -> CheckId {
@@ -442,7 +442,17 @@ impl<'a> RoutingAudit<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{verify_routed, CheckId, Severity, Verifier};
+    use crate::{CheckId, Context, Report, Severity, Verifier};
+
+    /// Runs every check, the Closed-Division audit included, on a routed
+    /// circuit with its provenance.
+    fn verify_routed(audit: &RoutingAudit<'_>) -> Report {
+        let ctx = Context {
+            routing: Some(audit),
+            ..Context::bare(audit.routed)
+        };
+        Verifier::all().verify(&ctx)
+    }
 
     /// Owned backing data for the honest fixture: logical cx(0,1) placed at
     /// wires [0, 2] of a 3-wire line; routing swaps wires (1, 2) to bring
@@ -486,7 +496,7 @@ mod tests {
     #[test]
     fn honest_routing_passes_the_audit() {
         let parts = honest_parts();
-        let report = verify_routed(&parts.audit(), None);
+        let report = verify_routed(&parts.audit());
         assert!(!report.has_errors(), "findings:\n{}", report.render());
     }
 
@@ -498,14 +508,14 @@ mod tests {
         // both sides — no clone needed.
         let mapping = vec![0, 1];
         let audit = RoutingAudit::new(&logical, &logical, &mapping, &mapping, 0);
-        let report = verify_routed(&audit, None);
+        let report = verify_routed(&audit);
         assert!(!report.has_errors(), "findings:\n{}", report.render());
     }
 
     // --- seeded mutations: each must be caught by V006 and only V006 ----
 
     fn v006_errors_only(audit: &RoutingAudit<'_>) {
-        let report = verify_routed(audit, None);
+        let report = verify_routed(audit);
         let mut hit: Vec<CheckId> = report
             .diagnostics
             .iter()
@@ -668,7 +678,7 @@ mod tests {
         logical.rz(0.3, 0); // non-Clifford, and 14 wires exceed the probe
         let identity: Vec<usize> = (0..n).collect();
         let audit = RoutingAudit::new(&logical, &logical, &identity, &identity, 0);
-        let report = verify_routed(&audit, None);
+        let report = verify_routed(&audit);
         assert!(!report.has_errors(), "findings:\n{}", report.render());
         let lint = report
             .diagnostics

@@ -16,7 +16,7 @@ use supermarq_circuit::{Gate, GateKind};
 /// instruction lists).
 ///
 /// [`Circuit::push_unchecked`]: supermarq_circuit::Circuit::push_unchecked
-pub struct OperandValidity;
+pub(crate) struct OperandValidity;
 
 impl Pass for OperandValidity {
     fn id(&self) -> CheckId {
@@ -55,7 +55,7 @@ impl Pass for OperandValidity {
 
 /// V002: no instruction repeats a qubit operand (`cx q[1], q[1]` is
 /// meaningless and physically unrealizable).
-pub struct DuplicateOperands;
+pub(crate) struct DuplicateOperands;
 
 impl Pass for DuplicateOperands {
     fn id(&self) -> CheckId {
@@ -89,7 +89,7 @@ impl Pass for DuplicateOperands {
 /// measured one — and (b) re-measurement of a qubit with no intervening
 /// reset. Both are warnings, not errors: the structures are suspicious but
 /// can be deliberate (e.g. repeated readout).
-pub struct MeasurementDiscipline;
+pub(crate) struct MeasurementDiscipline;
 
 impl Pass for MeasurementDiscipline {
     fn id(&self) -> CheckId {
@@ -144,7 +144,7 @@ impl Pass for MeasurementDiscipline {
 /// V004: native-gate conformance. Every instruction must belong to the
 /// target device's native set (Closed Division: "decomposition into the
 /// native gates of the machine"). Silent without a device in the context.
-pub struct NativeGates;
+pub(crate) struct NativeGates;
 
 impl Pass for NativeGates {
     fn id(&self) -> CheckId {
@@ -175,7 +175,7 @@ impl Pass for NativeGates {
 /// V005: coupling-map conformance. Every two-qubit gate must act on a
 /// physically coupled pair (Closed Division: "routing of the qubits" must
 /// respect the topology). Silent without a device in the context.
-pub struct CouplingMap;
+pub(crate) struct CouplingMap;
 
 impl Pass for CouplingMap {
     fn id(&self) -> CheckId {
@@ -227,7 +227,7 @@ impl Pass for CouplingMap {
 /// - parameterized rotations with angle ≈ 0 (mod 2π) — identity gates that
 ///   still cost a pulse;
 /// - qubits the circuit never touches (barriers don't count as touches).
-pub struct LintPass;
+pub(crate) struct LintPass;
 
 /// Angle threshold below which a rotation is reported as ≈ identity.
 const ANGLE_EPS: f64 = 1e-9;

@@ -4,7 +4,7 @@
 //! suite trusts a candidate pipeline's scores, the candidate must compile
 //! *the same programs* to *the same unitaries* as the reference pipeline.
 //! Statevector comparison caps that audit at toy sizes; the stabilizer
-//! domain ([`crate::stabilizer`]) removes the cap for Clifford programs,
+//! domain (`stabilizer`) removes the cap for Clifford programs,
 //! which is exactly the efficiently-verifiable corpus the mirror-benchmark
 //! literature builds on.
 //!
@@ -65,14 +65,6 @@ impl DifferentialReport {
         self.cases
             .iter()
             .all(|c| c.verdict == EquivalenceVerdict::Proven)
-    }
-
-    /// The refuted cases.
-    pub fn refuted(&self) -> Vec<&DifferentialCase> {
-        self.cases
-            .iter()
-            .filter(|c| matches!(c.verdict, EquivalenceVerdict::Refuted(_)))
-            .collect()
     }
 
     /// One line per case, byte-deterministic.
@@ -242,7 +234,10 @@ mod tests {
         };
         let report = differential(&corpus, identity_compile, tamper);
         assert!(!report.all_proven());
-        assert!(!report.refuted().is_empty());
+        assert!(report
+            .cases
+            .iter()
+            .any(|c| matches!(c.verdict, EquivalenceVerdict::Refuted(_))));
         assert!(report.render().contains("pipeline B"));
     }
 

@@ -8,7 +8,7 @@
 //! panic, disappear in release builds, and report nothing structured.
 //!
 //! This crate replaces that with an analysis pipeline: a [`Verifier`] runs a
-//! sequence of [`Pass`]es over a [`Context`] (a [`Circuit`], optionally a
+//! sequence of `Pass`es over a [`Context`] (a [`Circuit`], optionally a
 //! [`Device`], optionally a [`RoutingAudit`]) and collects structured
 //! [`Diagnostic`]s into a [`Report`]. Nothing here panics on a malformed
 //! circuit — malformed input is precisely what the passes exist to describe.
@@ -33,8 +33,8 @@
 //! probe when tractable, and otherwise the audit degrades to gate
 //! accounting with an explicit lint naming the skipped tier (see
 //! [`audit::AuditTier`]). V008–V010 read three analyses, each one walk
-//! over the instruction list: [`liveness`] and [`lightcone()`] (V008/V009)
-//! and [`clifford_summary`] (V010). Each check calls the analysis it
+//! over the instruction list: `liveness` and `lightcone()` (V008/V009)
+//! and `clifford_summary` (V010). Each check calls the analysis it
 //! needs on the circuit in its [`Context`]; nothing is cached between
 //! checks.
 //!
@@ -52,21 +52,18 @@
 //! assert!(report.diagnostics.iter().any(|d| d.check == CheckId::NativeGates));
 //! ```
 
-pub mod audit;
-pub mod checks;
+pub(crate) mod audit;
+pub(crate) mod checks;
 pub mod differential;
-pub mod lightcone;
-pub mod stabilizer;
+pub(crate) mod lightcone;
+pub(crate) mod stabilizer;
 
 pub use audit::{audit_tier, statevector_probe, AuditTier, RoutingAudit};
 pub use differential::{
     clifford_corpus, differential, CompiledOutput, DifferentialCase, DifferentialReport,
     EquivalenceVerdict,
 };
-pub use lightcone::{lightcone, liveness, Lightcone, Liveness};
-pub use stabilizer::{
-    clifford_summary, prove_permutation_equivalence, CliffordSummary, StabilizerVerdict,
-};
+pub use stabilizer::{prove_permutation_equivalence, CliffordSummary, StabilizerVerdict};
 
 use supermarq_circuit::{Circuit, Gate, GateKind};
 use supermarq_device::{Device, NativeGateSet};
@@ -240,7 +237,7 @@ impl Diagnostic {
     }
 
     /// Creates a circuit-level diagnostic (no single offending instruction).
-    pub fn global(check: CheckId, severity: Severity, message: impl Into<String>) -> Self {
+    pub(crate) fn global(check: CheckId, severity: Severity, message: impl Into<String>) -> Self {
         Diagnostic {
             check,
             severity,
@@ -248,13 +245,6 @@ impl Diagnostic {
             message: message.into(),
             blame: None,
         }
-    }
-
-    /// Attaches provenance blame (the pass that introduced or last moved
-    /// the offending instruction).
-    pub fn with_blame(mut self, blame: impl Into<String>) -> Self {
-        self.blame = Some(blame.into());
-        self
     }
 }
 
@@ -290,14 +280,6 @@ impl Report {
         self.diagnostics
             .iter()
             .any(|d| d.severity == Severity::Error)
-    }
-
-    /// The error-severity findings.
-    pub fn errors(&self) -> Vec<&Diagnostic> {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .collect()
     }
 
     /// Number of findings at exactly `severity`.
@@ -386,7 +368,7 @@ impl<'a> Context<'a> {
 }
 
 /// A single verification pass.
-pub trait Pass {
+pub(crate) trait Pass {
     /// The stable identifier of this pass.
     fn id(&self) -> CheckId;
 
@@ -414,7 +396,7 @@ pub struct Verifier {
 
 impl Verifier {
     /// An empty pipeline; add passes with [`Verifier::with_pass`].
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Verifier { passes: Vec::new() }
     }
 
@@ -462,14 +444,9 @@ impl Verifier {
     }
 
     /// Appends a pass to the pipeline.
-    pub fn with_pass(mut self, pass: impl Pass + 'static) -> Self {
+    pub(crate) fn with_pass(mut self, pass: impl Pass + 'static) -> Self {
         self.passes.push(Box::new(pass));
         self
-    }
-
-    /// The ids of the registered passes, in execution order.
-    pub fn pass_ids(&self) -> Vec<CheckId> {
-        self.passes.iter().map(|p| p.id()).collect()
     }
 
     /// Runs every pass over `ctx` and collects the findings.
@@ -491,17 +468,6 @@ pub fn verify_circuit(circuit: &Circuit) -> Report {
 /// targeting `device`.
 pub fn verify_on_device(circuit: &Circuit, device: &Device) -> Report {
     Verifier::all().verify(&Context::on_device(circuit, device))
-}
-
-/// Runs the full pipeline, including the Closed-Division audit, on a routed
-/// circuit with its provenance.
-pub fn verify_routed(audit: &RoutingAudit<'_>, device: Option<&Device>) -> Report {
-    let ctx = Context {
-        routing: Some(audit),
-        device,
-        ..Context::bare(audit.routed)
-    };
-    Verifier::all().verify(&ctx)
 }
 
 /// `true` if `gate` is native to `gate_set`.
@@ -557,7 +523,10 @@ mod tests {
         assert_eq!(d.to_string(), "error[V005] at instruction 7: cx on (0, 4)");
         let g = Diagnostic::global(CheckId::Lint, Severity::Lint, "qubit 3 is unused");
         assert_eq!(g.to_string(), "lint[V007]: qubit 3 is unused");
-        let blamed = d.with_blame("route");
+        let blamed = Diagnostic {
+            blame: Some("route".to_string()),
+            ..d
+        };
         assert_eq!(
             blamed.to_string(),
             "error[V005] at instruction 7: cx on (0, 4) [pass: route]"
@@ -606,7 +575,8 @@ mod tests {
 
     #[test]
     fn full_pipeline_registers_all_ten_passes() {
-        assert_eq!(Verifier::all().pass_ids(), CheckId::ALL.to_vec());
+        let ids: Vec<CheckId> = Verifier::all().passes.iter().map(|p| p.id()).collect();
+        assert_eq!(ids, CheckId::ALL.to_vec());
     }
 
     #[test]
@@ -620,7 +590,6 @@ mod tests {
         };
         assert_eq!(report.count(Severity::Lint), 1);
         assert_eq!(report.count(Severity::Error), 2);
-        assert_eq!(report.errors().len(), 2);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use supermarq_circuit::{Circuit, GateKind};
 
 /// Forward per-qubit liveness facts.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Liveness {
+pub(crate) struct Liveness {
     /// First instruction index touching each qubit.
     pub first_use: Vec<Option<usize>>,
     /// Last instruction index touching each qubit.
@@ -46,7 +46,7 @@ pub struct Liveness {
 
 /// Walks `circuit` forward once and returns its [`Liveness`] facts.
 /// Operands outside the register (V001's finding) are ignored.
-pub fn liveness(circuit: &Circuit) -> Liveness {
+pub(crate) fn liveness(circuit: &Circuit) -> Liveness {
     let n = circuit.num_qubits();
     let mut live = Liveness {
         first_use: vec![None; n],
@@ -101,7 +101,7 @@ pub fn liveness(circuit: &Circuit) -> Liveness {
 
 /// Reverse lightcone facts: which wires can still influence a measurement.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Lightcone {
+pub(crate) struct Lightcone {
     /// Wires inside some measurement's lightcone at the start of the
     /// circuit (where the reverse walk ends).
     pub relevant: Vec<bool>,
@@ -115,7 +115,7 @@ pub struct Lightcone {
 
 /// Walks `circuit` backwards once and returns its [`Lightcone`].
 /// Operands outside the register (V001's finding) are ignored.
-pub fn lightcone(circuit: &Circuit) -> Lightcone {
+pub(crate) fn lightcone(circuit: &Circuit) -> Lightcone {
     let n = circuit.num_qubits();
     let mut cone = Lightcone {
         relevant: vec![false; n],
@@ -154,7 +154,7 @@ pub fn lightcone(circuit: &Circuit) -> Lightcone {
 }
 
 /// V008: dead gate outside every measurement lightcone.
-pub struct DeadGate;
+pub(crate) struct DeadGate;
 
 impl Pass for DeadGate {
     fn id(&self) -> CheckId {
@@ -189,7 +189,7 @@ impl Pass for DeadGate {
 }
 
 /// V009: reset clobbers unconsumed quantum state.
-pub struct ClobberedQubit;
+pub(crate) struct ClobberedQubit;
 
 impl Pass for ClobberedQubit {
     fn id(&self) -> CheckId {

@@ -43,7 +43,7 @@ pub struct CliffordSummary {
 }
 
 /// Walks `circuit` once and returns its [`CliffordSummary`].
-pub fn clifford_summary(circuit: &Circuit) -> CliffordSummary {
+pub(crate) fn clifford_summary(circuit: &Circuit) -> CliffordSummary {
     let mut summary = CliffordSummary::default();
     for (index, instr) in circuit.iter().enumerate() {
         match instr.gate.kind() {
@@ -310,7 +310,7 @@ fn prove_inner(
 
 /// V010: a pipeline that claimed Clifford-preserving input must not emit
 /// non-Clifford gates.
-pub struct CliffordPreservation;
+pub(crate) struct CliffordPreservation;
 
 impl Pass for CliffordPreservation {
     fn id(&self) -> CheckId {

@@ -18,7 +18,6 @@ pub use supermarq_device as device;
 pub use supermarq_geometry as geometry;
 pub use supermarq_pauli as pauli;
 pub use supermarq_sim as sim;
-pub use supermarq_suites as suites;
 pub use supermarq_transpile as transpile;
 pub use supermarq_verify as verify;
 

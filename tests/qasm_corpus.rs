@@ -4,10 +4,10 @@
 //! enforced over hundreds of generated circuits.
 
 use supermarq_repro::circuit::Circuit;
-use supermarq_repro::core::FeatureVector;
-use supermarq_repro::suites::{
+use supermarq_repro::core::coverage::{
     cbg2021_suite, ppl2020_suite, qasmbench_suite, supermarq_suite, triq_suite,
 };
+use supermarq_repro::core::FeatureVector;
 
 fn assert_round_trips(name: &str, circuits: &[Circuit]) {
     for (i, c) in circuits.iter().enumerate() {
