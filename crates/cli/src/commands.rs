@@ -1898,6 +1898,30 @@ mod tests {
         for pass in PassSpec::ALL {
             assert!(out.contains(pass.id()), "missing {} in {out}", pass.id());
         }
+        // The whole listing, byte for byte: each pipeline's passes in run
+        // order, then one line per pass.
+        assert_eq!(
+            out,
+            "pipelines:
+  closed-default: optimize-logical place route decompose optimize-physical verify-final schedule
+  closed-stages: optimize-logical verify-logical place route verify-routed decompose verify-native optimize-physical verify-final schedule
+  closed-unverified: optimize-logical place route decompose optimize-physical schedule
+  no-optimize: place route decompose verify-final schedule
+  no-optimize-stages: verify-logical place route verify-routed decompose verify-native verify-final schedule
+  no-optimize-unverified: place route decompose schedule
+
+passes:
+  optimize-logical  logical single-qubit fusion + adjacent-gate cancellation
+  verify-logical    structural checks on the logical circuit
+  place             initial program-to-physical placement
+  route             SWAP-insertion routing onto the coupling map
+  verify-routed     coupling-map checks + Closed-Division routing audit
+  decompose         lowering to the device's native gate set
+  verify-native     full checks on the freshly decomposed circuit
+  optimize-physical physical fusion + cancellation, re-lowered to native
+  verify-final      full checks on the final circuit
+  schedule          ASAP scheduling: depth and two-qubit gate count"
+        );
         // Bad actions are usage errors.
         assert!(run(&["transpile"]).is_err());
         assert!(run(&["transpile", "frobnicate"]).is_err());
