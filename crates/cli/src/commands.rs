@@ -319,15 +319,7 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
         .option("device")
         .ok_or_else(|| CliError::usage("missing --device"))?;
     let device = find_device(device_name)?;
-    let config = RunConfig {
-        shots: args
-            .option_parse("shots", 2000usize)
-            .map_err(CliError::Usage)?,
-        repetitions: args.option_parse("reps", 3usize).map_err(CliError::Usage)?,
-        seed: args.option_parse("seed", 1u64).map_err(CliError::Usage)?,
-        pipeline: pipeline_from_args(args)?,
-        ..RunConfig::default()
-    };
+    let config = run_config_from_args(args)?;
     if args.flag("json") {
         // Emit the exact record schema the store persists, so ad-hoc CLI
         // runs and cached sweep artifacts are directly diffable — and
@@ -399,6 +391,20 @@ fn build_run_spec(
     Ok(spec)
 }
 
+/// The run settings `run` and `client run` share: `--shots` (default
+/// 2000), `--reps` (3), `--seed` (1) and `--pipeline`.
+fn run_config_from_args(args: &Args) -> Result<RunConfig, CliError> {
+    Ok(RunConfig {
+        shots: args
+            .option_parse("shots", 2000usize)
+            .map_err(CliError::Usage)?,
+        repetitions: args.option_parse("reps", 3usize).map_err(CliError::Usage)?,
+        seed: args.option_parse("seed", 1u64).map_err(CliError::Usage)?,
+        pipeline: pipeline_from_args(args)?,
+        ..RunConfig::default()
+    })
+}
+
 /// Resolves `--pipeline` against the built-in pipeline names, falling
 /// back to the default pipeline when the flag is absent.
 fn pipeline_from_args(args: &Args) -> Result<PipelineId, CliError> {
@@ -420,7 +426,7 @@ fn cmd_transpile(args: &Args) -> Result<String, CliError> {
         Some("passes") => {
             let mut out = String::from("pipelines:\n");
             for pipeline in PipelineId::ALL {
-                out.push_str(&format!("  {}\n", pipeline.spec().render()));
+                out.push_str(&format!("  {}\n", pipeline.render()));
             }
             out.push_str("\npasses:\n");
             for pass in PassSpec::ALL {
@@ -463,7 +469,7 @@ fn cmd_transpile_diff(args: &Args) -> Result<String, CliError> {
         .option_parse("max-qubits", 5usize)
         .map_err(CliError::Usage)?;
     let corpus = clifford_corpus(max_qubits.min(device.num_qubits()));
-    let report = differential_pipelines(&device, &a.spec(), &b.spec(), &corpus);
+    let report = differential_pipelines(&device, a, b, &corpus);
     let mut out = format!(
         "differential: {a} vs {b} on {} ({} corpus circuit(s))\n",
         device.name(),
@@ -706,15 +712,7 @@ fn cmd_client(args: &Args) -> Result<String, CliError> {
                 args.option("device")
                     .ok_or_else(|| CliError::usage("missing --device"))?,
             )?;
-            let config = RunConfig {
-                shots: args
-                    .option_parse("shots", 2000usize)
-                    .map_err(CliError::Usage)?,
-                repetitions: args.option_parse("reps", 3usize).map_err(CliError::Usage)?,
-                seed: args.option_parse("seed", 1u64).map_err(CliError::Usage)?,
-                pipeline: pipeline_from_args(args)?,
-                ..RunConfig::default()
-            };
+            let config = run_config_from_args(args)?;
             let spec = build_run_spec(kind, &device, &config, args)?;
             // With tracing off this span is inert and `ctx()` is `None`
             // — the request goes out untraced, byte-identical to before.
@@ -993,11 +991,7 @@ fn cmd_lint(args: &Args) -> Result<String, CliError> {
         Some(_) if device.is_none() => {
             return Err(CliError::usage("lint --pipeline requires --device"))
         }
-        Some(name) => Some(PipelineId::parse(name).ok_or_else(|| {
-            CliError::usage(format!(
-                "unknown pipeline '{name}' (try `supermarq transpile passes`)"
-            ))
-        })?),
+        Some(_) => Some(pipeline_from_args(args)?),
     };
     // A `.qasm` suffix means a file on disk; anything else is a benchmark.
     let circuits: Vec<(String, Circuit)> = if target.ends_with(".qasm") {

@@ -95,14 +95,6 @@ impl Json {
         }
     }
 
-    /// Bool view.
-    pub(crate) fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Exact unsigned-integer view.
     pub fn as_u64(&self) -> Option<u64> {
         match self {

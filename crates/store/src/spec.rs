@@ -37,6 +37,37 @@ pub struct TranspileSpec {
     pub pipeline: String,
 }
 
+impl TranspileSpec {
+    /// Decodes a wire `transpile` object: string `placement` and
+    /// `pipeline` fields.
+    pub(crate) fn from_json(value: Option<&Json>) -> Result<TranspileSpec, String> {
+        let Some(t @ Json::Obj(_)) = value else {
+            return Err("missing or non-object field 'transpile'".into());
+        };
+        let field = |key: &str| t.get(key).and_then(Json::as_str).map(str::to_string);
+        Ok(TranspileSpec {
+            placement: field("placement").ok_or("missing transpile.placement")?,
+            pipeline: field("pipeline").ok_or("missing transpile.pipeline")?,
+        })
+    }
+}
+
+/// Decodes a wire `params` object into `(name, value)` pairs; every value
+/// must be a string.
+pub(crate) fn params_from_json(value: Option<&Json>) -> Result<Vec<(String, String)>, String> {
+    let Some(Json::Obj(fields)) = value else {
+        return Err("missing or non-object field 'params'".into());
+    };
+    let mut params = Vec::with_capacity(fields.len());
+    for (k, v) in fields {
+        let v = v
+            .as_str()
+            .ok_or_else(|| format!("non-string param '{k}'"))?;
+        params.push((k.clone(), v.to_string()));
+    }
+    Ok(params)
+}
+
 impl Default for TranspileSpec {
     fn default() -> Self {
         TranspileSpec {
@@ -173,51 +204,8 @@ impl RunSpec {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("missing or non-integer field '{key}'"))
         };
-        let params = match value.get("params") {
-            Some(Json::Obj(fields)) => {
-                let mut params = Vec::with_capacity(fields.len());
-                for (k, v) in fields {
-                    let v = v
-                        .as_str()
-                        .ok_or_else(|| format!("non-string param '{k}'"))?;
-                    params.push((k.clone(), v.to_string()));
-                }
-                params
-            }
-            _ => return Err("missing or non-object field 'params'".into()),
-        };
-        let transpile = match value.get("transpile") {
-            Some(t @ Json::Obj(_)) => {
-                let placement = t
-                    .get("placement")
-                    .and_then(Json::as_str)
-                    .ok_or("missing transpile.placement")?
-                    .to_string();
-                let pipeline = match t.get("pipeline").and_then(Json::as_str) {
-                    Some(p) => p.to_string(),
-                    // Migration shim: schema-1 specs carried the
-                    // (optimize, verify) flag pair instead of a pipeline
-                    // name; map them onto the pipeline those flags
-                    // historically selected.
-                    None => {
-                        let optimize = t
-                            .get("optimize")
-                            .and_then(Json::as_bool)
-                            .ok_or("missing transpile.pipeline (or legacy transpile.optimize)")?;
-                        let verify = t
-                            .get("verify")
-                            .and_then(Json::as_str)
-                            .ok_or("missing transpile.pipeline (or legacy transpile.verify)")?;
-                        legacy_pipeline(optimize, verify)?
-                    }
-                };
-                TranspileSpec {
-                    placement,
-                    pipeline,
-                }
-            }
-            _ => return Err("missing or non-object field 'transpile'".into()),
-        };
+        let params = params_from_json(value.get("params"))?;
+        let transpile = TranspileSpec::from_json(value.get("transpile"))?;
         let mut spec = RunSpec {
             benchmark: str_field("benchmark")?,
             params,
@@ -237,20 +225,6 @@ impl RunSpec {
 /// line-oriented canonical encoding.
 fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('\n', "\\n")
-}
-
-/// The pipeline name a schema-1 `(optimize, verify)` flag pair selected.
-fn legacy_pipeline(optimize: bool, verify: &str) -> Result<String, String> {
-    let name = match (optimize, verify) {
-        (true, "final") => "closed-default",
-        (true, "stages") => "closed-stages",
-        (true, "off") => "closed-unverified",
-        (false, "final") => "no-optimize",
-        (false, "stages") => "no-optimize-stages",
-        (false, "off") => "no-optimize-unverified",
-        _ => return Err(format!("unknown legacy verify level '{verify}'")),
-    };
-    Ok(name.to_string())
 }
 
 #[cfg(test)]
@@ -400,53 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_optimize_verify_specs_migrate_to_pipeline_names() {
-        // A schema-1 transpile object (optimize + verify, no pipeline)
-        // must parse into the pipeline those flags historically selected.
-        let cases = [
-            (true, "final", "closed-default"),
-            (true, "stages", "closed-stages"),
-            (true, "off", "closed-unverified"),
-            (false, "final", "no-optimize"),
-            (false, "stages", "no-optimize-stages"),
-            (false, "off", "no-optimize-unverified"),
-        ];
-        for (optimize, verify, expected) in cases {
-            let mut json = spec().to_json();
-            if let Json::Obj(fields) = &mut json {
-                for (k, v) in fields.iter_mut() {
-                    if k == "transpile" {
-                        *v = Json::Obj(vec![
-                            ("placement".into(), Json::str("greedy")),
-                            ("optimize".into(), Json::Bool(optimize)),
-                            ("verify".into(), Json::str(verify)),
-                        ]);
-                    }
-                }
-            }
-            let parsed = RunSpec::from_json(&json).unwrap();
-            assert_eq!(
-                parsed.transpile.pipeline, expected,
-                "({optimize}, {verify})"
-            );
-        }
-        // An unknown legacy verify level is an error, not a guess.
-        let mut json = spec().to_json();
-        if let Json::Obj(fields) = &mut json {
-            for (k, v) in fields.iter_mut() {
-                if k == "transpile" {
-                    *v = Json::Obj(vec![
-                        ("placement".into(), Json::str("greedy")),
-                        ("optimize".into(), Json::Bool(true)),
-                        ("verify".into(), Json::str("paranoid")),
-                    ]);
-                }
-            }
-        }
-        assert!(RunSpec::from_json(&json).is_err());
-    }
-
-    #[test]
     fn from_json_rejects_malformed_specs() {
         let good = spec().to_json();
         assert!(RunSpec::from_json(&Json::Null).is_err());
@@ -462,6 +389,20 @@ mod tests {
                     fields[i].0
                 );
             }
+            // A schema-1 transpile object: the (optimize, verify) flag
+            // pair in place of a pipeline name.
+            let mut legacy = fields.clone();
+            for (k, v) in legacy.iter_mut() {
+                if k == "transpile" {
+                    *v = Json::Obj(vec![
+                        ("placement".into(), Json::str("greedy")),
+                        ("optimize".into(), Json::Bool(true)),
+                        ("verify".into(), Json::str("final")),
+                    ]);
+                }
+            }
+            let err = RunSpec::from_json(&Json::Obj(legacy)).unwrap_err();
+            assert!(err.contains("transpile.pipeline"), "{err}");
         }
     }
 }

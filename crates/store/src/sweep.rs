@@ -15,7 +15,7 @@ use rayon::prelude::*;
 use supermarq_obs::{counter, FieldValue, Span};
 
 use crate::record::{RunOutcome, RunRecord};
-use crate::spec::{RunSpec, TranspileSpec, SCHEMA_VERSION};
+use crate::spec::{params_from_json, RunSpec, TranspileSpec, SCHEMA_VERSION};
 use crate::store::Store;
 use crate::Json;
 
@@ -123,20 +123,7 @@ impl SweepGrid {
                 .and_then(Json::as_str)
                 .ok_or("benchmark entry missing string 'id'")?
                 .to_string();
-            let params = match entry.get("params") {
-                Some(Json::Obj(fields)) => {
-                    let mut params = Vec::with_capacity(fields.len());
-                    for (k, v) in fields {
-                        let v = v
-                            .as_str()
-                            .ok_or_else(|| format!("non-string param '{k}'"))?;
-                        params.push((k.clone(), v.to_string()));
-                    }
-                    params
-                }
-                _ => return Err("benchmark entry missing object 'params'".into()),
-            };
-            benchmarks.push((id, params));
+            benchmarks.push((id, params_from_json(entry.get("params"))?));
         }
         let mut devices = Vec::new();
         for d in arr_field("devices")? {
@@ -161,21 +148,7 @@ impl SweepGrid {
                  (benchmarks x devices x shots x seeds)"
             ));
         }
-        let transpile = match value.get("transpile") {
-            Some(t @ Json::Obj(_)) => TranspileSpec {
-                placement: t
-                    .get("placement")
-                    .and_then(Json::as_str)
-                    .ok_or("missing transpile.placement")?
-                    .to_string(),
-                pipeline: t
-                    .get("pipeline")
-                    .and_then(Json::as_str)
-                    .ok_or("missing transpile.pipeline")?
-                    .to_string(),
-            },
-            _ => return Err("missing or non-object field 'transpile'".into()),
-        };
+        let transpile = TranspileSpec::from_json(value.get("transpile"))?;
         Ok(SweepGrid {
             benchmarks,
             devices,

@@ -165,7 +165,7 @@ impl<B: Benchmark> ScoringStrategy for Mirror<B> {
 mod tests {
     use super::*;
     use crate::benchmarks::{
-        BernsteinVaziraniBenchmark, BitCodeBenchmark, GhzBenchmark, GroverBenchmark, VqeBenchmark,
+        BitCodeBenchmark, GhzBenchmark, GroverBenchmark, QftBenchmark, VqeBenchmark,
     };
 
     #[test]
@@ -220,15 +220,15 @@ mod tests {
 
     #[test]
     fn wide_non_clifford_mirror_is_rejected() {
-        // BV is Clifford, Grover is not; fake a wide non-Clifford one via
-        // the width guard using a 21+ qubit Grover is impossible (cap 12),
-        // so check the guard through the error path directly on a Vqe-like
-        // family is also capped. Instead assert the guard constant is
-        // what the docs promise and BV at 60 qubits goes through CHP.
-        let m = Mirror::new(BernsteinVaziraniBenchmark::new(60, (1 << 60) - 1));
-        assert!(m.is_clifford());
-        let (score, path) = m.score_noiseless(50, 1).unwrap();
-        assert_eq!(path, MirrorPath::Clifford);
-        assert!((score - 1.0).abs() < 1e-12);
+        // QFT's controlled phases are pi/2^k, so the 21-qubit mirror is
+        // not Clifford, and it is one qubit past the statevector guard.
+        let m = Mirror::new(QftBenchmark::new(MAX_STATEVECTOR_MIRROR_QUBITS + 1));
+        assert!(!m.is_clifford());
+        match m.score_noiseless(10, 1) {
+            Err(ExecError::Invalid(msg)) => {
+                assert!(msg.contains("20-qubit statevector limit"), "{msg}");
+            }
+            other => panic!("expected ExecError::Invalid, got {other:?}"),
+        }
     }
 }

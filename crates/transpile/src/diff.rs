@@ -10,7 +10,7 @@ use supermarq_circuit::Circuit;
 use supermarq_device::Device;
 use supermarq_verify::{differential, CompiledOutput, DifferentialReport};
 
-use crate::pipeline::PipelineSpec;
+use crate::pipeline::PipelineId;
 use crate::transpiler::Transpiler;
 
 /// Runs `corpus` through both pipelines on `device` and symbolically
@@ -18,14 +18,15 @@ use crate::transpiler::Transpiler;
 /// pipelines agree on that case.
 pub fn differential_pipelines(
     device: &Device,
-    pipeline_a: &PipelineSpec,
-    pipeline_b: &PipelineSpec,
+    pipeline_a: PipelineId,
+    pipeline_b: PipelineId,
     corpus: &[(String, Circuit)],
 ) -> DifferentialReport {
-    let transpiler = Transpiler::for_device(device);
-    let compile = |spec: &PipelineSpec, circuit: &Circuit| {
+    let a = Transpiler::for_device(device).with_pipeline(pipeline_a);
+    let b = Transpiler::for_device(device).with_pipeline(pipeline_b);
+    let compile = |transpiler: &Transpiler, circuit: &Circuit| {
         transpiler
-            .run_pipeline(spec, circuit)
+            .run_with_context(circuit)
             .map(|ctx| {
                 let (circuit, layout, _) = ctx.into_parts();
                 CompiledOutput {
@@ -36,17 +37,12 @@ pub fn differential_pipelines(
             })
             .map_err(|e| e.to_string())
     };
-    differential(
-        corpus,
-        |c| compile(pipeline_a, c),
-        |c| compile(pipeline_b, c),
-    )
+    differential(corpus, |c| compile(&a, c), |c| compile(&b, c))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::PipelineId;
     use supermarq_verify::clifford_corpus;
 
     #[test]
@@ -55,8 +51,8 @@ mod tests {
         let corpus = clifford_corpus(4);
         let report = differential_pipelines(
             &device,
-            &PipelineId::ClosedDefault.spec(),
-            &PipelineId::NoOptimize.spec(),
+            PipelineId::ClosedDefault,
+            PipelineId::NoOptimize,
             &corpus,
         );
         assert!(report.all_proven(), "{}", report.render());
@@ -68,8 +64,8 @@ mod tests {
         let corpus = clifford_corpus(8);
         let report = differential_pipelines(
             &device,
-            &PipelineId::ClosedDefault.spec(),
-            &PipelineId::ClosedDefault.spec(),
+            PipelineId::ClosedDefault,
+            PipelineId::ClosedDefault,
             &corpus,
         );
         assert!(!report.all_proven());

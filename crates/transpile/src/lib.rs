@@ -16,14 +16,14 @@
 //! operations that must be inserted to match the program connectivity
 //! quickly deteriorate performance").
 //!
-//! Since the pass-manager refactor the pipeline is *data*: each stage is a
-//! [`Pass`] run over a shared [`PassContext`] (which owns the working
-//! circuit and the qubit [`Layout`], and records every rewrite for blame),
-//! and named [`pipeline::PipelineSpec`]s — `closed-default`,
-//! `closed-stages`, `no-optimize`, ... — say which passes run in which
-//! order. A pass that needs a circuit analysis calls it on the working
-//! circuit; nothing is cached between passes. The default `closed-default`
-//! pipeline reproduces the historical hard-coded sequence bit-identically.
+//! The pipeline is *data*: each stage is a [`PassSpec`], a [`Pass`] run
+//! over a shared [`PassContext`] (which owns the working circuit and the
+//! qubit [`Layout`], and records every rewrite for blame), and each
+//! built-in [`PipelineId`] — `closed-default`, `closed-stages`,
+//! `no-optimize`, ... — is a static list of them in run order. A pass that
+//! needs a circuit analysis calls it on the working circuit; nothing is
+//! cached between passes. The default `closed-default` pipeline reproduces
+//! the historical hard-coded sequence bit-identically.
 //!
 //! # Example
 //!
@@ -56,6 +56,6 @@ pub(crate) mod transpiler;
 
 pub use diff::differential_pipelines;
 pub use pass::{run_pass, Layout, Pass, PassContext};
-pub use pipeline::{PassSpec, PipelineId, PipelineSpec};
+pub use pipeline::{PassSpec, PipelineId};
 pub use placement::PlacementStrategy;
 pub use transpiler::{relabel_counts, TranspileError, TranspileResult, Transpiler};

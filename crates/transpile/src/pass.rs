@@ -26,6 +26,7 @@ use supermarq_device::Device;
 use supermarq_obs::{FieldValue, Span};
 use supermarq_verify::Diagnostic;
 
+use crate::placement::PlacementStrategy;
 use crate::provenance::{Provenance, INPUT_TAG};
 use crate::transpiler::TranspileError;
 
@@ -89,6 +90,7 @@ impl Layout {
 #[derive(Debug)]
 pub struct PassContext<'d> {
     device: &'d Device,
+    placement: PlacementStrategy,
     circuit: Circuit,
     layout: Layout,
     swap_count: usize,
@@ -102,14 +104,21 @@ pub struct PassContext<'d> {
 }
 
 impl<'d> PassContext<'d> {
-    /// A fresh context over `circuit`. `want_snapshot` tells the route pass
-    /// to keep a copy of its input so a later audit pass can compare the
-    /// routed circuit against it.
-    pub fn new(device: &'d Device, circuit: Circuit, want_snapshot: bool) -> Self {
+    /// A fresh context over `circuit`. The place pass maps it onto `device`
+    /// by `placement`; `want_snapshot` tells the route pass to keep a copy
+    /// of its input so a later audit pass can compare the routed circuit
+    /// against it.
+    pub fn new(
+        device: &'d Device,
+        placement: PlacementStrategy,
+        circuit: Circuit,
+        want_snapshot: bool,
+    ) -> Self {
         let provenance = Provenance::for_input(&circuit);
         let input_clifford = supermarq_clifford::is_clifford_circuit(&circuit);
         PassContext {
             device,
+            placement,
             circuit,
             layout: Layout::default(),
             swap_count: 0,
@@ -126,6 +135,11 @@ impl<'d> PassContext<'d> {
     /// The target device.
     pub(crate) fn device(&self) -> &Device {
         self.device
+    }
+
+    /// The strategy the place pass maps the circuit by.
+    pub(crate) fn placement(&self) -> PlacementStrategy {
+        self.placement
     }
 
     /// The working circuit.
@@ -218,16 +232,18 @@ impl<'d> PassContext<'d> {
     }
 }
 
-/// One stage of a transpile pipeline.
+/// One stage of a transpile pipeline. The built-in passes are the
+/// [`PassSpec`](crate::pipeline::PassSpec) variants; tests implement it to
+/// run a fake pass among them.
 pub trait Pass {
-    /// Stable kebab-case identifier (`"route"`, `"verify-final"`, ...),
-    /// matching the corresponding [`PassSpec`](crate::pipeline::PassSpec)
-    /// id.
+    /// Stable kebab-case identifier (`"route"`, `"verify-final"`, ...):
+    /// the name blame reports.
     fn name(&self) -> &'static str;
 
-    /// The obs span this pass runs under (e.g. `"transpile.route"`). Kept
-    /// separate from [`name`](Self::name) so the historical span names
-    /// survive the refactor.
+    /// The obs span this pass runs under (e.g. `"transpile.route"`).
+    /// Passes may share one: the two optimize passes run under
+    /// `transpile.optimize`, the four verify passes under
+    /// `transpile.verify`.
     fn span_name(&self) -> &'static str;
 
     /// Runs the pass over the shared context.
@@ -307,7 +323,7 @@ mod tests {
         let device = Device::ionq();
         let mut c = Circuit::new(1);
         c.x(0);
-        let mut ctx = PassContext::new(&device, c, false);
+        let mut ctx = PassContext::new(&device, PlacementStrategy::Greedy, c, false);
         run_pass(&Noop, &mut ctx).unwrap();
         assert_eq!(ctx.provenance().last_mutator(), None);
         run_pass(&AppendH, &mut ctx).unwrap();

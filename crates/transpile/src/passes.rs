@@ -1,22 +1,56 @@
-//! The concrete passes each legacy pipeline stage became.
+//! What each [`PassSpec`] does: one plain function per rewrite pass, and
+//! one per verification checkpoint.
 //!
-//! Every stage of the old hard-coded `Transpiler::run` sequence is a
-//! [`Pass`] here; the historical obs span names (`transpile.optimize`,
-//! `transpile.place`, ...) are preserved via [`Pass::span_name`], and the
-//! verify passes keep the historical stage labels (`"logical-optimize"`,
-//! `"route"`, `"decompose"`, `"optimize"`) in their
-//! [`TranspileError::Verification`] reports.
+//! Each pass runs under an obs span named by [`Pass::span_name`]
+//! (`transpile.optimize`, `transpile.place`, ...). The four verify passes
+//! share `transpile.verify` and tell themselves apart by the stage label
+//! (`"logical-optimize"`, `"route"`, `"decompose"`, `"optimize"`) they note
+//! on the span and put in their [`TranspileError::Verification`] reports.
 
 use supermarq_circuit::Circuit;
 use supermarq_verify::{Context, Report, RoutingAudit, Verifier};
 
 use crate::cancel::cancel_adjacent_gates;
-use crate::decompose::decompose;
 use crate::fuse::fuse_single_qubit_runs;
 use crate::pass::{Layout, Pass, PassContext};
-use crate::placement::{place_on_device, PlacementStrategy};
-use crate::routing::route;
+use crate::pipeline::PassSpec;
+use crate::placement::place_on_device;
 use crate::transpiler::TranspileError;
+
+impl Pass for PassSpec {
+    fn name(&self) -> &'static str {
+        self.id()
+    }
+
+    fn span_name(&self) -> &'static str {
+        match self {
+            PassSpec::OptimizeLogical | PassSpec::OptimizePhysical => "transpile.optimize",
+            PassSpec::Place => "transpile.place",
+            PassSpec::Route => "transpile.route",
+            PassSpec::Decompose => "transpile.decompose",
+            PassSpec::Schedule => "transpile.schedule",
+            PassSpec::VerifyLogical
+            | PassSpec::VerifyRouted
+            | PassSpec::VerifyNative
+            | PassSpec::VerifyFinal => "transpile.verify",
+        }
+    }
+
+    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
+        match self {
+            PassSpec::OptimizeLogical => optimize_logical(ctx),
+            PassSpec::VerifyLogical => verify(ctx, "logical-optimize", structural_report),
+            PassSpec::Place => place(ctx),
+            PassSpec::Route => route(ctx),
+            PassSpec::VerifyRouted => verify(ctx, "route", routed_report),
+            PassSpec::Decompose => decompose(ctx),
+            PassSpec::VerifyNative => verify(ctx, "decompose", full_report),
+            PassSpec::OptimizePhysical => optimize_physical(ctx),
+            PassSpec::VerifyFinal => verify(ctx, "optimize", full_report),
+            PassSpec::Schedule => schedule(ctx),
+        }
+    }
+}
 
 /// One fuse + cancel round, `cancel_adjacent_gates(&fuse_single_qubit_runs(c))`:
 /// the result, and whether either step changed its input.
@@ -33,23 +67,13 @@ fn fuse_and_cancel(circuit: &Circuit) -> (Circuit, bool) {
 
 /// Logical-level cleanup: one fuse + cancel round (`fuse_and_cancel`
 /// says why it is a single round).
-pub(crate) struct OptimizeLogicalPass;
-
-impl Pass for OptimizeLogicalPass {
-    fn name(&self) -> &'static str {
-        "optimize-logical"
+fn optimize_logical(ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
+    ctx.note("phase", "logical");
+    let (optimized, changed) = fuse_and_cancel(ctx.circuit());
+    if changed {
+        ctx.set_circuit(optimized);
     }
-    fn span_name(&self) -> &'static str {
-        "transpile.optimize"
-    }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
-        ctx.note("phase", "logical");
-        let (optimized, changed) = fuse_and_cancel(ctx.circuit());
-        if changed {
-            ctx.set_circuit(optimized);
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// Physical-level cleanup: one fuse + cancel round, then one decompose to
@@ -57,126 +81,76 @@ impl Pass for OptimizeLogicalPass {
 /// gates. The three steps are one rewrite, recorded when any of them
 /// changed its input — even when the re-lowered circuit equals the pass's
 /// input, so blame still names this pass as the last mutator.
-pub(crate) struct OptimizePhysicalPass;
-
-impl Pass for OptimizePhysicalPass {
-    fn name(&self) -> &'static str {
-        "optimize-physical"
+fn optimize_physical(ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
+    ctx.note("phase", "physical");
+    let (optimized, changed) = fuse_and_cancel(ctx.circuit());
+    let lowered = crate::decompose::decompose(&optimized, ctx.device().gate_set());
+    if changed || lowered != optimized {
+        ctx.set_circuit(lowered);
     }
-    fn span_name(&self) -> &'static str {
-        "transpile.optimize"
-    }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
-        ctx.note("phase", "physical");
-        let (optimized, changed) = fuse_and_cancel(ctx.circuit());
-        let lowered = decompose(&optimized, ctx.device().gate_set());
-        if changed || lowered != optimized {
-            ctx.set_circuit(lowered);
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
-/// Initial placement: installs the program-to-physical [`Layout`].
-pub(crate) struct PlacePass {
-    pub strategy: PlacementStrategy,
-}
-
-impl Pass for PlacePass {
-    fn name(&self) -> &'static str {
-        "place"
-    }
-    fn span_name(&self) -> &'static str {
-        "transpile.place"
-    }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
-        ctx.note("qubits", ctx.circuit().num_qubits());
-        ctx.note("strategy", format!("{:?}", self.strategy));
-        let mapping = place_on_device(ctx.circuit(), ctx.device(), self.strategy);
-        let layout = Layout::from_placement(ctx.circuit(), mapping);
-        ctx.set_layout(layout);
-        Ok(())
-    }
+/// Initial placement with the context's strategy: installs the
+/// program-to-physical [`Layout`].
+fn place(ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
+    ctx.note("qubits", ctx.circuit().num_qubits());
+    ctx.note("strategy", format!("{:?}", ctx.placement()));
+    let mapping = place_on_device(ctx.circuit(), ctx.device(), ctx.placement());
+    let layout = Layout::from_placement(ctx.circuit(), mapping);
+    ctx.set_layout(layout);
+    Ok(())
 }
 
 /// SWAP-insertion routing: rewrites the circuit onto physical wires and
 /// updates the [`Layout`]'s `current` / `measured_on` tracking.
-pub(crate) struct RoutePass;
-
-impl Pass for RoutePass {
-    fn name(&self) -> &'static str {
-        "route"
+fn route(ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
+    if ctx.wants_route_snapshot() {
+        ctx.save_route_snapshot();
     }
-    fn span_name(&self) -> &'static str {
-        "transpile.route"
-    }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
-        if ctx.wants_route_snapshot() {
-            ctx.save_route_snapshot();
-        }
-        let routed = route(
-            ctx.circuit(),
-            ctx.device().topology(),
-            &ctx.layout().initial,
-        )?;
-        ctx.note("swaps_added", routed.swap_count);
-        ctx.add_swaps(routed.swap_count);
-        ctx.set_layout(Layout {
-            initial: routed.initial_mapping,
-            current: routed.final_mapping,
-            measured_on: routed.measured_on,
-        });
-        ctx.set_circuit(routed.circuit);
-        Ok(())
-    }
+    let routed = crate::routing::route(
+        ctx.circuit(),
+        ctx.device().topology(),
+        &ctx.layout().initial,
+    )?;
+    ctx.note("swaps_added", routed.swap_count);
+    ctx.add_swaps(routed.swap_count);
+    ctx.set_layout(Layout {
+        initial: routed.initial_mapping,
+        current: routed.final_mapping,
+        measured_on: routed.measured_on,
+    });
+    ctx.set_circuit(routed.circuit);
+    Ok(())
 }
 
 /// Native-gate lowering (also decomposes routing's inserted SWAPs).
-pub(crate) struct DecomposePass;
-
-impl Pass for DecomposePass {
-    fn name(&self) -> &'static str {
-        "decompose"
+fn decompose(ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
+    let native = crate::decompose::decompose(ctx.circuit(), ctx.device().gate_set());
+    if native != *ctx.circuit() {
+        ctx.set_circuit(native);
     }
-    fn span_name(&self) -> &'static str {
-        "transpile.decompose"
-    }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
-        let native = decompose(ctx.circuit(), ctx.device().gate_set());
-        if native != *ctx.circuit() {
-            ctx.set_circuit(native);
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// Final bookkeeping: ASAP-schedules the circuit and notes its depth and
 /// two-qubit gate count on the pass span.
-pub(crate) struct SchedulePass;
-
-impl Pass for SchedulePass {
-    fn name(&self) -> &'static str {
-        "schedule"
-    }
-    fn span_name(&self) -> &'static str {
-        "transpile.schedule"
-    }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
-        ctx.note("depth", ctx.circuit().depth());
-        ctx.note("two_qubit_gates", ctx.circuit().two_qubit_gate_count());
-        Ok(())
-    }
+fn schedule(ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
+    ctx.note("depth", ctx.circuit().depth());
+    ctx.note("two_qubit_gates", ctx.circuit().two_qubit_gate_count());
+    Ok(())
 }
 
-/// Shared verify-pass epilogue: stamps provenance blame onto every
-/// diagnostic, then error-grade findings abort the pipeline with the
-/// pass's historical stage label; everything else accumulates on the
-/// context.
-fn finish_verify(
+/// A verify pass: notes `stage` on the span, runs `checks`, and stamps
+/// provenance blame onto every diagnostic. Error-grade findings abort the
+/// pipeline under `stage`; everything else accumulates on the context.
+fn verify(
     ctx: &mut PassContext<'_>,
     stage: &'static str,
-    mut report: Report,
+    checks: fn(&PassContext<'_>) -> Report,
 ) -> Result<(), TranspileError> {
+    ctx.note("stage", stage);
+    let mut report = checks(ctx);
     for d in &mut report.diagnostics {
         let blame = match d.instruction {
             Some(index) => ctx.provenance().tag(index),
@@ -197,105 +171,41 @@ fn finish_verify(
     Ok(())
 }
 
-/// Structural verification of the logical circuit (stage
-/// `"logical-optimize"`). Device conformance does not apply yet.
-pub(crate) struct VerifyLogicalPass;
-
-impl Pass for VerifyLogicalPass {
-    fn name(&self) -> &'static str {
-        "verify-logical"
-    }
-    fn span_name(&self) -> &'static str {
-        "transpile.verify"
-    }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
-        ctx.note("stage", "logical-optimize");
-        let vctx = Context::bare(ctx.circuit()).with_clifford_claim(ctx.input_clifford());
-        let report = Verifier::structural().verify(&vctx);
-        finish_verify(ctx, "logical-optimize", report)
-    }
+/// Structural checks on the logical circuit. Device conformance does not
+/// apply yet.
+fn structural_report(ctx: &PassContext<'_>) -> Report {
+    let vctx = Context::bare(ctx.circuit()).with_clifford_claim(ctx.input_clifford());
+    Verifier::structural().verify(&vctx)
 }
 
-/// Post-routing verification (stage `"route"`): coupling-map conformance
-/// plus the Closed-Division audit of the router's output against the
-/// pre-route snapshot. Native-gate conformance does not apply yet.
-pub(crate) struct VerifyRoutedPass;
-
-impl Pass for VerifyRoutedPass {
-    fn name(&self) -> &'static str {
-        "verify-routed"
+/// Post-routing checks: coupling-map conformance plus the Closed-Division
+/// audit of the router's output against the pre-route snapshot.
+/// Native-gate conformance does not apply yet. Without a snapshot (no
+/// route pass upstream) the device-conformance checks still apply and the
+/// audit does not.
+fn routed_report(ctx: &PassContext<'_>) -> Report {
+    let layout = ctx.layout();
+    let audit = ctx.route_snapshot().map(|logical| {
+        RoutingAudit::new(
+            logical,
+            ctx.circuit(),
+            &layout.initial,
+            &layout.current,
+            ctx.swap_count(),
+        )
+    });
+    let vctx = Context {
+        routing: audit.as_ref(),
+        ..Context::on_device(ctx.circuit(), ctx.device())
     }
-    fn span_name(&self) -> &'static str {
-        "transpile.verify"
-    }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
-        ctx.note("stage", "route");
-        let report = match ctx.route_snapshot() {
-            Some(logical) => {
-                let layout = ctx.layout();
-                let audit = RoutingAudit::new(
-                    logical,
-                    ctx.circuit(),
-                    &layout.initial,
-                    &layout.current,
-                    ctx.swap_count(),
-                );
-                let vctx = Context {
-                    device: Some(ctx.device()),
-                    routing: Some(&audit),
-                    ..Context::bare(ctx.circuit())
-                }
-                .with_clifford_claim(ctx.input_clifford());
-                Verifier::post_routing().verify(&vctx)
-            }
-            // No snapshot (a pipeline without a route pass upstream):
-            // device-conformance checks still apply, the audit does not.
-            None => {
-                let vctx = Context::on_device(ctx.circuit(), ctx.device())
-                    .with_clifford_claim(ctx.input_clifford());
-                Verifier::post_routing().verify(&vctx)
-            }
-        };
-        finish_verify(ctx, "route", report)
-    }
+    .with_clifford_claim(ctx.input_clifford());
+    Verifier::post_routing().verify(&vctx)
 }
 
-/// Full verification of the freshly decomposed circuit (stage
-/// `"decompose"`).
-pub(crate) struct VerifyNativePass;
-
-impl Pass for VerifyNativePass {
-    fn name(&self) -> &'static str {
-        "verify-native"
-    }
-    fn span_name(&self) -> &'static str {
-        "transpile.verify"
-    }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
-        ctx.note("stage", "decompose");
-        let vctx = Context::on_device(ctx.circuit(), ctx.device())
-            .with_clifford_claim(ctx.input_clifford());
-        let report = Verifier::all().verify(&vctx);
-        finish_verify(ctx, "decompose", report)
-    }
-}
-
-/// Full verification of the final circuit (stage `"optimize"`) — the
-/// release-mode replacement for the old output `debug_assert!`.
-pub(crate) struct VerifyFinalPass;
-
-impl Pass for VerifyFinalPass {
-    fn name(&self) -> &'static str {
-        "verify-final"
-    }
-    fn span_name(&self) -> &'static str {
-        "transpile.verify"
-    }
-    fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), TranspileError> {
-        ctx.note("stage", "optimize");
-        let vctx = Context::on_device(ctx.circuit(), ctx.device())
-            .with_clifford_claim(ctx.input_clifford());
-        let report = Verifier::all().verify(&vctx);
-        finish_verify(ctx, "optimize", report)
-    }
+/// Every check, on the native circuit and its device: after decompose
+/// and, as the release-mode output guard, after the final optimization.
+fn full_report(ctx: &PassContext<'_>) -> Report {
+    let vctx =
+        Context::on_device(ctx.circuit(), ctx.device()).with_clifford_claim(ctx.input_clifford());
+    Verifier::all().verify(&vctx)
 }

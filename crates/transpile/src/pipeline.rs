@@ -1,23 +1,18 @@
-//! Named pipelines: [`PassSpec`], [`PipelineSpec`] and [`PipelineId`].
+//! Named pipelines: [`PassSpec`] and [`PipelineId`].
 //!
-//! A pipeline is *data*: an ordered list of [`PassSpec`]s under a stable
-//! name. The name is what downstream layers hash — the content-addressed
-//! run store folds it into cache keys, the CLI accepts it via
-//! `--pipeline`, and `transpile passes` lists every built-in pipeline —
-//! so two runs differing only in pipeline never collide in the store.
+//! A pipeline is *data*: a static, ordered list of [`PassSpec`]s under a
+//! stable name. The name is what downstream layers hash — the
+//! content-addressed run store folds it into cache keys, the CLI accepts
+//! it via `--pipeline`, and `transpile passes` lists every built-in
+//! pipeline — so two runs differing only in pipeline never collide in the
+//! store.
 
-use crate::pass::Pass;
-use crate::passes::{
-    DecomposePass, OptimizeLogicalPass, OptimizePhysicalPass, PlacePass, RoutePass, SchedulePass,
-    VerifyFinalPass, VerifyLogicalPass, VerifyNativePass, VerifyRoutedPass,
-};
-use crate::placement::PlacementStrategy;
-
-/// One pass slot in a pipeline, as pure data.
+/// One pass of a pipeline.
 ///
-/// The place pass reads its strategy from the
-/// [`Transpiler`](crate::Transpiler) at instantiation time, so the same
-/// `PassSpec` list serves every placement.
+/// Each variant is the pass itself: `PassSpec` implements
+/// [`Pass`](crate::Pass), and the place pass reads its strategy from the
+/// [`PassContext`](crate::PassContext), so one static list of passes
+/// serves every placement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PassSpec {
     /// Logical fuse + cancel (one round, matching the legacy sequence).
@@ -58,7 +53,8 @@ impl PassSpec {
         PassSpec::Schedule,
     ];
 
-    /// Stable kebab-case identifier (what `transpile passes` prints).
+    /// Stable kebab-case identifier (what `transpile passes` prints, and
+    /// the pass name blame reports).
     pub fn id(self) -> &'static str {
         match self {
             PassSpec::OptimizeLogical => "optimize-logical",
@@ -88,67 +84,6 @@ impl PassSpec {
             PassSpec::VerifyFinal => "full checks on the final circuit",
             PassSpec::Schedule => "ASAP scheduling: depth and two-qubit gate count",
         }
-    }
-
-    /// Instantiates the pass, binding the place pass's strategy.
-    pub fn instantiate(self, placement: PlacementStrategy) -> Box<dyn Pass> {
-        match self {
-            PassSpec::OptimizeLogical => Box::new(OptimizeLogicalPass),
-            PassSpec::VerifyLogical => Box::new(VerifyLogicalPass),
-            PassSpec::Place => Box::new(PlacePass {
-                strategy: placement,
-            }),
-            PassSpec::Route => Box::new(RoutePass),
-            PassSpec::VerifyRouted => Box::new(VerifyRoutedPass),
-            PassSpec::Decompose => Box::new(DecomposePass),
-            PassSpec::VerifyNative => Box::new(VerifyNativePass),
-            PassSpec::OptimizePhysical => Box::new(OptimizePhysicalPass),
-            PassSpec::VerifyFinal => Box::new(VerifyFinalPass),
-            PassSpec::Schedule => Box::new(SchedulePass),
-        }
-    }
-}
-
-/// A named, ordered list of passes; cache keys reference it by name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineSpec {
-    name: String,
-    passes: Vec<PassSpec>,
-}
-
-impl PipelineSpec {
-    /// A pipeline named `name` running `passes` in order.
-    pub(crate) fn new(name: impl Into<String>, passes: Vec<PassSpec>) -> PipelineSpec {
-        PipelineSpec {
-            name: name.into(),
-            passes,
-        }
-    }
-
-    /// The cache-key name.
-    pub(crate) fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The passes, in execution order.
-    pub(crate) fn passes(&self) -> &[PassSpec] {
-        &self.passes
-    }
-
-    /// The pass ids, in execution order.
-    pub(crate) fn pass_ids(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.id()).collect()
-    }
-
-    /// Whether the route pass must snapshot its input for a downstream
-    /// audit pass.
-    pub(crate) fn needs_route_snapshot(&self) -> bool {
-        self.passes.contains(&PassSpec::VerifyRouted)
-    }
-
-    /// The one-line `name: pass pass ...` form `transpile passes` prints.
-    pub fn render(&self) -> String {
-        format!("{}: {}", self.name, self.pass_ids().join(" "))
     }
 }
 
@@ -202,13 +137,13 @@ impl PipelineId {
         PipelineId::ALL.into_iter().find(|p| p.as_str() == s)
     }
 
-    /// The pass list this id names. `*-stages` variants are the base
-    /// pipeline with verify passes spliced in — per-stage verification is
-    /// ordinary pipeline composition, not a special case.
-    pub fn spec(self) -> PipelineSpec {
+    /// The passes this pipeline runs, in order. `*-stages` variants are
+    /// the base pipeline with verify passes spliced in — per-stage
+    /// verification is ordinary pipeline composition, not a special case.
+    pub(crate) fn passes(self) -> &'static [PassSpec] {
         use PassSpec::*;
-        let passes = match self {
-            PipelineId::ClosedDefault => vec![
+        match self {
+            PipelineId::ClosedDefault => &[
                 OptimizeLogical,
                 Place,
                 Route,
@@ -217,7 +152,7 @@ impl PipelineId {
                 VerifyFinal,
                 Schedule,
             ],
-            PipelineId::ClosedStages => vec![
+            PipelineId::ClosedStages => &[
                 OptimizeLogical,
                 VerifyLogical,
                 Place,
@@ -229,7 +164,7 @@ impl PipelineId {
                 VerifyFinal,
                 Schedule,
             ],
-            PipelineId::ClosedUnverified => vec![
+            PipelineId::ClosedUnverified => &[
                 OptimizeLogical,
                 Place,
                 Route,
@@ -237,8 +172,8 @@ impl PipelineId {
                 OptimizePhysical,
                 Schedule,
             ],
-            PipelineId::NoOptimize => vec![Place, Route, Decompose, VerifyFinal, Schedule],
-            PipelineId::NoOptimizeStages => vec![
+            PipelineId::NoOptimize => &[Place, Route, Decompose, VerifyFinal, Schedule],
+            PipelineId::NoOptimizeStages => &[
                 VerifyLogical,
                 Place,
                 Route,
@@ -248,9 +183,20 @@ impl PipelineId {
                 VerifyFinal,
                 Schedule,
             ],
-            PipelineId::NoOptimizeUnverified => vec![Place, Route, Decompose, Schedule],
-        };
-        PipelineSpec::new(self.as_str(), passes)
+            PipelineId::NoOptimizeUnverified => &[Place, Route, Decompose, Schedule],
+        }
+    }
+
+    /// Whether the route pass must snapshot its input for a downstream
+    /// audit pass.
+    pub(crate) fn needs_route_snapshot(self) -> bool {
+        self.passes().contains(&PassSpec::VerifyRouted)
+    }
+
+    /// The one-line `name: pass pass ...` form `transpile passes` prints.
+    pub fn render(self) -> String {
+        let ids: Vec<&str> = self.passes().iter().map(|p| p.id()).collect();
+        format!("{}: {}", self.as_str(), ids.join(" "))
     }
 }
 
@@ -279,7 +225,6 @@ mod tests {
         // composition. Removing the verify passes from closed-stages must
         // yield exactly closed-default minus its final verify.
         let stages: Vec<PassSpec> = PipelineId::ClosedStages
-            .spec()
             .passes()
             .iter()
             .copied()
@@ -290,27 +235,17 @@ mod tests {
                 )
             })
             .collect();
-        assert_eq!(stages, PipelineId::ClosedDefault.spec().passes());
+        assert_eq!(stages, PipelineId::ClosedDefault.passes());
     }
 
     #[test]
     fn snapshot_is_requested_exactly_when_audited() {
         for id in PipelineId::ALL {
-            let spec = id.spec();
             assert_eq!(
-                spec.needs_route_snapshot(),
+                id.needs_route_snapshot(),
                 matches!(id, PipelineId::ClosedStages | PipelineId::NoOptimizeStages),
                 "{id}"
             );
-        }
-    }
-
-    #[test]
-    fn every_pass_instantiates_with_matching_name() {
-        for pass in PassSpec::ALL {
-            let boxed = pass.instantiate(PlacementStrategy::Greedy);
-            assert_eq!(boxed.name(), pass.id());
-            assert!(boxed.span_name().starts_with("transpile."));
         }
     }
 }

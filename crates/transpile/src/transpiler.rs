@@ -7,7 +7,7 @@ use supermarq_sim::Counts;
 use supermarq_verify::Diagnostic;
 
 use crate::pass::{run_pass, PassContext};
-use crate::pipeline::{PipelineId, PipelineSpec};
+use crate::pipeline::PipelineId;
 use crate::placement::PlacementStrategy;
 use crate::routing::RouteError;
 
@@ -135,8 +135,8 @@ pub fn relabel_counts(counts: &Counts, readout: &[Option<usize>]) -> Counts {
 }
 
 /// The Closed-Division transpiler: placement, routing, native
-/// decomposition, fusion and cancellation, run as a named pipeline of
-/// [`Pass`](crate::pass::Pass)es.
+/// decomposition, fusion and cancellation, run as one of the built-in
+/// [`PipelineId`] pass lists.
 ///
 /// # Example
 ///
@@ -208,20 +208,6 @@ impl Transpiler {
     ///
     /// Same as [`run`](Self::run).
     pub fn run_with_context(&self, circuit: &Circuit) -> Result<PassContext<'_>, TranspileError> {
-        self.run_pipeline(&self.pipeline.spec(), circuit)
-    }
-
-    /// Runs an arbitrary [`PipelineSpec`] — the escape hatch for custom
-    /// pipelines outside the built-in registry.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub(crate) fn run_pipeline(
-        &self,
-        spec: &PipelineSpec,
-        circuit: &Circuit,
-    ) -> Result<PassContext<'_>, TranspileError> {
         let needed = circuit.num_qubits();
         let available = self.device.num_qubits();
         if needed > available {
@@ -229,11 +215,15 @@ impl Transpiler {
         }
         let mut run_span = Span::open("transpile.run").with("qubits", needed);
         run_span.record_with("device", || self.device.name().to_string());
-        run_span.record_with("pipeline", || spec.name().to_string());
-        let mut ctx = PassContext::new(&self.device, circuit.clone(), spec.needs_route_snapshot());
-        for pass_spec in spec.passes() {
-            let pass = pass_spec.instantiate(self.placement);
-            run_pass(pass.as_ref(), &mut ctx)?;
+        run_span.record("pipeline", self.pipeline.as_str());
+        let mut ctx = PassContext::new(
+            &self.device,
+            self.placement,
+            circuit.clone(),
+            self.pipeline.needs_route_snapshot(),
+        );
+        for pass in self.pipeline.passes() {
+            run_pass(pass, &mut ctx)?;
         }
         run_span.record("swaps_added", ctx.swap_count());
         Ok(ctx)

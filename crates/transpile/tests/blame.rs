@@ -52,14 +52,12 @@ fn ghz(n: usize) -> Circuit {
 /// Runs place/route/decompose, then the saboteur, then the final verify
 /// pass, and returns the context with its accumulated diagnostics.
 fn run_sabotaged(device: &Device) -> PassContext<'_> {
-    let mut ctx = PassContext::new(device, ghz(3), false);
-    for spec in [PassSpec::Place, PassSpec::Route, PassSpec::Decompose] {
-        let pass = spec.instantiate(PlacementStrategy::Greedy);
-        run_pass(pass.as_ref(), &mut ctx).unwrap();
+    let mut ctx = PassContext::new(device, PlacementStrategy::Greedy, ghz(3), false);
+    for pass in [PassSpec::Place, PassSpec::Route, PassSpec::Decompose] {
+        run_pass(&pass, &mut ctx).unwrap();
     }
     run_pass(&InjectIdleWork, &mut ctx).unwrap();
-    let verify = PassSpec::VerifyFinal.instantiate(PlacementStrategy::Greedy);
-    run_pass(verify.as_ref(), &mut ctx).unwrap();
+    run_pass(&PassSpec::VerifyFinal, &mut ctx).unwrap();
     ctx
 }
 
@@ -126,9 +124,8 @@ fn untouched_input_violations_are_blamed_on_input() {
     let device = Device::ionq();
     let mut c = Circuit::new(3);
     c.h(0).cx(0, 1).measure(0).measure(1).h(2);
-    let mut ctx = PassContext::new(&device, c, false);
-    let verify = PassSpec::VerifyLogical.instantiate(PlacementStrategy::Greedy);
-    run_pass(verify.as_ref(), &mut ctx).unwrap();
+    let mut ctx = PassContext::new(&device, PlacementStrategy::Greedy, c, false);
+    run_pass(&PassSpec::VerifyLogical, &mut ctx).unwrap();
     let dead: Vec<_> = ctx
         .diagnostics()
         .iter()

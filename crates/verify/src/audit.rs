@@ -3,7 +3,7 @@
 //! The Closed Division allows routing to change *where* a logical qubit
 //! lives, but not *what* the circuit computes: the routed circuit must
 //! implement the input circuit up to the output permutation the router
-//! reports. This pass checks that claim from the router's own provenance
+//! reports. This check tests that claim from the router's own provenance
 //! record ([`RoutingAudit`]):
 //!
 //! - **Mapping sanity** — `initial_mapping`/`final_mapping` have one entry
@@ -25,7 +25,7 @@
 //! The tier taken is recorded on the `verify.audit` obs span.
 
 use crate::stabilizer::{prove_permutation_equivalence, StabilizerVerdict};
-use crate::{CheckId, Context, Diagnostic, Pass, Severity};
+use crate::{CheckId, Context, Diagnostic, Severity};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -100,37 +100,29 @@ pub fn audit_tier(audit: &RoutingAudit<'_>) -> AuditTier {
     }
 }
 
-/// V006 pass: audits a [`RoutingAudit`] attached to the [`Context`].
+/// V006: audits a [`RoutingAudit`] attached to the [`Context`].
 /// Silent when no routing provenance is present.
-pub(crate) struct ClosedDivisionAudit;
-
-impl Pass for ClosedDivisionAudit {
-    fn id(&self) -> CheckId {
-        CheckId::ClosedDivisionAudit
+pub(crate) fn closed_division_audit(ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
+    let Some(audit) = ctx.routing else { return };
+    if !check_mappings(audit, out) {
+        return; // malformed mappings make the other stages meaningless
     }
-
-    fn run(&self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(audit) = ctx.routing else { return };
-        if !check_mappings(audit, out) {
-            return; // malformed mappings make the other stages meaningless
-        }
-        check_accounting(audit, out);
-        let tier = audit_tier(audit);
-        let mut span = Span::open("verify.audit");
-        span.record("tier", tier.name());
-        span.record("live_wires", live_wires(audit).len());
-        match tier {
-            AuditTier::StabilizerProof => check_stabilizer(audit, out),
-            AuditTier::StatevectorProbe => check_statevector(audit, out),
-            AuditTier::Skipped => out.push(Diagnostic::global(
-                CheckId::ClosedDivisionAudit,
-                Severity::Lint,
-                format!(
-                    "equivalence not audited ({}): gate accounting only",
-                    skip_reason(audit)
-                ),
-            )),
-        }
+    check_accounting(audit, out);
+    let tier = audit_tier(audit);
+    let mut span = Span::open("verify.audit");
+    span.record("tier", tier.name());
+    span.record("live_wires", live_wires(audit).len());
+    match tier {
+        AuditTier::StabilizerProof => check_stabilizer(audit, out),
+        AuditTier::StatevectorProbe => check_statevector(audit, out),
+        AuditTier::Skipped => out.push(Diagnostic::global(
+            CheckId::ClosedDivisionAudit,
+            Severity::Lint,
+            format!(
+                "equivalence not audited ({}): gate accounting only",
+                skip_reason(audit)
+            ),
+        )),
     }
 }
 

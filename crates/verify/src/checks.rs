@@ -1,53 +1,45 @@
-//! The structural and hardware-conformance passes (V001–V005, V007).
+//! The structural and hardware-conformance checks (V001–V005, V007).
 //!
-//! Each pass is a unit struct implementing [`Pass`]; the Closed-Division
-//! audit (V006) lives in [`crate::audit`] because it needs routing
-//! provenance and a statevector engine.
+//! Each check is a function [`CheckId::run`] dispatches to; the
+//! Closed-Division audit (V006) lives in [`crate::audit`] because it needs
+//! routing provenance and a statevector engine.
 
-use crate::{CheckId, Context, Diagnostic, Pass, Severity};
+use crate::{CheckId, Context, Diagnostic, Severity};
 use supermarq_circuit::{Gate, GateKind};
 
 /// V001: every operand index is in range and the operand count matches the
 /// gate's arity (barriers excepted — their arity is variable).
 ///
 /// [`supermarq_circuit::Circuit::push`] enforces the same rules at
-/// construction time; this pass re-establishes them for circuits arriving
+/// construction time; this check re-establishes them for circuits arriving
 /// from elsewhere (QASM import, [`Circuit::push_unchecked`], hand-built
 /// instruction lists).
 ///
 /// [`Circuit::push_unchecked`]: supermarq_circuit::Circuit::push_unchecked
-pub(crate) struct OperandValidity;
-
-impl Pass for OperandValidity {
-    fn id(&self) -> CheckId {
-        CheckId::OperandValidity
-    }
-
-    fn run(&self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        let n = ctx.circuit.num_qubits();
-        for (i, instr) in ctx.circuit.iter().enumerate() {
-            if instr.gate.kind() != GateKind::Barrier && instr.qubits.len() != instr.gate.arity() {
+pub(crate) fn operand_validity(ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
+    let n = ctx.circuit.num_qubits();
+    for (i, instr) in ctx.circuit.iter().enumerate() {
+        if instr.gate.kind() != GateKind::Barrier && instr.qubits.len() != instr.gate.arity() {
+            out.push(Diagnostic::at(
+                CheckId::OperandValidity,
+                Severity::Error,
+                i,
+                format!(
+                    "gate '{}' expects {} operand(s), got {}",
+                    instr.gate.qasm_name(),
+                    instr.gate.arity(),
+                    instr.qubits.len()
+                ),
+            ));
+        }
+        for &q in &instr.qubits {
+            if q >= n {
                 out.push(Diagnostic::at(
-                    self.id(),
+                    CheckId::OperandValidity,
                     Severity::Error,
                     i,
-                    format!(
-                        "gate '{}' expects {} operand(s), got {}",
-                        instr.gate.qasm_name(),
-                        instr.gate.arity(),
-                        instr.qubits.len()
-                    ),
+                    format!("qubit {q} out of range for {n}-qubit circuit"),
                 ));
-            }
-            for &q in &instr.qubits {
-                if q >= n {
-                    out.push(Diagnostic::at(
-                        self.id(),
-                        Severity::Error,
-                        i,
-                        format!("qubit {q} out of range for {n}-qubit circuit"),
-                    ));
-                }
             }
         }
     }
@@ -55,27 +47,19 @@ impl Pass for OperandValidity {
 
 /// V002: no instruction repeats a qubit operand (`cx q[1], q[1]` is
 /// meaningless and physically unrealizable).
-pub(crate) struct DuplicateOperands;
-
-impl Pass for DuplicateOperands {
-    fn id(&self) -> CheckId {
-        CheckId::DuplicateOperands
-    }
-
-    fn run(&self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        for (i, instr) in ctx.circuit.iter().enumerate() {
-            for (k, &q) in instr.qubits.iter().enumerate() {
-                if instr.qubits[..k].contains(&q) {
-                    out.push(Diagnostic::at(
-                        self.id(),
-                        Severity::Error,
-                        i,
-                        format!(
-                            "duplicate operand qubit {q} in '{}'",
-                            instr.gate.qasm_name()
-                        ),
-                    ));
-                }
+pub(crate) fn duplicate_operands(ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
+    for (i, instr) in ctx.circuit.iter().enumerate() {
+        for (k, &q) in instr.qubits.iter().enumerate() {
+            if instr.qubits[..k].contains(&q) {
+                out.push(Diagnostic::at(
+                    CheckId::DuplicateOperands,
+                    Severity::Error,
+                    i,
+                    format!(
+                        "duplicate operand qubit {q} in '{}'",
+                        instr.gate.qasm_name()
+                    ),
+                ));
             }
         }
     }
@@ -89,52 +73,44 @@ impl Pass for DuplicateOperands {
 /// measured one — and (b) re-measurement of a qubit with no intervening
 /// reset. Both are warnings, not errors: the structures are suspicious but
 /// can be deliberate (e.g. repeated readout).
-pub(crate) struct MeasurementDiscipline;
-
-impl Pass for MeasurementDiscipline {
-    fn id(&self) -> CheckId {
-        CheckId::MeasurementDiscipline
-    }
-
-    fn run(&self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        let n = ctx.circuit.num_qubits();
-        let mut measured = vec![false; n];
-        for (i, instr) in ctx.circuit.iter().enumerate() {
-            // Ignore operands V001 already flagged as out of range.
-            let operands: Vec<usize> = instr.qubits.iter().copied().filter(|&q| q < n).collect();
-            match instr.gate.kind() {
-                GateKind::Measurement => {
-                    for &q in &operands {
-                        if measured[q] {
-                            out.push(Diagnostic::at(
-                                self.id(),
-                                Severity::Warning,
-                                i,
-                                format!("qubit {q} measured again without an intervening reset"),
-                            ));
-                        }
-                        measured[q] = true;
-                    }
-                }
-                GateKind::Reset => {
-                    for &q in &operands {
-                        measured[q] = false;
-                    }
-                }
-                GateKind::Barrier => {}
-                GateKind::OneQubitUnitary | GateKind::TwoQubitUnitary => {
-                    if !operands.is_empty() && operands.iter().all(|&q| measured[q]) {
+pub(crate) fn measurement_discipline(ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
+    let n = ctx.circuit.num_qubits();
+    let mut measured = vec![false; n];
+    for (i, instr) in ctx.circuit.iter().enumerate() {
+        // Ignore operands V001 already flagged as out of range.
+        let operands: Vec<usize> = instr.qubits.iter().copied().filter(|&q| q < n).collect();
+        match instr.gate.kind() {
+            GateKind::Measurement => {
+                for &q in &operands {
+                    if measured[q] {
                         out.push(Diagnostic::at(
-                            self.id(),
+                            CheckId::MeasurementDiscipline,
                             Severity::Warning,
                             i,
-                            format!(
-                                "'{}' acts on qubit(s) {:?} after their final measurement",
-                                instr.gate.qasm_name(),
-                                operands
-                            ),
+                            format!("qubit {q} measured again without an intervening reset"),
                         ));
                     }
+                    measured[q] = true;
+                }
+            }
+            GateKind::Reset => {
+                for &q in &operands {
+                    measured[q] = false;
+                }
+            }
+            GateKind::Barrier => {}
+            GateKind::OneQubitUnitary | GateKind::TwoQubitUnitary => {
+                if !operands.is_empty() && operands.iter().all(|&q| measured[q]) {
+                    out.push(Diagnostic::at(
+                        CheckId::MeasurementDiscipline,
+                        Severity::Warning,
+                        i,
+                        format!(
+                            "'{}' acts on qubit(s) {:?} after their final measurement",
+                            instr.gate.qasm_name(),
+                            operands
+                        ),
+                    ));
                 }
             }
         }
@@ -144,30 +120,22 @@ impl Pass for MeasurementDiscipline {
 /// V004: native-gate conformance. Every instruction must belong to the
 /// target device's native set (Closed Division: "decomposition into the
 /// native gates of the machine"). Silent without a device in the context.
-pub(crate) struct NativeGates;
-
-impl Pass for NativeGates {
-    fn id(&self) -> CheckId {
-        CheckId::NativeGates
-    }
-
-    fn run(&self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(device) = ctx.device else { return };
-        let gate_set = device.gate_set();
-        for (i, instr) in ctx.circuit.iter().enumerate() {
-            if !crate::is_native(&instr.gate, gate_set) {
-                out.push(Diagnostic::at(
-                    self.id(),
-                    Severity::Error,
-                    i,
-                    format!(
-                        "gate '{}' is not native to {} ({:?})",
-                        instr.gate.qasm_name(),
-                        device.name(),
-                        gate_set
-                    ),
-                ));
-            }
+pub(crate) fn native_gates(ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
+    let Some(device) = ctx.device else { return };
+    let gate_set = device.gate_set();
+    for (i, instr) in ctx.circuit.iter().enumerate() {
+        if !crate::is_native(&instr.gate, gate_set) {
+            out.push(Diagnostic::at(
+                CheckId::NativeGates,
+                Severity::Error,
+                i,
+                format!(
+                    "gate '{}' is not native to {} ({:?})",
+                    instr.gate.qasm_name(),
+                    device.name(),
+                    gate_set
+                ),
+            ));
         }
     }
 }
@@ -175,59 +143,42 @@ impl Pass for NativeGates {
 /// V005: coupling-map conformance. Every two-qubit gate must act on a
 /// physically coupled pair (Closed Division: "routing of the qubits" must
 /// respect the topology). Silent without a device in the context.
-pub(crate) struct CouplingMap;
-
-impl Pass for CouplingMap {
-    fn id(&self) -> CheckId {
-        CheckId::CouplingMap
-    }
-
-    fn run(&self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(device) = ctx.device else { return };
-        let topology = device.topology();
-        let n_phys = topology.num_qubits();
-        for (i, instr) in ctx.circuit.iter().enumerate() {
-            if !instr.is_two_qubit() || instr.qubits.len() != 2 {
-                continue;
-            }
-            let (a, b) = (instr.qubits[0], instr.qubits[1]);
-            if a >= n_phys || b >= n_phys {
-                // Out-of-range on the *device* (the circuit register may be
-                // larger or smaller than the chip).
-                out.push(Diagnostic::at(
-                    self.id(),
-                    Severity::Error,
-                    i,
-                    format!(
-                        "'{}' on ({a}, {b}) exceeds the {n_phys}-qubit device {}",
-                        instr.gate.qasm_name(),
-                        device.name()
-                    ),
-                ));
-            } else if a != b && !topology.are_adjacent(a, b) {
-                out.push(Diagnostic::at(
-                    self.id(),
-                    Severity::Error,
-                    i,
-                    format!(
-                        "'{}' on non-adjacent physical qubits ({a}, {b}) of {}",
-                        instr.gate.qasm_name(),
-                        device.name()
-                    ),
-                ));
-            }
+pub(crate) fn coupling_map(ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
+    let Some(device) = ctx.device else { return };
+    let topology = device.topology();
+    let n_phys = topology.num_qubits();
+    for (i, instr) in ctx.circuit.iter().enumerate() {
+        if !instr.is_two_qubit() || instr.qubits.len() != 2 {
+            continue;
+        }
+        let (a, b) = (instr.qubits[0], instr.qubits[1]);
+        if a >= n_phys || b >= n_phys {
+            // Out-of-range on the *device* (the circuit register may be
+            // larger or smaller than the chip).
+            out.push(Diagnostic::at(
+                CheckId::CouplingMap,
+                Severity::Error,
+                i,
+                format!(
+                    "'{}' on ({a}, {b}) exceeds the {n_phys}-qubit device {}",
+                    instr.gate.qasm_name(),
+                    device.name()
+                ),
+            ));
+        } else if a != b && !topology.are_adjacent(a, b) {
+            out.push(Diagnostic::at(
+                CheckId::CouplingMap,
+                Severity::Error,
+                i,
+                format!(
+                    "'{}' on non-adjacent physical qubits ({a}, {b}) of {}",
+                    instr.gate.qasm_name(),
+                    device.name()
+                ),
+            ));
         }
     }
 }
-
-/// V007: lint-grade findings. Nothing here affects correctness.
-///
-/// - adjacent self-inverse pairs (`h q; h q` with no intervening gate on an
-///   overlapping operand) — the optimizer should have cancelled them;
-/// - parameterized rotations with angle ≈ 0 (mod 2π) — identity gates that
-///   still cost a pulse;
-/// - qubits the circuit never touches (barriers don't count as touches).
-pub(crate) struct LintPass;
 
 /// Angle threshold below which a rotation is reported as ≈ identity.
 const ANGLE_EPS: f64 = 1e-9;
@@ -254,79 +205,80 @@ fn is_self_inverse(gate: &Gate) -> bool {
     gate.inverse().as_ref() == Some(gate)
 }
 
-impl Pass for LintPass {
-    fn id(&self) -> CheckId {
-        CheckId::Lint
-    }
+/// V007: lint-grade findings. Nothing here affects correctness.
+///
+/// - adjacent self-inverse pairs (`h q; h q` with no intervening gate on an
+///   overlapping operand) — the optimizer should have cancelled them;
+/// - parameterized rotations with angle ≈ 0 (mod 2π) — identity gates that
+///   still cost a pulse;
+/// - qubits the circuit never touches (barriers don't count as touches).
+pub(crate) fn lint(ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
+    let circuit = ctx.circuit;
+    let instrs = circuit.instructions();
 
-    fn run(&self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        let circuit = ctx.circuit;
-        let instrs = circuit.instructions();
-
-        // Adjacent self-inverse pairs: for each instruction, the next
-        // instruction sharing any operand must not be its exact repeat.
-        for (i, instr) in instrs.iter().enumerate() {
-            if !is_self_inverse(&instr.gate) || instr.qubits.is_empty() {
-                continue;
-            }
-            for later in &instrs[i + 1..] {
-                if later.qubits.iter().all(|q| !instr.qubits.contains(q)) {
-                    continue; // disjoint: keep scanning forward
-                }
-                if later.gate == instr.gate && later.qubits == instr.qubits {
-                    out.push(Diagnostic::at(
-                        self.id(),
-                        Severity::Lint,
-                        i,
-                        format!(
-                            "adjacent self-inverse pair: '{}' on {:?} cancels with its repeat",
-                            instr.gate.qasm_name(),
-                            instr.qubits
-                        ),
-                    ));
-                }
-                break; // first overlapping instruction decides
-            }
+    // Adjacent self-inverse pairs: for each instruction, the next
+    // instruction sharing any operand must not be its exact repeat.
+    for (i, instr) in instrs.iter().enumerate() {
+        if !is_self_inverse(&instr.gate) || instr.qubits.is_empty() {
+            continue;
         }
-
-        // Rotations with angle ≈ 0 (mod 2π).
-        for (i, instr) in instrs.iter().enumerate() {
-            if let Some(theta) = near_zero_rotation(&instr.gate) {
+        for later in &instrs[i + 1..] {
+            if later.qubits.iter().all(|q| !instr.qubits.contains(q)) {
+                continue; // disjoint: keep scanning forward
+            }
+            if later.gate == instr.gate && later.qubits == instr.qubits {
                 out.push(Diagnostic::at(
-                    self.id(),
+                    CheckId::Lint,
                     Severity::Lint,
                     i,
                     format!(
-                        "rotation '{}' with angle {theta:e} ≈ identity",
-                        instr.gate.qasm_name()
+                        "adjacent self-inverse pair: '{}' on {:?} cancels with its repeat",
+                        instr.gate.qasm_name(),
+                        instr.qubits
                     ),
                 ));
             }
+            break; // first overlapping instruction decides
         }
+    }
 
-        // Unused qubits. Skipped for routed circuits: a routed register
-        // spans the whole chip, so idle physical wires are expected.
-        if ctx.routing.is_none() {
-            let n = circuit.num_qubits();
-            let mut touched = vec![false; n];
-            for instr in instrs {
-                if instr.gate.kind() == GateKind::Barrier {
-                    continue;
-                }
-                for &q in &instr.qubits {
-                    if q < n {
-                        touched[q] = true;
-                    }
+    // Rotations with angle ≈ 0 (mod 2π).
+    for (i, instr) in instrs.iter().enumerate() {
+        if let Some(theta) = near_zero_rotation(&instr.gate) {
+            out.push(Diagnostic::at(
+                CheckId::Lint,
+                Severity::Lint,
+                i,
+                format!(
+                    "rotation '{}' with angle {theta:e} ≈ identity",
+                    instr.gate.qasm_name()
+                ),
+            ));
+        }
+    }
+
+    // Unused qubits. Skipped for routed circuits: a routed register
+    // spans the whole chip, so idle physical wires are expected.
+    if ctx.routing.is_none() {
+        let n = circuit.num_qubits();
+        let mut touched = vec![false; n];
+        for instr in instrs {
+            if instr.gate.kind() == GateKind::Barrier {
+                continue;
+            }
+            for &q in &instr.qubits {
+                if q < n {
+                    touched[q] = true;
                 }
             }
-            let unused: Vec<usize> = (0..n).filter(|&q| !touched[q]).collect();
-            if !unused.is_empty() && !instrs.is_empty() {
-                out.push(Diagnostic::global(
-                    self.id(),
-                    Severity::Lint,
-                    format!("{} unused qubit(s): {unused:?}", unused.len()),
-                ));
-            }
+        }
+        let unused: Vec<usize> = (0..n).filter(|&q| !touched[q]).collect();
+        if !unused.is_empty() && !instrs.is_empty() {
+            out.push(Diagnostic::global(
+                CheckId::Lint,
+                Severity::Lint,
+                format!("{} unused qubit(s): {unused:?}", unused.len()),
+            ));
         }
     }
 }

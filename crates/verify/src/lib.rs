@@ -1,4 +1,4 @@
-//! Pass-based static analysis for SupermarQ circuits.
+//! Static analysis for SupermarQ circuits.
 //!
 //! The SupermarQ Closed Division (Sec. VI of the paper) constrains what a
 //! legal compilation may do: decompose into the target's native gates, route
@@ -7,11 +7,12 @@
 //! enforced those rules with scattered `assert!`/`debug_assert!` calls that
 //! panic, disappear in release builds, and report nothing structured.
 //!
-//! This crate replaces that with an analysis pipeline: a [`Verifier`] runs a
-//! sequence of `Pass`es over a [`Context`] (a [`Circuit`], optionally a
-//! [`Device`], optionally a [`RoutingAudit`]) and collects structured
-//! [`Diagnostic`]s into a [`Report`]. Nothing here panics on a malformed
-//! circuit — malformed input is precisely what the passes exist to describe.
+//! This crate replaces that with static checks: a [`Verifier`] is a static
+//! list of [`CheckId`]s, each run in order over a [`Context`] (a
+//! [`Circuit`], optionally a [`Device`], optionally a [`RoutingAudit`]),
+//! and it collects structured [`Diagnostic`]s into a [`Report`]. Nothing
+//! here panics on a malformed circuit — malformed input is precisely what
+//! the checks exist to describe.
 //!
 //! # Checks
 //!
@@ -93,7 +94,8 @@ impl std::fmt::Display for Severity {
     }
 }
 
-/// Stable identifier of a verification pass.
+/// A verification check: its stable identifier, and what [`Verifier`]
+/// runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CheckId {
     /// V001: qubit indices in range, operand count matches gate arity.
@@ -123,7 +125,7 @@ pub enum CheckId {
 }
 
 impl CheckId {
-    /// All checks, in pass-execution order.
+    /// All checks, in execution order.
     pub const ALL: [CheckId; 10] = [
         CheckId::OperandValidity,
         CheckId::DuplicateOperands,
@@ -192,6 +194,22 @@ impl CheckId {
             }
         }
     }
+
+    /// Runs this check over `ctx`, appending its findings to `out`.
+    pub(crate) fn run(self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
+        match self {
+            CheckId::OperandValidity => checks::operand_validity(ctx, out),
+            CheckId::DuplicateOperands => checks::duplicate_operands(ctx, out),
+            CheckId::MeasurementDiscipline => checks::measurement_discipline(ctx, out),
+            CheckId::NativeGates => checks::native_gates(ctx, out),
+            CheckId::CouplingMap => checks::coupling_map(ctx, out),
+            CheckId::ClosedDivisionAudit => audit::closed_division_audit(ctx, out),
+            CheckId::Lint => checks::lint(ctx, out),
+            CheckId::DeadGate => lightcone::dead_gate(ctx, out),
+            CheckId::ClobberedQubit => lightcone::clobbered_qubit(ctx, out),
+            CheckId::CliffordPreservation => stabilizer::clifford_preservation(ctx, out),
+        }
+    }
 }
 
 impl std::fmt::Display for CheckId {
@@ -200,10 +218,10 @@ impl std::fmt::Display for CheckId {
     }
 }
 
-/// One finding from one pass.
+/// One finding from one check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// The pass that produced this finding.
+    /// The check that produced this finding.
     pub check: CheckId,
     /// How serious it is.
     pub severity: Severity,
@@ -265,12 +283,12 @@ impl std::fmt::Display for Diagnostic {
 /// The collected output of a verification run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Report {
-    /// All findings, in pass order then instruction order.
+    /// All findings, in check order then instruction order.
     pub diagnostics: Vec<Diagnostic>,
 }
 
 impl Report {
-    /// `true` if no pass produced any finding.
+    /// `true` if no check produced any finding.
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty()
     }
@@ -321,12 +339,12 @@ impl Report {
     }
 }
 
-/// Everything a pass may look at.
+/// Everything a check may look at.
 ///
 /// `circuit` is always present; `device` enables the hardware-conformance
-/// passes (V004/V005) and `routing` enables the Closed-Division audit
-/// (V006). Passes whose inputs are absent are silent no-ops, so a single
-/// [`Verifier`] pipeline serves every verification site.
+/// checks (V004/V005) and `routing` enables the Closed-Division audit
+/// (V006). Checks whose inputs are absent are silent no-ops, so one
+/// [`Verifier`] serves every verification site.
 #[derive(Clone, Copy)]
 pub struct Context<'a> {
     /// The circuit under analysis.
@@ -367,16 +385,7 @@ impl<'a> Context<'a> {
     }
 }
 
-/// A single verification pass.
-pub(crate) trait Pass {
-    /// The stable identifier of this pass.
-    fn id(&self) -> CheckId;
-
-    /// Analyzes `ctx`, appending findings to `out`.
-    fn run(&self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>);
-}
-
-/// A pipeline of verification passes.
+/// A list of checks, run in order over one [`Context`].
 ///
 /// # Example
 ///
@@ -389,83 +398,73 @@ pub(crate) trait Pass {
 /// let report = Verifier::all().verify(&Context::bare(&broken));
 /// assert!(report.has_errors());
 /// ```
-#[derive(Default)]
 pub struct Verifier {
-    passes: Vec<Box<dyn Pass>>,
+    checks: &'static [CheckId],
 }
 
 impl Verifier {
-    /// An empty pipeline; add passes with [`Verifier::with_pass`].
-    pub(crate) fn new() -> Self {
-        Verifier { passes: Vec::new() }
-    }
-
-    /// The full pipeline: all ten checks, in [`CheckId::ALL`] order.
+    /// All ten checks, in [`CheckId::ALL`] order: for a native circuit on
+    /// its device. Without routing provenance in the [`Context`] V006 is
+    /// silent, and without a Clifford claim V010 is.
     pub fn all() -> Self {
-        Verifier::new()
-            .with_pass(checks::OperandValidity)
-            .with_pass(checks::DuplicateOperands)
-            .with_pass(checks::MeasurementDiscipline)
-            .with_pass(checks::NativeGates)
-            .with_pass(checks::CouplingMap)
-            .with_pass(audit::ClosedDivisionAudit)
-            .with_pass(checks::LintPass)
-            .with_pass(lightcone::DeadGate)
-            .with_pass(lightcone::ClobberedQubit)
-            .with_pass(stabilizer::CliffordPreservation)
+        Verifier {
+            checks: &CheckId::ALL,
+        }
     }
 
-    /// The pipeline for auditing the router's output: the circuit is on
-    /// physical wires (so V005 and the V006 audit apply) but has not been
-    /// decomposed yet, so native-gate conformance (V004) is excluded.
+    /// Every check but V004: for the router's output, which is on
+    /// physical wires (so V005 and the V006 audit apply) but not yet
+    /// decomposed to native gates.
     pub fn post_routing() -> Self {
-        Verifier::new()
-            .with_pass(checks::OperandValidity)
-            .with_pass(checks::DuplicateOperands)
-            .with_pass(checks::MeasurementDiscipline)
-            .with_pass(checks::CouplingMap)
-            .with_pass(audit::ClosedDivisionAudit)
-            .with_pass(checks::LintPass)
-            .with_pass(lightcone::DeadGate)
-            .with_pass(lightcone::ClobberedQubit)
-            .with_pass(stabilizer::CliffordPreservation)
+        use CheckId::*;
+        Verifier {
+            checks: &[
+                OperandValidity,
+                DuplicateOperands,
+                MeasurementDiscipline,
+                CouplingMap,
+                ClosedDivisionAudit,
+                Lint,
+                DeadGate,
+                ClobberedQubit,
+                CliffordPreservation,
+            ],
+        }
     }
 
-    /// The structural subset (V001–V003, V007–V009): meaningful without a
-    /// device.
+    /// The checks meaningful without a device (V001–V003, V007–V009):
+    /// for logical circuits.
     pub fn structural() -> Self {
-        Verifier::new()
-            .with_pass(checks::OperandValidity)
-            .with_pass(checks::DuplicateOperands)
-            .with_pass(checks::MeasurementDiscipline)
-            .with_pass(checks::LintPass)
-            .with_pass(lightcone::DeadGate)
-            .with_pass(lightcone::ClobberedQubit)
+        use CheckId::*;
+        Verifier {
+            checks: &[
+                OperandValidity,
+                DuplicateOperands,
+                MeasurementDiscipline,
+                Lint,
+                DeadGate,
+                ClobberedQubit,
+            ],
+        }
     }
 
-    /// Appends a pass to the pipeline.
-    pub(crate) fn with_pass(mut self, pass: impl Pass + 'static) -> Self {
-        self.passes.push(Box::new(pass));
-        self
-    }
-
-    /// Runs every pass over `ctx` and collects the findings.
+    /// Runs every check over `ctx` and collects the findings.
     pub fn verify(&self, ctx: &Context<'_>) -> Report {
         let mut diagnostics = Vec::new();
-        for pass in &self.passes {
-            pass.run(ctx, &mut diagnostics);
+        for check in self.checks {
+            check.run(ctx, &mut diagnostics);
         }
         Report { diagnostics }
     }
 }
 
-/// Runs the structural checks (V001–V003, V007–V009) on a bare circuit.
+/// Runs [`Verifier::structural`] on a bare circuit.
 pub fn verify_circuit(circuit: &Circuit) -> Report {
     Verifier::structural().verify(&Context::bare(circuit))
 }
 
-/// Runs every device-applicable check (V001–V005, V007) on a circuit
-/// targeting `device`.
+/// Runs [`Verifier::all`] on a circuit targeting `device`. With no
+/// routing provenance and no Clifford claim, V006 and V010 stay silent.
 pub fn verify_on_device(circuit: &Circuit, device: &Device) -> Report {
     Verifier::all().verify(&Context::on_device(circuit, device))
 }
@@ -473,7 +472,7 @@ pub fn verify_on_device(circuit: &Circuit, device: &Device) -> Report {
 /// `true` if `gate` is native to `gate_set`.
 ///
 /// This is the single source of truth for native-gate membership: the
-/// transpiler's decomposer and the V004 pass both consult it. Measurements,
+/// transpiler's decomposer and the V004 check both consult it. Measurements,
 /// resets and barriers are native everywhere; the identity is free on every
 /// architecture.
 pub fn is_native(gate: &Gate, gate_set: NativeGateSet) -> bool {
@@ -571,12 +570,6 @@ mod tests {
             report.render()
         );
         assert!(!report.has_errors());
-    }
-
-    #[test]
-    fn full_pipeline_registers_all_ten_passes() {
-        let ids: Vec<CheckId> = Verifier::all().passes.iter().map(|p| p.id()).collect();
-        assert_eq!(ids, CheckId::ALL.to_vec());
     }
 
     #[test]

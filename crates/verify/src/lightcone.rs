@@ -14,10 +14,10 @@
 //!
 //! V008 deliberately cedes territory to V003: a gate whose operand was
 //! already measured earlier in the circuit is the measurement-discipline
-//! pass's finding (and routing legitimately swaps through measured wires),
+//! check's finding (and routing legitimately swaps through measured wires),
 //! so V008 only flags dead gates on wires with no earlier measurement.
 
-use crate::{CheckId, Context, Diagnostic, Pass, Severity};
+use crate::{CheckId, Context, Diagnostic, Severity};
 use supermarq_circuit::{Circuit, GateKind};
 
 /// Forward per-qubit liveness facts.
@@ -154,60 +154,44 @@ pub(crate) fn lightcone(circuit: &Circuit) -> Lightcone {
 }
 
 /// V008: dead gate outside every measurement lightcone.
-pub(crate) struct DeadGate;
-
-impl Pass for DeadGate {
-    fn id(&self) -> CheckId {
-        CheckId::DeadGate
+pub(crate) fn dead_gate(ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
+    if ctx.circuit.measurement_count() == 0 {
+        return; // a purely unitary circuit observes nothing; all fair
     }
-
-    fn run(&self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        if ctx.circuit.measurement_count() == 0 {
-            return; // a purely unitary circuit observes nothing; all fair
+    let live = liveness(ctx.circuit);
+    let mut dead = lightcone(ctx.circuit).dead;
+    dead.sort_unstable();
+    for index in dead {
+        // Gates on previously-measured wires are V003's finding.
+        if live.operand_measured_before.get(index).copied() == Some(true) {
+            continue;
         }
-        let live = liveness(ctx.circuit);
-        let mut dead = lightcone(ctx.circuit).dead;
-        dead.sort_unstable();
-        for index in dead {
-            // Gates on previously-measured wires are V003's finding.
-            if live.operand_measured_before.get(index).copied() == Some(true) {
-                continue;
-            }
-            let instr = &ctx.circuit.instructions()[index];
-            out.push(Diagnostic::at(
-                CheckId::DeadGate,
-                Severity::Warning,
-                index,
-                format!(
-                    "'{}' on {:?} lies outside every measurement lightcone: \
-                     no observed outcome depends on it",
-                    instr.gate, instr.qubits
-                ),
-            ));
-        }
+        let instr = &ctx.circuit.instructions()[index];
+        out.push(Diagnostic::at(
+            CheckId::DeadGate,
+            Severity::Warning,
+            index,
+            format!(
+                "'{}' on {:?} lies outside every measurement lightcone: \
+                 no observed outcome depends on it",
+                instr.gate, instr.qubits
+            ),
+        ));
     }
 }
 
 /// V009: reset clobbers unconsumed quantum state.
-pub(crate) struct ClobberedQubit;
-
-impl Pass for ClobberedQubit {
-    fn id(&self) -> CheckId {
-        CheckId::ClobberedQubit
-    }
-
-    fn run(&self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        for (index, qubit) in liveness(ctx.circuit).clobbered {
-            out.push(Diagnostic::at(
-                CheckId::ClobberedQubit,
-                Severity::Warning,
-                index,
-                format!(
-                    "reset clobbers qubit {qubit}: unitary work since its last \
-                     collapse was never measured or shared with another wire"
-                ),
-            ));
-        }
+pub(crate) fn clobbered_qubit(ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
+    for (index, qubit) in liveness(ctx.circuit).clobbered {
+        out.push(Diagnostic::at(
+            CheckId::ClobberedQubit,
+            Severity::Warning,
+            index,
+            format!(
+                "reset clobbers qubit {qubit}: unitary work since its last \
+                 collapse was never measured or shared with another wire"
+            ),
+        ));
     }
 }
 
@@ -216,9 +200,9 @@ mod tests {
     use super::*;
     use crate::Verifier;
 
-    fn run_check(pass: impl Pass, circuit: &Circuit) -> Vec<Diagnostic> {
+    fn run_check(check: CheckId, circuit: &Circuit) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        pass.run(&Context::bare(circuit), &mut out);
+        check.run(&Context::bare(circuit), &mut out);
         out
     }
 
@@ -252,7 +236,7 @@ mod tests {
     fn v008_flags_dead_gate_with_location() {
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).h(2).measure(0).measure(1);
-        let out = run_check(DeadGate, &c);
+        let out = run_check(CheckId::DeadGate, &c);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].instruction, Some(2));
         assert_eq!(out[0].severity, Severity::Warning);
@@ -262,11 +246,11 @@ mod tests {
     fn v008_is_silent_without_measurements_and_on_clean_circuits() {
         let mut unitary_only = Circuit::new(2);
         unitary_only.h(0).h(1).cx(0, 1);
-        assert!(run_check(DeadGate, &unitary_only).is_empty());
+        assert!(run_check(CheckId::DeadGate, &unitary_only).is_empty());
 
         let mut clean = Circuit::new(2);
         clean.h(0).cx(0, 1).measure_all();
-        assert!(run_check(DeadGate, &clean).is_empty());
+        assert!(run_check(CheckId::DeadGate, &clean).is_empty());
     }
 
     #[test]
@@ -275,11 +259,11 @@ mod tests {
         // V003 findings (or legitimate routing); V008 must stay silent.
         let mut straggler = Circuit::new(2);
         straggler.h(0).cx(0, 1).measure(0).measure(1).x(0);
-        assert!(run_check(DeadGate, &straggler).is_empty());
+        assert!(run_check(CheckId::DeadGate, &straggler).is_empty());
 
         let mut routed_swap = Circuit::new(2);
         routed_swap.h(0).measure(0).swap(0, 1);
-        assert!(run_check(DeadGate, &routed_swap).is_empty());
+        assert!(run_check(CheckId::DeadGate, &routed_swap).is_empty());
     }
 
     #[test]
@@ -287,7 +271,7 @@ mod tests {
         // The h(2) feeds cx(2, 1) which feeds the measured wire: alive.
         let mut c = Circuit::new(3);
         c.h(0).h(2).cx(2, 1).cx(0, 1).measure(1);
-        assert!(run_check(DeadGate, &c).is_empty());
+        assert!(run_check(CheckId::DeadGate, &c).is_empty());
     }
 
     #[test]
@@ -296,7 +280,7 @@ mod tests {
         // depends on it, even though wire 1 is measured later.
         let mut c = Circuit::new(2);
         c.h(0).h(1).reset(1).cx(0, 1).measure_all();
-        let out = run_check(DeadGate, &c);
+        let out = run_check(CheckId::DeadGate, &c);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].instruction, Some(1));
     }
@@ -305,7 +289,7 @@ mod tests {
     fn v009_flags_reset_discarding_unconsumed_work() {
         let mut c = Circuit::new(2);
         c.h(0).reset(0).x(0).measure_all();
-        let out = run_check(ClobberedQubit, &c);
+        let out = run_check(CheckId::ClobberedQubit, &c);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].instruction, Some(1));
         assert!(out[0].message.contains("qubit 0"));
@@ -316,17 +300,17 @@ mod tests {
         // measure-then-reset is the canonical ancilla recycle: fine.
         let mut recycled = Circuit::new(2);
         recycled.h(0).measure(0).reset(0).h(0).measure(0);
-        assert!(run_check(ClobberedQubit, &recycled).is_empty());
+        assert!(run_check(CheckId::ClobberedQubit, &recycled).is_empty());
 
         // Entangled work escapes through the partner wire: fine.
         let mut coupled = Circuit::new(2);
         coupled.h(0).cx(0, 1).reset(0).measure_all();
-        assert!(run_check(ClobberedQubit, &coupled).is_empty());
+        assert!(run_check(CheckId::ClobberedQubit, &coupled).is_empty());
 
         // A fresh reset (nothing pending) is fine.
         let mut fresh = Circuit::new(1);
         fresh.reset(0).h(0).measure(0);
-        assert!(run_check(ClobberedQubit, &fresh).is_empty());
+        assert!(run_check(CheckId::ClobberedQubit, &fresh).is_empty());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! touching its sign, which is exactly what [`PauliString::permuted`]
 //! implements.
 
-use crate::{CheckId, Context, Diagnostic, Pass, Severity};
+use crate::{CheckId, Context, Diagnostic, Severity};
 use std::collections::BTreeMap;
 use supermarq_circuit::{Circuit, GateKind};
 use supermarq_clifford::{clifford_ops, StabilizerSimulator};
@@ -310,30 +310,22 @@ fn prove_inner(
 
 /// V010: a pipeline that claimed Clifford-preserving input must not emit
 /// non-Clifford gates.
-pub(crate) struct CliffordPreservation;
-
-impl Pass for CliffordPreservation {
-    fn id(&self) -> CheckId {
-        CheckId::CliffordPreservation
+pub(crate) fn clifford_preservation(ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
+    if !ctx.clifford_input {
+        return;
     }
-
-    fn run(&self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        if !ctx.clifford_input {
-            return;
-        }
-        for index in clifford_summary(ctx.circuit).non_clifford {
-            let instr = &ctx.circuit.instructions()[index];
-            out.push(Diagnostic::at(
-                CheckId::CliffordPreservation,
-                Severity::Error,
-                index,
-                format!(
-                    "'{}' is not a Clifford gate, but the pipeline's input was \
-                     Clifford and every legal pass preserves that",
-                    instr.gate
-                ),
-            ));
-        }
+    for index in clifford_summary(ctx.circuit).non_clifford {
+        let instr = &ctx.circuit.instructions()[index];
+        out.push(Diagnostic::at(
+            CheckId::CliffordPreservation,
+            Severity::Error,
+            index,
+            format!(
+                "'{}' is not a Clifford gate, but the pipeline's input was \
+                 Clifford and every legal pass preserves that",
+                instr.gate
+            ),
+        ));
     }
 }
 
@@ -485,10 +477,10 @@ mod tests {
         let mut c = Circuit::new(1);
         c.h(0).t(0).measure(0);
         let mut out = Vec::new();
-        CliffordPreservation.run(&Context::bare(&c), &mut out);
+        clifford_preservation(&Context::bare(&c), &mut out);
         assert!(out.is_empty(), "no claim, no finding");
         let ctx = Context::bare(&c).with_clifford_claim(true);
-        CliffordPreservation.run(&ctx, &mut out);
+        clifford_preservation(&ctx, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].instruction, Some(1));
         assert_eq!(out[0].severity, Severity::Error);
