@@ -48,7 +48,7 @@ pub(crate) mod diff;
 pub mod fuse;
 pub(crate) mod pass;
 pub(crate) mod passes;
-pub mod pipeline;
+pub(crate) mod pipeline;
 pub mod placement;
 pub(crate) mod provenance;
 pub mod routing;

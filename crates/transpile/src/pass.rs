@@ -233,7 +233,7 @@ impl<'d> PassContext<'d> {
 }
 
 /// One stage of a transpile pipeline. The built-in passes are the
-/// [`PassSpec`](crate::pipeline::PassSpec) variants; tests implement it to
+/// [`PassSpec`](crate::PassSpec) variants; tests implement it to
 /// run a fake pass among them.
 pub trait Pass {
     /// Stable kebab-case identifier (`"route"`, `"verify-final"`, ...):

@@ -3,9 +3,9 @@
 
 use supermarq_circuit::Circuit;
 use supermarq_device::Device;
-use supermarq_transpile::pipeline::PassSpec;
 use supermarq_transpile::{
-    run_pass, Pass, PassContext, PipelineId, PlacementStrategy, TranspileError, Transpiler,
+    run_pass, Pass, PassContext, PassSpec, PipelineId, PlacementStrategy, TranspileError,
+    Transpiler,
 };
 use supermarq_verify::{CheckId, Severity};
 
