@@ -10,10 +10,12 @@
 //! built from a circuit analysis: transpiled circuits, diagnostics with
 //! their blame, and feature vectors (`analysis_outputs_digest`). The
 //! Table I comparison corpora are pinned circuit by circuit
-//! (`table1_corpora_digest`).
+//! (`table1_corpora_digest`), and so are the classically optimized VQE
+//! and QAOA parameters and ideal energies (`optimizer_outputs_digest`).
 
 use std::fmt::Write;
 
+use supermarq::benchmarks::{QaoaSwapBenchmark, QaoaVanillaBenchmark, VqeBenchmark};
 use supermarq::coverage::{
     cbg2021_suite, ppl2020_suite, qasmbench_suite, supermarq_suite, triq_suite,
 };
@@ -471,6 +473,44 @@ fn table1_corpora_digest() {
         supermarq_store::hash::sha256_hex(all.as_bytes()),
         TABLE1_CORPORA_DIGEST,
         "Table I corpora drifted"
+    );
+}
+
+/// SHA-256 over [`optimizer_outputs_listing`], captured while every VQE
+/// energy was evaluated on a fresh ansatz circuit and every QAOA energy
+/// through `qaoa_p1_energy`.
+const OPTIMIZER_OUTPUTS_DIGEST: &str =
+    "e961441fce7b92d981a29fc920589028bdd12ca2045ed7b7a69dff06ba8ebc45";
+
+/// The classically optimized proxy applications, one `Debug` line each:
+/// `VqeBenchmark` at sizes 2-8 with 1 and 2 ansatz layers, and
+/// `QaoaVanillaBenchmark` and `QaoaSwapBenchmark` at sizes 2-12 on SK
+/// seeds 1-3. `Debug` prints each f64 in shortest round-trip form, so the
+/// listing pins every optimized parameter and ideal energy bit for bit.
+fn optimizer_outputs_listing() -> String {
+    let mut all = String::new();
+    for n in 2..=8 {
+        for layers in [1, 2] {
+            writeln!(all, "{:?}", VqeBenchmark::new(n, layers)).unwrap();
+        }
+    }
+    for n in 2..=12 {
+        for seed in 1..=3 {
+            writeln!(all, "{:?}", QaoaVanillaBenchmark::new(n, seed)).unwrap();
+            writeln!(all, "{:?}", QaoaSwapBenchmark::new(n, seed)).unwrap();
+        }
+    }
+    all
+}
+
+/// The VQE and QAOA optimizers reach the same optimum bits.
+#[test]
+fn optimizer_outputs_digest() {
+    let listing = optimizer_outputs_listing();
+    assert_eq!(
+        supermarq_store::hash::sha256_hex(listing.as_bytes()),
+        OPTIMIZER_OUTPUTS_DIGEST,
+        "optimizer outputs drifted:\n{listing}"
     );
 }
 
