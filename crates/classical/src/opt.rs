@@ -52,6 +52,15 @@ pub fn nelder_mead<F: FnMut(&[f64]) -> f64>(
         evals += 1;
         simplex.push((x, fx));
     }
+    // Trial points live in buffers allocated once: an accepted trial
+    // trades buffers with the worst vertex it replaces.
+    let mut centroid = vec![0.0; n];
+    let mut reflect = vec![0.0; n];
+    let mut trial = vec![0.0; n];
+    let replace_worst = |simplex: &mut [(Vec<f64>, f64)], x: &mut Vec<f64>, fx: f64| {
+        std::mem::swap(&mut simplex[n].0, x);
+        simplex[n].1 = fx;
+    };
     loop {
         simplex.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite objective"));
         let spread = simplex[n].1 - simplex[0].1;
@@ -68,63 +77,53 @@ pub fn nelder_mead<F: FnMut(&[f64]) -> f64>(
             return simplex.swap_remove(0);
         }
         // Centroid of all but worst.
-        let mut centroid = vec![0.0; n];
+        centroid.fill(0.0);
         for (x, _) in &simplex[..n] {
             for (c, xi) in centroid.iter_mut().zip(x) {
                 *c += xi / n as f64;
             }
         }
-        let worst = simplex[n].clone();
-        let reflect: Vec<f64> = centroid
-            .iter()
-            .zip(&worst.0)
-            .map(|(c, w)| c + alpha * (c - w))
-            .collect();
+        for ((r, c), w) in reflect.iter_mut().zip(&centroid).zip(&simplex[n].0) {
+            *r = c + alpha * (c - w);
+        }
         let f_reflect = f(&reflect);
         evals += 1;
         if f_reflect < simplex[0].1 {
             // Try expansion.
-            let expand: Vec<f64> = centroid
-                .iter()
-                .zip(&reflect)
-                .map(|(c, r)| c + gamma * (r - c))
-                .collect();
-            let f_expand = f(&expand);
+            for ((e, c), r) in trial.iter_mut().zip(&centroid).zip(&reflect) {
+                *e = c + gamma * (r - c);
+            }
+            let f_expand = f(&trial);
             evals += 1;
-            simplex[n] = if f_expand < f_reflect {
-                (expand, f_expand)
+            if f_expand < f_reflect {
+                replace_worst(&mut simplex, &mut trial, f_expand);
             } else {
-                (reflect, f_reflect)
-            };
+                replace_worst(&mut simplex, &mut reflect, f_reflect);
+            }
             continue;
         }
         if f_reflect < simplex[n - 1].1 {
-            simplex[n] = (reflect, f_reflect);
+            replace_worst(&mut simplex, &mut reflect, f_reflect);
             continue;
         }
         // Contraction.
-        let contract: Vec<f64> = centroid
-            .iter()
-            .zip(&worst.0)
-            .map(|(c, w)| c + rho * (w - c))
-            .collect();
-        let f_contract = f(&contract);
+        for ((t, c), w) in trial.iter_mut().zip(&centroid).zip(&simplex[n].0) {
+            *t = c + rho * (w - c);
+        }
+        let f_contract = f(&trial);
         evals += 1;
-        if f_contract < worst.1 {
-            simplex[n] = (contract, f_contract);
+        if f_contract < simplex[n].1 {
+            replace_worst(&mut simplex, &mut trial, f_contract);
             continue;
         }
         // Shrink toward the best vertex.
-        let best = simplex[0].0.clone();
-        for entry in simplex.iter_mut().skip(1) {
-            let x: Vec<f64> = best
-                .iter()
-                .zip(&entry.0)
-                .map(|(b, xi)| b + sigma * (xi - b))
-                .collect();
-            let fx = f(&x);
+        let (best, rest) = simplex.split_first_mut().expect("n + 1 vertices");
+        for (x, fx) in rest {
+            for (xi, b) in x.iter_mut().zip(&best.0) {
+                *xi = b + sigma * (*xi - b);
+            }
+            *fx = f(x);
             evals += 1;
-            *entry = (x, fx);
         }
     }
 }

@@ -83,21 +83,155 @@ pub(crate) fn qaoa_p1_zz(
     term1 - term2
 }
 
+/// [`qaoa_p1_energy`] of one instance, prepared for many `(gamma, beta)`.
+///
+/// Every cosine the correlators multiply is `cos(2 gamma m)` for a
+/// multiplier `m` among `w_uk`, `w_vk`, `w_uk + w_vk` and `w_uk - w_vk`,
+/// and every sine is `sin(2 gamma w_uv)`; an instance has few distinct
+/// ones (five and two for +-1 SK weights). The couplings keep indices
+/// into tables of the distinct values (keyed by their bits), so an
+/// evaluation computes one cosine or sine per table entry and then forms
+/// the same products in the same order as `qaoa_p1_zz`: the energy equals
+/// `qaoa_p1_energy`'s bit for bit. The factors that depend on `gamma`
+/// alone are kept for the last `gamma` evaluated, so a grid row that
+/// varies only `beta` forms them once.
+struct P1Energy {
+    /// The distinct cosine multipliers, in first-use order.
+    cos_multipliers: Vec<f64>,
+    /// The distinct couplings `w_uv`, the sine multipliers.
+    sin_multipliers: Vec<f64>,
+    /// The nonzero couplings in `(u, v)` order.
+    couplings: Vec<Coupling>,
+    /// The bits of the `gamma` that `factors` hold, once evaluated.
+    gamma: Option<u64>,
+    /// Per coupling at `gamma`: `sin(2 gamma w_uv)`, `prod_u + prod_v`
+    /// and `prod_sum - prod_diff`.
+    factors: Vec<[f64; 3]>,
+    /// Scratch for the tables' cosines and sines at `gamma`.
+    cosines: Vec<f64>,
+    sines: Vec<f64>,
+}
+
+/// One nonzero coupling of a [`P1Energy`].
+struct Coupling {
+    w_uv: f64,
+    /// Index of `w_uv` in the sine table.
+    sine: usize,
+    /// For every `k` other than `u` and `v`, in increasing `k`, the
+    /// cosine-table indices of `[w_uk, w_vk, w_uk + w_vk, w_uk - w_vk]`.
+    cosines: Vec<[usize; 4]>,
+}
+
+/// The index of `m` in `table`, appending it if no entry has its bits.
+fn intern(table: &mut Vec<f64>, m: f64) -> usize {
+    match table.iter().position(|t| t.to_bits() == m.to_bits()) {
+        Some(i) => i,
+        None => {
+            table.push(m);
+            table.len() - 1
+        }
+    }
+}
+
+impl P1Energy {
+    fn new(n: usize, weights: &[f64]) -> Self {
+        let expected = n * n.saturating_sub(1) / 2;
+        assert_eq!(weights.len(), expected, "need {expected} weights for n={n}");
+        let (mut cos_multipliers, mut sin_multipliers) = (Vec::new(), Vec::new());
+        let mut couplings = Vec::new();
+        for u in 0..n {
+            for v in u + 1..n {
+                let w_uv = weight(n, weights, u, v);
+                if w_uv == 0.0 {
+                    continue;
+                }
+                let cosines = (0..n)
+                    .filter(|&k| k != u && k != v)
+                    .map(|k| {
+                        let w_uk = weight(n, weights, u, k);
+                        let w_vk = weight(n, weights, v, k);
+                        [w_uk, w_vk, w_uk + w_vk, w_uk - w_vk]
+                            .map(|m| intern(&mut cos_multipliers, m))
+                    })
+                    .collect();
+                let sine = intern(&mut sin_multipliers, w_uv);
+                couplings.push(Coupling {
+                    w_uv,
+                    sine,
+                    cosines,
+                });
+            }
+        }
+        P1Energy {
+            cosines: vec![0.0; cos_multipliers.len()],
+            sines: vec![0.0; sin_multipliers.len()],
+            factors: vec![[0.0; 3]; couplings.len()],
+            gamma: None,
+            cos_multipliers,
+            sin_multipliers,
+            couplings,
+        }
+    }
+
+    /// Forms the factors that depend on `gamma` alone.
+    fn set_gamma(&mut self, gamma: f64) {
+        let g2 = 2.0 * gamma;
+        for (c, m) in self.cosines.iter_mut().zip(&self.cos_multipliers) {
+            *c = (g2 * m).cos();
+        }
+        for (s, w) in self.sines.iter_mut().zip(&self.sin_multipliers) {
+            *s = (g2 * w).sin();
+        }
+        for (f, coupling) in self.factors.iter_mut().zip(&self.couplings) {
+            let mut prods = [1.0; 4];
+            for idx in &coupling.cosines {
+                for (p, &i) in prods.iter_mut().zip(idx) {
+                    *p *= self.cosines[i];
+                }
+            }
+            let [prod_u, prod_v, prod_sum, prod_diff] = prods;
+            *f = [
+                self.sines[coupling.sine],
+                prod_u + prod_v,
+                prod_sum - prod_diff,
+            ];
+        }
+        self.gamma = Some(gamma.to_bits());
+    }
+
+    fn energy(&mut self, gamma: f64, beta: f64) -> f64 {
+        if self.gamma != Some(gamma.to_bits()) {
+            self.set_gamma(gamma);
+        }
+        let half_sin_4b = 0.5 * (4.0 * beta).sin();
+        let half_sin2_2b = 0.5 * (2.0 * beta).sin().powi(2);
+        let mut energy = 0.0;
+        for (coupling, &[sin_uv, prods_uv, prods_sd]) in self.couplings.iter().zip(&self.factors) {
+            let term1 = half_sin_4b * sin_uv * prods_uv;
+            let term2 = half_sin2_2b * prods_sd;
+            energy += coupling.w_uv * (term1 - term2);
+        }
+        energy
+    }
+}
+
 /// Finds the level-1 parameters minimizing `<C>` (the paper's proxy targets
 /// the ground state of the SK Hamiltonian, i.e. the maximum cut).
 ///
-/// Coarse grid over one period, polished with Nelder–Mead. Returns
+/// Coarse grid over one period, polished with Nelder–Mead, both reading
+/// energies from one `P1Energy` of the instance. Returns
 /// `((gamma, beta), energy)`.
 pub fn qaoa_p1_optimize(n: usize, weights: &[f64]) -> ((f64, f64), f64) {
     use std::f64::consts::PI;
+    let mut landscape = P1Energy::new(n, weights);
     let (g0, b0, _) = grid_search_2d(
-        |g, b| qaoa_p1_energy(n, weights, g, b),
+        |g, b| landscape.energy(g, b),
         (-PI / 2.0, PI / 2.0),
         (-PI / 4.0, PI / 4.0),
         41,
     );
     let (x, e) = nelder_mead(
-        |v| qaoa_p1_energy(n, weights, v[0], v[1]),
+        |v| landscape.energy(v[0], v[1]),
         &[g0, b0],
         NelderMeadOptions {
             max_evals: 4000,
@@ -191,6 +325,46 @@ mod tests {
         // Statevector agreement at the optimum.
         let sv = statevector_energy(3, &weights, g, b);
         assert!((sv - e).abs() < 1e-8);
+    }
+
+    /// `P1Energy` against `qaoa_p1_energy`, bit for bit, at random angles:
+    /// three `beta` per `gamma`, so the kept `gamma` factors are read too.
+    fn assert_prepared_matches(n: usize, weights: &[f64], rng: &mut impl rand::Rng) {
+        let mut prepared = P1Energy::new(n, weights);
+        for _ in 0..100 {
+            let g = rng.gen_range(-2.0..2.0);
+            for _ in 0..3 {
+                let b = rng.gen_range(-1.0..1.0);
+                assert_eq!(
+                    prepared.energy(g, b).to_bits(),
+                    qaoa_p1_energy(n, weights, g, b).to_bits(),
+                    "n={n} g={g} b={b} weights={weights:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn prepared_energy_matches_closed_form_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(26);
+        for n in 2..=12 {
+            let pairs = n * (n - 1) / 2;
+            for seed in 1..=3 {
+                assert_prepared_matches(n, &crate::maxcut::sk_weights(n, seed), &mut rng);
+            }
+            // Non-+-1 weights with absent edges: many distinct multipliers,
+            // zero couplings skipped, zero factors kept.
+            let weights: Vec<f64> = (0..pairs)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-2.0..2.0),
+                })
+                .collect();
+            assert_prepared_matches(n, &weights, &mut rng);
+        }
     }
 
     #[test]

@@ -56,4 +56,4 @@ pub use counts::Counts;
 pub use density::DensityMatrix;
 pub use executor::{shot_rng, ExecError, Executor};
 pub use noise::{NoiseModel, NoisyOp, NoisyProgram};
-pub use state::{CumulativeSampler, StateVector, MAX_QUBITS, MIN_NORM_SQR};
+pub use state::{CumulativeSampler, PreparedPauliSum, StateVector, MAX_QUBITS, MIN_NORM_SQR};

@@ -13,7 +13,7 @@ use crate::simd;
 use rand::Rng;
 use std::ops::Range;
 use supermarq_circuit::{Gate, Instruction, C64};
-use supermarq_pauli::{Pauli, PauliString, PauliSum};
+use supermarq_pauli::{PauliString, PauliSum};
 
 /// Maximum register size the simulator accepts (memory guard: a 26-qubit
 /// state is already 1 GiB of amplitudes).
@@ -607,34 +607,17 @@ impl StateVector {
         last_nonzero
     }
 
-    /// Applies a Pauli string as a unitary (used by stochastic noise).
-    pub(crate) fn apply_pauli_string(&mut self, p: &PauliString) {
-        assert_eq!(p.num_qubits(), self.num_qubits, "size mismatch");
-        for (q, &pauli) in p.paulis().iter().enumerate() {
-            let gate = match pauli {
-                Pauli::I => continue,
-                Pauli::X => Gate::X,
-                Pauli::Y => Gate::Y,
-                Pauli::Z => Gate::Z,
-            };
-            let m = gate.matrix1().expect("pauli has a matrix");
-            self.apply_matrix1(&m, q);
-        }
-    }
-
-    /// Returns `P|self>` for a Pauli string (without phase ambiguity: Y
-    /// carries its usual `[[0,-i],[i,0]]` matrix).
-    fn pauli_applied(&self, p: &PauliString) -> StateVector {
-        let mut out = self.clone();
-        out.apply_pauli_string(p);
-        out
-    }
-
-    /// Expectation value `<self| P |self>` of a Pauli string. Always real
-    /// for Hermitian `P`; the real part is returned.
+    /// Expectation value `<self| P |self>` of a Pauli string (Y carries its
+    /// usual `[[0,-i],[i,0]]` matrix). Always real for Hermitian `P`; the
+    /// real part is returned. Read from the amplitudes in place, with no
+    /// copy of the state (see [`PreparedPauliSum`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on size mismatch.
     pub fn expectation_pauli(&self, p: &PauliString) -> f64 {
-        let applied = self.pauli_applied(p);
-        self.inner_product(&applied).re
+        assert_eq!(p.num_qubits(), self.num_qubits, "size mismatch");
+        self.masked_expectation(PauliMasks::of(p))
     }
 
     /// Expectation value of a weighted Pauli sum.
@@ -642,9 +625,96 @@ impl StateVector {
         h.iter().map(|(c, p)| c * self.expectation_pauli(p)).sum()
     }
 
+    /// [`StateVector::expectation`] of the sum `h` was prepared from: the
+    /// same per-term values, summed in the same order, so the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics on size mismatch.
+    pub fn expectation_prepared(&self, h: &PreparedPauliSum) -> f64 {
+        assert_eq!(h.num_qubits, self.num_qubits, "size mismatch");
+        h.terms
+            .iter()
+            .map(|&(c, masks)| c * self.masked_expectation(masks))
+            .sum()
+    }
+
+    /// `<self| P |self>` for the string `masks` describes:
+    /// `(P psi)_i = (-i)^y (-1)^{|i & z|} psi_{i ^ x}`. Each index adds
+    /// the real part of `conj(psi_i) (P psi)_i` as the complex product
+    /// forms it, in index order from zero, so the value equals `<psi|P psi>`
+    /// with `P` applied site by site as one-qubit matrices, bit for bit
+    /// wherever it is nonzero.
+    fn masked_expectation(&self, PauliMasks { x, z, ys }: PauliMasks) -> f64 {
+        let amps = &self.amps;
+        let mut sum = 0.0;
+        if z == 0 {
+            // X sites only: no phase.
+            for (i, a) in amps.iter().enumerate() {
+                let b = amps[i ^ x];
+                sum += a.re * b.re + a.im * b.im;
+            }
+            return sum;
+        }
+        for (i, a) in amps.iter().enumerate() {
+            let b = amps[i ^ x];
+            // (-i)^y = (-1)^(y/2) (-i)^(y%2), and -i b = (b.im, -b.re).
+            let re = if ys % 2 == 0 {
+                a.re * b.re + a.im * b.im
+            } else {
+                a.re * b.im - a.im * b.re
+            };
+            let odd = ((i & z).count_ones() + ys / 2) % 2 == 1;
+            sum += if odd { -re } else { re };
+        }
+        sum
+    }
+
     /// The full probability distribution over basis states.
     pub fn probabilities(&self) -> Vec<f64> {
         self.amps.iter().map(|a| a.norm_sqr()).collect()
+    }
+}
+
+/// A Pauli string as [`StateVector`] reads it in place: the mask `x` of
+/// its X and Y sites, the mask `z` of its Z and Y sites, and its number of
+/// Ys.
+#[derive(Debug, Clone, Copy)]
+struct PauliMasks {
+    x: usize,
+    z: usize,
+    ys: u32,
+}
+
+impl PauliMasks {
+    fn of(p: &PauliString) -> Self {
+        let mut masks = PauliMasks { x: 0, z: 0, ys: 0 };
+        for (q, pauli) in p.paulis().iter().enumerate() {
+            let (x, z) = pauli.xz_bits();
+            masks.x |= usize::from(x) << q;
+            masks.z |= usize::from(z) << q;
+            masks.ys += u32::from(x && z);
+        }
+        masks
+    }
+}
+
+/// A weighted Pauli sum prepared once for many expectation values
+/// ([`StateVector::expectation_prepared`]): each term's coefficient and
+/// masks, in the sum's term order.
+#[derive(Debug, Clone)]
+pub struct PreparedPauliSum {
+    num_qubits: usize,
+    terms: Vec<(f64, PauliMasks)>,
+}
+
+impl PreparedPauliSum {
+    /// Prepares `h`.
+    pub fn new(h: &PauliSum) -> Self {
+        PreparedPauliSum {
+            num_qubits: h.num_qubits(),
+            terms: h.iter().map(|(c, p)| (c, PauliMasks::of(p))).collect(),
+        }
     }
 }
 
@@ -853,6 +923,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use supermarq_pauli::Pauli;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(12345)
@@ -990,6 +1061,65 @@ mod tests {
         }
         let h = tfim_hamiltonian(n, 1.0, 0.5);
         assert!((psi.expectation(&h) + 1.5).abs() < 1e-12);
+    }
+
+    /// `P|psi>` with `P` applied site by site as one-qubit matrices: the
+    /// reference `expectation_pauli` is checked against.
+    fn pauli_applied(psi: &StateVector, p: &PauliString) -> StateVector {
+        let mut out = psi.clone();
+        for (q, &pauli) in p.paulis().iter().enumerate() {
+            let gate = match pauli {
+                Pauli::I => continue,
+                Pauli::X => Gate::X,
+                Pauli::Y => Gate::Y,
+                Pauli::Z => Gate::Z,
+            };
+            out.apply_matrix1(&gate.matrix1().unwrap(), q);
+        }
+        out
+    }
+
+    /// Bit for bit, up to the sign of an exact zero.
+    fn assert_same_value(got: f64, want: f64, what: &str) {
+        assert!(
+            got.to_bits() == want.to_bits() || (got == 0.0 && want == 0.0),
+            "{what}: {got:?} vs {want:?}"
+        );
+    }
+
+    #[test]
+    fn in_place_pauli_expectation_matches_applied_string() {
+        use supermarq_pauli::{mermin_operator, tfim_hamiltonian};
+        let mut ghz = StateVector::zero_state(4);
+        ghz.apply_gate(&Gate::H, &[0]);
+        ghz.apply_gate(&Gate::S, &[0]);
+        for q in 0..3 {
+            ghz.apply_gate(&Gate::Cx, &[q, q + 1]);
+        }
+        let states = (1..=5).map(scrambled_state_n).chain([
+            scrambled_state(),
+            ghz,
+            StateVector::basis_state(3, 0b101),
+        ]);
+        for psi in states {
+            let n = psi.num_qubits();
+            for code in 0..1usize << (2 * n) {
+                let p =
+                    PauliString::new((0..n).map(|q| Pauli::ALL[(code >> (2 * q)) & 3]).collect());
+                let want = psi.inner_product(&pauli_applied(&psi, &p)).re;
+                assert_same_value(psi.expectation_pauli(&p), want, &format!("{p} on {n}"));
+            }
+            for h in [mermin_operator(n), tfim_hamiltonian(n, 0.7, 1.3)] {
+                let want: f64 = h
+                    .iter()
+                    .map(|(c, p)| c * psi.inner_product(&pauli_applied(&psi, p)).re)
+                    .sum();
+                let what = format!("{h} on {n}");
+                assert_same_value(psi.expectation(&h), want, &what);
+                let prepared = PreparedPauliSum::new(&h);
+                assert_same_value(psi.expectation_prepared(&prepared), want, &what);
+            }
+        }
     }
 
     #[test]

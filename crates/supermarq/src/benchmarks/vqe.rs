@@ -1,9 +1,9 @@
 //! The VQE proxy-application (paper Sec. IV-E).
 
-use supermarq_circuit::Circuit;
+use supermarq_circuit::{Circuit, Gate};
 use supermarq_classical::opt::{nelder_mead, NelderMeadOptions};
 use supermarq_pauli::tfim_hamiltonian;
-use supermarq_sim::{Counts, Executor};
+use supermarq_sim::{Counts, PreparedPauliSum, StateVector};
 
 use crate::benchmark::{clamp_score, expect_counts, CircuitFamily, ScoreError, ScoringStrategy};
 
@@ -39,18 +39,12 @@ impl VqeBenchmark {
     pub fn new(n: usize, layers: usize) -> Self {
         assert!((2..=12).contains(&n), "VQE supports 2..=12 qubits");
         assert!(layers >= 1, "need at least one ansatz layer");
-        let h = tfim_hamiltonian(n, J, H_FIELD);
+        let h = PreparedPauliSum::new(&tfim_hamiltonian(n, J, H_FIELD));
         let num_params = (layers + 1) * n;
         // Deterministic, symmetry-breaking start.
         let x0: Vec<f64> = (0..num_params).map(|i| 0.1 + 0.05 * i as f64).collect();
-        let energy_of = |params: &[f64]| {
-            let c = Self::ansatz(n, layers, params);
-            Executor::final_state(&c)
-                .expect("ansatz circuits contain no reset")
-                .expectation(&h)
-        };
         let (params, ideal_energy) = nelder_mead(
-            energy_of,
+            |params: &[f64]| Self::ansatz_state(n, layers, params).expectation_prepared(&h),
             &x0,
             NelderMeadOptions {
                 max_evals: 6000,
@@ -85,6 +79,27 @@ impl VqeBenchmark {
             k += 1;
         }
         c
+    }
+
+    /// The statevector of [`Self::ansatz`] at `params`, with no circuit
+    /// built: each gate goes through [`StateVector::apply_gate`] in the
+    /// order `Executor::final_state` applies the ansatz after fusion, which
+    /// emits each `Ry` when the first CNOT on its qubit flushes it and the
+    /// last `Ry` layer in qubit order. The amplitudes are the same bit for
+    /// bit.
+    fn ansatz_state(n: usize, layers: usize, params: &[f64]) -> StateVector {
+        let mut psi = StateVector::zero_state(n);
+        for layer in params[..layers * n].chunks(n) {
+            psi.apply_gate(&Gate::Ry(layer[0]), &[0]);
+            for q in 0..n - 1 {
+                psi.apply_gate(&Gate::Ry(layer[q + 1]), &[q + 1]);
+                psi.apply_gate(&Gate::Cx, &[q, q + 1]);
+            }
+        }
+        for (q, &theta) in params[layers * n..].iter().enumerate() {
+            psi.apply_gate(&Gate::Ry(theta), &[q]);
+        }
+        psi
     }
 
     /// Estimates the TFIM energy from `(z_counts, x_counts)`.
@@ -136,7 +151,7 @@ impl ScoringStrategy for VqeBenchmark {
 mod tests {
     use super::*;
     use supermarq_classical::tfim_ground_energy;
-    use supermarq_sim::NoiseModel;
+    use supermarq_sim::{Executor, NoiseModel};
 
     #[test]
     fn optimized_energy_approaches_exact_ground_energy() {
@@ -201,6 +216,39 @@ mod tests {
             circuits[0].gate_count() + 4,
             "basis change should add one H per qubit"
         );
+    }
+
+    #[test]
+    fn ansatz_state_matches_final_state_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(26);
+        for n in 2..=12 {
+            let h = tfim_hamiltonian(n, J, H_FIELD);
+            let prepared = PreparedPauliSum::new(&h);
+            for layers in 1..=3 {
+                for _ in 0..4 {
+                    let params: Vec<f64> = (0..(layers + 1) * n)
+                        .map(|_| rng.gen_range(-4.0..4.0))
+                        .collect();
+                    let oracle = Executor::final_state(&VqeBenchmark::ansatz(n, layers, &params))
+                        .expect("ansatz circuits contain no reset");
+                    let psi = VqeBenchmark::ansatz_state(n, layers, &params);
+                    let bits = |s: &StateVector| -> Vec<(u64, u64)> {
+                        s.amplitudes()
+                            .iter()
+                            .map(|a| (a.re.to_bits(), a.im.to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(bits(&psi), bits(&oracle), "n={n} layers={layers}");
+                    assert_eq!(
+                        psi.expectation_prepared(&prepared).to_bits(),
+                        oracle.expectation(&h).to_bits(),
+                        "n={n} layers={layers}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
