@@ -177,17 +177,10 @@ impl NoiseModel {
             .unwrap_or(self.readout_error)
     }
 
-    /// Amplitude-damping and phase-flip probabilities of idling for `t`
-    /// microseconds: `gamma = 1 - exp(-t/T1)` and
-    /// `p_phi = (1 - exp(-t/T_phi))/2` with the pure-dephasing rate
-    /// `1/T_phi = 1/T2 - 1/(2 T1)`, clamped at 0.
-    fn relaxation(&self, t: f64) -> (f64, f64) {
+    /// How idle windows decay under this model, or `None` when no idle
+    /// window can: T1 is unusable and there is no pure dephasing.
+    fn relaxation(&self) -> Option<Relaxation> {
         let usable = |time: f64| time.is_finite() && time > 0.0;
-        let gamma = if usable(self.t1) {
-            1.0 - (-t / self.t1).exp()
-        } else {
-            0.0
-        };
         let rate_t1 = if self.t1.is_finite() {
             1.0 / (2.0 * self.t1)
         } else {
@@ -198,7 +191,26 @@ impl NoiseModel {
         } else {
             0.0
         };
-        (gamma, 0.5 * (1.0 - (-t * rate_phi).exp()))
+        let t1 = usable(self.t1).then_some(self.t1);
+        (t1.is_some() || rate_phi > 0.0).then_some(Relaxation { t1, rate_phi })
+    }
+}
+
+/// The two rates an idle window decays at, computed once per lowering.
+struct Relaxation {
+    /// T1, when it is finite and positive.
+    t1: Option<f64>,
+    /// The pure-dephasing rate `1/T_phi = 1/T2 - 1/(2 T1)`, clamped at 0.
+    rate_phi: f64,
+}
+
+impl Relaxation {
+    /// Amplitude-damping and phase-flip probabilities of idling for `t`
+    /// microseconds: `gamma = 1 - exp(-t/T1)` (0 without a usable T1) and
+    /// `p_phi = (1 - exp(-t/T_phi))/2`.
+    fn probabilities(&self, t: f64) -> (f64, f64) {
+        let gamma = self.t1.map_or(0.0, |t1| 1.0 - (-t / t1).exp());
+        (gamma, 0.5 * (1.0 - (-t * self.rate_phi).exp()))
     }
 }
 
@@ -286,16 +298,14 @@ impl NoisyProgram {
     /// no op.
     pub fn lower(circuit: &Circuit, noise: &NoiseModel) -> Self {
         let instrs = circuit.instructions();
+        let relaxation = noise.relaxation();
+        let mut busy = vec![0.0f64; circuit.num_qubits()];
         let mut ops = Vec::new();
         for layer in CircuitLayers::of(circuit).layers() {
             let two_qubit = layer.iter().filter(|&&i| instrs[i].is_two_qubit()).count();
             let crosstalk = 1.0 + noise.crosstalk * two_qubit.saturating_sub(1) as f64;
-            let mut busy = vec![0.0f64; circuit.num_qubits()];
             for &i in layer {
                 let (gate, qubits) = (&instrs[i].gate, &instrs[i].qubits);
-                for &q in qubits {
-                    busy[q] = busy[q].max(noise.duration_of(gate));
-                }
                 let q = qubits[0];
                 let (op, p) = match gate.kind() {
                     GateKind::OneQubitUnitary => (NoisyOp::Gate(i), noise.depolarizing_1q),
@@ -319,9 +329,19 @@ impl NoisyProgram {
                     ops.push(NoisyOp::Depolarize { qubits, p });
                 }
             }
+            // Without relaxation no idle window can emit an op.
+            let Some(relaxation) = &relaxation else {
+                continue;
+            };
+            busy.fill(0.0);
+            for &i in layer {
+                for &q in &instrs[i].qubits {
+                    busy[q] = busy[q].max(noise.duration_of(&instrs[i].gate));
+                }
+            }
             let duration = busy.iter().copied().fold(0.0, f64::max);
             for (q, &b) in busy.iter().enumerate().filter(|(_, &b)| b < duration) {
-                let (gamma, p_phi) = noise.relaxation(duration - b);
+                let (gamma, p_phi) = relaxation.probabilities(duration - b);
                 if gamma > 0.0 || p_phi > 0.0 {
                     ops.push(NoisyOp::Idle { q, gamma, p_phi });
                 }
@@ -562,6 +582,60 @@ mod tests {
         assert!(idles
             .iter()
             .all(|&(gamma, p_phi)| gamma > 0.0 && p_phi == 0.0));
+    }
+
+    #[test]
+    fn either_relaxation_time_alone_emits_idle_ops() {
+        let mut c = Circuit::new(3);
+        c.h(0).measure(1);
+        let d = GateDurations::default();
+        let (early, whole) = (d.measurement - d.one_qubit, d.measurement);
+        // T2 alone: pure dephasing at 1/T2, no amplitude damping.
+        let dephasing = NoiseModel {
+            t2: 80.0,
+            ..NoiseModel::ideal()
+        };
+        let phi = |t: f64| 0.5 * (1.0 - (-t * (1.0 / 80.0)).exp());
+        assert_eq!(
+            NoisyProgram::lower(&c, &dephasing).ops,
+            vec![
+                NoisyOp::Gate(0),
+                Measure { q: 1, flip: 0.0 },
+                Idle {
+                    q: 0,
+                    gamma: 0.0,
+                    p_phi: phi(early)
+                },
+                Idle {
+                    q: 2,
+                    gamma: 0.0,
+                    p_phi: phi(whole)
+                },
+            ]
+        );
+        // T1 alone: amplitude damping, and no dephasing beyond it.
+        let damping = NoiseModel {
+            t1: 100.0,
+            ..NoiseModel::ideal()
+        };
+        let gamma = |t: f64| 1.0 - (-t / 100.0).exp();
+        assert_eq!(
+            NoisyProgram::lower(&c, &damping).ops,
+            vec![
+                NoisyOp::Gate(0),
+                Measure { q: 1, flip: 0.0 },
+                Idle {
+                    q: 0,
+                    gamma: gamma(early),
+                    p_phi: 0.0
+                },
+                Idle {
+                    q: 2,
+                    gamma: gamma(whole),
+                    p_phi: 0.0
+                },
+            ]
+        );
     }
 
     /// The diagonal of the Pauli transfer matrix, `(R_XX, R_YY, R_ZZ)`, of
