@@ -24,6 +24,7 @@ use crate::benchmarks::{
 };
 use crate::mirror::Mirror;
 use crate::spec::{default_init, ExecError};
+use supermarq_obs::Span;
 
 /// The suffix that selects the [`Mirror`] variant of a base entry.
 pub(crate) const MIRROR_SUFFIX: &str = "-mirror";
@@ -490,7 +491,10 @@ impl BenchmarkRegistry {
     }
 
     /// Instantiates a benchmark by id, validating `params` against the
-    /// entry's schema and wrapping in [`Mirror`] for `-mirror` ids.
+    /// entry's schema and wrapping in [`Mirror`] for `-mirror` ids. Every
+    /// path that builds a benchmark comes through here, inside one
+    /// `bench.generate` span: circuit generation, and for VQE and QAOA the
+    /// classical parameter search.
     ///
     /// # Errors
     ///
@@ -501,6 +505,7 @@ impl BenchmarkRegistry {
         id: &str,
         params: &[(String, String)],
     ) -> Result<Box<dyn Benchmark>, ExecError> {
+        let _span = Span::open("bench.generate").with("benchmark", id);
         let resolved = self
             .resolve(id)
             .ok_or_else(|| ExecError::Invalid(format!("unknown benchmark '{id}'")))?;

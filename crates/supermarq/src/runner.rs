@@ -123,8 +123,8 @@ pub fn run_on_device(
     device: &Device,
     config: &RunConfig,
 ) -> Result<BenchmarkResult, RunError> {
-    let _span = run_span("closed", benchmark, device, config);
     run(
+        "closed",
         benchmark,
         device,
         config,
@@ -149,10 +149,10 @@ pub fn run_on_device_open(
     device: &Device,
     config: &RunConfig,
 ) -> Result<BenchmarkResult, RunError> {
-    let _span = run_span("open", benchmark, device, config);
     let mitigator =
         ReadoutMitigator::uniform(benchmark.num_qubits(), device.calibration().err_meas);
     run(
+        "open",
         benchmark,
         device,
         config,
@@ -180,7 +180,14 @@ pub fn run_noiseless(
         repetitions: 1,
         ..RunConfig::default()
     };
-    let result = run(benchmark, device, &config, &Executor::noiseless(), None)?;
+    let result = run(
+        "noiseless",
+        benchmark,
+        device,
+        &config,
+        &Executor::noiseless(),
+        None,
+    )?;
     Ok(result.scores[0])
 }
 
@@ -200,16 +207,19 @@ fn run_span(
     span
 }
 
-/// The one harness body: transpile and compact every circuit, execute
-/// each (repetition x circuit) job, relabel to program order, optionally
-/// mitigate readout, and score each repetition.
+/// The one harness body, inside one `run.benchmark` span: transpile and
+/// compact every circuit, execute each (repetition x circuit) job,
+/// relabel to program order, optionally mitigate readout, and score each
+/// repetition inside a `bench.score` span.
 fn run(
+    division: &'static str,
     benchmark: &dyn Benchmark,
     device: &Device,
     config: &RunConfig,
     executor: &Executor,
     mitigator: Option<&ReadoutMitigator>,
 ) -> Result<BenchmarkResult, RunError> {
+    let span = run_span(division, benchmark, device, config);
     let transpiler = Transpiler::for_device(device)
         .with_placement(config.placement)
         .with_pipeline(config.pipeline);
@@ -223,7 +233,9 @@ fn run(
     let prepared: Vec<_> = transpiled.iter().map(|t| t.compacted()).collect();
     // Fan the repetitions out over the rayon pool; every job derives its
     // seed from (config.seed, rep, circuit index) alone, so the scores
-    // are deterministic regardless of thread count.
+    // are deterministic regardless of thread count. Scoring spans close on
+    // pool workers, so they are parented to run.benchmark explicitly.
+    let (parent, trace) = (span.id(), supermarq_obs::current_trace());
     let per_rep: Vec<Result<f64, ScoreError>> = (0..config.repetitions)
         .into_par_iter()
         .map(|rep| {
@@ -243,6 +255,7 @@ fn run(
                     }
                 })
                 .collect();
+            let _span = Span::open_with_link("bench.score", parent, trace).with("repetition", rep);
             benchmark.score(&counts)
         })
         .collect();

@@ -157,7 +157,7 @@ fn trace_lines_are_strict_json_and_parents_form_a_forest() {
         assert!(unique.contains(&parent), "dangling parent id {parent}");
     }
     // The full pipeline ran under the trace: all five transpiler stages
-    // plus the simulator spans must be present.
+    // plus the simulator and scoring spans must be present.
     for expected in [
         "run.benchmark",
         "transpile.run",
@@ -168,6 +168,7 @@ fn trace_lines_are_strict_json_and_parents_form_a_forest() {
         "transpile.schedule",
         "sim.run",
         "sim.batch",
+        "bench.score",
     ] {
         assert!(
             names.iter().any(|n| n == expected),

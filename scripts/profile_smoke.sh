@@ -54,15 +54,15 @@ else
 fi
 
 echo "==> asserting the summary names every pipeline stage"
-for stage in transpile.decompose transpile.place transpile.route \
-             transpile.optimize transpile.schedule sim.run; do
+for stage in bench.generate transpile.decompose transpile.place transpile.route \
+             transpile.optimize transpile.schedule sim.run bench.score; do
     grep -q "$stage" "$WORK/profile.txt" || {
         echo "FAIL: profile summary is missing $stage"; exit 1; }
 done
 
 echo "==> asserting the trace covers the same stages"
-for stage in transpile.decompose transpile.place transpile.route \
-             transpile.optimize transpile.schedule sim.run; do
+for stage in bench.generate transpile.decompose transpile.place transpile.route \
+             transpile.optimize transpile.schedule sim.run bench.score; do
     grep -q "\"name\":\"$stage\"" "$TRACE" || {
         echo "FAIL: trace has no $stage span"; exit 1; }
 done
