@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of every substrate the reproduction is built
 //! on: statevector simulation, specialized gate kernels, noisy trajectory
-//! execution (sequential vs. parallel), transpilation, Clifford synthesis,
+//! execution (sequential vs. parallel), transpilation, circuit generation
+//! (VQE and QAOA parameter searches included), Clifford synthesis,
 //! stabilizer simulation, convex-hull geometry, and feature extraction.
 //!
 //! Run with `cargo bench -p supermarq-bench`; a machine-readable summary
@@ -14,7 +15,8 @@ use std::time::Instant;
 
 use supermarq::benchmarks::{GhzBenchmark, MerminBellBenchmark, QaoaVanillaBenchmark};
 use supermarq::CircuitFamily;
-use supermarq::{FeatureVector, Mirror};
+use supermarq::{BenchmarkRegistry, FeatureVector, Mirror};
+use supermarq_bench::figure2_points;
 use supermarq_circuit::{Circuit, Gate};
 use supermarq_clifford::{diagonalize, CliffordOp, StabilizerExecutor, StabilizerSimulator};
 use supermarq_device::Device;
@@ -206,6 +208,44 @@ fn bench_transpiler(c: &mut Criterion) {
     group.finish();
 }
 
+/// Circuit generation through the registry, as every run path builds a
+/// benchmark: VQE at sizes 3-5 and both QAOA ansatzes at size 6, whose
+/// classical parameter searches dominate, and the whole IonQ column of
+/// Fig. 2 (25 cells).
+fn bench_generation(c: &mut Criterion) {
+    let mut group = c.benchmark_group("generation");
+    let registry = BenchmarkRegistry::builtin();
+    let cells: Vec<(String, Vec<(String, String)>)> = figure2_points()
+        .into_iter()
+        .flat_map(|(_, points, _)| points)
+        .collect();
+    for (id, params) in &cells {
+        let size = params
+            .iter()
+            .find(|(k, _)| k == "size")
+            .map(|(_, v)| v.as_str());
+        let wanted = match id.as_str() {
+            "vqe" => matches!(size, Some("3" | "4" | "5")),
+            "qaoa-vanilla" | "qaoa-swap" => size == Some("6"),
+            _ => false,
+        };
+        if wanted {
+            let name = format!("{id}_{}", size.unwrap_or("?"));
+            group.bench_function(&name, |b| {
+                b.iter(|| black_box(registry.build(id, params).expect("Fig. 2 cell")));
+            });
+        }
+    }
+    group.bench_function("ionq_column", |b| {
+        b.iter(|| {
+            for (id, params) in &cells {
+                black_box(registry.build(id, params).expect("Fig. 2 cell"));
+            }
+        });
+    });
+    group.finish();
+}
+
 fn bench_clifford(c: &mut Criterion) {
     c.bench_function("mermin_diagonalize_n8", |b| {
         let m = mermin_operator(8);
@@ -358,6 +398,7 @@ criterion_group!(
     bench_trajectory_throughput,
     bench_trajectory_execution,
     bench_transpiler,
+    bench_generation,
     bench_clifford,
     bench_clifford_mirror,
     bench_geometry,
