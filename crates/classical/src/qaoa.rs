@@ -85,59 +85,43 @@ pub(crate) fn qaoa_p1_zz(
 
 /// [`qaoa_p1_energy`] of one instance, prepared for many `(gamma, beta)`.
 ///
-/// Every cosine the correlators multiply is `cos(2 gamma m)` for a
-/// multiplier `m` among `w_uk`, `w_vk`, `w_uk + w_vk` and `w_uk - w_vk`,
-/// and every sine is `sin(2 gamma w_uv)`; an instance has few distinct
-/// ones (five and two for +-1 SK weights). The couplings keep indices
-/// into tables of the distinct values (keyed by their bits), so an
-/// evaluation computes one cosine or sine per table entry and then forms
-/// the same products in the same order as `qaoa_p1_zz`: the energy equals
-/// `qaoa_p1_energy`'s bit for bit. The factors that depend on `gamma`
-/// alone are kept for the last `gamma` evaluated, so a grid row that
+/// Every cosine the correlators multiply is `cos(2 gamma m)` for `m` among
+/// `w_uk`, `w_vk`, `w_uk + w_vk` and `w_uk - w_vk`, and every sine is
+/// `sin(2 gamma w_uv)`. An instance has few distinct multipliers (five for
+/// +-1 SK weights), so each coupling keeps indices into one table of them,
+/// keyed by their bits, and a new `gamma` costs one cosine and one sine
+/// per entry. The products are formed in `qaoa_p1_zz`'s order, so the
+/// energy equals `qaoa_p1_energy`'s bit for bit. The factors that depend
+/// on `gamma` alone are kept for the last `gamma`, so a grid row that
 /// varies only `beta` forms them once.
 struct P1Energy {
-    /// The distinct cosine multipliers, in first-use order.
-    cos_multipliers: Vec<f64>,
-    /// The distinct couplings `w_uv`, the sine multipliers.
-    sin_multipliers: Vec<f64>,
-    /// The nonzero couplings in `(u, v)` order.
-    couplings: Vec<Coupling>,
-    /// The bits of the `gamma` that `factors` hold, once evaluated.
+    /// The distinct multipliers, in first-use order.
+    multipliers: Vec<f64>,
+    /// The nonzero couplings in `(u, v)` order: `w_uv`, its table index,
+    /// and for every `k` other than `u` and `v`, in increasing `k`, the
+    /// indices of `[w_uk, w_vk, w_uk + w_vk, w_uk - w_vk]`.
+    couplings: Vec<(f64, usize, Vec<[usize; 4]>)>,
+    /// The bits of the last `gamma`, and per coupling at it:
+    /// `sin(2 gamma w_uv)`, `prod_u + prod_v` and `prod_sum - prod_diff`.
     gamma: Option<u64>,
-    /// Per coupling at `gamma`: `sin(2 gamma w_uv)`, `prod_u + prod_v`
-    /// and `prod_sum - prod_diff`.
     factors: Vec<[f64; 3]>,
-    /// Scratch for the tables' cosines and sines at `gamma`.
-    cosines: Vec<f64>,
-    sines: Vec<f64>,
-}
-
-/// One nonzero coupling of a [`P1Energy`].
-struct Coupling {
-    w_uv: f64,
-    /// Index of `w_uv` in the sine table.
-    sine: usize,
-    /// For every `k` other than `u` and `v`, in increasing `k`, the
-    /// cosine-table indices of `[w_uk, w_vk, w_uk + w_vk, w_uk - w_vk]`.
-    cosines: Vec<[usize; 4]>,
-}
-
-/// The index of `m` in `table`, appending it if no entry has its bits.
-fn intern(table: &mut Vec<f64>, m: f64) -> usize {
-    match table.iter().position(|t| t.to_bits() == m.to_bits()) {
-        Some(i) => i,
-        None => {
-            table.push(m);
-            table.len() - 1
-        }
-    }
+    /// Scratch: `(cos, sin)(2 gamma m)` per multiplier.
+    trig: Vec<(f64, f64)>,
 }
 
 impl P1Energy {
     fn new(n: usize, weights: &[f64]) -> Self {
         let expected = n * n.saturating_sub(1) / 2;
         assert_eq!(weights.len(), expected, "need {expected} weights for n={n}");
-        let (mut cos_multipliers, mut sin_multipliers) = (Vec::new(), Vec::new());
+        let mut multipliers: Vec<f64> = Vec::new();
+        let mut index_of =
+            |m: f64| match multipliers.iter().position(|t| t.to_bits() == m.to_bits()) {
+                Some(i) => i,
+                None => {
+                    multipliers.push(m);
+                    multipliers.len() - 1
+                }
+            };
         let mut couplings = Vec::new();
         for u in 0..n {
             for v in u + 1..n {
@@ -150,25 +134,17 @@ impl P1Energy {
                     .map(|k| {
                         let w_uk = weight(n, weights, u, k);
                         let w_vk = weight(n, weights, v, k);
-                        [w_uk, w_vk, w_uk + w_vk, w_uk - w_vk]
-                            .map(|m| intern(&mut cos_multipliers, m))
+                        [w_uk, w_vk, w_uk + w_vk, w_uk - w_vk].map(&mut index_of)
                     })
                     .collect();
-                let sine = intern(&mut sin_multipliers, w_uv);
-                couplings.push(Coupling {
-                    w_uv,
-                    sine,
-                    cosines,
-                });
+                couplings.push((w_uv, index_of(w_uv), cosines));
             }
         }
         P1Energy {
-            cosines: vec![0.0; cos_multipliers.len()],
-            sines: vec![0.0; sin_multipliers.len()],
+            trig: vec![(0.0, 0.0); multipliers.len()],
             factors: vec![[0.0; 3]; couplings.len()],
             gamma: None,
-            cos_multipliers,
-            sin_multipliers,
+            multipliers,
             couplings,
         }
     }
@@ -176,25 +152,18 @@ impl P1Energy {
     /// Forms the factors that depend on `gamma` alone.
     fn set_gamma(&mut self, gamma: f64) {
         let g2 = 2.0 * gamma;
-        for (c, m) in self.cosines.iter_mut().zip(&self.cos_multipliers) {
-            *c = (g2 * m).cos();
+        for (t, m) in self.trig.iter_mut().zip(&self.multipliers) {
+            *t = ((g2 * m).cos(), (g2 * m).sin());
         }
-        for (s, w) in self.sines.iter_mut().zip(&self.sin_multipliers) {
-            *s = (g2 * w).sin();
-        }
-        for (f, coupling) in self.factors.iter_mut().zip(&self.couplings) {
+        for (f, (_, sine, cosines)) in self.factors.iter_mut().zip(&self.couplings) {
             let mut prods = [1.0; 4];
-            for idx in &coupling.cosines {
+            for idx in cosines {
                 for (p, &i) in prods.iter_mut().zip(idx) {
-                    *p *= self.cosines[i];
+                    *p *= self.trig[i].0;
                 }
             }
             let [prod_u, prod_v, prod_sum, prod_diff] = prods;
-            *f = [
-                self.sines[coupling.sine],
-                prod_u + prod_v,
-                prod_sum - prod_diff,
-            ];
+            *f = [self.trig[*sine].1, prod_u + prod_v, prod_sum - prod_diff];
         }
         self.gamma = Some(gamma.to_bits());
     }
@@ -206,10 +175,8 @@ impl P1Energy {
         let half_sin_4b = 0.5 * (4.0 * beta).sin();
         let half_sin2_2b = 0.5 * (2.0 * beta).sin().powi(2);
         let mut energy = 0.0;
-        for (coupling, &[sin_uv, prods_uv, prods_sd]) in self.couplings.iter().zip(&self.factors) {
-            let term1 = half_sin_4b * sin_uv * prods_uv;
-            let term2 = half_sin2_2b * prods_sd;
-            energy += coupling.w_uv * (term1 - term2);
+        for ((w_uv, ..), [sin_uv, prods_uv, prods_sd]) in self.couplings.iter().zip(&self.factors) {
+            energy += w_uv * (half_sin_4b * sin_uv * prods_uv - half_sin2_2b * prods_sd);
         }
         energy
     }
