@@ -622,11 +622,12 @@ impl StateVector {
 
     /// Expectation value of a weighted Pauli sum.
     pub fn expectation(&self, h: &PauliSum) -> f64 {
-        h.iter().map(|(c, p)| c * self.expectation_pauli(p)).sum()
+        self.expectation_prepared(&PreparedPauliSum::new(h))
     }
 
-    /// [`StateVector::expectation`] of the sum `h` was prepared from: the
-    /// same per-term values, summed in the same order, so the same bits.
+    /// Expectation value of the weighted Pauli sum `h` was prepared from,
+    /// term by term in the sum's order; for evaluating one sum on many
+    /// states.
     ///
     /// # Panics
     ///

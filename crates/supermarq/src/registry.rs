@@ -491,10 +491,9 @@ impl BenchmarkRegistry {
     }
 
     /// Instantiates a benchmark by id, validating `params` against the
-    /// entry's schema and wrapping in [`Mirror`] for `-mirror` ids. Every
-    /// path that builds a benchmark comes through here, inside one
-    /// `bench.generate` span: circuit generation, and for VQE and QAOA the
-    /// classical parameter search.
+    /// entry's schema and wrapping in [`Mirror`] for `-mirror` ids. The
+    /// construction runs inside one `bench.generate` span: circuit
+    /// generation and, for VQE and QAOA, the classical parameter search.
     ///
     /// # Errors
     ///
