@@ -610,7 +610,7 @@ impl StateVector {
     /// Expectation value `<self| P |self>` of a Pauli string (Y carries its
     /// usual `[[0,-i],[i,0]]` matrix). Always real for Hermitian `P`; the
     /// real part is returned. Read from the amplitudes in place, with no
-    /// copy of the state (see [`PreparedPauliSum`]).
+    /// copy of the state.
     ///
     /// # Panics
     ///
@@ -701,8 +701,9 @@ impl PauliMasks {
 }
 
 /// A weighted Pauli sum prepared once for many expectation values
-/// ([`StateVector::expectation_prepared`]): each term's coefficient and
-/// masks, in the sum's term order.
+/// ([`StateVector::expectation_prepared`]): per term, in the sum's order,
+/// its coefficient and the masks a state reads the string through, so no
+/// evaluation walks the strings again.
 #[derive(Debug, Clone)]
 pub struct PreparedPauliSum {
     num_qubits: usize,
