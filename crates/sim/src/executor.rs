@@ -2,7 +2,9 @@
 //!
 //! A noisy (or mid-circuit-collapsing) circuit is lowered once per run to
 //! a [`NoisyProgram`], and every shot samples that program as one quantum
-//! trajectory.
+//! trajectory. Shots that have drawn the same events so far share one
+//! state (`crate::cohort`), with Counts bit-identical to running each
+//! shot on its own.
 //!
 //! Shots are embarrassingly parallel: each one draws from its own RNG
 //! stream derived deterministically from `(seed, shot_index)` with a
@@ -19,17 +21,18 @@
 //! or off.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rayon::prelude::*;
 use std::fmt;
+use std::ops::Range;
 use supermarq_obs::{counter, Span};
 
+use crate::cohort;
 use crate::counts::Counts;
 use crate::fusion::{fuse_1q_runs, fuse_permutation_runs, FusedOp};
-use crate::noise::{coin, NoiseModel, NoisyOp, NoisyProgram};
+use crate::noise::{NoiseModel, NoisyProgram};
 use crate::state::{CumulativeSampler, StateVector};
-use supermarq_circuit::{Circuit, Gate, GateKind, C64};
-use supermarq_pauli::Pauli;
+use supermarq_circuit::{Circuit, Gate, GateKind};
 
 /// Typed failure of the executor's unitary-only evaluation paths.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,8 +66,9 @@ impl std::error::Error for ExecError {}
 /// When the model is ideal and the circuit contains no mid-circuit
 /// measurement or reset, the final state is computed once and sampled
 /// `shots` times through a precomputed cumulative-probability table;
-/// otherwise each shot is an independent quantum trajectory of the
-/// circuit's [`NoisyProgram`].
+/// otherwise each shot is a quantum trajectory of the circuit's
+/// [`NoisyProgram`], and shots share a state for as long as their draws
+/// agree.
 ///
 /// # Example
 ///
@@ -136,8 +140,13 @@ impl Executor {
             match Self::fast_path_state(circuit) {
                 Ok((state, measured_mask)) => {
                     let sampler = CumulativeSampler::new(&state);
-                    return sample_shots(n, shots, seed, &run_span, false, |rng| {
-                        sampler.sample(rng) & measured_mask
+                    return sample_shots(n, shots, &run_span, false, |range, _, acc| {
+                        for i in range {
+                            acc.record(
+                                sampler.sample(&mut shot_rng(seed, i as u64)) & measured_mask,
+                            );
+                        }
+                        0
                     });
                 }
                 Err(_) => {
@@ -151,9 +160,7 @@ impl Executor {
         }
         counter!("sim.trajectories").add(shots as u64);
         let program = NoisyProgram::lower(circuit, &self.noise);
-        sample_shots(n, shots, seed, &run_span, true, |rng| {
-            run_trajectory(circuit, &program, rng)
-        })
+        run_program(circuit, &program, shots, seed, &run_span)
     }
 
     /// Applies the unitary part of `circuit` (with adjacent one-qubit
@@ -230,32 +237,52 @@ fn batch_ranges(shots: usize) -> Vec<std::ops::Range<usize>> {
         .collect()
 }
 
-/// Runs `shot` once per shot index on that shot's own stream
-/// ([`shot_rng`]), one `sim.batch` span (parented to `run_span`, marked
-/// with whether shots are trajectories) per batch, and merges the
-/// per-batch histograms in batch order.
-fn sample_shots(
-    num_qubits: usize,
+/// Samples `program` (lowered from `circuit`) for `shots` shots seeded
+/// `seed`, each batch as one cohort tree (see `crate::cohort`).
+fn run_program(
+    circuit: &Circuit,
+    program: &NoisyProgram,
     shots: usize,
     seed: u64,
     run_span: &Span,
+) -> Counts {
+    let (instrs, n) = (circuit.instructions(), circuit.num_qubits());
+    sample_shots(n, shots, run_span, true, |range, batches, acc| {
+        let tree = cohort::run_batch(instrs, n, &program.ops, seed, range, batches, acc);
+        counter!("sim.cohort_reruns").add(tree.reruns as u64);
+        tree.cohorts
+    })
+}
+
+/// Runs `batch(range, batches, acc)` for each of the `batches` ranges of
+/// `batch_ranges(shots)` on the pool, accumulating into a per-batch
+/// histogram, and merges the histograms in batch order. `batch` returns
+/// the number of states it evolved (0 when shots sample a state evolved
+/// before), which each batch's `sim.batch` span (parented to `run_span`,
+/// marked with whether shots are trajectories) records as `cohorts`.
+fn sample_shots(
+    num_qubits: usize,
+    shots: usize,
+    run_span: &Span,
     trajectories: bool,
-    shot: impl Fn(&mut StdRng) -> u64 + Sync,
+    batch: impl Fn(Range<usize>, usize, &mut Counts) -> usize + Sync,
 ) -> Counts {
     // Batch spans close on pool worker threads, which have no
     // thread-current span; parent them to sim.run explicitly and hand
     // over the active trace, if any.
     let (parent, trace) = (run_span.id(), supermarq_obs::current_trace());
-    let partials: Vec<Counts> = batch_ranges(shots)
+    let ranges = batch_ranges(shots);
+    let batches = ranges.len();
+    let partials: Vec<Counts> = ranges
         .into_par_iter()
-        .map(|batch| {
-            let _span = Span::open_with_link("sim.batch", parent, trace)
-                .with("shots", batch.len())
+        .map(|range| {
+            let mut span = Span::open_with_link("sim.batch", parent, trace)
+                .with("shots", range.len())
                 .with("trajectories", trajectories);
             let mut acc = Counts::new(num_qubits);
-            for i in batch {
-                acc.record(shot(&mut shot_rng(seed, i as u64)));
-            }
+            let cohorts = batch(range, batches, &mut acc);
+            counter!("sim.cohorts").add(cohorts as u64);
+            span.record("cohorts", cohorts);
             acc
         })
         .collect();
@@ -264,59 +291,6 @@ fn sample_shots(
         total.merge(partial);
     }
     total
-}
-
-/// Samples one trajectory of `program` (lowered from `circuit`) and
-/// returns the classical register. Amplitude damping is unravelled into
-/// jump / no-jump Kraus branches and always draws, even when the qubit's
-/// excited population is 0; every other channel draws exactly when its
-/// probability is positive.
-fn run_trajectory(circuit: &Circuit, program: &NoisyProgram, rng: &mut StdRng) -> u64 {
-    let mut state = StateVector::zero_state(circuit.num_qubits());
-    let mut classical = 0u64;
-    let pauli = |state: &mut StateVector, q: usize, p: Pauli| {
-        let gate = [Gate::I, Gate::X, Gate::Y, Gate::Z][p as usize];
-        state.apply_matrix1(&gate.matrix1().expect("Pauli matrix"), q);
-    };
-    for op in &program.ops {
-        match *op {
-            NoisyOp::Gate(i) => state.apply_instruction(&circuit.instructions()[i]),
-            NoisyOp::Measure { q, flip } => {
-                let bit = state.measure_qubit(q, rng) ^ coin(flip, rng);
-                classical = classical & !(1 << q) | (bit as u64) << q;
-            }
-            NoisyOp::Reset { q, flip } => {
-                state.reset_qubit(q, rng);
-                if coin(flip, rng) {
-                    pauli(&mut state, q, Pauli::X);
-                }
-            }
-            NoisyOp::Idle { q, gamma, p_phi } => {
-                if gamma > 0.0 {
-                    if rng.gen::<f64>() < gamma * state.probability_of_one(q) {
-                        // Jump: project onto |1> then flip to |0>.
-                        state.project_qubit(q, true);
-                        pauli(&mut state, q, Pauli::X);
-                    } else {
-                        // No jump: K0 = diag(1, sqrt(1 - gamma)), renormalized.
-                        let k0 = [
-                            [C64::ONE, C64::ZERO],
-                            [C64::ZERO, C64::real((1.0 - gamma).sqrt())],
-                        ];
-                        state.apply_matrix1(&k0, q);
-                        state.renormalize();
-                    }
-                }
-                if coin(p_phi, rng) {
-                    pauli(&mut state, q, Pauli::Z);
-                }
-            }
-            NoisyOp::Depolarize { .. } | NoisyOp::Pauli { .. } => {
-                op.sample_pauli(rng, |q, p| pauli(&mut state, q, p))
-            }
-        }
-    }
-    classical
 }
 
 /// `true` if a measurement or reset is followed by later non-measurement
@@ -341,6 +315,257 @@ fn has_nonfinal_collapse(circuit: &Circuit) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::noise::{coin, NoisyOp};
+    use rand::Rng;
+    use supermarq_circuit::C64;
+    use supermarq_pauli::Pauli;
+
+    /// Samples one trajectory of `program` (lowered from `circuit`) on its
+    /// own state and returns the classical register: the per-shot oracle
+    /// the cohort runner must reproduce bit for bit. Amplitude damping is
+    /// unravelled into jump / no-jump Kraus branches and always draws,
+    /// even when the qubit's excited population is 0; every other channel
+    /// draws exactly when its probability is positive.
+    fn run_trajectory(circuit: &Circuit, program: &NoisyProgram, rng: &mut StdRng) -> u64 {
+        let mut state = StateVector::zero_state(circuit.num_qubits());
+        let mut classical = 0u64;
+        let pauli = |state: &mut StateVector, q: usize, p: Pauli| {
+            let gate = [Gate::I, Gate::X, Gate::Y, Gate::Z][p as usize];
+            state.apply_matrix1(&gate.matrix1().expect("Pauli matrix"), q);
+        };
+        for op in &program.ops {
+            match *op {
+                NoisyOp::Gate(i) => state.apply_instruction(&circuit.instructions()[i]),
+                NoisyOp::Measure { q, flip } => {
+                    let bit = state.measure_qubit(q, rng) ^ coin(flip, rng);
+                    classical = classical & !(1 << q) | (bit as u64) << q;
+                }
+                NoisyOp::Reset { q, flip } => {
+                    state.reset_qubit(q, rng);
+                    if coin(flip, rng) {
+                        pauli(&mut state, q, Pauli::X);
+                    }
+                }
+                NoisyOp::Idle { q, gamma, p_phi } => {
+                    if gamma > 0.0 {
+                        if rng.gen::<f64>() < gamma * state.probability_of_one(q) {
+                            // Jump: project onto |1> then flip to |0>.
+                            state.project_qubit(q, true);
+                            pauli(&mut state, q, Pauli::X);
+                        } else {
+                            // No jump: K0 = diag(1, sqrt(1 - gamma)), renormalized.
+                            let k0 = [
+                                [C64::ONE, C64::ZERO],
+                                [C64::ZERO, C64::real((1.0 - gamma).sqrt())],
+                            ];
+                            state.apply_matrix1(&k0, q);
+                            state.renormalize();
+                        }
+                    }
+                    if coin(p_phi, rng) {
+                        pauli(&mut state, q, Pauli::Z);
+                    }
+                }
+                NoisyOp::Depolarize { .. } | NoisyOp::Pauli { .. } => {
+                    op.sample_pauli(rng, |q, p| pauli(&mut state, q, p))
+                }
+            }
+        }
+        classical
+    }
+
+    /// The oracle's Counts: every shot on its own state, from its own
+    /// stream.
+    fn per_shot_counts(
+        circuit: &Circuit,
+        program: &NoisyProgram,
+        shots: usize,
+        seed: u64,
+    ) -> Counts {
+        let mut counts = Counts::new(circuit.num_qubits());
+        for i in 0..shots {
+            counts.record(run_trajectory(
+                circuit,
+                program,
+                &mut shot_rng(seed, i as u64),
+            ));
+        }
+        counts
+    }
+
+    /// A random circuit on 2-5 qubits with mid-circuit measurements and
+    /// resets, ending in `measure_all`, lowered under a random model with
+    /// every channel on; then `Pauli` channels and `Idle` windows with
+    /// large `gamma` (so that jumps occur) are spliced in at random.
+    fn random_case(rng: &mut StdRng) -> (Circuit, NoisyProgram) {
+        let n = rng.gen_range(2..=5usize);
+        let mut c = Circuit::new(n);
+        for _ in 0..rng.gen_range(6..30) {
+            let q = rng.gen_range(0..n);
+            let r = (q + rng.gen_range(1..n)) % n;
+            let theta = rng.gen_range(0.0..std::f64::consts::TAU);
+            match rng.gen_range(0..9) {
+                0 => c.h(q),
+                1 => c.x(q),
+                2 => c.ry(theta, q),
+                3 => c.rz(theta, q),
+                4 => c.cx(q, r),
+                5 => c.rzz(theta, q, r),
+                6 => c.sx(q),
+                7 => c.measure(q),
+                _ => c.reset(q),
+            };
+        }
+        c.measure_all();
+        let mut noise = NoiseModel {
+            depolarizing_1q: rng.gen_range(0.0..0.2),
+            depolarizing_2q: rng.gen_range(0.0..0.3),
+            readout_error: rng.gen_range(0.0..0.2),
+            reset_error: rng.gen_range(0.0..0.2),
+            t1: rng.gen_range(0.5..20.0),
+            crosstalk: rng.gen_range(0.0..1.0),
+            ..NoiseModel::ideal()
+        };
+        noise.t2 = rng.gen_range(0.2..2.0) * noise.t1;
+        noise.durations.measurement = rng.gen_range(0.0..4.0);
+        let mut program = NoisyProgram::lower(&c, &noise);
+        for _ in 0..rng.gen_range(1..8) {
+            let q = rng.gen_range(0..n);
+            let at = rng.gen_range(0..=program.ops.len());
+            let op = if rng.gen::<bool>() {
+                let probs = [(); 3].map(|_| rng.gen_range(0.0..0.3));
+                NoisyOp::Pauli { q, probs }
+            } else {
+                let (gamma, p_phi) = (rng.gen_range(0.3..0.95), rng.gen_range(0.0..0.5));
+                NoisyOp::Idle { q, gamma, p_phi }
+            };
+            program.ops.insert(at, op);
+        }
+        (c, program)
+    }
+
+    #[test]
+    fn cohort_counts_equal_per_shot_trajectories() {
+        let mut rng = StdRng::seed_from_u64(2028);
+        let (mut jumps_seen, mut pauli_ops) = (false, 0);
+        for case in 0..60 {
+            let (c, program) = random_case(&mut rng);
+            let (shots, seed) = (rng.gen_range(1..400), rng.gen());
+            let oracle = per_shot_counts(&c, &program, shots, seed);
+            for threads in [1, 4] {
+                let counts = with_threads(threads, || {
+                    run_program(&c, &program, shots, seed, &Span::open("test"))
+                });
+                assert_eq!(counts, oracle, "case {case}, {threads} threads");
+            }
+            pauli_ops += program
+                .ops
+                .iter()
+                .filter(|op| matches!(op, NoisyOp::Pauli { .. }))
+                .count();
+            jumps_seen |= program
+                .ops
+                .iter()
+                .any(|op| matches!(op, NoisyOp::Idle { gamma, .. } if *gamma > 0.3));
+        }
+        assert!(jumps_seen && pauli_ops > 0);
+        // A certain jump: |1> idling with gamma = 0.6 decays in 60% of
+        // shots, and the cohort path reads the same shots as decayed.
+        let mut c = Circuit::new(1);
+        c.x(0).measure(0);
+        let program = NoisyProgram {
+            ops: vec![
+                NoisyOp::Gate(0),
+                NoisyOp::Idle {
+                    q: 0,
+                    gamma: 0.6,
+                    p_phi: 0.0,
+                },
+                NoisyOp::Measure { q: 0, flip: 0.0 },
+            ],
+        };
+        let oracle = per_shot_counts(&c, &program, 2000, 9);
+        assert_eq!(
+            run_program(&c, &program, 2000, 9, &Span::open("test")),
+            oracle
+        );
+        assert!((oracle.probability(0) - 0.6).abs() < 0.05, "{oracle:?}");
+    }
+
+    #[test]
+    fn memory_cap_engages_on_sixteen_qubits() {
+        // Heavy two-qubit depolarizing on a 16-qubit ladder splits the
+        // 300 shots into far more cohorts than 64 MiB of 1 MiB states
+        // can hold at once, so some minority shots are set aside and
+        // rerun from the start.
+        let n = 16;
+        let mut c = Circuit::new(n);
+        c.h(0);
+        for q in 0..n - 1 {
+            c.cx(q, q + 1);
+        }
+        c.measure_all();
+        let program = NoisyProgram::lower(&c, &NoiseModel::uniform_depolarizing(0.3));
+        let (shots, seed) = (300, 77);
+        let oracle = per_shot_counts(&c, &program, shots, seed);
+        for threads in [1, 4] {
+            let (counts, reruns) = with_threads(threads, || {
+                let mut counts = Counts::new(n);
+                let mut reruns = 0;
+                for range in batch_ranges(shots) {
+                    let batches = batch_ranges(shots).len();
+                    let ops = &program.ops;
+                    reruns += cohort::run_batch(
+                        c.instructions(),
+                        n,
+                        ops,
+                        seed,
+                        range,
+                        batches,
+                        &mut counts,
+                    )
+                    .reruns;
+                }
+                (counts, reruns)
+            });
+            assert!(reruns > 0, "{threads} threads: the cap never engaged");
+            assert_eq!(counts, oracle, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn deterministic_mid_circuit_measurements_run_as_one_cohort_per_batch() {
+        let mut c = Circuit::new(3);
+        c.x(0)
+            .measure(0)
+            .cx(0, 1)
+            .measure(1)
+            .reset(0)
+            .cx(1, 2)
+            .measure_all();
+        assert!(has_nonfinal_collapse(&c));
+        let program = NoisyProgram::lower(&c, &NoiseModel::ideal());
+        for threads in [1, 4] {
+            with_threads(threads, || {
+                let ranges = batch_ranges(500);
+                let batches = ranges.len();
+                for range in ranges {
+                    let mut counts = Counts::new(3);
+                    let tree = cohort::run_batch(
+                        c.instructions(),
+                        3,
+                        &program.ops,
+                        3,
+                        range.clone(),
+                        batches,
+                        &mut counts,
+                    );
+                    assert_eq!(tree.cohorts, 1, "{threads} threads, batch {range:?}");
+                    assert_eq!(counts.count(0b110), range.len());
+                }
+            });
+        }
+    }
 
     #[test]
     fn noiseless_bell_state_counts() {

@@ -42,6 +42,7 @@
 //! ```
 
 mod chunk;
+mod cohort;
 pub(crate) mod counts;
 pub(crate) mod density;
 pub(crate) mod executor;

@@ -155,6 +155,13 @@ impl StateVector {
     /// probabilities (squared norms), never plain norms.
     pub(crate) fn renormalize(&mut self) {
         let n2 = self.norm_sqr();
+        self.scale_to_unit(n2);
+    }
+
+    /// Divides every amplitude by `sqrt(n2)`, the state's squared norm
+    /// as [`StateVector::norm_sqr`] sums it; panics at or below
+    /// [`MIN_NORM_SQR`] like [`StateVector::renormalize`].
+    fn scale_to_unit(&mut self, n2: f64) {
         assert!(
             n2 > MIN_NORM_SQR,
             "cannot renormalize numerically-zero state (norm^2 = {n2:e})"
@@ -163,6 +170,31 @@ impl StateVector {
         for a in &mut self.amps {
             *a = a.scale(inv);
         }
+    }
+
+    /// The no-jump branch of amplitude damping on `qubit`: applies
+    /// `K0 = diag(1, sqrt(1 - gamma))` and renormalizes, in one pass that
+    /// scales the `|1>` half while summing the squared norm in index
+    /// order and one pass that rescales. Every amplitude equals what
+    /// `apply_matrix1(K0)` followed by `renormalize` gives, value for
+    /// value; only an exact zero may come out with the other sign, and
+    /// no probability reads that sign.
+    pub(crate) fn damp_no_jump(&mut self, qubit: usize, gamma: f64) {
+        assert!(qubit < self.num_qubits, "qubit out of range");
+        let s = (1.0 - gamma).sqrt();
+        let stride = 1usize << qubit;
+        let mut n2 = 0.0;
+        for block in self.amps.chunks_exact_mut(stride << 1) {
+            let (zero, one) = block.split_at_mut(stride);
+            for a in zero.iter() {
+                n2 += a.norm_sqr();
+            }
+            for a in one {
+                *a = a.scale(s);
+                n2 += a.norm_sqr();
+            }
+        }
+        self.scale_to_unit(n2);
     }
 
     /// Applies a 2x2 unitary to `qubit` (chunked + SIMD dense kernel).
@@ -548,7 +580,8 @@ impl StateVector {
     }
 
     /// Projectively measures `qubit`, collapsing the state, and returns the
-    /// observed bit.
+    /// observed bit: the per-shot trajectory oracle's measurement.
+    #[cfg(test)]
     pub(crate) fn measure_qubit<R: Rng + ?Sized>(&mut self, qubit: usize, rng: &mut R) -> bool {
         let p1 = self.probability_of_one(qubit);
         let outcome = rng.gen::<f64>() < p1;
@@ -574,7 +607,9 @@ impl StateVector {
         self.renormalize();
     }
 
-    /// Resets `qubit` to `|0>`: measures it and applies X if the result was 1.
+    /// Resets `qubit` to `|0>`: measures it and applies X if the result was
+    /// 1. The per-shot trajectory oracle's reset.
+    #[cfg(test)]
     pub(crate) fn reset_qubit<R: Rng + ?Sized>(&mut self, qubit: usize, rng: &mut R) {
         if self.measure_qubit(qubit, rng) {
             let m = Gate::X.matrix1().expect("X has a matrix");
@@ -1273,6 +1308,36 @@ mod tests {
                     }
                 }
                 assert!((projected.norm_sqr() - 1.0).abs() < 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn fused_no_jump_equals_k0_then_renormalize() {
+        let mut with_zeros = scrambled_state_n(7);
+        with_zeros.project_qubit(2, true);
+        let states = [
+            scrambled_state_n(7),
+            with_zeros,
+            StateVector::basis_state(7, 0b101),
+        ];
+        for psi in &states {
+            for q in 0..7 {
+                for gamma in [1e-9, 0.013, 0.5, 0.97] {
+                    let mut fused = psi.clone();
+                    fused.damp_no_jump(q, gamma);
+                    let mut reference = psi.clone();
+                    let s = C64::real((1.0 - gamma).sqrt());
+                    reference.apply_matrix1(&[[C64::ONE, C64::ZERO], [C64::ZERO, s]], q);
+                    reference.renormalize();
+                    // Value for value: `==` holds between zeros of either sign.
+                    for (a, b) in fused.amplitudes().iter().zip(reference.amplitudes()) {
+                        assert!(
+                            a.re == b.re && a.im == b.im,
+                            "q {q} gamma {gamma}: {a:?} vs {b:?}"
+                        );
+                    }
+                }
             }
         }
     }
