@@ -298,6 +298,26 @@ fn typed_client_reports_protocol_errors_as_errors() {
     server.shutdown();
 }
 
+#[test]
+fn frame_sized_string_parses_in_linear_time() {
+    // One string filling a whole MAX_FRAME request, with multibyte
+    // characters and an escape in it. Re-validating the rest of the
+    // frame at every character took tens of seconds here; one pass over
+    // the bytes takes milliseconds.
+    let head = r#"{"op":"ping","pad":""#;
+    let tail = r#"\n"}"#;
+    let unit = "abcdefgh∑é";
+    let mut pad = unit.repeat((MAX_FRAME - head.len() - tail.len()) / unit.len());
+    pad.push_str(&"x".repeat(MAX_FRAME - head.len() - tail.len() - pad.len()));
+    let frame = format!("{head}{pad}{tail}");
+    assert_eq!(frame.len(), MAX_FRAME);
+    let start = std::time::Instant::now();
+    let request = parse_request(&frame);
+    let elapsed = start.elapsed();
+    assert!(matches!(request, Ok(Request::Ping)), "{request:?}");
+    assert!(elapsed < Duration::from_secs(2), "parsing took {elapsed:?}");
+}
+
 /// One fixed, valid spec for the trace-field fuzzing below.
 fn fixed_spec() -> RunSpec {
     SweepGrid {

@@ -310,12 +310,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid utf-8 in string")?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash in one
+                // piece. Both are ASCII, so the run ends on a character
+                // boundary of the `&str` the bytes came from, and each
+                // byte is validated once.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                let text = std::str::from_utf8(&bytes[*pos..run])
+                    .map_err(|_| "invalid utf-8 in string")?;
+                out.push_str(text);
+                *pos = run;
             }
         }
     }
@@ -404,6 +410,18 @@ mod tests {
             let text = Json::float(x).to_string();
             let back = Json::parse(&text).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{text}");
+        }
+    }
+
+    #[test]
+    fn strings_mix_plain_runs_escapes_and_multibyte_characters() {
+        let text = r#""a\"b\\c\u00e9 ∑ x\ny\t""#;
+        let v = Json::parse(text).unwrap();
+        assert_eq!(v.as_str(), Some("a\"b\\cé ∑ x\ny\t"));
+        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+        assert_eq!(Json::parse("\"\"").unwrap().as_str(), Some(""));
+        for bad in ["\"abc", "\"ab ∑", "\"é"] {
+            assert_eq!(Json::parse(bad), Err("unterminated string".into()), "{bad}");
         }
     }
 
