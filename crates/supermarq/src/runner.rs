@@ -208,9 +208,10 @@ fn run_span(
 }
 
 /// The one harness body, inside one `run.benchmark` span: transpile and
-/// compact every circuit, execute each (repetition x circuit) job,
-/// relabel to program order, optionally mitigate readout, and score each
-/// repetition inside a `bench.score` span.
+/// compact every circuit, then per repetition, inside one
+/// `run.repetition` span, execute each circuit, relabel to program
+/// order, optionally mitigate readout, and score inside a `bench.score`
+/// span.
 fn run(
     division: &'static str,
     benchmark: &dyn Benchmark,
@@ -233,12 +234,16 @@ fn run(
     let prepared: Vec<_> = transpiled.iter().map(|t| t.compacted()).collect();
     // Fan the repetitions out over the rayon pool; every job derives its
     // seed from (config.seed, rep, circuit index) alone, so the scores
-    // are deterministic regardless of thread count. Scoring spans close on
-    // pool workers, so they are parented to run.benchmark explicitly.
+    // are deterministic regardless of thread count. A repetition may run
+    // on a pool worker, which has no current span, so each opens its
+    // run.repetition span linked to run.benchmark explicitly; the
+    // executor's sim.run and the bench.score span nest under it.
     let (parent, trace) = (span.id(), supermarq_obs::current_trace());
     let per_rep: Vec<Result<f64, ScoreError>> = (0..config.repetitions)
         .into_par_iter()
         .map(|rep| {
+            let _rep_span =
+                Span::open_with_link("run.repetition", parent, trace).with("repetition", rep);
             let counts: Vec<Counts> = prepared
                 .iter()
                 .enumerate()
@@ -255,7 +260,7 @@ fn run(
                     }
                 })
                 .collect();
-            let _span = Span::open_with_link("bench.score", parent, trace).with("repetition", rep);
+            let _span = Span::open("bench.score");
             benchmark.score(&counts)
         })
         .collect();

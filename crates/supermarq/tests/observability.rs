@@ -176,3 +176,81 @@ fn trace_lines_are_strict_json_and_parents_form_a_forest() {
         );
     }
 }
+
+/// Parses a trace's span lines into `id -> (name, parent, thread)`.
+fn span_table(text: &str) -> std::collections::BTreeMap<u64, (String, Option<u64>, u64)> {
+    let mut spans = std::collections::BTreeMap::new();
+    for line in text.lines() {
+        let json = Json::parse(line).unwrap();
+        if json.get("type").and_then(Json::as_str) != Some("span") {
+            continue;
+        }
+        let name = json.get("name").and_then(Json::as_str).unwrap().to_string();
+        let id = json.get("id").and_then(Json::as_u64).unwrap();
+        let thread = json.get("thread").and_then(Json::as_u64).unwrap();
+        spans.insert(
+            id,
+            (name, json.get("parent").and_then(Json::as_u64), thread),
+        );
+    }
+    spans
+}
+
+#[test]
+fn every_sim_run_nests_under_run_benchmark_across_the_pool() {
+    let _g = guard();
+    supermarq_obs::disable();
+    let device = supermarq_device::Device::ionq();
+    let bench = supermarq::benchmarks::GhzBenchmark::new(4);
+    let config = supermarq::RunConfig {
+        shots: 200,
+        repetitions: 3,
+        seed: 1,
+        ..Default::default()
+    };
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .unwrap();
+    // The calling thread may drain every repetition itself; run until a
+    // pool worker has run one, checking every trace on the way.
+    let mut on_worker = false;
+    for attempt in 0..50 {
+        let (_, text) = with_tracing(&format!("nesting-{attempt}"), || {
+            pool.install(|| supermarq::run_on_device(&bench, &device, &config).unwrap())
+        });
+        let spans = span_table(&text);
+        let ancestors = |mut id: u64| {
+            let mut names = Vec::new();
+            while let Some(parent) = spans[&id].1 {
+                names.push(spans[&parent].0.as_str());
+                id = parent;
+            }
+            names
+        };
+        let root_thread = spans
+            .values()
+            .find(|(name, _, _)| name == "run.benchmark")
+            .expect("a run.benchmark span")
+            .2;
+        let mut sim_runs = 0;
+        for (&id, (name, _, thread)) in &spans {
+            if name == "sim.run" || name == "bench.score" {
+                assert_eq!(
+                    ancestors(id),
+                    ["run.repetition", "run.benchmark"],
+                    "{name} {id} on thread {thread} is not inside its repetition"
+                );
+            }
+            if name == "sim.run" {
+                sim_runs += 1;
+                on_worker |= *thread != root_thread;
+            }
+        }
+        assert_eq!(sim_runs, 3, "one sim.run per repetition");
+        if on_worker {
+            break;
+        }
+    }
+    assert!(on_worker, "no repetition ran on a pool worker in 50 runs");
+}

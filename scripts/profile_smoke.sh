@@ -44,6 +44,14 @@ for i, line in enumerate(lines, 1):
     ):
         sys.exit(f"FAIL: line {i} span missing id/elapsed_ns")
 print(f"ok: {len(lines)} well-formed trace lines")
+# Every sim.run sits in its repetition, whichever thread ran it.
+spans = {o["id"]: o for o in map(json.loads, lines) if o.get("type") == "span"}
+for span in spans.values():
+    if span["name"] == "sim.run":
+        parent = spans.get(span.get("parent"))
+        if parent is None or parent["name"] != "run.repetition":
+            sys.exit(f"FAIL: sim.run {span['id']} is not inside a run.repetition span")
+print("ok: every sim.run nests under run.repetition")
 EOF
 else
     # Fallback without python3: structural greps only.
@@ -55,14 +63,14 @@ fi
 
 echo "==> asserting the summary names every pipeline stage"
 for stage in bench.generate transpile.decompose transpile.place transpile.route \
-             transpile.optimize transpile.schedule sim.run bench.score; do
+             transpile.optimize transpile.schedule run.repetition sim.run bench.score; do
     grep -q "$stage" "$WORK/profile.txt" || {
         echo "FAIL: profile summary is missing $stage"; exit 1; }
 done
 
 echo "==> asserting the trace covers the same stages"
 for stage in bench.generate transpile.decompose transpile.place transpile.route \
-             transpile.optimize transpile.schedule sim.run bench.score; do
+             transpile.optimize transpile.schedule run.repetition sim.run bench.score; do
     grep -q "\"name\":\"$stage\"" "$TRACE" || {
         echo "FAIL: trace has no $stage span"; exit 1; }
 done
