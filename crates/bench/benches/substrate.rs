@@ -147,11 +147,18 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The noisy 16-qubit GHZ run of `trajectory_throughput`: 100 shots at
+/// 0.002 depolarizing, seed 7.
+fn ghz16_noisy_100shots(exec: &Executor, circuit: &Circuit) -> supermarq_sim::Counts {
+    exec.run(circuit, 100, 7)
+}
+
 /// Shot throughput on a 16-qubit noisy GHZ benchmark: one worker thread
-/// (the sequential baseline) vs. the ambient rayon pool. The speedup
-/// between the two ids is exported to `BENCH_sim.json`.
+/// (the sequential baseline) vs. the ambient rayon pool, plus one
+/// noiseless `final_state` of the same circuit (`ghz16_final_state`),
+/// the unit the `BENCH_ASSERT` invariant prices the noisy run in. The
+/// speedup between the first two ids is exported to `BENCH_sim.json`.
 fn bench_trajectory_throughput(c: &mut Criterion) {
-    const SHOTS: usize = 100;
     let circuit = ghz_circuit(16);
     let exec = Executor::new(NoiseModel::uniform_depolarizing(0.002));
     let mut group = c.benchmark_group("trajectory_throughput");
@@ -160,11 +167,35 @@ fn bench_trajectory_throughput(c: &mut Criterion) {
         .build()
         .expect("single-thread pool");
     group.bench_function("ghz16_noisy_100shots_seq1", |b| {
-        b.iter(|| sequential.install(|| black_box(exec.run(&circuit, SHOTS, 7))));
+        b.iter(|| sequential.install(|| black_box(ghz16_noisy_100shots(&exec, &circuit))));
     });
     group.bench_function("ghz16_noisy_100shots_par", |b| {
-        b.iter(|| black_box(exec.run(&circuit, SHOTS, 7)));
+        b.iter(|| black_box(ghz16_noisy_100shots(&exec, &circuit)));
     });
+    group.bench_function("ghz16_final_state", |b| {
+        b.iter(|| sequential.install(|| black_box(Executor::final_state(&circuit))));
+    });
+    group.finish();
+}
+
+/// Noisy shots against their count on an installed pool of one: a
+/// 10-qubit GHZ circuit under the IonQ model (depolarizing, idle
+/// relaxation, readout error) from the 35 shots of a Fig. 2 IonQ cell to
+/// 2,000. Shots that draw the same events share one state, so the cost
+/// grows more slowly than the shot count.
+fn bench_noisy_shots_scaling(c: &mut Criterion) {
+    let circuit = ghz_circuit(10);
+    let exec = Executor::new(Device::ionq().noise_model());
+    let sequential = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("single-thread pool");
+    let mut group = c.benchmark_group("noisy_shots_scaling");
+    for shots in [35usize, 100, 350, 1000, 2000] {
+        group.bench_with_input(BenchmarkId::from_parameter(shots), &shots, |b, &shots| {
+            b.iter(|| sequential.install(|| black_box(exec.run(&circuit, shots, 7))));
+        });
+    }
     group.finish();
 }
 
@@ -396,6 +427,7 @@ criterion_group!(
     bench_intra_statevector,
     bench_kernels,
     bench_trajectory_throughput,
+    bench_noisy_shots_scaling,
     bench_trajectory_execution,
     bench_transpiler,
     bench_generation,
@@ -548,6 +580,36 @@ fn interleaved_cx_medians() -> (f64, f64) {
     (median(dense), median(kernel))
 }
 
+/// Median nanoseconds of `ghz16_noisy_100shots_seq1` and of
+/// `ghz16_final_state`, over 21 calls of each alternated on an installed
+/// pool of one, so both see the same cache and clock state.
+fn interleaved_ghz16_medians() -> (f64, f64) {
+    const CALLS: usize = 21;
+    let circuit = ghz_circuit(16);
+    let exec = Executor::new(NoiseModel::uniform_depolarizing(0.002));
+    let mut noisy = Vec::with_capacity(CALLS);
+    let mut ideal = Vec::with_capacity(CALLS);
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("single-thread pool");
+    one_thread.install(|| {
+        for _ in 0..CALLS {
+            let start = Instant::now();
+            black_box(ghz16_noisy_100shots(&exec, &circuit));
+            noisy.push(start.elapsed().as_nanos());
+            let start = Instant::now();
+            black_box(Executor::final_state(&circuit).expect("unitary circuit"));
+            ideal.push(start.elapsed().as_nanos());
+        }
+    });
+    let median = |mut v: Vec<u128>| {
+        v.sort_unstable();
+        v[v.len() / 2] as f64
+    };
+    (median(noisy), median(ideal))
+}
+
 /// A measurement returning `(slower, faster)` nanoseconds.
 type Timing = fn() -> (f64, f64);
 
@@ -569,7 +631,12 @@ type Timing = fn() -> (f64, f64);
 ///   one CHP run of a 200-qubit GHZ state: the shots are Pauli frames
 ///   over one reference tableau run (about 0.3), where a full tableau
 ///   run per shot put it at 11-13.
-const INVARIANTS: [(&str, &str, f64, Option<Timing>); 3] = [
+/// * 100 noisy shots of the 16-qubit GHZ circuit (0.002 depolarizing, a
+///   pool of one) cost at most 100 noiseless `final_state`s of it, as
+///   medians of interleaved calls: shots that draw the same events share
+///   one state, so the run evolves a handful of cohorts (32-35 on a
+///   2-vCPU VM), where one trajectory per shot put it near 1,300-1,900.
+const INVARIANTS: [(&str, &str, f64, Option<Timing>); 4] = [
     (
         "kernels_18q/cx_dense",
         "kernels_18q/cx_kernel",
@@ -583,6 +650,12 @@ const INVARIANTS: [(&str, &str, f64, Option<Timing>); 3] = [
         None,
     ),
     ("clifford_mirror/ghz_200q_ideal", "chp_ghz_200q", 1.0, None),
+    (
+        "trajectory_throughput/ghz16_noisy_100shots_seq1",
+        "trajectory_throughput/ghz16_final_state",
+        100.0,
+        Some(interleaved_ghz16_medians),
+    ),
 ];
 
 /// `BENCH_ASSERT=1` turns the run into a pass/fail perf gate over every
@@ -621,7 +694,7 @@ fn run_assertions() -> bool {
         eprintln!("BENCH_ASSERT: no invariant had both of its ids measured");
         eprintln!(
             "BENCH_ASSERT: run with a filter that includes kernels_18q, \
-             noisy_trajectories_ghz6 or ghz_200q"
+             noisy_trajectories_ghz6, ghz_200q or trajectory_throughput"
         );
         return false;
     }

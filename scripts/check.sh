@@ -31,6 +31,9 @@ BENCH_ASSERT=1 cargo bench -q -p supermarq-bench --bench substrate -- noisy_traj
 echo "==> bench assertion (100 shots of the 200-qubit GHZ mirror within 1.0x of one CHP run)"
 BENCH_ASSERT=1 cargo bench -q -p supermarq-bench --bench substrate -- ghz_200q
 
+echo "==> bench assertion (100 noisy ghz16 shots within 100x of one noiseless 16-qubit final_state)"
+BENCH_ASSERT=1 cargo bench -q -p supermarq-bench --bench substrate -- trajectory_throughput
+
 echo "==> cache smoke (batch twice; warm pass must be all cache hits)"
 bash scripts/cache_smoke.sh
 
