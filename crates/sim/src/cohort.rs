@@ -27,7 +27,7 @@ use supermarq_pauli::Pauli;
 use crate::counts::Counts;
 use crate::executor::shot_rng;
 use crate::noise::{coin, NoisyOp};
-use crate::state::StateVector;
+use crate::state::{Kernel, StateVector};
 
 /// Amplitudes the live cohort states of one run may hold together:
 /// 64 MiB of `C64`. Each batch gets an equal share, or room for one
@@ -72,13 +72,23 @@ pub(crate) struct TreeStats {
     pub(crate) reruns: usize,
 }
 
-/// Runs shots `shots` of `ops` (lowered from a circuit with
-/// instructions `instrs` on `num_qubits` qubits), seeded `seed`, as one
-/// cohort tree, and records each shot's classical register into `acc`.
-/// `batches` is the number of batches sharing the run's cap on live
-/// states.
+/// The kernel of each unitary instruction of a circuit, by instruction
+/// index (`None` for measurements, resets and barriers): resolved once
+/// per run, applied by every cohort.
+pub(crate) fn prepare(instrs: &[Instruction]) -> Vec<Option<Kernel>> {
+    instrs
+        .iter()
+        .map(|i| i.gate.is_unitary().then(|| Kernel::of(&i.gate, &i.qubits)))
+        .collect()
+}
+
+/// Runs shots `shots` of `ops` (lowered from a circuit on `num_qubits`
+/// qubits whose instructions [`prepare`] resolved to `gates`), seeded
+/// `seed`, as one cohort tree, and records each shot's classical
+/// register into `acc`. `batches` is the number of batches sharing the
+/// run's cap on live states.
 pub(crate) fn run_batch(
-    instrs: &[Instruction],
+    gates: &[Option<Kernel>],
     num_qubits: usize,
     ops: &[NoisyOp],
     seed: u64,
@@ -111,12 +121,16 @@ pub(crate) fn run_batch(
             let op = &ops[next];
             next += 1;
             if let NoisyOp::Gate(i) = *op {
-                state.apply_instruction(&instrs[i]);
+                apply_gate(&mut state, gates, i);
                 continue;
             }
-            let p1 = p_one(op, &state);
+            let mut p1 = None;
             draws.clear();
-            draws.extend(members.iter().map(|&m| draw(op, p1, &mut batch[m])));
+            draws.extend(
+                members
+                    .iter()
+                    .map(|&m| draw(op, &state, &mut p1, &mut batch[m])),
+            );
             classes.clear();
             for &d in &draws {
                 match classes.iter_mut().find(|(c, _)| *c == d) {
@@ -135,7 +149,7 @@ pub(crate) fn run_batch(
                 // Live after a clone: the stack, this cohort and the clone.
                 if stack.len() + 2 <= max_live {
                     let mut split = state.clone();
-                    apply(&mut split, instrs, op, d);
+                    apply(&mut split, gates, op, d);
                     stack.push(Cohort {
                         next,
                         state: split,
@@ -148,10 +162,10 @@ pub(crate) fn run_batch(
             }
             let mut kept = draws.iter();
             members.retain(|_| kept.next() == Some(&keep));
-            apply(&mut state, instrs, op, keep);
+            apply(&mut state, gates, op, keep);
         }
         if let [m] = members[..] {
-            run_alone(&mut state, instrs, &ops[next..], &mut batch[m]);
+            run_alone(&mut state, gates, &ops[next..], &mut batch[m]);
         }
         for &m in &members {
             acc.record(batch[m].classical);
@@ -161,7 +175,7 @@ pub(crate) fn run_batch(
         let mut shot = Shot::new(seed, shots.start + m);
         run_alone(
             &mut StateVector::zero_state(num_qubits),
-            instrs,
+            gates,
             ops,
             &mut shot,
         );
@@ -173,52 +187,60 @@ pub(crate) fn run_batch(
 }
 
 /// Runs `ops` for one shot on its own state: a plain trajectory.
-fn run_alone(state: &mut StateVector, instrs: &[Instruction], ops: &[NoisyOp], shot: &mut Shot) {
+fn run_alone(state: &mut StateVector, gates: &[Option<Kernel>], ops: &[NoisyOp], shot: &mut Shot) {
     for op in ops {
         let d = match op {
             NoisyOp::Gate(_) => 0,
-            _ => draw(op, p_one(op, state), shot),
+            _ => draw(op, state, &mut None, shot),
         };
-        apply(state, instrs, op, d);
+        apply(state, gates, op, d);
     }
 }
 
-/// The probability of reading 1 on the qubit `op` reads, for the ops
-/// whose draws compare against it: a measurement, a reset, and an idle
-/// window that can decay. 0 for every other op, which ignores it.
-fn p_one(op: &NoisyOp, state: &StateVector) -> f64 {
-    match *op {
-        NoisyOp::Measure { q, .. } | NoisyOp::Reset { q, .. } => state.probability_of_one(q),
-        NoisyOp::Idle { q, gamma, .. } if gamma > 0.0 => state.probability_of_one(q),
-        _ => 0.0,
-    }
+/// Applies instruction `i`'s prepared kernel.
+fn apply_gate(state: &mut StateVector, gates: &[Option<Kernel>], i: usize) {
+    state.apply_kernel(
+        gates[i]
+            .as_ref()
+            .expect("Gate ops name unitary instructions"),
+    );
 }
 
 /// Makes one shot's draws for noise op `op`, in the order a lone
-/// trajectory makes them, against `p1` (see [`p_one`]), and updates the
-/// shot's classical register. Returns the state change drawn:
+/// trajectory makes them, against `state`, and updates the shot's
+/// classical register. `p1` holds `state`'s probability of reading 1 on
+/// the op's qubit once a draw of the cohort has read it. Returns the
+/// state change drawn:
 /// * `Measure`: the outcome.
 /// * `Reset`: the outcome in bit 0, the reset-error flip in bit 1.
 /// * `Idle`: a jump in bit 0 (drawn only when `gamma > 0`), a phase flip
 ///   in bit 1.
 /// * `Depolarize` and `Pauli`: the Pauli on operand `j` in bits `2j` and
 ///   `2j + 1` (`I, X, Y, Z` as 0-3).
-fn draw(op: &NoisyOp, p1: f64, shot: &mut Shot) -> Draw {
+fn draw(op: &NoisyOp, state: &StateVector, p1: &mut Option<f64>, shot: &mut Shot) -> Draw {
+    let mut p_one = |q| *p1.get_or_insert_with(|| state.probability_of_one(q));
     let rng = &mut shot.rng;
     match *op {
         NoisyOp::Gate(_) => 0,
         NoisyOp::Measure { q, flip } => {
-            let one = rng.gen::<f64>() < p1;
+            let one = rng.gen::<f64>() < p_one(q);
             let bit = one ^ coin(flip, rng);
             shot.classical = shot.classical & !(1 << q) | (bit as u64) << q;
             Draw::from(one)
         }
-        NoisyOp::Reset { flip, .. } => {
-            let one = rng.gen::<f64>() < p1;
+        NoisyOp::Reset { q, flip } => {
+            let one = rng.gen::<f64>() < p_one(q);
             Draw::from(one) | Draw::from(coin(flip, rng)) << 1
         }
-        NoisyOp::Idle { gamma, p_phi, .. } => {
-            let jump = gamma > 0.0 && rng.gen::<f64>() < gamma * p1;
+        NoisyOp::Idle { q, gamma, p_phi } => {
+            // A jump needs u < gamma * p1. The state stays normalized up
+            // to rounding (each collapse renormalizes, each gate is
+            // unitary), so p1 < 2 and u >= 2 gamma rules the jump out
+            // without reading p1.
+            let jump = gamma > 0.0 && {
+                let u = rng.gen::<f64>();
+                u < 2.0 * gamma && u < gamma * p_one(q)
+            };
             Draw::from(jump) | Draw::from(coin(p_phi, rng)) << 1
         }
         NoisyOp::Depolarize { .. } | NoisyOp::Pauli { .. } => {
@@ -245,13 +267,13 @@ fn pauli_operands(op: &NoisyOp) -> &[usize] {
 /// Applies to `state` the change `op` makes when draw `d` was drawn,
 /// with the kernels a lone trajectory uses (the no-jump branch of
 /// amplitude damping through the fused [`StateVector::damp_no_jump`]).
-fn apply(state: &mut StateVector, instrs: &[Instruction], op: &NoisyOp, d: Draw) {
+fn apply(state: &mut StateVector, gates: &[Option<Kernel>], op: &NoisyOp, d: Draw) {
     let pauli = |state: &mut StateVector, q: usize, p: Pauli| {
         let gate = [Gate::I, Gate::X, Gate::Y, Gate::Z][p as usize];
         state.apply_matrix1(&gate.matrix1().expect("Pauli matrix"), q);
     };
     match *op {
-        NoisyOp::Gate(i) => state.apply_instruction(&instrs[i]),
+        NoisyOp::Gate(i) => apply_gate(state, gates, i),
         NoisyOp::Measure { q, .. } => state.project_qubit(q, d == 1),
         NoisyOp::Reset { q, .. } => {
             let one = d & 1 == 1;

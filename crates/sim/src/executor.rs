@@ -246,9 +246,12 @@ fn run_program(
     seed: u64,
     run_span: &Span,
 ) -> Counts {
-    let (instrs, n) = (circuit.instructions(), circuit.num_qubits());
+    let (gates, n) = (
+        cohort::prepare(circuit.instructions()),
+        circuit.num_qubits(),
+    );
     sample_shots(n, shots, run_span, true, |range, batches, acc| {
-        let tree = cohort::run_batch(instrs, n, &program.ops, seed, range, batches, acc);
+        let tree = cohort::run_batch(&gates, n, &program.ops, seed, range, batches, acc);
         counter!("sim.cohort_reruns").add(tree.reruns as u64);
         tree.cohorts
     })
@@ -512,19 +515,13 @@ mod tests {
             let (counts, reruns) = with_threads(threads, || {
                 let mut counts = Counts::new(n);
                 let mut reruns = 0;
-                for range in batch_ranges(shots) {
-                    let batches = batch_ranges(shots).len();
+                let gates = cohort::prepare(c.instructions());
+                let ranges = batch_ranges(shots);
+                let batches = ranges.len();
+                for range in ranges {
                     let ops = &program.ops;
-                    reruns += cohort::run_batch(
-                        c.instructions(),
-                        n,
-                        ops,
-                        seed,
-                        range,
-                        batches,
-                        &mut counts,
-                    )
-                    .reruns;
+                    let tree = cohort::run_batch(&gates, n, ops, seed, range, batches, &mut counts);
+                    reruns += tree.reruns;
                 }
                 (counts, reruns)
             });
@@ -549,10 +546,11 @@ mod tests {
             with_threads(threads, || {
                 let ranges = batch_ranges(500);
                 let batches = ranges.len();
+                let gates = cohort::prepare(c.instructions());
                 for range in ranges {
                     let mut counts = Counts::new(3);
                     let tree = cohort::run_batch(
-                        c.instructions(),
+                        &gates,
                         3,
                         &program.ops,
                         3,

@@ -259,60 +259,24 @@ impl StateVector {
     /// Panics if the gate is not unitary (use measurement/reset methods for
     /// those) or the operand count mismatches.
     pub fn apply_gate(&mut self, gate: &Gate, qubits: &[usize]) {
-        use std::f64::consts::FRAC_PI_4;
-        let one_operand = |qs: &[usize]| {
-            assert_eq!(qs.len(), 1, "one-qubit gate takes one operand");
-            qs[0]
-        };
-        let two_operands = |qs: &[usize]| {
-            assert_eq!(qs.len(), 2, "two-qubit gate takes two operands");
-            (qs[0], qs[1])
-        };
-        match *gate {
-            Gate::I => {
-                let q = one_operand(qubits);
-                assert!(q < self.num_qubits, "qubit out of range");
-            }
-            Gate::X => self.apply_x(one_operand(qubits)),
-            Gate::Z => self.apply_phase1(one_operand(qubits), -C64::ONE),
-            Gate::S => self.apply_phase1(one_operand(qubits), C64::I),
-            Gate::Sdg => self.apply_phase1(one_operand(qubits), -C64::I),
-            Gate::T => self.apply_phase1(one_operand(qubits), C64::cis(FRAC_PI_4)),
-            Gate::Tdg => self.apply_phase1(one_operand(qubits), C64::cis(-FRAC_PI_4)),
-            Gate::P(t) => self.apply_phase1(one_operand(qubits), C64::cis(t)),
-            Gate::Rz(t) => {
-                self.apply_diagonal1(one_operand(qubits), C64::cis(-t / 2.0), C64::cis(t / 2.0));
-            }
-            Gate::Cx => {
-                let (c, t) = two_operands(qubits);
-                self.apply_cx(c, t);
-            }
-            Gate::Cz => {
-                let (a, b) = two_operands(qubits);
-                self.apply_controlled_phase(a, b, -C64::ONE);
-            }
-            Gate::Cp(t) => {
-                let (a, b) = two_operands(qubits);
-                self.apply_controlled_phase(a, b, C64::cis(t));
-            }
-            Gate::Swap => {
-                let (a, b) = two_operands(qubits);
-                self.apply_swap(a, b);
-            }
-            Gate::Rzz(t) => {
-                let (a, b) = two_operands(qubits);
-                self.apply_rzz(a, b, t);
-            }
-            _ => {
-                if let Some(m) = gate.matrix1() {
-                    self.apply_matrix1(&m, one_operand(qubits));
-                } else if let Some(m) = gate.matrix2() {
-                    let (a, b) = two_operands(qubits);
-                    self.apply_matrix2(&m, a, b);
-                } else {
-                    panic!("apply_gate called with non-unitary gate {gate:?}");
-                }
-            }
+        self.apply_kernel(&Kernel::of(gate, qubits));
+    }
+
+    /// Applies a gate resolved by [`Kernel::of`]: the same kernel with
+    /// the same constants as [`StateVector::apply_gate`], so the same
+    /// amplitudes.
+    pub(crate) fn apply_kernel(&mut self, kernel: &Kernel) {
+        match *kernel {
+            Kernel::Identity(q) => assert!(q < self.num_qubits, "qubit out of range"),
+            Kernel::X(q) => self.apply_x(q),
+            Kernel::Phase(q, phase) => self.apply_phase1(q, phase),
+            Kernel::Diagonal(q, d0, d1) => self.apply_diagonal1(q, d0, d1),
+            Kernel::Cx(c, t) => self.apply_cx(c, t),
+            Kernel::ControlledPhase(a, b, phase) => self.apply_controlled_phase(a, b, phase),
+            Kernel::Swap(a, b) => self.apply_swap(a, b),
+            Kernel::Rzz(a, b, even, odd) => self.apply_rzz(a, b, even, odd),
+            Kernel::Matrix1(q, ref m) => self.apply_matrix1(m, q),
+            Kernel::Matrix2(a, b, ref m) => self.apply_matrix2(m, a, b),
         }
     }
 
@@ -472,10 +436,10 @@ impl StateVector {
     /// `Rzz(theta)` as a parity-conditioned phase multiply:
     /// `e^{-i theta/2}` on even-parity (`|00>`, `|11>`) amplitudes and
     /// `e^{+i theta/2}` on odd-parity ones.
-    fn apply_rzz(&mut self, a: usize, b: usize, theta: f64) {
+    /// `Rzz`: phase `even` where qubits `a` and `b` agree, `odd` where
+    /// they differ.
+    fn apply_rzz(&mut self, a: usize, b: usize, even: C64, odd: C64) {
         self.assert_pair(a, b);
-        let even = C64::cis(-theta / 2.0);
-        let odd = C64::cis(theta / 2.0);
         let (lo, hi) = sorted_strides(a, b);
         let tuples = self.amps.len() / 4;
         let amps = SharedAmps::new(&mut self.amps);
@@ -751,6 +715,84 @@ impl PreparedPauliSum {
         PreparedPauliSum {
             num_qubits: h.num_qubits(),
             terms: h.iter().map(|(c, p)| (c, PauliMasks::of(p))).collect(),
+        }
+    }
+}
+
+/// A unitary gate on its operands, resolved to the kernel
+/// [`StateVector::apply_gate`] runs for it and that kernel's constants
+/// (phases, dense matrices), so a gate applied many times computes them
+/// once.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Kernel {
+    Identity(usize),
+    X(usize),
+    Phase(usize, C64),
+    Diagonal(usize, C64, C64),
+    Cx(usize, usize),
+    ControlledPhase(usize, usize, C64),
+    Swap(usize, usize),
+    Rzz(usize, usize, C64, C64),
+    Matrix1(usize, [[C64; 2]; 2]),
+    Matrix2(usize, usize, [[C64; 4]; 4]),
+}
+
+impl Kernel {
+    /// Resolves `gate` on `qubits`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the gate is not unitary or the operand count mismatches.
+    pub(crate) fn of(gate: &Gate, qubits: &[usize]) -> Kernel {
+        use std::f64::consts::FRAC_PI_4;
+        let one_operand = || {
+            assert_eq!(qubits.len(), 1, "one-qubit gate takes one operand");
+            qubits[0]
+        };
+        let two_operands = || {
+            assert_eq!(qubits.len(), 2, "two-qubit gate takes two operands");
+            (qubits[0], qubits[1])
+        };
+        match *gate {
+            Gate::I => Kernel::Identity(one_operand()),
+            Gate::X => Kernel::X(one_operand()),
+            Gate::Z => Kernel::Phase(one_operand(), -C64::ONE),
+            Gate::S => Kernel::Phase(one_operand(), C64::I),
+            Gate::Sdg => Kernel::Phase(one_operand(), -C64::I),
+            Gate::T => Kernel::Phase(one_operand(), C64::cis(FRAC_PI_4)),
+            Gate::Tdg => Kernel::Phase(one_operand(), C64::cis(-FRAC_PI_4)),
+            Gate::P(t) => Kernel::Phase(one_operand(), C64::cis(t)),
+            Gate::Rz(t) => Kernel::Diagonal(one_operand(), C64::cis(-t / 2.0), C64::cis(t / 2.0)),
+            Gate::Cx => {
+                let (c, t) = two_operands();
+                Kernel::Cx(c, t)
+            }
+            Gate::Cz => {
+                let (a, b) = two_operands();
+                Kernel::ControlledPhase(a, b, -C64::ONE)
+            }
+            Gate::Cp(t) => {
+                let (a, b) = two_operands();
+                Kernel::ControlledPhase(a, b, C64::cis(t))
+            }
+            Gate::Swap => {
+                let (a, b) = two_operands();
+                Kernel::Swap(a, b)
+            }
+            Gate::Rzz(t) => {
+                let (a, b) = two_operands();
+                Kernel::Rzz(a, b, C64::cis(-t / 2.0), C64::cis(t / 2.0))
+            }
+            _ => {
+                if let Some(m) = gate.matrix1() {
+                    Kernel::Matrix1(one_operand(), m)
+                } else if let Some(m) = gate.matrix2() {
+                    let (a, b) = two_operands();
+                    Kernel::Matrix2(a, b, m)
+                } else {
+                    panic!("apply_gate called with non-unitary gate {gate:?}");
+                }
+            }
         }
     }
 }
