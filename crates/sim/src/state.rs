@@ -434,10 +434,8 @@ impl StateVector {
     }
 
     /// `Rzz(theta)` as a parity-conditioned phase multiply:
-    /// `e^{-i theta/2}` on even-parity (`|00>`, `|11>`) amplitudes and
-    /// `e^{+i theta/2}` on odd-parity ones.
-    /// `Rzz`: phase `even` where qubits `a` and `b` agree, `odd` where
-    /// they differ.
+    /// `even = e^{-i theta/2}` on even-parity (`|00>`, `|11>`) amplitudes
+    /// and `odd = e^{+i theta/2}` on odd-parity ones.
     fn apply_rzz(&mut self, a: usize, b: usize, even: C64, odd: C64) {
         self.assert_pair(a, b);
         let (lo, hi) = sorted_strides(a, b);
@@ -723,7 +721,7 @@ impl PreparedPauliSum {
 /// [`StateVector::apply_gate`] runs for it and that kernel's constants
 /// (phases, dense matrices), so a gate applied many times computes them
 /// once.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub(crate) enum Kernel {
     Identity(usize),
     X(usize),
