@@ -12,6 +12,9 @@
 //! Table I comparison corpora are pinned circuit by circuit
 //! (`table1_corpora_digest`), and so are the classically optimized VQE
 //! and QAOA parameters and ideal energies (`optimizer_outputs_digest`).
+//! The statevector's unitary paths are pinned amplitude for amplitude:
+//! final states, noiseless Counts and scores, the statevector mirror
+//! fallback and Krylov evolution (`unitary_outputs_digest`).
 
 use std::fmt::Write;
 
@@ -23,10 +26,11 @@ use supermarq::registry::{BenchmarkEntry, BenchmarkRegistry, ParamKind};
 use supermarq::spec::execute_spec;
 use supermarq::{Benchmark, CircuitFamily, FeatureVector, Mirror};
 use supermarq_bench::{figure2_points, shots_for};
+use supermarq_circuit::Gate;
 use supermarq_clifford::{diagonalize, StabilizerExecutor};
 use supermarq_device::Device;
-use supermarq_pauli::mermin_operator;
-use supermarq_sim::{Executor, NoiseModel};
+use supermarq_pauli::{mermin_operator, tfim_hamiltonian};
+use supermarq_sim::{krylov, Executor, NoiseModel, StateVector};
 use supermarq_store::{RunRecord, RunSpec};
 use supermarq_transpile::{PipelineId, TranspileError, Transpiler};
 use supermarq_verify::verify_on_device;
@@ -511,6 +515,87 @@ fn optimizer_outputs_digest() {
         supermarq_store::hash::sha256_hex(listing.as_bytes()),
         OPTIMIZER_OUTPUTS_DIGEST,
         "optimizer outputs drifted:\n{listing}"
+    );
+}
+
+/// SHA-256 over [`unitary_outputs_listing`], captured while the unitary
+/// paths still dispatched a fused program of their own op type.
+const UNITARY_OUTPUTS_DIGEST: &str =
+    "963fb9991280a2a6fa3062d48292f59d3821130d3f5387440ece975417e5ea4b";
+
+/// Every amplitude as its `re` and `im` bit patterns.
+fn amplitude_bits(out: &mut String, psi: &StateVector) {
+    for a in psi.amplitudes() {
+        write!(out, " {:x}:{:x}", a.re.to_bits(), a.im.to_bits()).unwrap();
+    }
+}
+
+/// Every output of the statevector's unitary paths, one line each:
+/// - for every circuit of [`small_instances_and_mirrors`]: the
+///   `Executor::final_state` amplitude bits (or its error) and the
+///   noiseless `Executor::run` Counts at 200 shots;
+/// - `run_noiseless` score bits of each of those benchmarks on every
+///   Table II device;
+/// - `Mirror::score_noiseless` of every non-Clifford mirror (the
+///   statevector fallback);
+/// - `krylov::evolve` amplitude bits for the TFIM at n = 3-6.
+fn unitary_outputs_listing() -> String {
+    let devices = Device::all_paper_devices();
+    let benchmarks = small_instances_and_mirrors();
+    let mut all = String::new();
+    for benchmark in &benchmarks {
+        let name = benchmark.name();
+        for (i, c) in benchmark.circuits().iter().enumerate() {
+            write!(all, "{name} {i} final_state:").unwrap();
+            match Executor::final_state(c) {
+                Ok(psi) => amplitude_bits(&mut all, &psi),
+                Err(e) => write!(all, " {e}").unwrap(),
+            }
+            write!(all, "\n{name} {i} counts:").unwrap();
+            for (bits, count) in Executor::noiseless().run(c, 200, 4000 + i as u64).iter() {
+                write!(all, " {bits}={count}").unwrap();
+            }
+            all.push('\n');
+        }
+        for device in &devices {
+            let dev = device.name();
+            match supermarq::runner::run_noiseless(benchmark.as_ref(), device, 200, 5) {
+                Ok(score) => writeln!(all, "{name} {dev} noiseless: {:x}", score.to_bits()),
+                Err(e) => writeln!(all, "{name} {dev} noiseless error: {e}"),
+            }
+            .unwrap();
+        }
+    }
+    for entry in BenchmarkRegistry::builtin().entries() {
+        let mirror = Mirror::new(small_instance(entry));
+        if !mirror.is_clifford() {
+            let (score, path) = mirror.score_noiseless(200, 11).expect("narrow mirror");
+            writeln!(all, "{} {path:?}: {:x}", mirror.name(), score.to_bits()).unwrap();
+        }
+    }
+    for n in 3..=6 {
+        let mut psi = StateVector::zero_state(n);
+        for q in 0..n {
+            psi.apply_gate(&Gate::H, &[q]);
+            psi.apply_gate(&Gate::Ry(0.3 + 0.1 * q as f64), &[q]);
+        }
+        let evolved = krylov::evolve(&tfim_hamiltonian(n, 1.0, 0.8), &psi, 0.6, 20, 4);
+        write!(all, "tfim {n}:").unwrap();
+        amplitude_bits(&mut all, &evolved);
+        all.push('\n');
+    }
+    all
+}
+
+/// Final states, noiseless Counts and scores, the statevector mirror
+/// fallback and Krylov evolution are pinned bit for bit.
+#[test]
+fn unitary_outputs_digest() {
+    let listing = unitary_outputs_listing();
+    assert_eq!(
+        supermarq_store::hash::sha256_hex(listing.as_bytes()),
+        UNITARY_OUTPUTS_DIGEST,
+        "unitary outputs drifted:\n{listing}"
     );
 }
 
