@@ -264,13 +264,15 @@ fn pauli_operands(op: &NoisyOp) -> &[usize] {
     }
 }
 
-/// Applies to `state` the change `op` makes when draw `d` was drawn,
-/// with the kernels a lone trajectory uses (the no-jump branch of
-/// amplitude damping through the fused [`StateVector::damp_no_jump`]).
+/// Applies to `state` the change `op` makes when draw `d` was drawn:
+/// a Pauli through the kernel a circuit's X/Y/Z gets, and the no-jump
+/// branch of amplitude damping through the fused
+/// [`StateVector::damp_no_jump`]. Both differ from a lone trajectory's
+/// dense steps only in the sign of an exact zero, which no probability
+/// reads.
 fn apply(state: &mut StateVector, gates: &[Option<Kernel>], op: &NoisyOp, d: Draw) {
     let pauli = |state: &mut StateVector, q: usize, p: Pauli| {
-        let gate = [Gate::I, Gate::X, Gate::Y, Gate::Z][p as usize];
-        state.apply_matrix1(&gate.matrix1().expect("Pauli matrix"), q);
+        state.apply_gate(&[Gate::I, Gate::X, Gate::Y, Gate::Z][p as usize], &[q]);
     };
     match *op {
         NoisyOp::Gate(i) => apply_gate(state, gates, i),

@@ -1,7 +1,11 @@
 //! Shot-based circuit execution.
 //!
-//! A noisy (or mid-circuit-collapsing) circuit is lowered once per run to
-//! a [`NoisyProgram`], and every shot samples that program as one quantum
+//! A noiseless circuit whose only collapses are final measurements is
+//! evaluated once by [`Executor::final_state`], the one unitary
+//! evaluator: it fuses the circuit's gates into kernels (`crate::fusion`)
+//! and applies them, and every shot samples the final state. A noisy (or
+//! mid-circuit-collapsing) circuit is lowered once per run to a
+//! [`NoisyProgram`], and every shot samples that program as one quantum
 //! trajectory. Shots that have drawn the same events so far share one
 //! state (`crate::cohort`), with Counts bit-identical to running each
 //! shot on its own.
@@ -29,7 +33,7 @@ use supermarq_obs::{counter, Span};
 
 use crate::cohort;
 use crate::counts::Counts;
-use crate::fusion::{fuse_1q_runs, fuse_permutation_runs, FusedOp};
+use crate::fusion;
 use crate::noise::{NoiseModel, NoisyProgram};
 use crate::state::{CumulativeSampler, StateVector};
 use supermarq_circuit::{Circuit, Gate, GateKind};
@@ -134,28 +138,23 @@ impl Executor {
             .with("trajectories", needs_trajectories);
         counter!("sim.shots").add(shots as u64);
         if !needs_trajectories {
-            // Single pass: apply unitaries once (with 1q runs fused), then
-            // sample measured qubits from the final state by binary search
-            // over a precomputed cumulative-probability table.
-            match Self::fast_path_state(circuit) {
-                Ok((state, measured_mask)) => {
-                    let sampler = CumulativeSampler::new(&state);
-                    return sample_shots(n, shots, &run_span, false, |range, _, acc| {
-                        for i in range {
-                            acc.record(
-                                sampler.sample(&mut shot_rng(seed, i as u64)) & measured_mask,
-                            );
-                        }
-                        0
-                    });
-                }
-                Err(_) => {
-                    // Unreachable today (`has_nonfinal_collapse` routes every
-                    // reset-bearing circuit to trajectories), but degrade
-                    // gracefully instead of aborting a sweep if the fast-path
-                    // eligibility check and the evaluator ever disagree.
-                    counter!("sim.fast_path_fallbacks").incr();
-                }
+            // Single pass: evaluate the unitary once, then sample measured
+            // qubits from the final state by binary search over a
+            // precomputed cumulative-probability table. A reset sends the
+            // circuit to trajectories (`has_nonfinal_collapse`), so the
+            // evaluation succeeds.
+            if let Ok(state) = Self::final_state(circuit) {
+                let measured_mask = circuit
+                    .iter()
+                    .filter(|instr| instr.gate.kind() == GateKind::Measurement)
+                    .fold(0u64, |mask, instr| mask | 1 << instr.qubits[0]);
+                let sampler = CumulativeSampler::new(&state);
+                return sample_shots(n, shots, &run_span, false, |range, _, acc| {
+                    for i in range {
+                        acc.record(sampler.sample(&mut shot_rng(seed, i as u64)) & measured_mask);
+                    }
+                    0
+                });
             }
         }
         counter!("sim.trajectories").add(shots as u64);
@@ -163,62 +162,40 @@ impl Executor {
         run_program(circuit, &program, shots, seed, &run_span)
     }
 
-    /// Applies the unitary part of `circuit` (with adjacent one-qubit
-    /// gates fused into single matrix applications) for the noiseless fast
-    /// path, returning the final state and the mask of measured qubits.
+    /// Computes the exact final state of the unitary part of `circuit`
+    /// (ignoring measurements and barriers): the noiseless path of
+    /// [`Executor::run`] and every noiseless reference value. The gates
+    /// are fused into kernels first (one-qubit runs into single matrix
+    /// applications, X/CX/SWAP runs into single index permutations).
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::UnsupportedInstruction`] if the circuit
-    /// contains a reset: `run` routes reset-bearing circuits through
-    /// trajectory simulation via `has_nonfinal_collapse`, and falls back
-    /// to it should this error ever surface anyway.
-    fn fast_path_state(circuit: &Circuit) -> Result<(StateVector, u64), ExecError> {
-        let (ops, fused_1q) = fuse_1q_runs(circuit);
-        let (ops, fused_perm) = fuse_permutation_runs(ops, circuit.num_qubits());
-        let fused_away = fused_1q + fused_perm;
+    /// Returns [`ExecError::UnsupportedInstruction`] naming the first
+    /// reset if the circuit contains one — a reset-bearing circuit has no
+    /// single final state; evaluate it with trajectory simulation
+    /// ([`Executor::run`]) instead.
+    pub fn final_state(circuit: &Circuit) -> Result<StateVector, ExecError> {
+        if let Some((index, instr)) = circuit
+            .iter()
+            .enumerate()
+            .find(|(_, instr)| instr.gate.kind() == GateKind::Reset)
+        {
+            return Err(ExecError::UnsupportedInstruction {
+                index,
+                gate: instr.gate,
+            });
+        }
+        let (kernels, fused_away) = fusion::fuse(circuit);
         let _span = Span::open("sim.unitary_eval")
             .with("qubits", circuit.num_qubits())
-            .with("ops", ops.len())
+            .with("ops", kernels.len())
             .with("gates_fused", fused_away);
         counter!("sim.fusion.gates_saved").add(fused_away as u64);
         let mut state = StateVector::zero_state(circuit.num_qubits());
-        let mut measured_mask = 0u64;
-        for op in &ops {
-            match op {
-                FusedOp::Fused1q { qubit, matrix } => state.apply_matrix1(matrix, *qubit),
-                FusedOp::Permutation { cols, offset } => state.permute_amps(cols, *offset),
-                FusedOp::Instr { index, instr } => match instr.gate.kind() {
-                    GateKind::OneQubitUnitary | GateKind::TwoQubitUnitary => {
-                        state.apply_instruction(instr);
-                    }
-                    GateKind::Measurement => measured_mask |= 1 << instr.qubits[0],
-                    GateKind::Reset => {
-                        return Err(ExecError::UnsupportedInstruction {
-                            index: *index,
-                            gate: instr.gate,
-                        })
-                    }
-                    GateKind::Barrier => {}
-                },
-            }
+        for kernel in &kernels {
+            state.apply_kernel(kernel);
         }
-        Ok((state, measured_mask))
-    }
-
-    /// Computes the exact final state of the unitary part of `circuit`
-    /// (ignoring measurements), for noiseless reference values. Runs of
-    /// adjacent one-qubit gates are fused into single matrix applications
-    /// first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::UnsupportedInstruction`] if the circuit
-    /// contains a reset — a reset-bearing circuit has no single final
-    /// state; evaluate it with trajectory simulation ([`Executor::run`])
-    /// instead.
-    pub fn final_state(circuit: &Circuit) -> Result<StateVector, ExecError> {
-        Ok(Self::fast_path_state(circuit)?.0)
+        Ok(state)
     }
 }
 
@@ -765,22 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_names_the_offending_reset_instruction() {
-        let mut c = Circuit::new(1);
-        c.x(0).reset(0).measure(0);
-        // `run` never routes reset-bearing circuits here; call the helper
-        // directly to pin the typed error and its instruction index.
-        let err = Executor::fast_path_state(&c).expect_err("reset is unsupported");
-        assert_eq!(
-            err,
-            ExecError::UnsupportedInstruction {
-                index: 1,
-                gate: Gate::Reset,
-            }
-        );
-    }
-
-    #[test]
     fn fusion_preserves_fast_path_counts() {
         // A circuit with long fusable 1q runs: the fused evaluation must
         // agree with applying every gate individually.
@@ -795,7 +756,7 @@ mod tests {
             .t(2)
             .h(0)
             .measure_all();
-        let (fused_state, _) = Executor::fast_path_state(&c).expect("unitary circuit");
+        let fused_state = Executor::final_state(&c).expect("unitary circuit");
         let mut unfused = StateVector::zero_state(3);
         for instr in c.iter() {
             if instr.gate.is_unitary() {

@@ -8,42 +8,27 @@
 //! provides `exp(-iHt)|psi>` and extremal eigenvalues.
 
 use supermarq_circuit::C64;
-use supermarq_pauli::{Pauli, PauliSum};
+use supermarq_pauli::PauliSum;
 
-use crate::state::StateVector;
+use crate::state::{PauliMasks, PreparedPauliSum, StateVector};
 
 /// Applies `H|psi>` for a real-coefficient Pauli sum, matrix-free.
 ///
-/// Each Pauli string `P` acts as `P|i> = i^{n_Y} (-1)^{popcount(i & zmask)}
-/// |i XOR xmask>` where `xmask` marks X/Y sites and `zmask` marks Z/Y sites.
+/// Each Pauli string `P` acts as `P|i> = i^{n_Y} (-1)^{popcount(i & z)}
+/// |i XOR x>` where its masks mark X/Y sites (`x`) and Z/Y sites (`z`).
 ///
 /// # Panics
 ///
 /// Panics if the sizes mismatch.
-pub(crate) fn apply_hamiltonian(h: &PauliSum, psi: &StateVector) -> Vec<C64> {
-    assert_eq!(h.num_qubits(), psi.num_qubits(), "size mismatch");
+pub(crate) fn apply_hamiltonian(h: &PreparedPauliSum, psi: &StateVector) -> Vec<C64> {
+    assert_eq!(h.num_qubits, psi.num_qubits(), "size mismatch");
     let n = psi.num_qubits();
     let dim = 1usize << n;
     let amps = psi.amplitudes();
     let mut out = vec![C64::ZERO; dim];
-    for (coeff, string) in h.iter() {
-        let mut xmask = 0usize;
-        let mut zmask = 0usize;
-        let mut n_y = 0u32;
-        for (q, &p) in string.paulis().iter().enumerate() {
-            match p {
-                Pauli::I => {}
-                Pauli::X => xmask |= 1 << q,
-                Pauli::Z => zmask |= 1 << q,
-                Pauli::Y => {
-                    xmask |= 1 << q;
-                    zmask |= 1 << q;
-                    n_y += 1;
-                }
-            }
-        }
+    for &(coeff, PauliMasks { x, z, ys }) in &h.terms {
         // Global factor i^{n_Y}.
-        let base = match n_y % 4 {
+        let base = match ys % 4 {
             0 => C64::ONE,
             1 => C64::I,
             2 => -C64::ONE,
@@ -51,12 +36,12 @@ pub(crate) fn apply_hamiltonian(h: &PauliSum, psi: &StateVector) -> Vec<C64> {
         }
         .scale(coeff);
         for (i, &amp) in amps.iter().enumerate().take(dim) {
-            let sign = if ((i & zmask).count_ones() & 1) == 1 {
+            let sign = if ((i & z).count_ones() & 1) == 1 {
                 -1.0
             } else {
                 1.0
             };
-            let target = i ^ xmask;
+            let target = i ^ x;
             out[target] += base.scale(sign) * amp;
         }
     }
@@ -85,7 +70,7 @@ struct LanczosBasis {
 /// Builds a Krylov basis of dimension at most `m` starting from `psi`
 /// (assumed normalized). Stops early when the residual norm underflows
 /// (invariant subspace found).
-fn lanczos(h: &PauliSum, psi: &StateVector, m: usize) -> LanczosBasis {
+fn lanczos(h: &PreparedPauliSum, psi: &StateVector, m: usize) -> LanczosBasis {
     let mut vectors: Vec<Vec<C64>> = vec![psi.amplitudes().to_vec()];
     let mut alphas = Vec::new();
     let mut betas = Vec::new();
@@ -221,15 +206,16 @@ pub fn evolve(
     steps: usize,
 ) -> StateVector {
     assert!(steps > 0, "steps must be positive");
+    let h = PreparedPauliSum::new(h);
     let dt = t / steps as f64;
     let mut current = psi.clone();
     for _ in 0..steps {
-        current = evolve_step(h, &current, dt, krylov_dim);
+        current = evolve_step(&h, &current, dt, krylov_dim);
     }
     current
 }
 
-fn evolve_step(h: &PauliSum, psi: &StateVector, dt: f64, m: usize) -> StateVector {
+fn evolve_step(h: &PreparedPauliSum, psi: &StateVector, dt: f64, m: usize) -> StateVector {
     let basis = lanczos(h, psi, m);
     let k = basis.alphas.len();
     let (evals, evecs) = tridiagonal_eigen(&basis.alphas, &basis.betas[..k - 1]);
@@ -293,7 +279,7 @@ mod tests {
         psi.apply_gate(&Gate::Cx, &[0, 1]);
         psi.apply_gate(&Gate::Ry(0.7), &[2]);
         let h = tfim_hamiltonian(3, 1.0, 0.4);
-        let hpsi = apply_hamiltonian(&h, &psi);
+        let hpsi = apply_hamiltonian(&PreparedPauliSum::new(&h), &psi);
         let via_apply: f64 = psi
             .amplitudes()
             .iter()
@@ -309,7 +295,7 @@ mod tests {
         // Y|0> = i|1>.
         let psi = StateVector::zero_state(1);
         let h = PauliSum::from_terms(1, [(1.0, "Y".parse::<PauliString>().unwrap())]);
-        let out = apply_hamiltonian(&h, &psi);
+        let out = apply_hamiltonian(&PreparedPauliSum::new(&h), &psi);
         assert!(out[0].approx_eq(C64::ZERO, 1e-12));
         assert!(out[1].approx_eq(C64::I, 1e-12));
     }

@@ -262,9 +262,9 @@ impl StateVector {
         self.apply_kernel(&Kernel::of(gate, qubits));
     }
 
-    /// Applies a gate resolved by [`Kernel::of`]: the same kernel with
-    /// the same constants as [`StateVector::apply_gate`], so the same
-    /// amplitudes.
+    /// Applies a prepared [`Kernel`]: for a gate resolved by
+    /// [`Kernel::of`], the same kernel with the same constants as
+    /// [`StateVector::apply_gate`], so the same amplitudes.
     pub(crate) fn apply_kernel(&mut self, kernel: &Kernel) {
         match *kernel {
             Kernel::Identity(q) => assert!(q < self.num_qubits, "qubit out of range"),
@@ -277,6 +277,7 @@ impl StateVector {
             Kernel::Rzz(a, b, even, odd) => self.apply_rzz(a, b, even, odd),
             Kernel::Matrix1(q, ref m) => self.apply_matrix1(m, q),
             Kernel::Matrix2(a, b, ref m) => self.apply_matrix2(m, a, b),
+            Kernel::Permutation(ref cols, offset) => self.permute_amps(cols, offset),
         }
     }
 
@@ -456,10 +457,9 @@ impl StateVector {
     }
 
     /// Applies the affine GF(2) index permutation `i -> (xor of cols[k]
-    /// for each set bit k of i) xor offset` in one out-of-place pass.
-    /// Produced by the executor's permutation fusion pre-pass
-    /// (`crate::fusion`), which guarantees the map is a bijection (a
-    /// composition of X/CX/SWAP index maps).
+    /// for each set bit k of i) xor offset` in one out-of-place pass: a
+    /// [`Kernel::Permutation`], which `crate::fusion` composes from
+    /// X/CX/SWAP index maps, so the map is a bijection.
     ///
     /// The pass walks the *output* sequentially and gathers through the
     /// inverse map (`out[j] = amps[inv(j)]`): scattered reads beat
@@ -471,7 +471,7 @@ impl StateVector {
     /// Bit-exact at any thread count: amplitudes move, nothing is
     /// recomputed, and the source of each output index is
     /// partition-independent.
-    pub(crate) fn permute_amps(&mut self, cols: &[u64], offset: u64) {
+    fn permute_amps(&mut self, cols: &[u64], offset: u64) {
         assert_eq!(cols.len(), self.num_qubits, "column count mismatch");
         let len = self.amps.len();
         let (icols, ioffset) = invert_affine(cols, offset);
@@ -678,10 +678,10 @@ impl StateVector {
 /// its X and Y sites, the mask `z` of its Z and Y sites, and its number of
 /// Ys.
 #[derive(Debug, Clone, Copy)]
-struct PauliMasks {
-    x: usize,
-    z: usize,
-    ys: u32,
+pub(crate) struct PauliMasks {
+    pub(crate) x: usize,
+    pub(crate) z: usize,
+    pub(crate) ys: u32,
 }
 
 impl PauliMasks {
@@ -703,8 +703,8 @@ impl PauliMasks {
 /// evaluation walks the strings again.
 #[derive(Debug, Clone)]
 pub struct PreparedPauliSum {
-    num_qubits: usize,
-    terms: Vec<(f64, PauliMasks)>,
+    pub(crate) num_qubits: usize,
+    pub(crate) terms: Vec<(f64, PauliMasks)>,
 }
 
 impl PreparedPauliSum {
@@ -720,7 +720,9 @@ impl PreparedPauliSum {
 /// A unitary gate on its operands, resolved to the kernel
 /// [`StateVector::apply_gate`] runs for it and that kernel's constants
 /// (phases, dense matrices), so a gate applied many times computes them
-/// once.
+/// once; or a run of gates `crate::fusion` fused into one kernel: a
+/// one-qubit run as one [`Kernel::Matrix1`], an X/CX/SWAP run as one
+/// [`Kernel::Permutation`].
 #[derive(Debug)]
 pub(crate) enum Kernel {
     Identity(usize),
@@ -733,6 +735,9 @@ pub(crate) enum Kernel {
     Rzz(usize, usize, C64, C64),
     Matrix1(usize, [[C64; 2]; 2]),
     Matrix2(usize, usize, [[C64; 4]; 4]),
+    /// The affine index map `i -> (xor of cols[k] for set bits k of i)
+    /// xor offset` (see [`StateVector::permute_amps`]).
+    Permutation(Vec<u64>, u64),
 }
 
 impl Kernel {
