@@ -1773,6 +1773,36 @@ mod tests {
         assert!(summary.contains("misses=1"), "{summary}");
     }
 
+    /// A cell whose compiled circuit is wider than the statevector holds
+    /// is an error line naming the limit; the grid's other cells still
+    /// print their records.
+    #[test]
+    fn batch_reports_a_circuit_past_the_statevector_limit() {
+        let store = temp_dir("batch-too-wide");
+        let out = run(&[
+            "batch",
+            "--benchmarks",
+            "ghz",
+            "--sizes",
+            "3,27",
+            "--devices",
+            "IBM-Montreal",
+            "--shots",
+            "20",
+            "--reps",
+            "1",
+            "--store",
+            store.to_str().unwrap(),
+        ])
+        .unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "{out}");
+        assert_eq!(RunRecord::from_str(lines[0]).unwrap().spec.params[0].1, "3");
+        assert!(lines[1].contains(r#""error":"#), "{out}");
+        assert!(lines[1].contains("27 qubits"), "{out}");
+        assert!(lines[1].contains("26-qubit statevector limit"), "{out}");
+    }
+
     #[test]
     fn batch_rejects_bad_grids() {
         assert!(run(&["batch"]).is_err());

@@ -11,7 +11,7 @@ use rayon::prelude::*;
 use supermarq_classical::stats::{mean, std_dev};
 use supermarq_device::Device;
 use supermarq_obs::Span;
-use supermarq_sim::{Counts, Executor};
+use supermarq_sim::{Counts, Executor, MAX_QUBITS};
 use supermarq_transpile::{
     relabel_counts, PipelineId, PlacementStrategy, TranspileError, Transpiler,
 };
@@ -19,13 +19,22 @@ use supermarq_transpile::{
 use crate::benchmark::{Benchmark, ScoreError};
 use crate::mitigation::ReadoutMitigator;
 
-/// Why a harness run failed: either the circuit could not be compiled
-/// for the device, or the measurement data could not be scored.
+/// Why a harness run failed: the circuit could not be compiled for the
+/// device, a compiled circuit is too wide to simulate, or the
+/// measurement data could not be scored.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunError {
     /// Transpilation failed (the `TooManyQubits` case is Fig. 2's black
     /// X's — benchmark exceeds the device).
     Transpile(TranspileError),
+    /// A compiled circuit touches more qubits than the statevector
+    /// simulator holds.
+    TooWide {
+        /// Qubits the compacted circuit touches.
+        qubits: usize,
+        /// The simulator's limit, [`MAX_QUBITS`].
+        limit: usize,
+    },
     /// The benchmark's scoring function rejected the measurement data.
     Score(ScoreError),
 }
@@ -34,6 +43,11 @@ impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RunError::Transpile(e) => write!(f, "transpile failed: {e}"),
+            RunError::TooWide { qubits, limit } => write!(
+                f,
+                "compiled circuit touches {qubits} qubits, past the \
+                 {limit}-qubit statevector limit"
+            ),
             RunError::Score(e) => write!(f, "scoring failed: {e}"),
         }
     }
@@ -116,8 +130,9 @@ impl BenchmarkResult {
 /// # Errors
 ///
 /// [`RunError::Transpile`] when transpilation fails (`TooManyQubits`
-/// when the benchmark does not fit the device), [`RunError::Score`] when
-/// the measurement data cannot be scored.
+/// when the benchmark does not fit the device), [`RunError::TooWide`]
+/// when a compiled circuit is too wide to simulate, [`RunError::Score`]
+/// when the measurement data cannot be scored.
 pub fn run_on_device(
     benchmark: &dyn Benchmark,
     device: &Device,
@@ -142,8 +157,9 @@ pub fn run_on_device(
 /// # Errors
 ///
 /// [`RunError::Transpile`] when transpilation fails (`TooManyQubits`
-/// when the benchmark does not fit the device), [`RunError::Score`] when
-/// the measurement data cannot be scored.
+/// when the benchmark does not fit the device), [`RunError::TooWide`]
+/// when a compiled circuit is too wide to simulate, [`RunError::Score`]
+/// when the measurement data cannot be scored.
 pub fn run_on_device_open(
     benchmark: &dyn Benchmark,
     device: &Device,
@@ -166,7 +182,8 @@ pub fn run_on_device_open(
 ///
 /// # Errors
 ///
-/// [`RunError::Transpile`] when transpilation fails, [`RunError::Score`]
+/// [`RunError::Transpile`] when transpilation fails, [`RunError::TooWide`]
+/// when a compiled circuit is too wide to simulate, [`RunError::Score`]
 /// when the measurement data cannot be scored.
 pub fn run_noiseless(
     benchmark: &dyn Benchmark,
@@ -208,10 +225,10 @@ fn run_span(
 }
 
 /// The one harness body, inside one `run.benchmark` span: transpile and
-/// compact every circuit, then per repetition, inside one
-/// `run.repetition` span, execute each circuit, relabel to program
-/// order, optionally mitigate readout, and score inside a `bench.score`
-/// span.
+/// compact every circuit, refuse one wider than the statevector holds,
+/// then per repetition, inside one `run.repetition` span, execute each
+/// circuit, relabel to program order, optionally mitigate readout, and
+/// score inside a `bench.score` span.
 fn run(
     division: &'static str,
     benchmark: &dyn Benchmark,
@@ -232,6 +249,16 @@ fn run(
     // Simulate only the physical qubits each circuit touches: a small
     // benchmark placed on a 27-qubit lattice occupies a handful of qubits.
     let prepared: Vec<_> = transpiled.iter().map(|t| t.compacted()).collect();
+    if let Some(qubits) = prepared
+        .iter()
+        .map(|(c, _)| c.num_qubits())
+        .find(|&n| n > MAX_QUBITS)
+    {
+        return Err(RunError::TooWide {
+            qubits,
+            limit: MAX_QUBITS,
+        });
+    }
     // Fan the repetitions out over the rayon pool; every job derives its
     // seed from (config.seed, rep, circuit index) alone, so the scores
     // are deterministic regardless of thread count. A repetition may run
@@ -317,6 +344,23 @@ mod tests {
             err,
             RunError::Transpile(TranspileError::TooManyQubits { .. })
         ));
+    }
+
+    #[test]
+    fn circuit_past_the_statevector_limit_is_a_typed_error() {
+        let err = run_on_device(
+            &GhzBenchmark::new(27),
+            &Device::ibm_montreal(),
+            &RunConfig::default(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            RunError::TooWide {
+                qubits: 27,
+                limit: MAX_QUBITS
+            }
+        );
     }
 
     #[test]
