@@ -132,6 +132,70 @@ fn record_filed_under_wrong_address_is_a_miss() {
 }
 
 #[test]
+fn reads_accept_exactly_a_consistent_record_at_its_own_address() {
+    let store = temp_store("read-contract");
+    store.put(&record(1)).unwrap();
+    let path = object_file(&store, 1);
+    let original = fs::read_to_string(&path).unwrap();
+    let edit = |from: &str, to: &str| {
+        assert!(original.contains(from), "{from} not in {original}");
+        fs::write(&path, original.replacen(from, to, 1)).unwrap();
+    };
+
+    // A spec field edited without its hash: a miss, and corrupt.
+    edit("\"shots\":100", "\"shots\":101");
+    assert!(store.get(&spec(1)).is_none(), "edited spec must miss");
+    let verify = store.verify().unwrap();
+    assert_eq!((verify.ok, verify.corrupt.len()), (0, 1));
+    assert!(verify.misplaced.is_empty());
+
+    // The hash field edited (to a well-formed, wrong digest): a miss,
+    // and corrupt.
+    let hash = spec(1).content_hash();
+    let flipped = if hash.starts_with('0') { "1" } else { "0" };
+    edit(
+        &format!("\"hash\":\"{hash}\""),
+        &format!("\"hash\":\"{flipped}{}\"", &hash[1..]),
+    );
+    assert!(store.get(&spec(1)).is_none(), "edited hash must miss");
+    let verify = store.verify().unwrap();
+    assert_eq!((verify.ok, verify.corrupt.len()), (0, 1));
+    assert!(verify.misplaced.is_empty());
+
+    // The original bytes hit again.
+    fs::write(&path, &original).unwrap();
+    assert_eq!(store.get(&spec(1)), Some(record(1)));
+
+    // The params keys reordered in the file: the same spec, so a hit
+    // with the same record, and valid.
+    let two_params = RunRecord {
+        spec: RunSpec::new(
+            "ghz",
+            vec![("size".into(), "3".into()), ("alpha".into(), "x".into())],
+            "IonQ",
+            100,
+            2,
+            1,
+        ),
+        outcome: record(1).outcome,
+    };
+    store.put(&two_params).unwrap();
+    let path = store.object_path(&two_params.spec.content_hash());
+    let line = fs::read_to_string(&path).unwrap();
+    let sorted = "\"params\":{\"alpha\":\"x\",\"size\":\"3\"}";
+    assert!(line.contains(sorted), "{line}");
+    fs::write(
+        &path,
+        line.replace(sorted, "\"params\":{\"size\":\"3\",\"alpha\":\"x\"}"),
+    )
+    .unwrap();
+    assert_eq!(store.get(&two_params.spec), Some(two_params));
+    let verify = store.verify().unwrap();
+    assert_eq!((verify.ok, verify.corrupt.len()), (2, 0));
+    assert!(verify.misplaced.is_empty());
+}
+
+#[test]
 fn crash_simulation_stray_tmp_files_are_ignored_and_gced() {
     let store = temp_store("crash");
     store.put(&record(1)).unwrap();
