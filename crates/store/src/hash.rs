@@ -62,8 +62,23 @@ fn compress(state: &mut [u32; 8], block: &[u8]) {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// `sha256` evaluations on this thread, so tests can count the hashes
+    /// a store operation makes.
+    static EVALUATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The `sha256` evaluations this thread has made so far.
+#[cfg(test)]
+pub(crate) fn evaluations() -> usize {
+    EVALUATIONS.with(std::cell::Cell::get)
+}
+
 /// SHA-256 digest of `data`.
 pub(crate) fn sha256(data: &[u8]) -> [u8; 32] {
+    #[cfg(test)]
+    EVALUATIONS.with(|n| n.set(n.get() + 1));
     let mut state = H0;
     let mut chunks = data.chunks_exact(64);
     for block in &mut chunks {
@@ -89,10 +104,11 @@ pub(crate) fn sha256(data: &[u8]) -> [u8; 32] {
 
 /// SHA-256 digest of `data` as 64 lowercase hex characters.
 pub fn sha256_hex(data: &[u8]) -> String {
-    let digest = sha256(data);
+    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(64);
-    for byte in digest {
-        out.push_str(&format!("{byte:02x}"));
+    for byte in sha256(data) {
+        out.push(NIBBLES[usize::from(byte >> 4)] as char);
+        out.push(NIBBLES[usize::from(byte & 0xf)] as char);
     }
     out
 }

@@ -50,13 +50,14 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    /// JSON encoding. The embedded `hash` field is redundant with the
-    /// spec (it is recomputed and checked on read) but makes records
-    /// self-describing and lets `cache verify` detect spec tampering.
-    pub(crate) fn to_json(&self) -> Json {
+    /// JSON encoding, given the spec's content hash. The embedded `hash`
+    /// field is redundant with the spec (reads check it against the
+    /// spec) but makes records self-describing and lets `cache verify`
+    /// detect spec tampering.
+    fn to_json(&self, hash: &str) -> Json {
         Json::Obj(vec![
             ("schema".into(), Json::uint(SCHEMA_VERSION)),
-            ("hash".into(), Json::str(self.spec.content_hash())),
+            ("hash".into(), Json::str(hash)),
             ("spec".into(), self.spec.to_json()),
             (
                 "outcome".into(),
@@ -86,18 +87,20 @@ impl RunRecord {
     /// One-line serialization — both the on-disk object format and the
     /// sweep JSONL line format.
     pub fn to_line(&self) -> String {
-        self.to_json().to_string()
+        self.line_with_hash(&self.spec.content_hash())
     }
-}
 
-/// Parses and *validates* a serialized record: schema version must
-/// match, the stored hash must equal the recomputed spec hash, and
-/// every score must be finite. Any violation is an `Err`, which the
-/// store maps to a cache miss.
-impl std::str::FromStr for RunRecord {
-    type Err = String;
+    /// [`RunRecord::to_line`] for a caller that already holds the spec's
+    /// content hash.
+    pub(crate) fn line_with_hash(&self, hash: &str) -> String {
+        self.to_json(hash).to_string()
+    }
 
-    fn from_str(text: &str) -> Result<RunRecord, String> {
+    /// Parses a serialized record and returns it with its stored `hash`
+    /// field, checking the schema version, every field and that every
+    /// score is finite, but not the hash: the caller decides what the
+    /// hash must equal.
+    pub(crate) fn parse_unhashed(text: &str) -> Result<(RunRecord, String), String> {
         let value = Json::parse(text)?;
         let schema = value
             .get("schema")
@@ -113,9 +116,6 @@ impl std::str::FromStr for RunRecord {
             .and_then(Json::as_str)
             .ok_or("missing hash")?;
         let spec = RunSpec::from_json(value.get("spec").ok_or("missing spec")?)?;
-        if spec.content_hash() != stored_hash {
-            return Err("stored hash does not match spec".into());
-        }
         let outcome = value.get("outcome").ok_or("missing outcome")?;
         let scores_json = outcome
             .get("scores")
@@ -129,7 +129,7 @@ impl std::str::FromStr for RunRecord {
             }
             scores.push(s);
         }
-        Ok(RunRecord {
+        let record = RunRecord {
             spec,
             outcome: RunOutcome {
                 scores,
@@ -142,7 +142,28 @@ impl std::str::FromStr for RunRecord {
                     .and_then(Json::as_u64)
                     .ok_or("missing outcome.two_qubit_gates")?,
             },
-        })
+        };
+        Ok((record, stored_hash.to_string()))
+    }
+}
+
+/// Why a record whose stored hash is not its spec's is rejected, by
+/// `from_str` and `cache verify` alike.
+pub(crate) const HASH_MISMATCH: &str = "stored hash does not match spec";
+
+/// Parses and *validates* a serialized record: schema version must
+/// match, the stored hash must equal the recomputed spec hash, and
+/// every score must be finite. Any violation is an `Err`, which the
+/// store maps to a cache miss.
+impl std::str::FromStr for RunRecord {
+    type Err = String;
+
+    fn from_str(text: &str) -> Result<RunRecord, String> {
+        let (record, stored_hash) = RunRecord::parse_unhashed(text)?;
+        if record.spec.content_hash() != stored_hash {
+            return Err(HASH_MISMATCH.into());
+        }
+        Ok(record)
     }
 }
 

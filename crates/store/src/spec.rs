@@ -134,24 +134,48 @@ impl RunSpec {
     /// values escaped so embedded newlines cannot forge field
     /// boundaries.
     pub fn canonical_string(&self) -> String {
-        let mut spec = self.clone();
-        spec.normalize();
-        let mut out = String::new();
-        out.push_str(&format!("schema={SCHEMA_VERSION}\n"));
-        out.push_str(&format!("benchmark={}\n", escape(&spec.benchmark)));
-        for (k, v) in &spec.params {
-            out.push_str(&format!("param.{}={}\n", escape(k), escape(v)));
+        let params = self.sorted_params();
+        let fields = [
+            &self.benchmark,
+            &self.device,
+            &self.transpile.placement,
+            &self.transpile.pipeline,
+            &self.division,
+        ];
+        // Labels and newlines take 85 bytes, four u64s at most 80, and
+        // each parameter 8 more: only escapes grow the string past this.
+        let mut out = String::with_capacity(
+            165 + fields.iter().map(|s| s.len()).sum::<usize>()
+                + params
+                    .iter()
+                    .map(|(k, v)| k.len() + v.len() + 8)
+                    .sum::<usize>(),
+        );
+        out.push_str("schema=");
+        push_u64(&mut out, SCHEMA_VERSION);
+        out.push_str("\nbenchmark=");
+        push_escaped(&mut out, &self.benchmark);
+        for (k, v) in params {
+            out.push_str("\nparam.");
+            push_escaped(&mut out, k);
+            out.push('=');
+            push_escaped(&mut out, v);
         }
-        out.push_str(&format!("device={}\n", escape(&spec.device)));
-        out.push_str(&format!(
-            "placement={}\n",
-            escape(&spec.transpile.placement)
-        ));
-        out.push_str(&format!("pipeline={}\n", escape(&spec.transpile.pipeline)));
-        out.push_str(&format!("shots={}\n", spec.shots));
-        out.push_str(&format!("repetitions={}\n", spec.repetitions));
-        out.push_str(&format!("seed={}\n", spec.seed));
-        out.push_str(&format!("division={}\n", escape(&spec.division)));
+        out.push_str("\ndevice=");
+        push_escaped(&mut out, &self.device);
+        out.push_str("\nplacement=");
+        push_escaped(&mut out, &self.transpile.placement);
+        out.push_str("\npipeline=");
+        push_escaped(&mut out, &self.transpile.pipeline);
+        out.push_str("\nshots=");
+        push_u64(&mut out, self.shots);
+        out.push_str("\nrepetitions=");
+        push_u64(&mut out, self.repetitions);
+        out.push_str("\nseed=");
+        push_u64(&mut out, self.seed);
+        out.push_str("\ndivision=");
+        push_escaped(&mut out, &self.division);
+        out.push('\n');
         out
     }
 
@@ -160,31 +184,36 @@ impl RunSpec {
         crate::hash::sha256_hex(self.canonical_string().as_bytes())
     }
 
+    /// The parameters in key order, whatever order the spec holds them in.
+    fn sorted_params(&self) -> Vec<&(String, String)> {
+        let mut params: Vec<_> = self.params.iter().collect();
+        params.sort_unstable();
+        params
+    }
+
     /// JSON encoding (field order fixed; serialization is deterministic).
     pub fn to_json(&self) -> Json {
-        let mut spec = self.clone();
-        spec.normalize();
         let params = Json::Obj(
-            spec.params
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::str(v.clone())))
+            self.sorted_params()
+                .into_iter()
+                .map(|(k, v)| (k.clone(), Json::str(v)))
                 .collect(),
         );
         Json::Obj(vec![
-            ("benchmark".into(), Json::str(spec.benchmark)),
+            ("benchmark".into(), Json::str(&self.benchmark)),
             ("params".into(), params),
-            ("device".into(), Json::str(spec.device)),
+            ("device".into(), Json::str(&self.device)),
             (
                 "transpile".into(),
                 Json::Obj(vec![
-                    ("placement".into(), Json::str(spec.transpile.placement)),
-                    ("pipeline".into(), Json::str(spec.transpile.pipeline)),
+                    ("placement".into(), Json::str(&self.transpile.placement)),
+                    ("pipeline".into(), Json::str(&self.transpile.pipeline)),
                 ]),
             ),
-            ("shots".into(), Json::uint(spec.shots)),
-            ("repetitions".into(), Json::uint(spec.repetitions)),
-            ("seed".into(), Json::uint(spec.seed)),
-            ("division".into(), Json::str(spec.division)),
+            ("shots".into(), Json::uint(self.shots)),
+            ("repetitions".into(), Json::uint(self.repetitions)),
+            ("seed".into(), Json::uint(self.seed)),
+            ("division".into(), Json::str(&self.division)),
         ])
     }
 
@@ -221,10 +250,24 @@ impl RunSpec {
     }
 }
 
-/// Escapes `\` and newline so multi-line values cannot collide with the
-/// line-oriented canonical encoding.
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('\n', "\\n")
+/// Appends `s` with `\` and newline escaped, so multi-line values cannot
+/// collide with the line-oriented canonical encoding.
+fn push_escaped(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+}
+
+/// Appends `v` in decimal.
+fn push_u64(out: &mut String, v: u64) {
+    if v >= 10 {
+        push_u64(out, v / 10);
+    }
+    out.push(char::from(b'0' + (v % 10) as u8));
 }
 
 #[cfg(test)]

@@ -24,14 +24,14 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use supermarq_obs::Span;
 
+use crate::hash::sha256_hex;
 use crate::json::Json;
-use crate::record::RunRecord;
+use crate::record::{RunRecord, HASH_MISMATCH};
 use crate::spec::RunSpec;
 
 /// Default store directory name, resolved relative to the working
@@ -140,18 +140,20 @@ impl Store {
     /// Looks up a record by spec. Returns `None` on absence *or* on any
     /// form of bad data — truncation, garbling, schema mismatch, or a
     /// record whose spec hashes differently than the file name claims.
+    ///
+    /// The requested spec is hashed once, for the address. The stored
+    /// record is accepted when its `hash` field is that address and its
+    /// spec's canonical string is the requested spec's. Hashing the
+    /// stored spec and comparing the result to both would accept the
+    /// same records, barring a SHA-256 collision.
     pub fn get(&self, spec: &RunSpec) -> Option<RunRecord> {
         let mut span = Span::open("store.read");
-        let hash = spec.content_hash();
+        let canonical = spec.canonical_string();
+        let hash = sha256_hex(canonical.as_bytes());
         let result = (|| {
             let text = fs::read_to_string(self.object_path(&hash)).ok()?;
-            let record = RunRecord::from_str(&text).ok()?;
-            // `from_str` already checked internal consistency; this guards
-            // against a valid record filed under the wrong address.
-            if record.spec.content_hash() != hash {
-                return None;
-            }
-            Some(record)
+            let (record, stored_hash) = RunRecord::parse_unhashed(&text).ok()?;
+            (stored_hash == hash && record.spec.canonical_string() == canonical).then_some(record)
         })();
         span.record("hit", result.is_some());
         result
@@ -172,7 +174,7 @@ impl Store {
             std::process::id(),
             TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
-        let mut line = record.to_line();
+        let mut line = record.line_with_hash(&hash);
         line.push('\n');
         fs::write(&tmp_path, line)?;
         let renamed = fs::rename(&tmp_path, &final_path);
@@ -196,24 +198,28 @@ impl Store {
         Ok(stats)
     }
 
-    /// Parses and validates every object file.
+    /// Parses and validates every object file, hashing each stored spec
+    /// once: that hash must equal the record's `hash` field (else the
+    /// entry is corrupt) and name the file (else it is misplaced).
     pub fn verify(&self) -> io::Result<VerifyReport> {
         let mut span = Span::open("store.validate");
         let mut report = VerifyReport::default();
         for path in self.object_files()? {
-            match fs::read_to_string(&path) {
-                Err(e) => report.corrupt.push((path, e.to_string())),
-                Ok(text) => match RunRecord::from_str(&text) {
-                    Err(e) => report.corrupt.push((path, e)),
-                    Ok(record) => {
-                        let expected = self.object_path(&record.spec.content_hash());
-                        if expected == path {
-                            report.ok += 1;
-                        } else {
-                            report.misplaced.push(path);
-                        }
+            let parsed = fs::read_to_string(&path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| RunRecord::parse_unhashed(&text));
+            match parsed {
+                Err(e) => report.corrupt.push((path, e)),
+                Ok((record, stored_hash)) => {
+                    let hash = record.spec.content_hash();
+                    if hash != stored_hash {
+                        report.corrupt.push((path, HASH_MISMATCH.into()));
+                    } else if self.object_path(&hash) == path {
+                        report.ok += 1;
+                    } else {
+                        report.misplaced.push(path);
                     }
-                },
+                }
             }
         }
         span.record("ok", report.ok);
@@ -430,6 +436,42 @@ mod tests {
         let report = store.gc_with_grace(Duration::ZERO).unwrap();
         assert_eq!(report.removed_tmp, 1);
         assert!(!tmp.exists());
+    }
+
+    /// The SHA-256 evaluations `f` makes on this thread.
+    fn hashes_made(f: impl FnOnce()) -> usize {
+        let before = crate::hash::evaluations();
+        f();
+        crate::hash::evaluations() - before
+    }
+
+    #[test]
+    fn a_put_hashes_once() {
+        let store = temp_store("hash-put");
+        let hashes = hashes_made(|| {
+            store.put(&record(1)).unwrap();
+        });
+        assert_eq!(hashes, 1);
+    }
+
+    #[test]
+    fn a_warm_get_hashes_once() {
+        let store = temp_store("hash-get");
+        store.put(&record(1)).unwrap();
+        let spec = record(1).spec;
+        assert_eq!(
+            hashes_made(|| assert_eq!(store.get(&spec), Some(record(1)))),
+            1
+        );
+    }
+
+    #[test]
+    fn verify_hashes_once_per_entry() {
+        let store = temp_store("hash-verify");
+        for seed in 0..3 {
+            store.put(&record(seed)).unwrap();
+        }
+        assert_eq!(hashes_made(|| assert_eq!(store.verify().unwrap().ok, 3)), 3);
     }
 
     #[test]
