@@ -1,5 +1,8 @@
 //! The Hamiltonian-simulation benchmark (paper Sec. IV-F).
 
+use std::fmt;
+use std::sync::OnceLock;
+
 use supermarq_circuit::Circuit;
 use supermarq_sim::{Counts, Executor};
 
@@ -17,7 +20,7 @@ use crate::benchmark::{clamp_score, expect_counts, CircuitFamily, ScoreError, Sc
 /// The ideal value is the noiseless expectation of the same Trotter circuit
 /// (the paper's artifact does the same; the crate's Krylov evolution is
 /// used in tests to confirm the Trotter error itself is small).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct HamiltonianSimBenchmark {
     n: usize,
     steps: usize,
@@ -25,6 +28,42 @@ pub struct HamiltonianSimBenchmark {
     j_z: f64,
     eps_ph: f64,
     omega_ph: f64,
+    /// The noiseless `<m_z>`, simulated at the first `score` and reused by
+    /// every later one. Equality and `Debug` ignore it.
+    ideal: OnceLock<f64>,
+}
+
+impl PartialEq for HamiltonianSimBenchmark {
+    fn eq(&self, other: &Self) -> bool {
+        (
+            self.n,
+            self.steps,
+            self.total_time,
+            self.j_z,
+            self.eps_ph,
+            self.omega_ph,
+        ) == (
+            other.n,
+            other.steps,
+            other.total_time,
+            other.j_z,
+            other.eps_ph,
+            other.omega_ph,
+        )
+    }
+}
+
+impl fmt::Debug for HamiltonianSimBenchmark {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HamiltonianSimBenchmark")
+            .field("n", &self.n)
+            .field("steps", &self.steps)
+            .field("total_time", &self.total_time)
+            .field("j_z", &self.j_z)
+            .field("eps_ph", &self.eps_ph)
+            .field("omega_ph", &self.omega_ph)
+            .finish()
+    }
 }
 
 impl HamiltonianSimBenchmark {
@@ -63,6 +102,7 @@ impl HamiltonianSimBenchmark {
             j_z,
             eps_ph,
             omega_ph,
+            ideal: OnceLock::new(),
         }
     }
 
@@ -99,17 +139,20 @@ impl HamiltonianSimBenchmark {
         mz
     }
 
-    /// The noiseless reference `<m_z>`, computed on demand from an exact
-    /// simulation of the Trotter circuit (so that feature-only uses of
-    /// large instances never pay the exponential cost).
+    /// The noiseless reference `<m_z>`, computed on first demand from an
+    /// exact simulation of the Trotter circuit (so that feature-only uses
+    /// of large instances never pay the exponential cost) and kept for
+    /// every later call.
     ///
     /// # Panics
     ///
     /// Panics if the instance exceeds the statevector simulator's limit.
     pub(crate) fn ideal_magnetization(&self) -> f64 {
-        let psi = Executor::final_state(&self.trotter_circuit())
-            .expect("trotter circuits contain no reset");
-        Self::magnetization_of_probabilities(self.n, &psi.probabilities())
+        *self.ideal.get_or_init(|| {
+            let psi = Executor::final_state(&self.trotter_circuit())
+                .expect("trotter circuits contain no reset");
+            Self::magnetization_of_probabilities(self.n, &psi.probabilities())
+        })
     }
 
     /// Estimates `<m_z>` from measurement counts.
@@ -148,6 +191,7 @@ impl ScoringStrategy for HamiltonianSimBenchmark {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::benchmark::Benchmark;
     use supermarq_sim::NoiseModel;
 
     #[test]
@@ -156,6 +200,24 @@ mod tests {
         let counts = Executor::noiseless().run(&b.circuits()[0], 20000, 3);
         let s = b.score(&[counts]).unwrap();
         assert!(s > 0.99, "score={s}");
+    }
+
+    #[test]
+    fn the_reference_is_simulated_at_the_first_score_and_kept() {
+        let b = HamiltonianSimBenchmark::new(4, 4);
+        let fresh = b.clone();
+        let features = b.features();
+        assert!(b.ideal.get().is_none(), "features must not simulate");
+        let counts = Executor::noiseless().run(&b.circuits()[0], 200, 3);
+        let first = b.score(std::slice::from_ref(&counts)).unwrap();
+        let memo = *b.ideal.get().expect("score fills the memo");
+        assert_eq!(memo.to_bits(), fresh.ideal_magnetization().to_bits());
+        assert_eq!(b.score(&[counts]).unwrap().to_bits(), first.to_bits());
+        // Equality, Debug and features ignore the memo.
+        let unscored = HamiltonianSimBenchmark::new(4, 4);
+        assert_eq!(b, unscored);
+        assert_eq!(format!("{b:?}"), format!("{unscored:?}"));
+        assert_eq!(b.features(), features);
     }
 
     #[test]
