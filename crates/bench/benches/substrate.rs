@@ -2,7 +2,8 @@
 //! on: statevector simulation, specialized gate kernels, noisy trajectory
 //! execution (sequential vs. parallel), transpilation, circuit generation
 //! (VQE and QAOA parameter searches included), Clifford synthesis,
-//! stabilizer simulation, convex-hull geometry, and feature extraction.
+//! stabilizer simulation, convex-hull geometry, feature extraction, and
+//! warm run-store reads.
 //!
 //! Run with `cargo bench -p supermarq-bench`; a machine-readable summary
 //! is written to `BENCH_sim.json` at the repo root. CI runs
@@ -421,6 +422,61 @@ fn bench_serve_warm_hit(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The store layer on a warm daemon cell, over the 25 IonQ Fig. 2 specs
+/// in a store filled by real runs: the content hash alone, a warm
+/// `Store::get`, and a get plus the `to_line` a reply sends. Each
+/// iteration covers all 25 cells.
+fn bench_store_warm(c: &mut Criterion) {
+    use supermarq::spec::execute_spec;
+    use supermarq_bench::shots_for;
+    use supermarq_store::{Store, SweepEngine, SweepGrid, TranspileSpec};
+
+    let dir = std::env::temp_dir().join(format!("supermarq-bench-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Store::open(&dir).expect("bench store");
+    let ionq = Device::ionq();
+    let specs = SweepGrid {
+        benchmarks: figure2_points()
+            .into_iter()
+            .flat_map(|(_, points, _)| points)
+            .collect(),
+        devices: vec![ionq.name().to_string()],
+        shots: vec![shots_for(&ionq)],
+        seeds: vec![1],
+        repetitions: 3,
+        transpile: TranspileSpec::default(),
+        division: "closed".into(),
+    }
+    .expand();
+    let filled =
+        SweepEngine::new(&store).run(&specs, |spec| execute_spec(spec).map_err(|e| e.to_string()));
+    assert_eq!(filled.stats.failures, 0, "every IonQ cell runs");
+    let mut group = c.benchmark_group("store_warm");
+    group.bench_function("ionq_column_content_hash", |b| {
+        b.iter(|| {
+            for spec in &specs {
+                black_box(spec.content_hash());
+            }
+        });
+    });
+    group.bench_function("ionq_column_get", |b| {
+        b.iter(|| {
+            for spec in &specs {
+                black_box(store.get(spec).expect("warm cell"));
+            }
+        });
+    });
+    group.bench_function("ionq_column_get_to_line", |b| {
+        b.iter(|| {
+            for spec in &specs {
+                black_box(store.get(spec).expect("warm cell").to_line());
+            }
+        });
+    });
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 criterion_group!(
     benches,
     bench_statevector,
@@ -436,6 +492,7 @@ criterion_group!(
     bench_geometry,
     bench_features,
     bench_krylov,
+    bench_store_warm,
     bench_serve_warm_hit
 );
 
