@@ -50,11 +50,17 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    /// JSON encoding, given the spec's content hash. The embedded `hash`
-    /// field is redundant with the spec (reads check it against the
-    /// spec) but makes records self-describing and lets `cache verify`
-    /// detect spec tampering.
-    fn to_json(&self, hash: &str) -> Json {
+    /// One-line serialization — both the on-disk object format and the
+    /// sweep JSONL line format.
+    pub fn to_line(&self) -> String {
+        self.line_with_hash(&self.spec.content_hash())
+    }
+
+    /// [`RunRecord::to_line`] for a caller that already holds the spec's
+    /// content hash. The embedded `hash` field is redundant with the spec
+    /// (reads check it against the spec) but makes records
+    /// self-describing and lets `cache verify` detect spec tampering.
+    pub(crate) fn line_with_hash(&self, hash: &str) -> String {
         Json::Obj(vec![
             ("schema".into(), Json::uint(SCHEMA_VERSION)),
             ("hash".into(), Json::str(hash)),
@@ -82,18 +88,7 @@ impl RunRecord {
                 ]),
             ),
         ])
-    }
-
-    /// One-line serialization — both the on-disk object format and the
-    /// sweep JSONL line format.
-    pub fn to_line(&self) -> String {
-        self.line_with_hash(&self.spec.content_hash())
-    }
-
-    /// [`RunRecord::to_line`] for a caller that already holds the spec's
-    /// content hash.
-    pub(crate) fn line_with_hash(&self, hash: &str) -> String {
-        self.to_json(hash).to_string()
+        .to_string()
     }
 
     /// Parses a serialized record and returns it with its stored `hash`

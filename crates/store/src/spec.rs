@@ -134,28 +134,14 @@ impl RunSpec {
     /// values escaped so embedded newlines cannot forge field
     /// boundaries.
     pub fn canonical_string(&self) -> String {
-        let params = self.sorted_params();
-        let fields = [
-            &self.benchmark,
-            &self.device,
-            &self.transpile.placement,
-            &self.transpile.pipeline,
-            &self.division,
-        ];
-        // Labels and newlines take 85 bytes, four u64s at most 80, and
-        // each parameter 8 more: only escapes grow the string past this.
-        let mut out = String::with_capacity(
-            165 + fields.iter().map(|s| s.len()).sum::<usize>()
-                + params
-                    .iter()
-                    .map(|(k, v)| k.len() + v.len() + 8)
-                    .sum::<usize>(),
-        );
+        // Room for a spec of registry ids, catalog device names and short
+        // params in one allocation; a longer spec grows the string.
+        let mut out = String::with_capacity(256);
         out.push_str("schema=");
         push_u64(&mut out, SCHEMA_VERSION);
         out.push_str("\nbenchmark=");
         push_escaped(&mut out, &self.benchmark);
-        for (k, v) in params {
+        for (k, v) in self.sorted_params() {
             out.push_str("\nparam.");
             push_escaped(&mut out, k);
             out.push('=');
