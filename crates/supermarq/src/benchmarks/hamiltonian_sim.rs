@@ -35,21 +35,8 @@ pub struct HamiltonianSimBenchmark {
 
 impl PartialEq for HamiltonianSimBenchmark {
     fn eq(&self, other: &Self) -> bool {
-        (
-            self.n,
-            self.steps,
-            self.total_time,
-            self.j_z,
-            self.eps_ph,
-            self.omega_ph,
-        ) == (
-            other.n,
-            other.steps,
-            other.total_time,
-            other.j_z,
-            other.eps_ph,
-            other.omega_ph,
-        )
+        let key = |b: &Self| (b.n, b.steps, b.total_time, b.j_z, b.eps_ph, b.omega_ph);
+        key(self) == key(other)
     }
 }
 
